@@ -8,7 +8,7 @@ FUZZTIME ?= 30s
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test test-race vet fmt lint check bench bench-graph bench-core bench-recovery bench-json bench-diff profile-churn fuzz fuzz-churn fuzz-graph fuzz-crash sim sim-scale dht experiments
+.PHONY: all build test test-race vet fmt lint check bench bench-graph bench-core bench-recovery bench-json bench-diff profile-churn fuzz fuzz-churn fuzz-graph fuzz-crash fuzz-flood sim sim-scale dht experiments
 
 all: check
 
@@ -64,14 +64,17 @@ bench-graph:
 
 # Engine-state benchmarks + alloc gates: one steady-state recovery op
 # (delete+insert) at 10^5 nodes on the dense slot-indexed store vs the
-# map-store oracle, the zero-allocation gates on the recovery path and
-# the speculation write-set (mirrors bench-graph one layer up), and the
-# pipelined-façade throughput rows (serialized vs WithPipeline at
-# 1/4/8/16 submitters; dex/pipeline_test.go pins the two modes to
-# byte-identical state, so the delta is pure wall-clock).
+# map-store oracle, the zero-allocation gates on the recovery path, the
+# speculation write-set and the warm size-count flood (mirrors
+# bench-graph one layer up), one Simplified-mode size-count flood at
+# n=1024 in its direct form vs the message-passing engine it is proven
+# equal to, and the pipelined-façade throughput rows (serialized vs
+# WithPipeline at 1/4/8/16 submitters; dex/pipeline_test.go pins the two
+# modes to byte-identical state, so the delta is pure wall-clock).
 bench-core:
-	$(GO) test ./internal/core -run 'ZeroAllocs' -count 1 -v
+	$(GO) test ./internal/core ./internal/congest -run 'ZeroAllocs' -count 1 -v
 	$(GO) test ./internal/core -run '^$$' -bench RecoveryOp -benchtime 2000x -timeout 20m
+	$(GO) test ./internal/congest -run '^$$' -bench FloodAggregate -benchtime 200x -benchmem
 	$(GO) test . -run '^$$' -bench ConcurrentChurn -benchtime 300x -timeout 20m
 
 # Parallel-recovery benchmarks at 1/4/8 walk workers. Seeded runs are
@@ -85,7 +88,9 @@ bench-recovery:
 
 # Machine-readable benchmark baselines: re-run the hot-path benchmarks
 # with -benchmem and emit BENCH_core.json / BENCH_graph.json via
-# cmd/benchjson. CI diffs fresh runs against the committed files via
+# cmd/benchjson, which reads ns/op, B/op and allocs/op wherever they sit
+# on the line (rows that report custom metrics put them in between).
+# CI diffs fresh runs against the committed files via
 # cmd/benchdiff (see bench-diff below). The core and persist packages
 # run in separate invocations — `go test p1 p2` runs the two test
 # binaries concurrently, and the contention skews the gated
@@ -105,15 +110,18 @@ bench-json:
 	$(GO) test . -run '^$$' \
 		-bench 'ConcurrentChurn' -benchtime 300x -benchmem -timeout 20m \
 		| $(GO) run ./cmd/benchjson -append BENCH_core.json
+	$(GO) test ./internal/congest -run '^$$' \
+		-bench 'FloodAggregate/direct' -benchtime 2000x -benchmem -count 6 \
+		| $(GO) run ./cmd/benchjson -append BENCH_core.json
 	$(GO) test ./internal/graph -run '^$$' \
 		-bench 'WalkHop|GraphChurn' -benchtime 2000000x -benchmem -count 3 \
 		| $(GO) run ./cmd/benchjson > BENCH_graph.json
 
 # Thresholded benchmark ratchet: regenerate fresh measurements and diff
 # them against the committed baselines. The walk-hop, graph-churn,
-# recovery-op, and pipelined-churn rows fail on >10% ns/op drift or any
-# allocs/op increase; all other rows are report-only (runner noise makes
-# a blanket hard gate hostile).
+# recovery-op, pipelined-churn, and direct-flood rows fail on >10% ns/op
+# drift or any allocs/op increase; all other rows are report-only
+# (runner noise makes a blanket hard gate hostile).
 bench-diff:
 	$(GO) test ./internal/core -run '^$$' \
 		-bench 'RecoveryOp/dense' -benchtime 200x -benchmem -count 6 -timeout 20m \
@@ -124,11 +132,14 @@ bench-diff:
 	$(GO) test . -run '^$$' \
 		-bench 'ConcurrentChurn' -benchtime 300x -benchmem -timeout 20m \
 		| $(GO) run ./cmd/benchjson -append /tmp/bench_core_fresh.json
+	$(GO) test ./internal/congest -run '^$$' \
+		-bench 'FloodAggregate/direct' -benchtime 2000x -benchmem -count 6 \
+		| $(GO) run ./cmd/benchjson -append /tmp/bench_core_fresh.json
 	$(GO) test ./internal/graph -run '^$$' \
 		-bench 'WalkHop|GraphChurn' -benchtime 2000000x -benchmem -count 3 \
 		| $(GO) run ./cmd/benchjson > /tmp/bench_graph_fresh.json
 	$(GO) run ./cmd/benchdiff -baseline BENCH_core.json -fresh /tmp/bench_core_fresh.json \
-		-gate 'BenchmarkRecoveryOp/dense/n=100000,BenchmarkConcurrentChurn/pipelined/c=1'
+		-gate 'BenchmarkRecoveryOp/dense/n=100000,BenchmarkConcurrentChurn/pipelined/c=1,BenchmarkFloodAggregate/direct/n=1024'
 	$(GO) run ./cmd/benchdiff -baseline BENCH_graph.json -fresh /tmp/bench_graph_fresh.json \
 		-gate 'BenchmarkWalkHop,BenchmarkGraphChurn'
 
@@ -159,8 +170,12 @@ profile-churn:
 # FuzzPipelineSchedule churns the pipelined scheduler from concurrent
 # submitters (a header bit forces overlapping footprints so the
 # retry/drain path sees traffic) and replays every admitted schedule
-# against the serial façade as the linearizability oracle.
-fuzz: fuzz-churn fuzz-graph fuzz-crash fuzz-pipeline
+# against the serial façade as the linearizability oracle;
+# FuzzFloodAggregate decodes graph-op sequences (self-loops,
+# multi-edges, recycled slots, several components) and demands the
+# direct size-count flood report the message-passing PIF execution's
+# Sum, Count, Rounds and Messages exactly.
+fuzz: fuzz-churn fuzz-graph fuzz-crash fuzz-pipeline fuzz-flood
 
 fuzz-churn:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzChurnTrace -fuzztime $(FUZZTIME)
@@ -173,6 +188,9 @@ fuzz-crash:
 
 fuzz-pipeline:
 	$(GO) test ./dex -run '^$$' -fuzz FuzzPipelineSchedule -fuzztime $(FUZZTIME)
+
+fuzz-flood:
+	$(GO) test ./internal/congest -run '^$$' -fuzz FuzzFloodAggregate -fuzztime $(FUZZTIME)
 
 sim:
 	$(GO) run ./cmd/dexsim -n0 128 -steps 1000 -adversary random -gap-every 100

@@ -34,9 +34,44 @@ type result struct {
 	AllocsOp int64   `json:"allocs_op"`
 }
 
-// benchLine matches e.g.
-// BenchmarkWALAppend-8   123456   9876 ns/op   0 B/op   0 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) MB/s)?(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+// procSuffix is the -N GOMAXPROCS suffix go test appends to names.
+var procSuffix = regexp.MustCompile(`-\d+$`)
+
+// parseLine reads one result line of `go test -bench -benchmem`, e.g.
+//
+//	BenchmarkWALAppend-8   123456   9876 ns/op   0 B/op   0 allocs/op
+//
+// After the name and the iteration count come value/unit pairs in any
+// order: b.ReportMetric and b.SetBytes put their units (spec-hit-rate,
+// MB/s) between ns/op and B/op. Units other than ns/op, B/op and
+// allocs/op are skipped. Lines that are not results report ok=false.
+func parseLine(line string) (name string, r result, ok bool) {
+	f := strings.Fields(line)
+	if len(f) < 4 || len(f)%2 != 0 || !strings.HasPrefix(f[0], "Benchmark") {
+		return "", result{}, false
+	}
+	if _, err := strconv.ParseInt(f[1], 10, 64); err != nil {
+		return "", result{}, false
+	}
+	for i := 2; i < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return "", result{}, false
+		}
+		switch f[i+1] {
+		case "ns/op":
+			r.NsOp, ok = v, true
+		case "B/op":
+			r.BOp = int64(v)
+		case "allocs/op":
+			r.AllocsOp = int64(v)
+		}
+	}
+	if !ok {
+		return "", result{}, false
+	}
+	return procSuffix.ReplaceAllString(f[0], ""), r, true
+}
 
 func main() {
 	appendTo := flag.String("append", "", "merge rows into this JSON file (in place) instead of writing stdout")
@@ -57,26 +92,18 @@ func main() {
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
+		name, r, ok := parseLine(sc.Text())
+		if !ok {
 			continue
-		}
-		r := result{}
-		r.NsOp, _ = strconv.ParseFloat(m[2], 64)
-		if m[4] != "" {
-			r.BOp, _ = strconv.ParseInt(m[4], 10, 64)
-		}
-		if m[5] != "" {
-			r.AllocsOp, _ = strconv.ParseInt(m[5], 10, 64)
 		}
 		// Duplicate rows (-count N reruns) keep the fastest sample: the
 		// minimum is the standard noise-robust wall-clock statistic —
 		// scheduler steal and GC alignment only ever add time — while
 		// the alloc columns are deterministic across reruns.
-		if prev, ok := out[m[1]]; ok && prev.NsOp <= r.NsOp {
+		if prev, ok := out[name]; ok && prev.NsOp <= r.NsOp {
 			continue
 		}
-		out[m[1]] = r
+		out[name] = r
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)

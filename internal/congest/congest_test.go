@@ -223,14 +223,6 @@ func TestBroadcastCost(t *testing.T) {
 	}
 }
 
-func BenchmarkFloodAggregate256(b *testing.B) {
-	g := expanderish(256, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FloodAggregate(g, 0, func(u graph.NodeID) int64 { return 1 })
-	}
-}
-
 func BenchmarkRandomWalkDirect(b *testing.B) {
 	g := expanderish(4096, 1)
 	b.ResetTimer()

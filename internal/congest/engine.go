@@ -13,10 +13,15 @@
 //
 // Two protocols used by DEX are provided in protocols.go: flood/echo
 // aggregation (Algorithm 4.4's computeSpare/computeLow) and token random
-// walks (the type-1 recovery workhorse), each in both an engine-executed
-// form and a fast direct form; the test suite proves the two forms
-// produce identical traces, which is what lets the churn experiments use
-// the fast forms without losing fidelity.
+// walks (the type-1 recovery workhorse). Each has an engine-executed
+// form (FloodAggregateEngine, RandomWalkEngine) and a sequential direct
+// form that computes the same outcome, rounds and messages without the
+// engine: a walk replays the token's seeded hops (RandomWalkDirect), a
+// flood evaluates the PIF schedule's closed form over one BFS
+// (FloodAggregate, (*Flood).AggregateAt). Differential tests and fuzzers
+// prove each pair equal field for field, which is what lets the engine
+// run only the direct forms without losing fidelity; the engine forms
+// are their references.
 package congest
 
 import (

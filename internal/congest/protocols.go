@@ -175,7 +175,132 @@ type AggregateResult struct {
 	Messages int
 }
 
-// floodState is the per-node PIF state.
+// FloodAggregate runs the classic propagation-of-information-with-feedback
+// (PIF) protocol from initiator over the topology, summing value(u)
+// across the nodes it reaches and counting them (the network size). It
+// is a thin wrapper over the direct form (*Flood).AggregateAt with
+// throwaway scratch, whose doc states the recurrence of the engine's
+// schedule and the closed form it evaluates; FloodAggregateEngine is
+// the message-passing execution it is proven equal to, field for field.
+// An initiator absent from the topology reports the engine's single
+// empty round.
+func FloodAggregate(topo *graph.Graph, initiator graph.NodeID, value func(graph.NodeID) int64) AggregateResult {
+	s, ok := topo.SlotOf(initiator)
+	if !ok {
+		return AggregateResult{Rounds: 1}
+	}
+	var f Flood
+	var sum int64
+	res := f.AggregateAt(topo, initiator, s, func(u graph.NodeID, _ int32) bool {
+		sum += value(u)
+		return false
+	})
+	res.Sum = sum
+	return res
+}
+
+// Flood is the reusable scratch of the direct flood/echo form: each
+// reached slot's BFS level and the BFS queue, 8 bytes per graph slot,
+// grown to the graph's slot table on demand and left zeroed between
+// floods, so a warm Flood floods without allocating.
+type Flood struct {
+	lvl   []int32 // hop distance from the initiator plus one; 0 = not reached
+	queue []int32 // reached slots in BFS order
+}
+
+// reserve sizes the scratch to n slots; new levels arrive zeroed.
+func (f *Flood) reserve(n int) {
+	if len(f.lvl) < n {
+		f.lvl = append(f.lvl, make([]int32, n-len(f.lvl))...)
+		f.queue = make([]int32, len(f.lvl))
+	}
+}
+
+// AggregateAt computes exactly what FloodAggregateEngine reports for a
+// PIF flood from initiator (whose live slot is slot), sequentially, with
+// one BFS over the arena's slots. Sum is the number of reached nodes u
+// for which count(u, slot(u)) holds — computeSpare and computeLow count
+// nodes, so DEX's prebuilt walk stop predicates serve as counts
+// unchanged; FloodAggregate folds general values through the same
+// callback. Neighbor slots and ids come straight from the arena cells
+// (ForEachNeighborAt), so no node is ever resolved by id.
+//
+// The engine's schedule has a closed form. Let dist(v) be v's hop
+// distance from the initiator over distinct neighbors other than v
+// itself. A node at distance d gets its first requests in round d, all
+// from its neighbors at distance d-1; it adopts one of them as parent
+// (the smallest id: inboxes are sorted by sender) and sends a request
+// to each of its reqs(v) distinct neighbors other than itself and its
+// parent (the initiator has no parent). Every request is answered by
+// exactly one echo, so
+//
+//	Messages = 2·Σ reqs(v).
+//
+// v sends its echo in round F(v) = dist(v) when reqs(v) = 0 and
+// otherwise F(v) = max(dist(v)+2, F(c)+1 over v's children c): a
+// request to a non-child is answered with an empty echo the next round,
+// and a child's echo arrives the round after it is sent. Unrolled along
+// the tree path from each node to the initiator, one level per round,
+// the recurrence gives
+//
+//	Rounds = F(initiator)+1 = 1 + max over reached v of (2·dist(v) + 2·[reqs(v) > 0]),
+//
+// which depends on distances and degrees only, not on which parent a
+// tie picks. Sum and Count run over reached nodes. Rounds ≤
+// 2·ecc(initiator)+3, so the engine's 4n+8 round cap never binds and is
+// not modeled. count must not mutate g; f is not safe for concurrent
+// floods.
+//
+//dexvet:noalloc
+func (f *Flood) AggregateAt(g *graph.Graph, initiator graph.NodeID, slot int32, count func(graph.NodeID, int32) bool) AggregateResult {
+	f.reserve(g.Slots()) //dexvet:allow noalloc cold growth to the slot table; warm scratch never reallocates
+	lvl, q := f.lvl, f.queue
+	var res AggregateResult
+	lvl[slot] = 1
+	q[0] = slot
+	tail := 1
+	if count(initiator, slot) {
+		res.Sum++
+	}
+	fin := int32(0) // F(initiator)
+	for head := 0; head < tail; head++ {
+		s := q[head]
+		lv := lvl[s]
+		// A self-loop's cell sees lvl == lv and is skipped.
+		g.ForEachNeighborAt(s, func(v graph.NodeID, vs int32, _ int) bool {
+			if lvl[vs] == 0 {
+				lvl[vs] = lv + 1
+				q[tail] = vs
+				tail++
+				if count(v, vs) {
+					res.Sum++
+				}
+			}
+			return true
+		})
+		reqs := g.DistinctDegreeAt(s)
+		if s != slot {
+			reqs-- // the parent gets no request
+		}
+		res.Messages += 2 * reqs
+		// s's echo, sent in round dist(s) (+2 after requests), climbs a
+		// level per round and reaches the initiator in round
+		// 2·dist(s) (+2).
+		back := 2 * (lv - 1)
+		if reqs > 0 {
+			back += 2
+		}
+		fin = max(fin, back)
+	}
+	res.Count = int64(tail)
+	res.Rounds = int(fin) + 1
+	for _, s := range q[:tail] {
+		lvl[s] = 0
+	}
+	return res
+}
+
+// floodState is the per-node PIF state of the engine execution.
 type floodState struct {
 	seen    bool
 	parent  graph.NodeID
@@ -184,17 +309,14 @@ type floodState struct {
 	count   int64
 }
 
-// FloodAggregate runs the classic propagation-of-information-with-feedback
-// protocol from initiator over the topology, summing value(u) across all
-// nodes and counting the nodes (network size). Handlers execute in
-// parallel goroutines each round; results are deterministic for a fixed
-// topology, which the tests verify by running twice.
-func FloodAggregate(topo *graph.Graph, initiator graph.NodeID, value func(graph.NodeID) int64) AggregateResult {
-	e := NewEngine(topo)
-	return floodAggregateOn(e, topo, initiator, value)
-}
-
-func floodAggregateOn(e *Engine, topo *graph.Graph, initiator graph.NodeID, value func(graph.NodeID) int64) AggregateResult {
+// FloodAggregateEngine executes the PIF flood as a message-passing
+// program on a fresh engine e, one goroutine per active node per round.
+// It is the reference that the differential tests and FuzzFloodAggregate
+// hold FloodAggregate and (*Flood).AggregateAt equal to; like
+// RandomWalkEngine it exists for those tests and demonstrations, and no
+// production path runs it.
+func FloodAggregateEngine(e *Engine, initiator graph.NodeID, value func(graph.NodeID) int64) AggregateResult {
+	topo := e.topo
 	states := make(map[graph.NodeID]*floodState, topo.NumNodes())
 	for _, id := range topo.Nodes() {
 		states[id] = &floodState{}

@@ -31,9 +31,10 @@ func TestWalkFastPathMatchesEngineOnOverlay(t *testing.T) {
 	}
 }
 
-// TestFloodMatchesCounters checks that Algorithm 4.4's flood, executed as
-// a real message-passing protocol on the overlay, reports exactly the
-// coordinator's |Spare| counter.
+// TestFloodMatchesCounters checks that Algorithm 4.4's flood reports
+// exactly the coordinator's |Spare| counter on the overlay, and that
+// Simplified mode's two size-count floods (computeSpare, computeLow)
+// agree field for field with their message-passing execution.
 func TestFloodMatchesCounters(t *testing.T) {
 	nw := mustNew(t, 24, DefaultConfig())
 	churnQuiet(t, nw, 80)
@@ -49,6 +50,73 @@ func TestFloodMatchesCounters(t *testing.T) {
 	if int(agg.Count) != nw.Size() {
 		t.Fatalf("flooded n = %d, actual = %d", agg.Count, nw.Size())
 	}
+
+	// Simplified mode floods through the slot-native direct form on the
+	// engine's reusable scratch, counting with the prebuilt walk stop
+	// predicates. On a churned overlay, from every initiator, both of
+	// its floods must report exactly what the message-passing execution
+	// reports, and their sums must match the |Spare| and |Low| counters.
+	cfg := DefaultConfig()
+	cfg.Mode = Simplified
+	sn := mustNew(t, 24, cfg)
+	// A growth wave then a shrink wave: walks start missing near each
+	// rebuild threshold, so both floods run inside the churn itself.
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 300; i++ {
+		nodes := sn.Nodes()
+		if err := sn.Insert(sn.FreshID(), nodes[rng.Intn(len(nodes))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 260; i++ {
+		nodes := sn.Nodes()
+		if err := sn.Delete(nodes[rng.Intn(len(nodes))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	churnQuiet(t, sn, 40)
+	if sn.Totals().Floods == 0 {
+		t.Fatal("churn never reached a Simplified-mode flood")
+	}
+	nodes := sn.Nodes()
+	newborn := sn.FreshID()
+	if err := sn.Insert(newborn, nodes[0]); err != nil {
+		t.Fatal(err)
+	}
+	spare := sn.insertStop(newborn) // computeSpare: u != newborn && load(u) >= 2
+	wantSpare := sn.SpareCount()
+	if sn.Load(newborn) >= 2 {
+		wantSpare--
+	}
+	zeta := sn.cfg.Zeta
+	for _, u := range sn.Nodes() {
+		s, _ := sn.real.SlotOf(u)
+		for _, fl := range []struct {
+			name  string
+			count func(NodeID, int32) bool
+			value func(NodeID) int64
+			want  int
+		}{
+			{"computeSpare", spare, func(v NodeID) int64 { return b2i(v != newborn && sn.Load(v) >= 2) }, wantSpare},
+			{"computeLow", sn.steadyLowStop, func(v NodeID) int64 { return b2i(sn.Load(v) <= 2*zeta) }, sn.LowCount()},
+		} {
+			direct := sn.flood.AggregateAt(sn.real, u, s, fl.count)
+			engine := congest.FloodAggregateEngine(congest.NewEngine(sn.real), u, fl.value)
+			if direct != engine {
+				t.Fatalf("%s from %d: direct %+v != engine %+v", fl.name, u, direct, engine)
+			}
+			if int(direct.Sum) != fl.want || int(direct.Count) != sn.Size() {
+				t.Fatalf("%s from %d: sum %d count %d, counters say %d of %d", fl.name, u, direct.Sum, direct.Count, fl.want, sn.Size())
+			}
+		}
+	}
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func churnQuiet(t testing.TB, nw *Network, steps int) {

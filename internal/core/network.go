@@ -19,9 +19,11 @@
 //
 // Costs (rounds, messages, topology changes) are counted exactly as the
 // paper counts them: every walk hop, flood crossing, routed control hop
-// and edge change increments a counter. The congest package proves the
-// walk and flood fast paths equal their goroutine message-passing
-// executions, so these counters are faithful to the CONGEST model.
+// and edge change increments a counter. Type-1 walks and Simplified
+// mode's size-count floods run in congest's direct forms, which the
+// congest package proves equal, rounds and messages included, to their
+// goroutine message-passing executions, so these counters are faithful
+// to the CONGEST model.
 //
 // Per-node engine state (loads, vertex sets, dirty tracking, staggering
 // bookkeeping) lives in a slot-indexed columnar store layered on the
@@ -265,6 +267,11 @@ type Network struct {
 	// (Seed, rngDraws) no longer describes the stream and the network
 	// cannot be checkpointed.
 	rngReplaced bool
+
+	// flood is the slot-indexed scratch of Simplified mode's size-count
+	// floods (computeSpare/computeLow), which count with the prebuilt
+	// steadyInsertStop/steadyLowStop predicates.
+	flood congest.Flood
 }
 
 // New builds an initial DEX network of n0 >= 4 nodes with ids 0..n0-1,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/congest"
-	"repro/internal/graph"
 )
 
 // Insert handles an adversarial insertion (Algorithm 4.2): the adversary
@@ -108,12 +107,9 @@ func (nw *Network) recoverInsert(id, attach NodeID, idSlot, attachSlot int32) {
 			continue
 		}
 		// Simplified mode: flood computeSpare (Alg 4.4), then decide.
-		agg := congest.FloodAggregate(nw.real, attach, func(u graph.NodeID) int64 {
-			if u != id && nw.st.loadOf(u) >= 2 {
-				return 1
-			}
-			return 0
-		})
+		// Its count, u != id && load(u) >= 2, is steadyInsertStop with
+		// stopExclude = id, as insertStop armed it for this ladder.
+		agg := nw.flood.AggregateAt(nw.real, attach, attachSlot, nw.steadyInsertStop)
 		nw.step.Rounds += agg.Rounds
 		nw.step.Messages += agg.Messages
 		nw.step.Floods++
@@ -337,12 +333,9 @@ func (nw *Network) redistributeOne(v NodeID, h holding) bool {
 			}
 			continue
 		}
-		agg := congest.FloodAggregate(nw.real, v, func(u graph.NodeID) int64 {
-			if nw.st.loadOf(u) <= 2*nw.cfg.Zeta {
-				return 1
-			}
-			return 0
-		})
+		// Simplified mode: flood computeLow (Alg 4.4), whose count,
+		// load(u) <= 2*zeta, is steadyLowStop.
+		agg := nw.flood.AggregateAt(nw.real, v, vSlot, nw.steadyLowStop)
 		nw.step.Rounds += agg.Rounds
 		nw.step.Messages += agg.Messages
 		nw.step.Floods++
