@@ -8,7 +8,7 @@ FUZZTIME ?= 30s
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test test-race vet fmt lint check bench bench-graph bench-core bench-recovery bench-json bench-diff profile-churn fuzz fuzz-churn fuzz-graph fuzz-crash fuzz-flood sim sim-scale dht experiments
+.PHONY: all build test test-race vet fmt lint check bench bench-graph bench-core bench-json bench-diff profile-churn fuzz fuzz-churn fuzz-graph fuzz-crash fuzz-flood sim sim-scale dht experiments
 
 all: check
 
@@ -19,9 +19,9 @@ test:
 	$(GO) test ./...
 
 # Race gate over the whole module. The concurrency hot spots (the
-# dex.Concurrent façade, the parallel type-1 walk machinery in core,
-# the congest walk pool, persistence) are where races have actually
-# lived, but the full sweep costs little on top and has no blind spots.
+# dex.Concurrent façade and its async event dispatcher, persistence)
+# are where races have actually lived, but the full sweep costs little
+# on top and has no blind spots.
 test-race:
 	$(GO) test -race ./...
 
@@ -64,27 +64,16 @@ bench-graph:
 
 # Engine-state benchmarks + alloc gates: one steady-state recovery op
 # (delete+insert) at 10^5 nodes on the dense slot-indexed store vs the
-# map-store oracle, the zero-allocation gates on the recovery path, the
-# speculation write-set and the warm size-count flood (mirrors
-# bench-graph one layer up), one Simplified-mode size-count flood at
-# n=1024 in its direct form vs the message-passing engine it is proven
-# equal to, and the pipelined-façade throughput rows (serialized vs
-# WithPipeline at 1/4/8/16 submitters; dex/pipeline_test.go pins the two
-# modes to byte-identical state, so the delta is pure wall-clock).
+# map-store oracle, the zero-allocation gates on the recovery path and
+# the warm size-count flood (mirrors bench-graph one layer up), one
+# Simplified-mode size-count flood at n=1024 in its direct form vs the
+# message-passing engine it is proven equal to, and the Concurrent
+# façade's throughput rows (1/4/8/16 submitters through its lock).
 bench-core:
 	$(GO) test ./internal/core ./internal/congest -run 'ZeroAllocs' -count 1 -v
 	$(GO) test ./internal/core -run '^$$' -bench RecoveryOp -benchtime 2000x -timeout 20m
 	$(GO) test ./internal/congest -run '^$$' -bench FloodAggregate -benchtime 200x -benchmem
 	$(GO) test . -run '^$$' -bench ConcurrentChurn -benchtime 300x -timeout 20m
-
-# Parallel-recovery benchmarks at 1/4/8 walk workers. Seeded runs are
-# byte-identical at every width (enforced by TestParallelMatchesSerial*),
-# so the deltas are pure wall-clock: storms must sit at parity on dense
-# steady-state churn and on single-CPU hosts; WalkBatchPool bounds the
-# multi-core scaling of the walk substrate the retry tail dispatches.
-bench-recovery:
-	$(GO) test -run '^$$' -bench RecoveryParallel -benchtime 50x .
-	$(GO) test ./internal/congest -run '^$$' -bench WalkBatchPool -benchtime 200x
 
 # Machine-readable benchmark baselines: re-run the hot-path benchmarks
 # with -benchmem and emit BENCH_core.json / BENCH_graph.json via
@@ -119,7 +108,7 @@ bench-json:
 
 # Thresholded benchmark ratchet: regenerate fresh measurements and diff
 # them against the committed baselines. The walk-hop, graph-churn,
-# recovery-op, pipelined-churn, and direct-flood rows fail on >10% ns/op
+# recovery-op, serialized-churn, and direct-flood rows fail on >10% ns/op
 # drift or any allocs/op increase; all other rows are report-only
 # (runner noise makes a blanket hard gate hostile).
 bench-diff:
@@ -139,7 +128,7 @@ bench-diff:
 		-bench 'WalkHop|GraphChurn' -benchtime 2000000x -benchmem -count 3 \
 		| $(GO) run ./cmd/benchjson > /tmp/bench_graph_fresh.json
 	$(GO) run ./cmd/benchdiff -baseline BENCH_core.json -fresh /tmp/bench_core_fresh.json \
-		-gate 'BenchmarkRecoveryOp/dense/n=100000,BenchmarkConcurrentChurn/pipelined/c=1,BenchmarkFloodAggregate/direct/n=1024'
+		-gate 'BenchmarkRecoveryOp/dense/n=100000,BenchmarkConcurrentChurn/serialized/c=1,BenchmarkFloodAggregate/direct/n=1024'
 	$(GO) run ./cmd/benchdiff -baseline BENCH_graph.json -fresh /tmp/bench_graph_fresh.json \
 		-gate 'BenchmarkWalkHop,BenchmarkGraphChurn'
 
@@ -167,15 +156,11 @@ profile-churn:
 # the flat adjacency arena); FuzzCrashRecovery kills persistent runs at
 # arbitrary points (including torn/corrupted WAL tails) and demands the
 # recovered network match a fresh oracle run of the surviving prefix;
-# FuzzPipelineSchedule churns the pipelined scheduler from concurrent
-# submitters (a header bit forces overlapping footprints so the
-# retry/drain path sees traffic) and replays every admitted schedule
-# against the serial façade as the linearizability oracle;
 # FuzzFloodAggregate decodes graph-op sequences (self-loops,
 # multi-edges, recycled slots, several components) and demands the
 # direct size-count flood report the message-passing PIF execution's
 # Sum, Count, Rounds and Messages exactly.
-fuzz: fuzz-churn fuzz-graph fuzz-crash fuzz-pipeline fuzz-flood
+fuzz: fuzz-churn fuzz-graph fuzz-crash fuzz-flood
 
 fuzz-churn:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzChurnTrace -fuzztime $(FUZZTIME)
@@ -185,9 +170,6 @@ fuzz-graph:
 
 fuzz-crash:
 	$(GO) test ./internal/persist -run '^$$' -fuzz FuzzCrashRecovery -fuzztime $(FUZZTIME)
-
-fuzz-pipeline:
-	$(GO) test ./dex -run '^$$' -fuzz FuzzPipelineSchedule -fuzztime $(FUZZTIME)
 
 fuzz-flood:
 	$(GO) test ./internal/congest -run '^$$' -fuzz FuzzFloodAggregate -fuzztime $(FUZZTIME)

@@ -326,91 +326,34 @@ func BenchmarkChurnSampledAudit(b *testing.B) {
 	benchChurnMaintenance(b, false, dex.WithAuditMode(dex.AuditSampled))
 }
 
-// --- PAR: parallel type-1 recovery ----------------------------------------------------
+// --- CONC: concurrent façade throughput ---------------------------------------------
 //
-// BenchmarkRecoveryParallel prices the worker pool on multi-vertex
-// recovery storms: each op deletes `stormK` random nodes and restores
-// the size with one `stormK`-member InsertBatch. All widths run the
-// same seed, and the serial-vs-parallel differential tests guarantee
-// the recovery work is byte-identical — the ns/op delta is pure
-// wall-clock. Interpreting it: in the dense steady state DEX walks
-// resolve in O(1) expected hops (Lemma 2), so widths must sit at
-// parity (the engine keeps short walks serial and only fans out
-// scarce-regime batches — see internal/core/parallel.go); speedup
-// appears on multi-core hosts when churn pressure makes acceptor sets
-// scarce, and BenchmarkWalkBatchPool in internal/congest bounds what
-// the walk substrate itself can return.
-
-const stormN0 = 8192
-const stormK = 24
-
-func BenchmarkRecoveryParallel(b *testing.B) {
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			nw, err := dex.New(
-				dex.WithInitialSize(stormN0),
-				dex.WithSeed(23),
-				dex.WithWorkers(workers),
-			)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer nw.Close()
-			rng := rand.New(rand.NewSource(23))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for k := 0; k < stormK; k++ {
-					if err := nw.Delete(nw.SampleNode(rng)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				specs := make([]dex.InsertSpec, stormK)
-				for j := range specs {
-					specs[j] = dex.InsertSpec{ID: nw.FreshID(), Attach: nw.SampleNode(rng)}
-				}
-				if err := nw.InsertBatch(specs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			hits, misses, tail := nw.SpecStats()
-			if total := hits + misses; total > 0 {
-				b.ReportMetric(float64(hits)/float64(total), "spec-hit-rate")
-			}
-			if tail > 0 {
-				b.ReportMetric(float64(tail)/float64(b.N), "tail-walks/op")
-			}
-		})
-	}
-}
-
-// --- PIPE: pipelined façade throughput -------------------------------------------------
+// BenchmarkConcurrentChurn prices the Concurrent façade's lock under
+// contention: c submitter goroutines drive non-overlapping insert/delete
+// churn (each owns a private id range anchored in its own region of the
+// initial network), with the sampled audit on. One benchmark iteration
+// is one insert+delete pair, so ns/op is comparable across c. The rows
+// are named serialized/c=N; the name dates from when a pipelined
+// scheduler ran beside them, and the allocs/op ratchet keys on it.
 //
-// BenchmarkConcurrentChurn prices the tentpole: c submitter goroutines
-// drive non-overlapping insert/delete churn (each owns a private id
-// range anchored in its own region of the initial network) through the
-// Concurrent façade, serialized versus pipelined (WithPipeline). One
-// benchmark iteration is one insert+delete pair, so ns/op is directly
-// comparable across the two modes; the pipelined rows should pull ahead
-// as c grows because window speculation runs the insert walks and the
-// deferred sampled audits fan out across the worker pool while commits
-// stay serial. The lockstep oracle tests in dex/pipeline_test.go pin
-// the two modes to byte-identical state, so the delta here is pure
-// wall-clock.
+// The engine's recovery path allocates nothing
+// (TestRecoveryOpZeroAllocsSteadyState), so every allocation here is
+// made above it. A -memprofilerate 1 profile of the c=1 row attributes
+// the 71 allocations of a pair as follows:
+//   - 69 to AuditSampled's node checks (core.CheckNode): the map and
+//     closure wantRow builds per call, and graph.Neighbors' slice;
+//   - 2 to boxing VertexTransferred events into the Event interface,
+//     which happens because the façade's forwarder is always
+//     subscribed.
 
-const pipeBenchN0 = 4096
+const concBenchN0 = 4096
 
-func benchConcurrentChurn(b *testing.B, submitters int, pipelined bool) {
-	opts := []dex.Option{
-		dex.WithInitialSize(pipeBenchN0),
+func benchConcurrentChurn(b *testing.B, submitters int) {
+	c, err := dex.NewConcurrent(
+		dex.WithInitialSize(concBenchN0),
 		dex.WithSeed(29),
-		dex.WithWorkers(8),
 		dex.WithAuditMode(dex.AuditSampled),
-	}
-	if pipelined {
-		opts = append(opts, dex.WithPipeline(2*submitters))
-	}
-	c, err := dex.NewConcurrent(opts...)
+	)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -422,7 +365,7 @@ func benchConcurrentChurn(b *testing.B, submitters int, pipelined bool) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			anchor := dex.NodeID(g * (pipeBenchN0 / submitters))
+			anchor := dex.NodeID(g * (concBenchN0 / submitters))
 			for i := 0; i < per; i++ {
 				id := dex.NodeID(1_000_000*(g+1) + i)
 				if err := c.Insert(id, anchor); err != nil {
@@ -438,21 +381,13 @@ func benchConcurrentChurn(b *testing.B, submitters int, pipelined bool) {
 	}
 	wg.Wait()
 	b.StopTimer()
-	if pipelined {
-		hits, misses, _ := c.PipelineStats()
-		if total := hits + misses; total > 0 {
-			b.ReportMetric(float64(hits)/float64(total), "spec-hit-rate")
-		}
-	}
 }
 
 func BenchmarkConcurrentChurn(b *testing.B) {
-	for _, mode := range []string{"serialized", "pipelined"} {
-		for _, subs := range []int{1, 4, 8, 16} {
-			b.Run(fmt.Sprintf("%s/c=%d", mode, subs), func(b *testing.B) {
-				benchConcurrentChurn(b, subs, mode == "pipelined")
-			})
-		}
+	for _, subs := range []int{1, 4, 8, 16} {
+		b.Run(fmt.Sprintf("serialized/c=%d", subs), func(b *testing.B) {
+			benchConcurrentChurn(b, subs)
+		})
 	}
 }
 

@@ -19,16 +19,9 @@
 //
 //	dexsim -persist run.d -steps 100000          # Ctrl-C at will
 //	dexsim -persist run.d -steps 100000 -resume  # continues to 100000
-//
-// With -pipeline N the run drives the pipelined concurrent façade from
-// N submitter goroutines (dex.WithPipeline) and reports the speculation
-// counters; invariants are checked at the end:
-//
-//	dexsim -n0 128 -steps 1500 -pipeline 4 -audit sampled -workers 4
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -38,8 +31,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"syscall"
 
 	"repro/dex"
@@ -62,8 +53,6 @@ func main() {
 		histCap  = flag.Int("history-cap", -1, "cap per-step metrics history (-1=auto, 0=unbounded)")
 		trace    = flag.Int("trace", 0, "print every k-th step's metrics (0=off)")
 		memstats = flag.Bool("memstats", false, "print heap and adjacency-arena memory summary after the run")
-		workers  = flag.Int("workers", 1, "parallel type-1 walk workers (seeded runs are identical at any width)")
-		pipeline = flag.Int("pipeline", 0, "pipelined concurrent drive: N submitter goroutines through the WithPipeline façade (random adversary only)")
 
 		persistDir = flag.String("persist", "", "durable-state directory: WAL every op, periodic checkpoints, crash recovery")
 		ckptEvery  = flag.Int("checkpoint-every", 4096, "steps between automatic checkpoints (-persist only)")
@@ -104,7 +93,6 @@ func main() {
 		dex.WithSeed(*seed),
 		dex.WithAuditMode(auditMode),
 		dex.WithHistoryCap(*histCap),
-		dex.WithWorkers(*workers),
 	}
 	if *persistDir != "" {
 		if !*resume {
@@ -115,17 +103,6 @@ func main() {
 		opts = append(opts, dex.WithPersistence(*persistDir,
 			dex.WithCheckpointEvery(*ckptEvery), dex.WithGroupCommit(*groupOps)))
 	}
-	if *pipeline > 0 {
-		if *advName != "random" {
-			log.Fatalf("-pipeline supports only the random adversary (got %q)", *advName)
-		}
-		if *persistDir != "" {
-			log.Fatal("-pipeline does not compose with -persist")
-		}
-		runPipelined(opts, *pipeline, *steps, *pinsert, *seed)
-		return
-	}
-
 	nw, err := dex.New(opts...)
 	if err != nil {
 		log.Fatal(err)
@@ -159,8 +136,8 @@ func main() {
 	}
 
 	startStep := nw.Totals().Steps
-	fmt.Printf("DEX self-healing expander: n0=%d p0=%d mode=%s adversary=%s audit=%s workers=%d\n",
-		*n0, nw.P(), recovery, adv.Name(), auditMode, *workers)
+	fmt.Printf("DEX self-healing expander: n0=%d p0=%d mode=%s adversary=%s audit=%s\n",
+		*n0, nw.P(), recovery, adv.Name(), auditMode)
 	if startStep > 0 {
 		root, covered := nw.LastRoot()
 		fmt.Printf("resumed from %s at step %d (n=%d, history root %x over %d steps)\n",
@@ -225,11 +202,6 @@ func main() {
 			st.LiveCells, st.PoolCap, float64(st.PoolCap*12)/(1<<20), float64(st.PoolCap*12)/float64(n),
 			st.FreeCells)
 	}
-	if *workers > 1 {
-		hits, misses, tail := nw.SpecStats()
-		fmt.Printf("parallel recovery: %d window walks committed, %d re-run serially, %d retry-tail walks\n",
-			hits, misses, tail)
-	}
 	tot := nw.Totals()
 	fmt.Printf("type-2 activity: %d inflation and %d deflation events (%d staggered rebuilds committed); invariants: ",
 		tot.InflateEvents, tot.DeflateEvents, tot.StaggerFinishes)
@@ -238,77 +210,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("all hold")
-}
-
-// runPipelined drives the WithPipeline façade from subs concurrent
-// submitter goroutines: each owns a private id range (inserting fresh
-// ids at sampled attach points, deleting its own earlier inserts), so
-// the scheduler sees the realistic mix of disjoint and overlapping
-// window footprints. The run ends with the speculation counters and
-// the full invariant check as the pass/fail gate — under `go run
-// -race` this is the scheduler's end-to-end race harness.
-func runPipelined(opts []dex.Option, subs, steps int, pinsert float64, seed int64) {
-	depth := 2 * subs
-	if depth < 16 {
-		depth = 16
-	}
-	c, err := dex.NewConcurrent(append(opts, dex.WithPipeline(depth))...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("pipelined drive: %d submitters, window depth %d\n", subs, depth)
-	var wg sync.WaitGroup
-	var failed atomic.Bool
-	per := (steps + subs - 1) / subs
-	for g := 0; g < subs; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + int64(g)))
-			var mine []dex.NodeID
-			for i := 0; i < per; i++ {
-				if len(mine) == 0 || rng.Float64() < pinsert {
-					id := dex.NodeID(1_000_000*(g+1) + i)
-					// The sampled attach point can be deleted by a peer
-					// before the op is admitted; that surfaces as
-					// ErrUnknownNode and is part of the contract.
-					if err := c.Insert(id, c.Sample()); err == nil {
-						mine = append(mine, id)
-					} else if !errors.Is(err, dex.ErrUnknownNode) {
-						log.Printf("submitter %d insert: %v", g, err)
-						failed.Store(true)
-						return
-					}
-				} else {
-					k := rng.Intn(len(mine))
-					id := mine[k]
-					mine = append(mine[:k], mine[k+1:]...)
-					if err := c.Delete(id); err != nil && !errors.Is(err, dex.ErrTooSmall) {
-						log.Printf("submitter %d delete: %v", g, err)
-						failed.Store(true)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	hits, misses, tail := c.PipelineStats()
-	tot := c.Totals()
-	fmt.Printf("final: n=%d p=%d steps=%d max-load=%d\n", c.Size(), c.P(), tot.Steps, c.MaxLoad())
-	fmt.Printf("pipeline: %d speculations committed, %d drained through the serial path, %d retry-tail walks; invariants: ",
-		hits, misses, tail)
-	if err := c.CheckInvariants(); err != nil {
-		fmt.Printf("VIOLATED (%v)\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("all hold")
-	if err := c.Close(); err != nil {
-		log.Fatalf("close: %v", err)
-	}
-	if failed.Load() {
-		os.Exit(1)
-	}
 }
 
 type runParams struct {

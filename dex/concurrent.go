@@ -29,19 +29,11 @@ import (
 //     loss — and callbacks may freely call any façade method, including
 //     mutations. Close flushes the queue before returning.
 //
-// Inside each operation, WithWorkers additionally parallelizes the
-// recovery walks themselves; the two axes compose. Determinism under
-// concurrent *callers* is necessarily scheduling-dependent (the
-// interleaving of operations is whatever the callers make it), but
-// each individual operation remains the paper's algorithm, and a
-// single-caller Concurrent with a fixed seed reproduces the plain
-// Network byte for byte.
-//
-// WithPipeline adds a third axis: operations from concurrent callers
-// are admitted in windows whose insert walks are speculated and whose
-// sampled audits are verified in parallel, while the commits themselves
-// stay strictly serial (see dex/pipeline.go). State remains
-// byte-identical to the serialized façade for the same admitted order.
+// Determinism under concurrent *callers* is necessarily
+// scheduling-dependent (the interleaving of operations is whatever the
+// callers make it), but each individual operation remains the paper's
+// algorithm, and a single-caller Concurrent with a fixed seed
+// reproduces the plain Network byte for byte.
 type Concurrent struct {
 	mu  sync.Mutex
 	nw  *Network
@@ -50,8 +42,6 @@ type Concurrent struct {
 	evq           *eventQueue   // non-nil in async mode
 	done          chan struct{} // dispatcher exit signal
 	dispatcherGid atomic.Uint64 // goroutine id of the dispatcher (async mode)
-
-	sched *pipeScheduler // non-nil under WithPipeline
 
 	subMu    sync.Mutex
 	subs     []subscriber
@@ -66,7 +56,7 @@ type Concurrent struct {
 // NewConcurrent builds a Network wrapped in a Concurrent façade. It
 // accepts every option New accepts, plus WithAsyncEvents. Call Close
 // when done — it flushes and stops the async dispatcher (if any) and
-// releases the WithWorkers pool.
+// closes the WAL (WithPersistence).
 func NewConcurrent(opts ...Option) (*Concurrent, error) {
 	o := defaultOptions()
 	for _, opt := range opts {
@@ -91,11 +81,6 @@ func NewConcurrent(opts ...Option) (*Concurrent, error) {
 		c.evq = newEventQueue(o.asyncBuf)
 		c.done = make(chan struct{})
 		go c.dispatch()
-	}
-	if o.pipeDepth > 0 {
-		nw.deferAudit = true
-		c.sched = newPipeScheduler(c, o.pipeDepth)
-		go c.sched.run()
 	}
 	return c, nil
 }
@@ -259,12 +244,8 @@ func (c *Concurrent) Subscribers() int {
 	return len(c.subs)
 }
 
-// op wraps one mutating call; under WithPipeline it routes through the
-// admission queue so every mutation commits in ticket order.
+// op runs one mutating call under the façade lock.
 func (c *Concurrent) op(f func(*Network) error) error {
-	if c.sched != nil {
-		return c.sched.submit(&pipeReq{kind: reqOther, fn: f})
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -275,49 +256,21 @@ func (c *Concurrent) op(f func(*Network) error) error {
 
 // Insert adds node id attached at node attach and runs recovery.
 func (c *Concurrent) Insert(id, attach NodeID) error {
-	if c.sched != nil {
-		return c.sched.submit(&pipeReq{
-			kind: reqInsert, id: id, attach: attach,
-			fn:  func(nw *Network) error { return nw.Insert(id, attach) },
-			rec: &AdmittedOp{Kind: OpInsert, ID: id, Attach: attach},
-		})
-	}
 	return c.op(func(nw *Network) error { return nw.Insert(id, attach) })
 }
 
 // Delete removes node id and runs recovery.
 func (c *Concurrent) Delete(id NodeID) error {
-	if c.sched != nil {
-		return c.sched.submit(&pipeReq{
-			kind: reqDelete, id: id,
-			fn:  func(nw *Network) error { return nw.Delete(id) },
-			rec: &AdmittedOp{Kind: OpDelete, ID: id},
-		})
-	}
 	return c.op(func(nw *Network) error { return nw.Delete(id) })
 }
 
 // InsertBatch performs one adversarial step inserting all specs at once.
 func (c *Concurrent) InsertBatch(specs []InsertSpec) error {
-	if c.sched != nil {
-		return c.sched.submit(&pipeReq{
-			kind: reqOther,
-			fn:   func(nw *Network) error { return nw.InsertBatch(specs) },
-			rec:  &AdmittedOp{Kind: OpBatchInsert, Specs: append([]InsertSpec(nil), specs...)},
-		})
-	}
 	return c.op(func(nw *Network) error { return nw.InsertBatch(specs) })
 }
 
 // DeleteBatch performs one adversarial step deleting all ids at once.
 func (c *Concurrent) DeleteBatch(ids []NodeID) error {
-	if c.sched != nil {
-		return c.sched.submit(&pipeReq{
-			kind: reqOther,
-			fn:   func(nw *Network) error { return nw.DeleteBatch(ids) },
-			rec:  &AdmittedOp{Kind: OpBatchDelete, IDs: append([]NodeID(nil), ids...)},
-		})
-	}
 	return c.op(func(nw *Network) error { return nw.DeleteBatch(ids) })
 }
 
@@ -435,19 +388,17 @@ func (c *Concurrent) Audit(mode AuditMode) error {
 }
 
 // Close shuts the façade down: subsequent mutating operations return
-// ErrClosed, the pipelined scheduler (if any) commits its already-queued
-// tail and exits, every event already published is delivered (the async
-// queue is drained in order) before Close returns, and the WithWorkers
-// pool and WAL (WithPersistence) are released — in that order, so no
-// WAL append can land after Close returns. Idempotent, and a late
-// duplicate Close waits for the winning Close to finish the whole
-// teardown (drain included) and returns its result, so no caller can
-// observe Close-returned while callbacks are still running or the WAL
-// is still open. One exception, by necessity: a Close issued from
-// inside a subscriber callback (on the dispatcher goroutine) cannot
-// wait for its own goroutine to finish draining — it initiates (or
-// observes) shutdown and returns nil; the dispatcher still delivers
-// everything already queued after the callback returns.
+// ErrClosed, every event already published is delivered (the async
+// queue is drained in order) before Close returns, and then the WAL
+// (WithPersistence) is closed, so no WAL append can land after Close
+// returns. Idempotent, and a late duplicate Close waits for the winning
+// Close to finish the whole teardown (drain included) and returns its
+// result, so no caller can observe Close-returned while callbacks are
+// still running or the WAL is still open. One exception, by necessity:
+// a Close called from inside a subscriber callback (on the dispatcher
+// goroutine) cannot wait for its own goroutine to finish draining — it
+// initiates (or observes) shutdown and returns nil; the dispatcher
+// still delivers everything already queued after the callback returns.
 func (c *Concurrent) Close() error {
 	c.mu.Lock()
 	already := c.closed
@@ -464,26 +415,15 @@ func (c *Concurrent) Close() error {
 		<-c.closeDone
 		return c.closeErr
 	}
-	// Stop the scheduler before closing the event queue: its queued tail
-	// still commits and publishes. stop returns the sticky deferred-audit
-	// error after the final flush.
-	var auditErr error
-	if c.sched != nil {
-		auditErr = c.sched.stop()
-	}
 	if c.evq != nil {
 		c.evq.close()
 		if !onDispatcher {
 			<-c.done
 		}
 	}
-	err := c.nw.Close()
-	if err == nil {
-		err = auditErr
-	}
-	c.closeErr = err
+	c.closeErr = c.nw.Close()
 	close(c.closeDone)
-	return err
+	return c.closeErr
 }
 
 // locked runs a read accessor under the façade lock.

@@ -31,15 +31,15 @@ func driveSeededChurn(t *testing.T, seed int64, steps int, size func() int, node
 	}
 }
 
-// TestConcurrentMatchesPlain: a single-caller Concurrent façade (with
-// parallel walk workers on top) reproduces the plain Network byte for
-// byte — History, overlay, node set.
+// TestConcurrentMatchesPlain: a single-caller Concurrent façade
+// reproduces the plain Network byte for byte — History, overlay, node
+// set.
 func TestConcurrentMatchesPlain(t *testing.T) {
 	plain, err := dex.New(dex.WithInitialSize(24), dex.WithSeed(21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, err := dex.NewConcurrent(dex.WithInitialSize(24), dex.WithSeed(21), dex.WithWorkers(4))
+	conc, err := dex.NewConcurrent(dex.WithInitialSize(24), dex.WithSeed(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +68,12 @@ func TestConcurrentMatchesPlain(t *testing.T) {
 
 // TestConcurrentHammer is the -race gate: goroutines hammering churn
 // ops, subscription churn, and snapshot/history/sample readers against
-// one façade with async events and parallel walk workers. Correctness
-// here is "no race, no deadlock, invariants hold, events flow".
+// one façade with async events. Correctness here is "no race, no
+// deadlock, invariants hold, events flow".
 func TestConcurrentHammer(t *testing.T) {
 	c, err := dex.NewConcurrent(
 		dex.WithInitialSize(32),
 		dex.WithSeed(31),
-		dex.WithWorkers(4),
 		dex.WithAsyncEvents(64),
 	)
 	if err != nil {
@@ -264,8 +263,5 @@ func TestAsyncEventsRequiresConcurrent(t *testing.T) {
 	}
 	if _, err := dex.NewConcurrent(dex.WithAsyncEvents(-1)); err == nil {
 		t.Fatal("negative async buffer accepted")
-	}
-	if _, err := dex.New(dex.WithWorkers(0)); err == nil {
-		t.Fatal("WithWorkers(0) accepted")
 	}
 }

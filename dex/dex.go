@@ -41,9 +41,7 @@
 // ErrReentrantOp instead of corrupting recovery state mid-step. For use
 // from multiple goroutines, wrap the network in a Concurrent façade
 // (NewConcurrent), which adds locking, an optional asynchronous event
-// dispatcher, and consistent Snapshot reads; WithWorkers additionally
-// parallelizes the recovery walks inside each operation without
-// changing any seeded outcome.
+// dispatcher, and consistent Snapshot reads.
 package dex
 
 import (
@@ -138,11 +136,6 @@ type Network struct {
 	nextSub  int
 	inOp     bool // a mutating operation (and its event deliveries) is in flight
 
-	// deferAudit is set by the pipelined façade (WithPipeline): with
-	// AuditSampled, afterOp skips the inline audit and the scheduler
-	// captures + verifies the targets one window later instead.
-	deferAudit bool
-
 	// Durability (WithPersistence); nil/empty otherwise. seedBuf
 	// captures the walk seeds each operation consumes, rec is the
 	// reused WAL record — both so steady-state commits allocate
@@ -189,9 +182,6 @@ func New(opts ...Option) (*Network, error) {
 	}
 	if o.err == nil && o.asyncBuf >= 0 {
 		o.err = errors.New("dex: WithAsyncEvents requires NewConcurrent")
-	}
-	if o.err == nil && o.pipeDepth > 0 {
-		o.err = errors.New("dex: WithPipeline requires NewConcurrent")
 	}
 	if o.err != nil {
 		return nil, o.err
@@ -255,12 +245,6 @@ func (nw *Network) afterOp() error {
 	}
 	if st.StaggerFinished {
 		nw.publish(StaggerFinished{Step: st.Step, N: st.N, P: st.P})
-	}
-	if nw.deferAudit && nw.audit == AuditSampled {
-		// Pipelined façade: the scheduler captures this op's sampled-audit
-		// targets right after it commits and verifies them, fanned across
-		// the worker pool, during the next window (dex/pipeline.go).
-		return nil
 	}
 	if err := nw.eng.Audit(nw.audit); err != nil {
 		return fmt.Errorf("dex: %s audit after %s: %w", nw.audit, st.Op, err)
@@ -446,32 +430,22 @@ func (nw *Network) FreshID() NodeID { return nw.eng.FreshID() }
 // perturb the engine's seeded recovery choices.
 func (nw *Network) SampleNode(rng *rand.Rand) NodeID { return nw.eng.SampleNode(rng) }
 
-// Close releases the background worker pool created by WithWorkers, if
-// any, and — under WithPersistence — flushes any staged WAL batch and
-// closes the log, leaving the directory resumable. A serial,
-// non-persistent network never needs Close. Close takes the
-// re-entrancy guard: closing from an event callback would flush a
-// half-applied operation's state into the WAL, the same hazard
-// Checkpoint guards against. Such calls fail with ErrReentrantOp.
+// Close flushes any staged WAL batch and closes the log, leaving the
+// directory resumable (WithPersistence). A non-persistent network
+// holds nothing to release. Close takes the re-entrancy guard: closing
+// from an event callback would flush a half-applied operation's state
+// into the WAL, the same hazard Checkpoint guards against. Such calls
+// fail with ErrReentrantOp.
 func (nw *Network) Close() error {
 	if err := nw.enterOp(); err != nil {
 		return err
 	}
 	defer nw.exitOp()
-	nw.eng.Close()
 	if nw.log != nil {
 		return nw.log.Close()
 	}
 	return nil
 }
-
-// SpecStats reports the parallel recovery path's activity: speculative
-// window walks committed straight from the worker pool (hits) versus
-// re-run serially after revalidation failed (misses), and the walks
-// run by the exact parallel retry tail (tail), which needs no
-// revalidation. All zero without WithWorkers. Observational only —
-// the recovery outcome is identical either way.
-func (nw *Network) SpecStats() (hits, misses, tail int) { return nw.eng.SpecStats() }
 
 // CheckInvariants mechanically verifies every structural invariant of
 // the paper (balanced mapping, load bounds, contraction-consistent

@@ -171,7 +171,7 @@ func TestSeedAndRNGEquivalence(t *testing.T) {
 // TestWithAudit runs churn with per-operation invariant auditing on; any
 // violation would surface as an operation error.
 func TestWithAudit(t *testing.T) {
-	nw, err := dex.New(dex.WithInitialSize(12), dex.WithAudit(true), dex.WithSeed(8))
+	nw, err := dex.New(dex.WithInitialSize(12), dex.WithAuditMode(dex.AuditFull), dex.WithSeed(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,8 +42,7 @@ func WithNoSync(on bool) PersistOption {
 // checkpoints plus a write-ahead log of every operation, with crash
 // recovery on construction. If dir already holds state, the network
 // resumes from it — the remaining options must match the stored
-// configuration (WithWorkers may differ; worker width never changes
-// seeded outcomes). Incompatible with WithRNG, whose stream position
+// configuration. Incompatible with WithRNG, whose stream position
 // cannot be checkpointed.
 func WithPersistence(dir string, popts ...PersistOption) Option {
 	return func(o *options) {
@@ -64,9 +63,7 @@ func newPersistent(o options) (*Network, error) {
 	if o.rng != nil {
 		return nil, errors.New("dex: WithRNG is incompatible with WithPersistence")
 	}
-	popt := o.popt
-	popt.Workers = o.cfg.Workers
-	log, eng, err := persist.Open(o.persistDir, popt)
+	log, eng, err := persist.Open(o.persistDir, o.popt)
 	if err != nil {
 		return nil, err
 	}
@@ -79,19 +76,12 @@ func newPersistent(o options) (*Network, error) {
 			return nil, err
 		}
 		if err := log.Begin(eng); err != nil {
-			eng.Close()
 			log.Close()
 			return nil, err
 		}
-	} else {
-		stored := eng.Config()
-		want := o.cfg
-		want.Workers = stored.Workers
-		if stored != want {
-			eng.Close()
-			log.Close()
-			return nil, fmt.Errorf("dex: options disagree with the stored configuration (stored %+v, requested %+v)", stored, want)
-		}
+	} else if stored := eng.Config(); stored != o.cfg {
+		log.Close()
+		return nil, fmt.Errorf("dex: options disagree with the stored configuration (stored %+v, requested %+v)", stored, o.cfg)
 	}
 	nw := wrapEngine(eng, o)
 	nw.log = log
@@ -180,7 +170,6 @@ func (nw *Network) Crash() {
 	if nw.log != nil {
 		nw.log.Crash()
 	}
-	nw.eng.Close()
 }
 
 // Checkpoint forces a durable checkpoint under the façade lock; see

@@ -1,8 +1,8 @@
 // Package noalloc checks the //dexvet:noalloc annotation: a function so
 // marked must contain no allocation site that escape analysis sends to
-// the heap. The walk-hop, steady-state recovery, speculation write-set
-// and WAL-append paths carry the annotation — their 0 allocs/op is
-// load-bearing (Lemma 2's O(1)-expected walks are only O(1) if a hop
+// the heap. The walk-hop, steady-state recovery, direct size-count
+// flood, and WAL-append paths carry the annotation — their 0 allocs/op
+// is load-bearing (Lemma 2's O(1)-expected walks are only O(1) if a hop
 // never allocates), and this turns the runtime alloc gates' contract
 // into a vet-time failure instead of a benchmark regression.
 //

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -248,32 +249,29 @@ func TestDifferentialChurnTraces(t *testing.T) {
 // slot-indexed store and the historical map store must be externally
 // indistinguishable — byte-identical History, virtual mapping, loads,
 // vertex sets, and overlay — through growth, deletion storms, batches,
-// and both rebuild modes, at every parallel worker width and with the
-// per-operation audit tiers running on both engines throughout.
+// and both rebuild modes, over three seeds and with the per-operation
+// audit tiers running on both engines throughout.
 func TestDenseMatchesMapOracle(t *testing.T) {
 	for _, mode := range []RecoveryMode{Staggered, Simplified} {
-		for _, workers := range []int{1, 4, 8} {
+		for _, seed := range []int64{20, 23, 27} {
 			for _, audit := range []AuditMode{AuditOff, AuditSampled, AuditFull} {
-				if audit == AuditFull && workers == 4 {
-					continue // full audit is O(p) per op; two widths suffice
+				if audit == AuditFull && seed == 23 {
+					continue // full audit is O(p) per op; two seeds suffice
 				}
-				t.Run(fmt.Sprintf("%v/workers=%d/audit=%v", mode, workers, audit), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%v/seed=%d/audit=%v", mode, seed, audit), func(t *testing.T) {
 					cfg := DefaultConfig()
 					cfg.Mode = mode
-					cfg.Workers = workers
-					cfg.Seed = int64(19 + workers)
+					cfg.Seed = seed
 					dense, err := New(32, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer dense.Close()
 					cfgM := cfg
 					cfgM.useMapState = true
 					oracle, err := New(32, cfgM)
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer oracle.Close()
 					rngD := rand.New(rand.NewSource(cfg.Seed * 31))
 					rngM := rand.New(rand.NewSource(cfg.Seed * 31))
 					steps := 220
@@ -303,6 +301,39 @@ func TestDenseMatchesMapOracle(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// equalEngineState fails the test unless the two networks are in
+// byte-identical externally observable states: mapping, loads, vertex
+// sets, overlay edges, modulus, and per-step metrics history. It is
+// backend-agnostic (the snapshots materialize either store), so the
+// dense/oracle gate and the checkpoint-compatibility tests share it.
+func equalEngineState(t *testing.T, tag string, a, b *Network) {
+	t.Helper()
+	if a.P() != b.P() || a.Size() != b.Size() {
+		t.Fatalf("%s: shape diverged: p %d vs %d, n %d vs %d", tag, a.P(), b.P(), a.Size(), b.Size())
+	}
+	if !reflect.DeepEqual(a.simOf, b.simOf) {
+		t.Fatalf("%s: virtual mapping diverged", tag)
+	}
+	if !reflect.DeepEqual(a.st.loadSnapshot(), b.st.loadSnapshot()) {
+		t.Fatalf("%s: load tables diverged", tag)
+	}
+	if !reflect.DeepEqual(a.st.simSnapshot(), b.st.simSnapshot()) {
+		t.Fatalf("%s: vertex sets diverged", tag)
+	}
+	if !reflect.DeepEqual(a.real.Edges(), b.real.Edges()) {
+		t.Fatalf("%s: overlay edge multisets diverged", tag)
+	}
+	if !reflect.DeepEqual(a.History(), b.History()) {
+		ah, bh := a.History(), b.History()
+		for i := range ah {
+			if i < len(bh) && ah[i] != bh[i] {
+				t.Fatalf("%s: history diverged at step %d:\n%+v\n%+v", tag, i+1, ah[i], bh[i])
+			}
+		}
+		t.Fatalf("%s: history lengths diverged: %d vs %d", tag, len(ah), len(bh))
 	}
 }
 

@@ -89,12 +89,6 @@ type Config struct {
 	Mode RecoveryMode
 	// Seed drives all randomized choices.
 	Seed int64
-	// Workers is the width of the worker pool that speculates type-1
-	// walk batches in parallel (0 or 1 = serial, the default). For any
-	// fixed seed the recovery outcome — mapping, overlay, and per-step
-	// metrics — is byte-identical at every width; Workers only changes
-	// wall-clock time (see parallel.go).
-	Workers int
 	// HistoryCap bounds the in-memory per-step metrics history; 0 keeps
 	// every step (the default). When the cap is reached the older half is
 	// discarded, so long churn runs hold O(cap) metrics memory while
@@ -130,9 +124,9 @@ type Network struct {
 	real  *graph.Graph  // the overlay graph G_t (contraction of Z under Phi)
 
 	// st holds every per-node table — loads, Sim/NewSim vertex sets,
-	// dirty + speculation tracking, the O(1) sampling mirror, and the
-	// staggering counters — in slot-indexed columns over nw.real's slot
-	// table (or, for the differential oracle, in the historical maps).
+	// dirty tracking, the O(1) sampling mirror, and the staggering
+	// counters — in slot-indexed columns over nw.real's slot table (or,
+	// for the differential oracle, in the historical maps).
 	st state
 
 	dist0 []int32 // cached BFS distances from vertex 0 (coordinator routing)
@@ -163,6 +157,11 @@ type Network struct {
 	// operation; exercised by failure-injection tests).
 	orphanRescues  int
 	walkExhaustion int
+	// fastInserts counts steady-state inserts committed through
+	// recoverInsert's degree-capped short-circuit (diagnostics only —
+	// the fast path is byte-identical to the ladder, so this is never
+	// part of History or the checkpoint image).
+	fastInserts int
 
 	// transferObserver, when set, is invoked after a current-cycle vertex
 	// migrates between nodes (the DHT uses it to migrate and account for
@@ -195,68 +194,12 @@ type Network struct {
 	holdScratch       []holding
 	vertScratch       []Vertex
 
-	// Parallel contender rounds need one predicate per window index —
-	// the excluded contender differs per walk and the walks run
-	// concurrently — so the exclusions live struct-of-arrays in
-	// contendExcl and contendStops[j] reads contendExcl[j] at call time.
-	// Both grow to the window cap once and are reused forever.
-	contendExcl  []NodeID
-	contendStops []func(NodeID, int32) bool
 	contendSlots []int32 // eligible contenders' start slots, parallel to eligible
 
-	// Parallel-recovery state (see parallel.go). seedQ/seedHead form the
-	// FIFO that keeps the walk-seed stream identical to the serial
-	// path's; the store's speculation write-set records commit
-	// footprints while armed; specEpoch versions stagger-state
-	// transitions.
-	workers     int
-	pool        *congest.WalkPool
-	seedQ       []uint64
-	seedHead    int
-	seedBuf     []uint64
-	tailSeedBuf []uint64
-	specs       []congest.WalkSpec
-	outs        []congest.WalkOutcome
-	tailSpecs   []congest.WalkSpec
-	tailOuts    []congest.WalkOutcome
-	liveIdx     []int
-	liveSpecs   []congest.WalkSpec
-	liveOuts    []congest.WalkOutcome
-	specEpoch   uint64
-	specHits    int
-	specMisses  int
-	tailWalks   int
-	// fastInserts counts steady-state inserts committed through
-	// recoverInsert's degree-capped short-circuit (diagnostics only —
-	// the fast path is byte-identical to the ladder, so this is never
-	// part of History or the checkpoint image).
-	fastInserts int
-
-	// Pipelined-façade state (see pipeline.go). pipeAttempt, when
-	// non-nil, is consumed by the next recoverInsert as its first-attempt
-	// speculation; pipeExcl/pipeStops are the window's per-index stop
-	// predicates (struct-of-arrays, like contendExcl/contendStops);
-	// the remaining fields are the window's reused buffers.
-	pipeAttempt    *specAttempt
-	pipeAttemptBuf specAttempt
-	// pipeDel, when non-nil, is the staged prediction for the current
-	// delete's redistribution walks: one shared attempt every orphan's
-	// first walk consumes (see InjectDeleteAttempts — the dense-regime
-	// prediction is that all of them 0-step-hit the adopter).
-	pipeDel     *specAttempt
-	pipeDelBuf  specAttempt
-	pipeExcl    []NodeID
-	pipeStops   []func(NodeID, int32) bool
-	pipeSeedBuf []uint64
-	pipeSpecs   []congest.WalkSpec
-	pipeOuts    []congest.WalkOutcome
-	pipeIdx     []int
-
 	// rngDraws counts uint64 draws taken from rng since construction.
-	// Both draw sites (the walkSeed fallback and predrawSeedsInto) go
-	// through drawU64, so a checkpoint can record the stream position and
-	// a restore can fast-forward a fresh source to it — RNG state is then
-	// (Seed, rngDraws, pending seedQ suffix), nothing more.
+	// walkSeed draws through drawU64, so a checkpoint can record the
+	// stream position and a restore can fast-forward a fresh source to
+	// it — RNG state is then (Seed, rngDraws), nothing more.
 	rngDraws uint64
 	// seedObserver, when set, is invoked with every walk seed the moment
 	// it is consumed (walkSeed, in serial commit order). The persistence
@@ -281,7 +224,7 @@ func New(n0 int, cfg Config) (*Network, error) {
 	if n0 < 4 {
 		return nil, fmt.Errorf("core: initial size %d < 4", n0)
 	}
-	if cfg.Zeta < 2 || cfg.Theta <= 0 || cfg.Theta > 0.5 || cfg.WalkFactor < 1 || cfg.HistoryCap < 0 || cfg.Workers < 0 {
+	if cfg.Zeta < 2 || cfg.Theta <= 0 || cfg.Theta > 0.5 || cfg.WalkFactor < 1 || cfg.HistoryCap < 0 {
 		return nil, fmt.Errorf("core: invalid config %+v", cfg)
 	}
 	p0, ok := primes.FirstPrimeIn(int64(4*n0), int64(8*n0))
@@ -326,10 +269,6 @@ func (nw *Network) initTracking() {
 	nw.real = graph.New()
 	nw.st.init(nw.real, nw.cfg.useMapState, nw.cfg.Zeta)
 	nw.auditRng = rand.New(rand.NewSource(nw.cfg.Seed ^ 0x5eed_a0d1))
-	nw.workers = nw.cfg.Workers
-	if nw.workers < 1 {
-		nw.workers = 1
-	}
 	st := &nw.st
 	zeta := nw.cfg.Zeta
 	lowT := 2 * zeta
@@ -356,21 +295,6 @@ func (nw *Network) initTracking() {
 	}
 	nw.serialContendStop = func(w NodeID, s int32) bool { return w != nw.contendU && st.newLenAt(w, s) >= 2 }
 	nw.shedStop = func(w NodeID, s int32) bool { return w != nw.shedExcl && st.effNewAt(w, s) < 4*zeta }
-}
-
-// contendStopAt returns the prebuilt predicate for window index j of a
-// parallel contender round; it excludes whatever contendExcl[j] holds
-// when the walk runs. The closure array grows to the window cap once.
-func (nw *Network) contendStopAt(j int) func(NodeID, int32) bool {
-	st := &nw.st
-	for len(nw.contendStops) <= j {
-		k := len(nw.contendStops)
-		nw.contendExcl = append(nw.contendExcl, -1)
-		nw.contendStops = append(nw.contendStops, func(w NodeID, s int32) bool {
-			return w != nw.contendExcl[k] && st.newLenAt(w, s) >= 2
-		})
-	}
-	return nw.contendStops[j]
 }
 
 // --- basic accessors -------------------------------------------------------
@@ -431,6 +355,15 @@ func (nw *Network) History() []StepMetrics { return nw.history }
 // OrphanRescues returns how many times the drop-time rescue path ran
 // (see stagger.go); zero in all normal operation.
 func (nw *Network) OrphanRescues() int { return nw.orphanRescues }
+
+// FastInserts reports how many inserts committed through recoverInsert's
+// degree-capped steady-state short-circuit instead of the walk ladder.
+func (nw *Network) FastInserts() int { return nw.fastInserts }
+
+// Close releases nothing: the engine owns no goroutines, files, or
+// other resources beyond memory. It exists so that owners can release
+// every engine the same way, and the network stays usable afterwards.
+func (nw *Network) Close() {}
 
 // FreshID returns an unused node id and advances the internal counter;
 // adversaries may instead supply their own ids to Insert.
@@ -505,16 +438,12 @@ func (nw *Network) MaxLoad() int {
 }
 
 // walkLen returns the type-1 walk length c*ceil(log2 n).
-func (nw *Network) walkLen() int { return walkLenFor(nw.Size(), nw.cfg.WalkFactor) }
-
-// walkLenFor is walkLen at an arbitrary network size: the pipelined
-// façade predicts each insert's walk length from its predicted size at
-// execution time (see pipeline.go).
-func walkLenFor(n, factor int) int {
+func (nw *Network) walkLen() int {
+	n := nw.Size()
 	if n < 2 {
 		return 1
 	}
-	return factor * int(math.Ceil(math.Log2(float64(n))))
+	return nw.cfg.WalkFactor * int(math.Ceil(math.Log2(float64(n))))
 }
 
 // --- load & set-size tracking ----------------------------------------------
@@ -620,9 +549,7 @@ func pairKey(a, b NodeID) edgeKey {
 // markDirty records that u's real-edge row or load changed this step;
 // sampled audits re-verify exactly the dirty nodes. Every mutation a
 // walk or stop predicate can observe funnels through here (edge rows
-// via rawAdd/RemoveEdge*, loads and stagger counters via setLoad), so
-// while the store's write-set is armed it doubles as the recorder that
-// revalidates speculative parallel walks.
+// via rawAdd/RemoveEdge*, loads and stagger counters via setLoad).
 func (nw *Network) markDirty(u NodeID) { nw.st.markDirty(u) }
 
 // rawAddEdge / rawRemoveEdge mutate the live overlay and feed the
@@ -934,24 +861,11 @@ func (nw *Network) chargeCoordinatorNotify(v NodeID) {
 	nw.step.Rounds++
 }
 
-// walkSeed draws the next token seed. Seeds pre-drawn for speculative
-// parallel batches sit in a FIFO and are consumed here first; since
-// this is the engine's only RNG consumer, the uint64 stream any run
-// observes is identical whether or not (and how far) batches were
-// speculated — the cornerstone of the worker-count determinism
-// guarantee.
+// walkSeed draws the next token seed. It is the engine's only RNG
+// consumer, so the uint64 stream is a pure function of the seed and
+// the serial order of walks.
 func (nw *Network) walkSeed() uint64 {
-	var s uint64
-	if nw.seedHead < len(nw.seedQ) {
-		s = nw.seedQ[nw.seedHead]
-		nw.seedHead++
-		if nw.seedHead == len(nw.seedQ) {
-			nw.seedQ = nw.seedQ[:0]
-			nw.seedHead = 0
-		}
-	} else {
-		s = nw.drawU64()
-	}
+	s := nw.drawU64()
 	if nw.seedObserver != nil {
 		nw.seedObserver(s)
 	}
@@ -960,7 +874,7 @@ func (nw *Network) walkSeed() uint64 {
 
 // drawU64 is the only call site of rng.Uint64: it keeps rngDraws equal
 // to the number of values consumed from the source, which is what makes
-// the RNG checkpointable (see EncodeState).
+// the RNG checkpointable (see AppendState).
 func (nw *Network) drawU64() uint64 {
 	nw.rngDraws++
 	return nw.rng.Uint64()

@@ -12,11 +12,10 @@ import (
 // rebuilds a live engine from it. The design leans on two facts the
 // earlier PRs established:
 //
-//   - The engine's only RNG consumer is the walk-seed stream (walkSeed /
-//     predrawSeedsInto, both through drawU64), so RNG state is exactly
-//     (cfg.Seed, rngDraws, the pending seedQ suffix): a restore
-//     fast-forwards a fresh source and repopulates the FIFO, and the
-//     next walk sees the same uint64 the uncrashed run would have.
+//   - The engine's only RNG consumer is the walk-seed stream (walkSeed,
+//     through drawU64), so RNG state is exactly (cfg.Seed, rngDraws): a
+//     restore fast-forwards a fresh source, and the next walk sees the
+//     same uint64 the uncrashed run would have.
 //
 //   - Most per-node state is recomputable from the mapping: load(u) =
 //     |Sim(u)| + |NewSim(u)|, the |Spare|/|Low| counters rebuild through
@@ -28,10 +27,20 @@ import (
 //     state and must survive a restore bit-for-bit.
 //
 // Not serialized (and provably unobservable between steps): the
-// in-flight step scratch (nw.step, dirty set, speculation buffers, spec
-// counters), the audit RNG (audits never mutate engine state), and the
-// arena layouts on both sides (content, not placement, is what walks
-// read).
+// in-flight step scratch (nw.step, dirty set), the audit RNG (audits
+// never mutate engine state), and the arena layouts on both sides
+// (content, not placement, is what walks read).
+//
+// Two slots of the format are reserved, kept so that checkpoints
+// written by engines that had a parallel walk pool still load:
+//
+//   - after the seed, a worker count: always written as 0, read and
+//     range-checked, then ignored (width never changed outcomes);
+//   - after rngDraws, a count k of walk seeds drawn ahead but not yet
+//     used, followed by the k seeds: always written as 0. Such seeds
+//     were always the last k draws of the stream, so a restore checks
+//     them against the regenerated draws and positions the source at
+//     rngDraws - k, where the next walk draws the first of them again.
 
 // stateVersion is the engine snapshot format version.
 const stateVersion = 1
@@ -157,7 +166,7 @@ func (nw *Network) AppendState(enc *wire.Encoder) error {
 	enc.Varint(int64(cfg.WalkRetryLimit))
 	enc.Uvarint(uint64(cfg.Mode))
 	enc.Varint(cfg.Seed)
-	enc.Varint(int64(cfg.Workers))
+	enc.Varint(0) // reserved: worker count
 	enc.Varint(int64(cfg.HistoryCap))
 
 	enc.Varint(nw.z.P())
@@ -170,11 +179,7 @@ func (nw *Network) AppendState(enc *wire.Encoder) error {
 		nw.history[i].AppendBinary(enc)
 	}
 	enc.U64(nw.rngDraws)
-	pend := nw.seedQ[nw.seedHead:]
-	enc.Uvarint(uint64(len(pend)))
-	for _, s := range pend {
-		enc.U64(s)
-	}
+	enc.Uvarint(0) // reserved: seeds drawn ahead
 	nw.real.AppendBinary(enc)
 	enc.Uvarint(uint64(len(nw.st.nodeList)))
 	for _, u := range nw.st.nodeList {
@@ -226,10 +231,8 @@ func (nw *Network) AppendState(enc *wire.Encoder) error {
 // RestoreNetwork rebuilds a live engine from a stream produced by
 // AppendState. The restored engine continues byte-identically to the
 // engine that was serialized: same History, mapping, loads, overlay,
-// and walk-seed stream. workersOverride >= 0 replaces the serialized
-// worker count (worker width never affects outcomes, only wall-clock);
-// pass -1 to keep the stored value.
-func RestoreNetwork(dec *wire.Decoder, workersOverride int) (*Network, error) {
+// and walk-seed stream.
+func RestoreNetwork(dec *wire.Decoder) (*Network, error) {
 	if v := dec.Uvarint(); dec.Err() == nil && v != stateVersion {
 		return nil, fmt.Errorf("core: unknown state version %d", v)
 	}
@@ -240,11 +243,8 @@ func RestoreNetwork(dec *wire.Decoder, workersOverride int) (*Network, error) {
 	cfg.WalkRetryLimit = int(dec.Varint())
 	cfg.Mode = RecoveryMode(dec.Uvarint())
 	cfg.Seed = dec.Varint()
-	cfg.Workers = int(dec.Varint())
+	workers := dec.Varint()
 	cfg.HistoryCap = int(dec.Varint())
-	if workersOverride >= 0 {
-		cfg.Workers = workersOverride
-	}
 
 	p := dec.Varint()
 	nextID := NodeID(dec.Varint())
@@ -260,20 +260,23 @@ func RestoreNetwork(dec *wire.Decoder, workersOverride int) (*Network, error) {
 		history[i].DecodeBinary(dec)
 	}
 	rngDraws := dec.U64()
-	nSeeds := dec.Uvarint()
-	if nSeeds*8 > uint64(dec.Remaining()) {
-		return nil, fmt.Errorf("core: pending seed count %d exceeds input", nSeeds)
+	nAhead := dec.Uvarint()
+	if nAhead*8 > uint64(dec.Remaining()) {
+		return nil, fmt.Errorf("core: pending seed count %d exceeds input", nAhead)
 	}
-	seedQ := make([]uint64, nSeeds)
-	for i := range seedQ {
-		seedQ[i] = dec.U64()
+	ahead := make([]uint64, nAhead)
+	for i := range ahead {
+		ahead[i] = dec.U64()
 	}
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
 	if cfg.Zeta < 2 || cfg.Theta <= 0 || cfg.Theta > 0.5 || cfg.WalkFactor < 1 ||
-		cfg.HistoryCap < 0 || cfg.Workers < 0 || cfg.Mode > Staggered {
-		return nil, fmt.Errorf("core: invalid restored config %+v", cfg)
+		cfg.HistoryCap < 0 || workers < 0 || cfg.Mode > Staggered {
+		return nil, fmt.Errorf("core: invalid restored config %+v (workers %d)", cfg, workers)
+	}
+	if nAhead > rngDraws {
+		return nil, fmt.Errorf("core: %d pending seeds exceed the %d RNG draws", nAhead, rngDraws)
 	}
 	z, err := pcycle.New(p)
 	if err != nil {
@@ -453,14 +456,24 @@ func RestoreNetwork(dec *wire.Decoder, workersOverride int) (*Network, error) {
 	nw.refreshDist0()
 
 	// RNG: fast-forward a fresh source to the recorded stream position,
-	// then restore the pre-drawn FIFO suffix.
-	for i := uint64(0); i < rngDraws; i++ {
+	// less any seeds drawn ahead, after checking those against the
+	// draws they must have been.
+	pos := rngDraws - nAhead
+	for i := uint64(0); i < pos; i++ {
 		nw.rng.Uint64()
 	}
-	nw.rngDraws = rngDraws
-	if len(seedQ) > 0 {
-		nw.seedQ = seedQ
+	if nAhead > 0 {
+		check := newRng(cfg.Seed)
+		for i := uint64(0); i < pos; i++ {
+			check.Uint64()
+		}
+		for i, s := range ahead {
+			if check.Uint64() != s {
+				return nil, fmt.Errorf("core: pending seed %d of %d does not match the RNG stream", i, nAhead)
+			}
+		}
 	}
+	nw.rngDraws = pos
 	nw.totals = totals
 	nw.history = history
 	nw.orphanRescues = orphanRescues

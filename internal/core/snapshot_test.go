@@ -20,9 +20,9 @@ func encodeState(t *testing.T, nw *Network) []byte {
 }
 
 // restoreState decodes a snapshot, failing the test on error.
-func restoreState(t *testing.T, data []byte, workers int) *Network {
+func restoreState(t *testing.T, data []byte) *Network {
 	t.Helper()
-	nw, err := RestoreNetwork(wire.NewDecoder(data), workers)
+	nw, err := RestoreNetwork(wire.NewDecoder(data))
 	if err != nil {
 		t.Fatalf("RestoreNetwork: %v", err)
 	}
@@ -125,22 +125,19 @@ func churnBoth(t *testing.T, a, b *Network, seed int64, steps int) {
 
 func TestSnapshotRoundTripSteady(t *testing.T) {
 	for _, mode := range []RecoveryMode{Simplified, Staggered} {
-		for _, workers := range []int{1, 4, 8} {
-			t.Run(fmt.Sprintf("%v/w%d", mode, workers), func(t *testing.T) {
+		for _, seed := range []int64{42, 45, 49} {
+			t.Run(fmt.Sprintf("%v/seed=%d", mode, seed), func(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Mode = mode
-				cfg.Workers = workers
-				cfg.Seed = 42
+				cfg.Seed = seed
 				nw, err := New(64, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer nw.Close()
 				snapChurn(t, nw, 7, 300)
 
 				data := encodeState(t, nw)
-				re := restoreState(t, data, workers)
-				defer re.Close()
+				re := restoreState(t, data)
 				requireSameState(t, "immediately after restore", nw, re)
 				churnBoth(t, nw, re, 99, 300)
 			})
@@ -167,16 +164,14 @@ func snapChurn(t *testing.T, nw *Network, seed int64, steps int) {
 // in flight — in both phases — and requires the restored engine to drive
 // the rebuild to the same commit.
 func TestSnapshotRoundTripMidStagger(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+	for _, seed := range []int64{11, 14} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.Workers = workers
-			cfg.Seed = 11
+			cfg.Seed = seed
 			nw, err := New(64, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer nw.Close()
 
 			rng := rand.New(rand.NewSource(5))
 			snapshots := 0
@@ -192,11 +187,10 @@ func TestSnapshotRoundTripMidStagger(t *testing.T) {
 				if (phase == 1 && snapshots%2 == 0) || (phase == 2 && snapshots%2 == 1) {
 					snapshots++
 					data := encodeState(t, nw)
-					re := restoreState(t, data, workers)
+					re := restoreState(t, data)
 					requireSameState(t, fmt.Sprintf("mid-stagger phase %d", phase), nw, re)
 					// Drive both to the rebuild commit and beyond.
 					churnBoth(t, nw, re, int64(1000+i), 200)
-					re.Close()
 				}
 			}
 			if snapshots < 2 {
@@ -238,7 +232,7 @@ func TestSnapshotRejectsTruncation(t *testing.T) {
 	data := encodeState(t, nw)
 	stride := len(data)/97 + 1
 	for cut := 0; cut < len(data); cut += stride {
-		if _, err := RestoreNetwork(wire.NewDecoder(data[:cut]), -1); err == nil {
+		if _, err := RestoreNetwork(wire.NewDecoder(data[:cut])); err == nil {
 			t.Fatalf("truncation at %d/%d accepted", cut, len(data))
 		}
 	}

@@ -158,7 +158,6 @@ func (nw *Network) startStagger(dir stagDirection) bool {
 		steps = 1
 	}
 	s.batch = (pOld + steps - 1) / steps
-	nw.specEpoch++ // predicate shape changes with the rebuild state
 	nw.st.stagReset()
 	for _, u := range nw.st.nodeList {
 		nw.st.addUnprocOld(u, nw.st.simLen(u))
@@ -188,7 +187,6 @@ func (nw *Network) routeCharge() int { return nw.z.DiameterUpperBound() }
 // step").
 func (nw *Network) advanceStagger() {
 	s := nw.stag
-	nw.specEpoch++                         // frontier/phase progress invalidates in-flight speculation
 	nw.step.Rounds += nw.routeCharge() + 2 // batch activation + parallel edge setup
 	nw.step.Messages += 2                  // coordinator hand-off bookkeeping
 	if s.phase == 1 {
@@ -359,10 +357,7 @@ func (nw *Network) shedNewOverflow(u NodeID) {
 
 // retryContenders gives each waiting deflation contender one walk per
 // step; with force set (end of Phase 1) it insists, falling back to a
-// deterministic donor scan. The per-step round is the engine's biggest
-// type-1 walk batch — every live contender walks once, against a donor
-// predicate that is selective early in the phase — so with a worker
-// pool the non-forced round fans out in parallel (parallel.go).
+// deterministic donor scan.
 func (nw *Network) retryContenders(force bool) {
 	s := nw.stag
 	if len(s.contenders) == 0 {
@@ -370,9 +365,8 @@ func (nw *Network) retryContenders(force bool) {
 	}
 	// The eligibility scan resolves each survivor's slot exactly once;
 	// eligible ids and slots run struct-of-arrays (contendSlots) so the
-	// parallel window builds its specs — and the serial loop its walks —
-	// with no further map probes. Slots stay valid for the whole round:
-	// contender resolution moves vertices but never deletes nodes.
+	// walks need no further map probes. Slots stay valid for the whole
+	// round: contender resolution moves vertices but never deletes nodes.
 	eligible := s.contenders[:0]
 	slots := nw.contendSlots[:0]
 	for _, u := range s.contenders {
@@ -387,10 +381,6 @@ func (nw *Network) retryContenders(force bool) {
 		slots = append(slots, sl)
 	}
 	nw.contendSlots = slots
-	if !force && nw.workers > 1 && len(eligible) > 1 {
-		s.contenders = nw.retryContendersParallel(eligible, slots)
-		return
-	}
 	var still []NodeID
 	for i, u := range eligible {
 		if nw.contendWalk(u, slots[i], force) {
@@ -405,12 +395,9 @@ func (nw *Network) retryContenders(force bool) {
 }
 
 // contendStop is the contender donor predicate: donors must keep one
-// vertex (the paper's "taken" reservation), hence newCount >= 2. The
-// serial variant is prebuilt (serialContendStop, parameterized by
-// nw.contendU); parallel windows use the per-index contendStops so
-// concurrent walks each exclude their own contender. Both read only the
-// store's dense new-count column (or the oracle's map), so pool workers
-// evaluate them without touching any shared engine map.
+// vertex (the paper's "taken" reservation), hence newCount >= 2. It is
+// prebuilt (serialContendStop, parameterized by nw.contendU) and reads
+// only the store's dense new-count column (or the oracle's map).
 func (nw *Network) contendStop(u NodeID) func(NodeID, int32) bool {
 	nw.contendU = u
 	return nw.serialContendStop
@@ -569,7 +556,6 @@ func (nw *Network) commitStagger() {
 	nw.st.stagDone()
 	nw.refreshDist0()
 	nw.stag = nil
-	nw.specEpoch++
 	nw.step.StaggerFinished = true
 	if nw.rebuildObserver != nil {
 		nw.rebuildObserver(nw.z.P())

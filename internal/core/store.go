@@ -8,10 +8,10 @@ import (
 
 // This file is the engine's per-node state store. Every piece of
 // per-node bookkeeping the recovery algorithms read or write — the load
-// table, the Sim(u) vertex sets, the dirty-node set, the speculative
-// write-set, the O(1) sampling mirror, and the per-node staggering
-// state (NewSim(u), effNew, unprocOld) — lives here, behind one small
-// API, in one of two interchangeable representations:
+// table, the Sim(u) vertex sets, the dirty-node set, the O(1) sampling
+// mirror, and the per-node staggering state (NewSim(u), effNew,
+// unprocOld) — lives here, behind one small API, in one of two
+// interchangeable representations:
 //
 //   - The dense backend (the default) is a slot-indexed columnar store
 //     layered on the overlay graph's own slot table (graph.SlotOf /
@@ -19,25 +19,23 @@ import (
 //     slot, not by hashing its id. Columns are sharded along contiguous
 //     slot ranges of 1024 slots, so growth allocates a fixed-size block
 //     without moving any existing column (per-slot state is pointer
-//     stable for the node's lifetime), and the parallel walk pool's
-//     stop predicates read per-shard arrays without touching any
-//     engine-level shared map. Vertex sets are small sorted runs inside
-//     a shard-local arena that recycles through multiple-of-4
-//     size-class free lists — the same discipline as the graph arena —
-//     so steady-state churn allocates nothing and a rebuild's transient
-//     8*zeta-sized sets return their cells to the shard when it
-//     commits. The dirty set and the speculation write-set are
-//     generation stamps plus an append list: resetting them is a
-//     counter bump, which is what finally retires PR 4's
-//     overgrown-map clear() workaround for good.
+//     stable for the node's lifetime), and walk stop predicates read
+//     per-shard arrays without touching any engine-level map. Vertex
+//     sets are small sorted runs inside a shard-local arena that
+//     recycles through multiple-of-4 size-class free lists — the same
+//     discipline as the graph arena — so steady-state churn allocates
+//     nothing and a rebuild's transient 8*zeta-sized sets return their
+//     cells to the shard when it commits. The dirty set is a generation
+//     stamp plus an append list: resetting it is a counter bump, which
+//     retires the overgrown-map clear() workaround for good.
 //
 //   - The map backend is the historical representation (Go maps keyed
 //     by NodeID, nested maps for the vertex sets), kept verbatim in
 //     behavior as the differential oracle: engine_equiv_test drives a
 //     dense engine and a map engine through identical traces and
 //     requires byte-identical History, mapping, and overlay at every
-//     step and worker width. It is selected only by tests and the
-//     bench-core baseline (Config.useMapState is unexported).
+//     step. It is selected only by tests and the bench-core baseline
+//     (Config.useMapState is unexported).
 //
 // Both backends make identical externally visible choices: every
 // consumer of per-node state is order-independent (minimum, maximum,
@@ -62,15 +60,11 @@ type vset struct{ off, n, cap int32 }
 
 // shard holds the columnar per-node state of one contiguous slot
 // range. All columns are allocated at full shard size up front, so a
-// slot's state never moves and a concurrent reader (the walk pool's
-// stop predicates during a speculation batch, when no mutator runs)
-// indexes fixed arrays.
+// slot's state never moves while its node lives.
 type shard struct {
 	load      []int32  // total load incl. staggering new vertices
 	pos       []int32  // position in the sampling mirror (-1 when absent)
 	dirtyAt   []uint32 // dirty-set generation stamp
-	specAt    []uint32 // speculation write-set generation stamp
-	pipeAt    []uint32 // pipeline-window write-set generation stamp
 	sim       []vset   // Sim(u): current-cycle vertices
 	nxt       []vset   // NewSim(u): next-cycle vertices while staggering
 	effNew    []int32  // generated + projected new vertices (staggering)
@@ -84,8 +78,6 @@ func newShard(bigRun int32) *shard {
 		load:      make([]int32, shardSlots),
 		pos:       make([]int32, shardSlots),
 		dirtyAt:   make([]uint32, shardSlots),
-		specAt:    make([]uint32, shardSlots),
-		pipeAt:    make([]uint32, shardSlots),
 		sim:       make([]vset, shardSlots),
 		nxt:       make([]vset, shardSlots),
 		effNew:    make([]int32, shardSlots),
@@ -310,7 +302,6 @@ type mapState struct {
 	load      map[NodeID]int
 	nodePos   map[NodeID]int
 	dirty     map[NodeID]struct{}
-	spec      map[NodeID]struct{} // non-nil while the write-set is armed
 	newSim    map[NodeID]map[Vertex]struct{}
 	effNew    map[NodeID]int
 	unprocOld map[NodeID]int
@@ -329,20 +320,6 @@ type state struct {
 
 	dirtyGen  uint32
 	dirtyList []NodeID
-
-	specArmed bool
-	specGen   uint32
-	specCount int
-
-	// Pipeline-window write-set: a second, longer-lived stamp column that
-	// records every slot touched across a whole pipelined commit window
-	// (many ops), where specAt only spans one op's retry window —
-	// retryContendersParallel arms and disarms spec mid-op, so the two
-	// cannot share a column. Dense backend only: the pipelined façade
-	// never builds map-state engines.
-	pipeArmed bool
-	pipeGen   uint32
-	pipeCount int
 
 	bigRun int32 // heavy-node run class handed to new shards
 
@@ -368,7 +345,7 @@ func (st *state) init(g *graph.Graph, useMap bool, zeta int) {
 		}
 		return
 	}
-	st.dirtyGen, st.specGen, st.pipeGen = 1, 1, 1
+	st.dirtyGen = 1
 	g.SetSlotHooks(st.slotAssigned, st.slotReleased)
 }
 
@@ -380,7 +357,7 @@ func (st *state) shardOf(s int32) (*shard, int32) {
 
 // slotAssigned (graph hook) makes the slot's columns exist and zero.
 // It fires for slot reuse too, which is what keeps generation stamps
-// from leaking a dead node's dirty/spec membership to its successor.
+// from leaking a dead node's dirty membership to its successor.
 func (st *state) slotAssigned(_ NodeID, s int32) {
 	idx := int(s >> shardBits)
 	for idx >= len(st.shards) {
@@ -394,19 +371,7 @@ func (st *state) slotAssigned(_ NodeID, s int32) {
 	i := s & shardMask
 	sh.load[i] = 0
 	sh.pos[i] = -1
-	sh.dirtyAt[i], sh.specAt[i] = 0, 0
-	// A slot assigned mid-pipeline-window counts as touched: pipeline
-	// windows (unlike one-op speculation windows) both insert and delete
-	// nodes, so a recycled slot must not look untouched to a stale
-	// footprint that visited its previous occupant.
-	if st.pipeArmed {
-		if sh.pipeAt[i] != st.pipeGen {
-			sh.pipeAt[i] = st.pipeGen
-			st.pipeCount++
-		}
-	} else {
-		sh.pipeAt[i] = 0
-	}
+	sh.dirtyAt[i] = 0
 	sh.sim[i], sh.nxt[i] = vset{}, vset{}
 	sh.effNew[i], sh.unprocOld[i] = 0, 0
 }
@@ -420,15 +385,7 @@ func (st *state) slotReleased(_ NodeID, s int32) {
 	sh.sim[i], sh.nxt[i] = vset{}, vset{}
 	sh.load[i] = 0
 	sh.pos[i] = -1
-	sh.dirtyAt[i], sh.specAt[i] = 0, 0
-	if st.pipeArmed {
-		if sh.pipeAt[i] != st.pipeGen {
-			sh.pipeAt[i] = st.pipeGen
-			st.pipeCount++
-		}
-	} else {
-		sh.pipeAt[i] = 0
-	}
+	sh.dirtyAt[i] = 0
 	sh.effNew[i], sh.unprocOld[i] = 0, 0
 }
 
@@ -630,13 +587,10 @@ func (st *state) clearLoad(u NodeID) {
 	}
 }
 
-// --- dirty set and speculation write-set ------------------------------------
+// --- dirty set --------------------------------------------------------------
 
 // markDirty records that u's real-edge row or load changed this step.
-// While the speculation write-set is armed it doubles as the recorder
-// that revalidates parallel walk batches (see parallel.go). Nodes
-// already deleted are skipped — no audit or revalidation can observe
-// them (speculation windows never delete nodes).
+// Nodes already deleted are skipped — no audit can observe them.
 func (st *state) markDirty(u NodeID) {
 	if st.m != nil {
 		st.markDirtyMap(u)
@@ -659,26 +613,12 @@ func (st *state) markDirtyAt(u NodeID, s int32) {
 	st.markDirtySlot(sh, i, u)
 }
 
-func (st *state) markDirtyMap(u NodeID) {
-	m := st.m
-	m.dirty[u] = struct{}{}
-	if st.specArmed {
-		m.spec[u] = struct{}{}
-	}
-}
+func (st *state) markDirtyMap(u NodeID) { st.m.dirty[u] = struct{}{} }
 
 func (st *state) markDirtySlot(sh *shard, i int32, u NodeID) {
 	if sh.dirtyAt[i] != st.dirtyGen {
 		sh.dirtyAt[i] = st.dirtyGen
 		st.dirtyList = append(st.dirtyList, u)
-	}
-	if st.specArmed && sh.specAt[i] != st.specGen {
-		sh.specAt[i] = st.specGen
-		st.specCount++
-	}
-	if st.pipeArmed && sh.pipeAt[i] != st.pipeGen {
-		sh.pipeAt[i] = st.pipeGen
-		st.pipeCount++
 	}
 }
 
@@ -729,106 +669,6 @@ func (st *state) forEachDirty(f func(u NodeID) bool) {
 			return
 		}
 	}
-}
-
-// armSpec resets and arms the speculation write-set before a window's
-// serial commits; markDirty feeds it while armed.
-func (st *state) armSpec() {
-	st.specArmed = true
-	if m := st.m; m != nil {
-		if m.spec == nil {
-			m.spec = make(map[NodeID]struct{}, 64)
-		} else {
-			m.spec = resetScratchMap(m.spec)
-		}
-		return
-	}
-	st.specCount = 0
-	st.specGen++
-	if st.specGen == 0 {
-		for _, sh := range st.shards {
-			if sh != nil {
-				clear(sh.specAt)
-			}
-		}
-		st.specGen = 1
-	}
-}
-
-// disarmSpec stops recording at the end of a speculation window.
-func (st *state) disarmSpec() {
-	st.specArmed = false
-	if m := st.m; m != nil {
-		m.spec = nil
-	}
-}
-
-// specSize returns the number of nodes the armed write-set holds.
-func (st *state) specSize() int {
-	if m := st.m; m != nil {
-		return len(m.spec)
-	}
-	return st.specCount
-}
-
-// specHas reports whether u was touched by a commit since armSpec.
-func (st *state) specHas(u NodeID) bool {
-	if m := st.m; m != nil {
-		_, ok := m.spec[u]
-		return ok
-	}
-	if s, ok := st.g.SlotOf(u); ok {
-		sh, i := st.shardOf(s)
-		return sh.specAt[i] == st.specGen
-	}
-	return false
-}
-
-// specHasAt is specHas with the slot already in hand: a dense-branch
-// stamp compare with no map probe. Callers pass slots straight out of a
-// walk's visited trace; the oracle branch resolves the id from the slot
-// table (reverse lookups are array reads, not map probes).
-func (st *state) specHasAt(s int32) bool {
-	if m := st.m; m != nil {
-		u, ok := st.g.NodeAt(s)
-		if !ok {
-			return false
-		}
-		_, touched := m.spec[u]
-		return touched
-	}
-	sh, i := st.shardOf(s)
-	return sh.specAt[i] == st.specGen
-}
-
-// armPipe resets and arms the pipeline-window write-set: markDirty,
-// slot assignment, and slot release feed it while armed. Dense only.
-func (st *state) armPipe() {
-	st.pipeArmed = true
-	st.pipeCount = 0
-	st.pipeGen++
-	if st.pipeGen == 0 { // wrapped: stale stamps could alias, wipe them
-		for _, sh := range st.shards {
-			if sh != nil {
-				clear(sh.pipeAt)
-			}
-		}
-		st.pipeGen = 1
-	}
-}
-
-// disarmPipe stops recording at the end of a pipelined commit window.
-func (st *state) disarmPipe() { st.pipeArmed = false }
-
-// pipeSize returns the number of slots the armed pipeline write-set holds.
-func (st *state) pipeSize() int { return st.pipeCount }
-
-// pipeHasAt reports whether slot s was touched since armPipe. Dense only;
-// like specHasAt this is a single stamp compare, so revalidating a
-// speculative walk's visited trace costs one array read per hop.
-func (st *state) pipeHasAt(s int32) bool {
-	sh, i := st.shardOf(s)
-	return sh.pipeAt[i] == st.pipeGen
 }
 
 // --- vertex sets: Sim(u) current-cycle, NewSim(u) next-cycle ----------------
@@ -1193,7 +1033,7 @@ func (st *state) addUnprocOld(u NodeID, d int) {
 // shrinks — after one type-2 rebuild floods a scratch map with O(n)
 // entries, every later step would pay an O(n) memclr to wipe a handful
 // (at 10^5 nodes that memclr once dominated the churn profile). The
-// dense store's own scratch state (dirty list, spec stamps) resets by
+// dense store's own scratch state (dirty list and stamps) resets by
 // generation bump and never needs this; the helper remains for the
 // map-keyed scratch that survives it — the edge-delta batch, keyed by
 // node pair, and the oracle backend's step maps.

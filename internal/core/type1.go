@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/congest"
-)
+import "fmt"
 
 // Insert handles an adversarial insertion (Algorithm 4.2): the adversary
 // creates node id and attaches it to the existing node attach. DEX then
@@ -31,27 +27,23 @@ func (nw *Network) Insert(id, attach NodeID) error {
 }
 
 // recoverInsert runs the walk/retry/type-2 ladder for an insertion.
-// The first attempt runs serially (the donor predicate load >= 2 is
-// dense in every phase, so it resolves in O(1) expected hops); once it
-// misses, the remaining retries fan out in parallel (walkRetryTail).
 // Both endpoint slots arrive from insertOneOfBatch (id's from its own
 // bootstrap, attach's resolved once for the whole ladder — insertion
-// never deletes nodes, so both survive every retry and the tail).
+// never deletes nodes, so both survive every retry).
 func (nw *Network) recoverInsert(id, attach NodeID, idSlot, attachSlot int32) {
 	// Degree-capped steady-state fast path. In the dense regime the first
 	// walk stops at its own start: steadyInsertStop(attach) reduces to
 	// load(attach) >= 2, tested before a single seed bit is consumed or a
 	// step is taken. When that outcome is already decided — no rebuild
-	// staggered, no speculated first attempt to honor, attach Spare, and
-	// its degree under the cap that keeps the commit O(zeta) — short-
-	// circuit: consume the serial walk seed (stream + WAL identity), then
+	// staggered, attach Spare, and its degree under the cap that keeps
+	// the commit O(zeta) — short-circuit: consume the serial walk seed
+	// (stream + WAL identity), then
 	// donate attach's largest vertex through the fully slot-native move,
 	// skipping predicate setup, walk-length computation, the walk call,
 	// and the exhaustion ladder. History and mapping are byte-identical
 	// to the generic path by construction; engine_equiv_test and
 	// FuzzChurnTrace enforce it.
-	if nw.stag == nil && nw.pipeAttempt == nil &&
-		nw.st.loadAt(attach, attachSlot) >= 2 &&
+	if nw.stag == nil && nw.st.loadAt(attach, attachSlot) >= 2 &&
 		nw.real.DistinctDegreeAt(attachSlot) <= 8*nw.cfg.Zeta {
 		nw.stopExclude = id // keep the predicate state exactly as insertStop leaves it
 		_ = nw.walkSeed()   // 0-step walks draw nothing from the seed
@@ -65,19 +57,7 @@ func (nw *Network) recoverInsert(id, attach NodeID, idSlot, attachSlot int32) {
 	}
 	stop := nw.insertStop(id)
 	for attempt := 0; attempt < nw.cfg.WalkRetryLimit; attempt++ {
-		var res congest.WalkResult
-		if attempt == 0 && nw.pipeAttempt != nil {
-			// The pipelined façade speculated this insert's first walk
-			// against the window-start state; firstAttempt consumes the
-			// serial seed and keeps the result only when replaying it
-			// would provably be identical (seed, epoch, walk length,
-			// undisturbed footprint), re-running in place otherwise.
-			sp := nw.pipeAttempt
-			nw.pipeAttempt = nil
-			res = nw.firstAttempt(sp, attach, attachSlot, id, stop)
-		} else {
-			res = nw.runWalkAt(attach, attachSlot, id, stop)
-		}
+		res := nw.runWalkAt(attach, attachSlot, id, stop)
 		if res.Hit {
 			nw.donateVertexTo(res.End, id)
 			return
@@ -93,16 +73,6 @@ func (nw *Network) recoverInsert(id, attach NodeID, idSlot, attachSlot int32) {
 					nw.step.StaggerStarted = true
 					stop = nw.insertStop(id) // predicates change under staggering
 				}
-			}
-			if nw.workers > 1 && attempt+1 < nw.cfg.WalkRetryLimit {
-				// The trigger thresholds are frozen until something moves,
-				// so the remaining retries can fan out in parallel.
-				res, hit := nw.walkRetryTail(attach, attachSlot, id, attach, stop, nw.cfg.WalkRetryLimit-attempt-1)
-				if hit {
-					nw.donateVertexTo(res.End, id)
-					return
-				}
-				break
 			}
 			continue
 		}
@@ -131,8 +101,7 @@ func (nw *Network) recoverInsert(id, attach NodeID, idSlot, attachSlot int32) {
 // the excluded newborn flows through nw.stopExclude, and the rebuild
 // phase through nw.stagPhase2 — both stable for the ladder's duration.
 // Predicates read only slot-indexed columns via the (id, slot) pairs the
-// walk hands them, so the parallel walk pool evaluates them without
-// touching a shared map.
+// walk hands them, so evaluating one probes no id→slot map.
 func (nw *Network) insertStop(id NodeID) func(NodeID, int32) bool {
 	nw.stopExclude = id
 	if nw.stag != nil {
@@ -254,9 +223,6 @@ func (nw *Network) moveHolding(h holding, to NodeID) {
 
 // redistributeFrom walks each adopted vertex from v to a node in Low
 // (Alg 4.3 lines 2-5), falling back to type-2 deflation per the paper.
-// First attempts run serially (in the dense steady state they resolve
-// on a predicate call or two); once a token starts missing, the
-// remaining retries fan out across the worker pool (walkRetryTail).
 func (nw *Network) redistributeFrom(v NodeID, orphans []holding) {
 	for _, h := range orphans {
 		if nw.redistributeOne(v, h) {
@@ -271,37 +237,11 @@ func (nw *Network) redistributeFrom(v NodeID, orphans []holding) {
 func (nw *Network) redistributeOne(v NodeID, h holding) bool {
 	stop := nw.holdingStop(h)
 	// v's slot survives the ladder (redistribution moves vertices, never
-	// deletes nodes), so one resolution covers every retry and the tail.
+	// deletes nodes), so one resolution covers every retry.
 	vSlot, _ := nw.real.SlotOf(v)
 	placed := false
 	for attempt := 0; attempt < nw.cfg.WalkRetryLimit; attempt++ {
-		var res congest.WalkResult
-		if attempt == 0 && nw.pipeDel != nil {
-			// The pipelined façade predicted this delete's redistribution:
-			// every orphan 0-step-hits the adopter (SpeculateDeletes proved
-			// load(v) + load(victim) <= 2*zeta at Phase A). The prediction
-			// is shared — each orphan consumes its serial seed and keeps
-			// the staged hit only while replaying it would provably be
-			// identical: no stagger transition (epoch), the predicted walk
-			// length, an undisturbed footprint, and the predicted adopter.
-			// A 0-step hit is seed-independent, so the drawn seed needs no
-			// comparison; on any mismatch the walk re-runs in place with
-			// that same seed — the serial path, drained.
-			sp := nw.pipeDel
-			seed := nw.walkSeed()
-			if sp.epoch == nw.specEpoch && !sp.disturbed &&
-				sp.maxLen == nw.walkLen() && sp.res.End == v {
-				res = sp.res
-				nw.specHits++
-			} else {
-				res = congest.RandomWalkDirectAt(nw.real, v, vSlot, -1, nw.walkLen(), seed, stop)
-				nw.specMisses++
-			}
-			nw.step.Rounds += res.Steps
-			nw.step.Messages += res.Steps
-		} else {
-			res = nw.runWalkAt(v, vSlot, -1, stop)
-		}
+		res := nw.runWalkAt(v, vSlot, -1, stop)
 		if res.Hit {
 			if res.End != v {
 				nw.moveHolding(h, res.End)
@@ -318,18 +258,6 @@ func (nw *Network) redistributeOne(v NodeID, h holding) bool {
 					nw.step.StaggerStarted = true
 					stop = nw.holdingStop(h)
 				}
-			}
-			if nw.workers > 1 && attempt+1 < nw.cfg.WalkRetryLimit {
-				// The trigger thresholds are frozen until something moves,
-				// so the remaining retries can fan out in parallel.
-				res, hit := nw.walkRetryTail(v, vSlot, -1, v, stop, nw.cfg.WalkRetryLimit-attempt-1)
-				if hit {
-					if res.End != v {
-						nw.moveHolding(h, res.End)
-					}
-					placed = true
-				}
-				break
 			}
 			continue
 		}

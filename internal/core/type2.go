@@ -338,7 +338,6 @@ func (nw *Network) commitRebuild(pv *provisional) {
 	// The counted topology-change cost below stays the paper's (tear down
 	// + rebuild), independent of how small the diff happens to be.
 	nw.stag = nil
-	nw.specEpoch++
 	nw.applyRealDiff(nw.expectedRealGraph())
 	nw.refreshDist0()
 	nw.rebuiltReal = true

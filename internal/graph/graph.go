@@ -18,12 +18,9 @@
 // A Graph is not self-synchronizing, but its read paths are pure: no
 // accessor (RandomNeighborStep, ForEachNeighbor, Degree, Multiplicity,
 // BFS, ...) writes any field, so any number of goroutines may read one
-// graph concurrently as long as no mutator runs. The engine's parallel
-// type-1 walkers rely on this: each walker reads only the contiguous
-// arena runs of the nodes it visits (disjoint pool regions), with no
-// locks and no contention. Mutators (AddEdge*, RemoveEdge*, AddNode,
-// RemoveNode) require exclusive access — they may grow, shrink, or
-// compact the shared pool. Readers that cannot exclude writers must
+// graph concurrently as long as no mutator runs. Mutators (AddEdge*,
+// RemoveEdge*, AddNode, RemoveNode) require exclusive access — they may
+// grow, shrink, or compact the shared pool. Readers that cannot exclude writers must
 // work from a Snapshot taken while a lock excluded mutators (e.g. the
 // dex.Concurrent façade's Snapshot method); Epoch then tells such a
 // reader how stale its copy has become.

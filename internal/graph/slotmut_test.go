@@ -70,9 +70,8 @@ func TestSlotMutatorsMatchIDForms(t *testing.T) {
 // TestConcurrentReadersAreReadOnly is the -race regression for the
 // removed one-entry id→slot mutation cache (lastID/lastSlot): that
 // cache turned every id-keyed lookup into a hidden write, so concurrent
-// readers — exactly what the engine's speculation windows and parallel
-// audits do — raced each other. Readers must now share a quiescent
-// graph freely: this hammers every id-keyed and slot-keyed read path
+// readers raced each other. The package documents its read paths as
+// pure, so readers must share a quiescent graph freely: this hammers every id-keyed and slot-keyed read path
 // from many goroutines at once and fails under -race if any of them
 // mutates shared state.
 func TestConcurrentReadersAreReadOnly(t *testing.T) {

@@ -122,7 +122,7 @@ func syncDir(dir string) error {
 
 // readCheckpoint loads and verifies one checkpoint file, returning
 // the restored engine and MMR.
-func readCheckpoint(path string, workers int) (uint64, *core.Network, *mmr, error) {
+func readCheckpoint(path string) (uint64, *core.Network, *mmr, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, nil, nil, err
@@ -148,21 +148,18 @@ func readCheckpoint(path string, workers int) (uint64, *core.Network, *mmr, erro
 		return 0, nil, nil, errCorrupt("checkpoint: digest mismatch")
 	}
 	dec := wire.NewDecoder(payload)
-	eng, err := core.RestoreNetwork(dec, workers)
+	eng, err := core.RestoreNetwork(dec)
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("persist: restore engine: %w", err)
 	}
 	m := &mmr{}
 	if err := m.decodeBinary(dec); err != nil {
-		eng.Close()
 		return 0, nil, nil, err
 	}
 	if dec.Remaining() != 0 {
-		eng.Close()
 		return 0, nil, nil, errCorrupt("checkpoint: trailing bytes")
 	}
 	if got := uint64(eng.Totals().Steps); got != step {
-		eng.Close()
 		return 0, nil, nil, errCorrupt(fmt.Sprintf("checkpoint: header step %d vs engine step %d", step, got))
 	}
 	return step, eng, m, nil

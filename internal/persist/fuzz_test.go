@@ -18,9 +18,10 @@ import (
 // byte-identical to the oracle. Silent divergence is the only losing
 // outcome.
 //
-// Input layout: byte 0 seed, byte 1 mode+workers, byte 2 group
-// commit, byte 3 checkpoint cadence, byte 4 crash point, byte 5
-// mangling; the rest drives the op mix.
+// Input layout: byte 0 seed, byte 1 mode (bit 0; the other bits once
+// chose a walk-worker width and are now unused, so older corpus entries
+// still decode), byte 2 group commit, byte 3 checkpoint cadence, byte 4
+// crash point, byte 5 mangling; the rest drives the op mix.
 func FuzzCrashRecovery(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 1, 10, 0, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88})
 	f.Add([]byte{7, 1, 8, 3, 40, 0, 0xa0, 0x13, 0x77, 0xfe, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a})
@@ -37,7 +38,6 @@ func FuzzCrashRecovery(f *testing.F) {
 		if data[1]&1 == 1 {
 			mode = dex.Staggered
 		}
-		workers := []int{1, 2, 4, 8}[(data[1]>>1)%4]
 		groupCommit := 1 + int(data[2]%16)
 		checkpointEvery := []int{-1, 1, 8, 32}[data[3]%4]
 		mangling := data[4] % 3
@@ -46,7 +46,7 @@ func FuzzCrashRecovery(f *testing.F) {
 		crashAt := int(data[5]) % (nOps + 1)
 
 		dir := t.TempDir()
-		common := []dex.Option{dex.WithInitialSize(16), dex.WithMode(mode), dex.WithSeed(seed), dex.WithWorkers(workers)}
+		common := []dex.Option{dex.WithInitialSize(16), dex.WithMode(mode), dex.WithSeed(seed)}
 		popts := []dex.PersistOption{
 			dex.WithCheckpointEvery(checkpointEvery),
 			dex.WithGroupCommit(groupCommit),

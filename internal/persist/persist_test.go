@@ -170,15 +170,15 @@ func TestReopenMatchesUncrashedTwin(t *testing.T) {
 // TestCrashRecoveryGroupCommit: with group commit, a crash loses at
 // most the staged tail; recovery reconstructs the exact durable
 // prefix, and re-applying the lost suffix reconverges with a network
-// that never crashed. Exercised across both recovery modes and
-// worker widths 1, 4, and 8.
+// that never crashed. Exercised across both recovery modes and three
+// engine seeds.
 func TestCrashRecoveryGroupCommit(t *testing.T) {
 	const nOps = 180
 	for _, mode := range []dex.Mode{dex.Simplified, dex.Staggered} {
-		for _, workers := range []int{1, 4, 8} {
-			t.Run(fmt.Sprintf("%v/w%d", mode, workers), func(t *testing.T) {
+		for _, seed := range []int64{23, 26, 30} {
+			t.Run(fmt.Sprintf("%v/seed=%d", mode, seed), func(t *testing.T) {
 				dir := t.TempDir()
-				common := []dex.Option{dex.WithInitialSize(48), dex.WithMode(mode), dex.WithSeed(23), dex.WithWorkers(workers)}
+				common := []dex.Option{dex.WithInitialSize(48), dex.WithMode(mode), dex.WithSeed(seed)}
 				popts := []dex.PersistOption{dex.WithCheckpointEvery(64), dex.WithGroupCommit(8), dex.WithNoSync(true)}
 				pnw := mustNew(t, append(common[:len(common):len(common)], dex.WithPersistence(dir, popts...))...)
 				oracle := mustNew(t, common...)
@@ -312,13 +312,6 @@ func TestResumeRejectsMismatchedOptions(t *testing.T) {
 		dex.WithPersistence(dir, dex.WithNoSync(true))); err == nil {
 		t.Fatal("mismatched zeta accepted on resume")
 	}
-	// Worker width is explicitly allowed to differ.
-	re, err := dex.New(dex.WithInitialSize(32), dex.WithZeta(8), dex.WithWorkers(4),
-		dex.WithPersistence(dir, dex.WithNoSync(true)))
-	if err != nil {
-		t.Fatalf("workers override rejected: %v", err)
-	}
-	re.Close()
 	if _, err := dex.New(dex.WithRNG(rand.New(rand.NewSource(1))),
 		dex.WithPersistence(t.TempDir(), dex.WithNoSync(true))); err == nil {
 		t.Fatal("WithRNG + WithPersistence accepted")
