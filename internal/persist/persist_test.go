@@ -171,14 +171,19 @@ func TestReopenMatchesUncrashedTwin(t *testing.T) {
 // most the staged tail; recovery reconstructs the exact durable
 // prefix, and re-applying the lost suffix reconverges with a network
 // that never crashed. Exercised across both recovery modes and three
-// engine seeds.
+// engine seeds. The cases keep their labels (w1, w4, w8) from when they
+// ran one seed at several walk-worker widths, so their names stay stable.
 func TestCrashRecoveryGroupCommit(t *testing.T) {
 	const nOps = 180
+	seeds := []struct {
+		label string
+		seed  int64
+	}{{"w1", 23}, {"w4", 26}, {"w8", 30}}
 	for _, mode := range []dex.Mode{dex.Simplified, dex.Staggered} {
-		for _, seed := range []int64{23, 26, 30} {
-			t.Run(fmt.Sprintf("%v/seed=%d", mode, seed), func(t *testing.T) {
+		for _, sc := range seeds {
+			t.Run(fmt.Sprintf("%v/%s", mode, sc.label), func(t *testing.T) {
 				dir := t.TempDir()
-				common := []dex.Option{dex.WithInitialSize(48), dex.WithMode(mode), dex.WithSeed(seed)}
+				common := []dex.Option{dex.WithInitialSize(48), dex.WithMode(mode), dex.WithSeed(sc.seed)}
 				popts := []dex.PersistOption{dex.WithCheckpointEvery(64), dex.WithGroupCommit(8), dex.WithNoSync(true)}
 				pnw := mustNew(t, append(common[:len(common):len(common)], dex.WithPersistence(dir, popts...))...)
 				oracle := mustNew(t, common...)
