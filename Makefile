@@ -8,7 +8,7 @@ FUZZTIME ?= 30s
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test test-race vet fmt lint check bench bench-graph bench-core bench-json bench-diff profile-churn fuzz fuzz-churn fuzz-graph fuzz-crash fuzz-flood sim sim-scale dht experiments
+.PHONY: all build test test-race vet fmt lint check bench bench-graph bench-core bench-json bench-diff profile-churn fuzz fuzz-churn fuzz-graph fuzz-store fuzz-crash fuzz-flood sim sim-scale dht experiments
 
 all: check
 
@@ -63,12 +63,12 @@ bench-graph:
 	$(GO) test ./internal/graph -run '^$$' -bench 'WalkHop|GraphChurn' -benchtime 100000x
 
 # Engine-state benchmarks + alloc gates: one steady-state recovery op
-# (delete+insert) at 10^5 nodes on the dense slot-indexed store vs the
-# map-store oracle, the zero-allocation gates on the recovery path and
-# the warm size-count flood (mirrors bench-graph one layer up), one
-# Simplified-mode size-count flood at n=1024 in its direct form vs the
-# message-passing engine it is proven equal to, and the Concurrent
-# façade's throughput rows (1/4/8/16 submitters through its lock).
+# (delete+insert) at 10^5 nodes on the slot-indexed store, the
+# zero-allocation gates on the recovery path and the warm size-count
+# flood (mirrors bench-graph one layer up), one Simplified-mode
+# size-count flood at n=1024 in its direct form vs the message-passing
+# engine it is proven equal to, and the Concurrent façade's throughput
+# rows (1/4/8/16 submitters through its lock).
 bench-core:
 	$(GO) test ./internal/core ./internal/congest -run 'ZeroAllocs' -count 1 -v
 	$(GO) test ./internal/core -run '^$$' -bench RecoveryOp -benchtime 2000x -timeout 20m
@@ -153,20 +153,25 @@ profile-churn:
 # replays decoded operation traces under the incremental-vs-full-rebuild
 # oracle plus the exhaustive invariant check; FuzzGraphOps replays graph
 # mutation sequences against the map-of-maps Ref oracle (swap-safety for
-# the flat adjacency arena); FuzzCrashRecovery kills persistent runs at
+# the flat adjacency arena); FuzzStoreOps replays engine-store operation
+# sequences against the map-keyed storeModel (the same for the
+# slot-indexed state store); FuzzCrashRecovery kills persistent runs at
 # arbitrary points (including torn/corrupted WAL tails) and demands the
 # recovered network match a fresh oracle run of the surviving prefix;
 # FuzzFloodAggregate decodes graph-op sequences (self-loops,
 # multi-edges, recycled slots, several components) and demands the
 # direct size-count flood report the message-passing PIF execution's
 # Sum, Count, Rounds and Messages exactly.
-fuzz: fuzz-churn fuzz-graph fuzz-crash fuzz-flood
+fuzz: fuzz-churn fuzz-graph fuzz-store fuzz-crash fuzz-flood
 
 fuzz-churn:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzChurnTrace -fuzztime $(FUZZTIME)
 
 fuzz-graph:
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzGraphOps -fuzztime $(FUZZTIME)
+
+fuzz-store:
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzStoreOps -fuzztime $(FUZZTIME)
 
 fuzz-crash:
 	$(GO) test ./internal/persist -run '^$$' -fuzz FuzzCrashRecovery -fuzztime $(FUZZTIME)

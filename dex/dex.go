@@ -199,9 +199,6 @@ func newFromOptions(o options) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.rng != nil {
-		eng.SetRNG(o.rng)
-	}
 	return wrapEngine(eng, o), nil
 }
 
@@ -425,9 +422,7 @@ func (nw *Network) FreshID() NodeID { return nw.eng.FreshID() }
 // RNG ownership: rng is caller-owned and is advanced by this call. A
 // *rand.Rand is not safe for concurrent use, so under the Concurrent
 // façade either keep a per-goroutine rng, or use (*Concurrent).Sample,
-// which draws from a façade-owned source under the façade's lock. Do
-// not pass the network's own source (WithRNG) here — sampling would
-// perturb the engine's seeded recovery choices.
+// which draws from a façade-owned source under the façade's lock.
 func (nw *Network) SampleNode(rng *rand.Rand) NodeID { return nw.eng.SampleNode(rng) }
 
 // Close flushes any staged WAL batch and closes the log, leaving the

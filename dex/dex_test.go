@@ -116,7 +116,6 @@ func TestOptionValidation(t *testing.T) {
 		"theta > 1/16":     dex.WithTheta(0.25), // breaks Lemma 9 within a few hundred steps
 
 		"walk factor < 1": dex.WithWalkFactor(0),
-		"nil rng":         dex.WithRNG(nil),
 		"unknown mode":    dex.WithMode(dex.Mode(42)),
 	}
 	for name, opt := range bad {
@@ -129,8 +128,9 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
-// TestSeedAndRNGEquivalence: WithSeed(s) and WithRNG(rand.New(source(s)))
-// must produce identical runs, and equal seeds must replay identically.
+// TestSeedAndRNGEquivalence: equal seeds must replay identically.
+// WithSeed is the one way to seed the façade, so the seed is the whole
+// RNG state.
 func TestSeedAndRNGEquivalence(t *testing.T) {
 	build := func(opt dex.Option) []dex.StepMetrics {
 		nw, err := dex.New(dex.WithInitialSize(16), opt)
@@ -154,16 +154,12 @@ func TestSeedAndRNGEquivalence(t *testing.T) {
 	}
 	a := build(dex.WithSeed(99))
 	b := build(dex.WithSeed(99))
-	c := build(dex.WithRNG(rand.New(rand.NewSource(99))))
-	if len(a) != len(b) || len(a) != len(c) {
-		t.Fatalf("history lengths diverged: %d %d %d", len(a), len(b), len(c))
+	if len(a) != len(b) {
+		t.Fatalf("history lengths diverged: %d %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("step %d: same seed diverged: %+v vs %+v", i, a[i], b[i])
-		}
-		if a[i] != c[i] {
-			t.Fatalf("step %d: WithRNG diverged from WithSeed: %+v vs %+v", i, a[i], c[i])
 		}
 	}
 }

@@ -2,7 +2,6 @@ package dex
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/persist"
@@ -42,7 +41,6 @@ const (
 type options struct {
 	initialSize int
 	cfg         core.Config
-	rng         *rand.Rand
 	audit       AuditMode
 	edgeEvents  bool
 	asyncBuf    int // WithAsyncEvents buffer; -1 = sync (NewConcurrent only)
@@ -135,19 +133,6 @@ func WithWalkFactor(c int) Option {
 // operation sequence behave identically.
 func WithSeed(seed int64) Option {
 	return func(o *options) { o.cfg.Seed = seed }
-}
-
-// WithRNG supplies an explicit random source, overriding WithSeed. The
-// network takes ownership of r; per the package concurrency contract it
-// must not be shared with other goroutines.
-func WithRNG(r *rand.Rand) Option {
-	return func(o *options) {
-		if r == nil {
-			o.fail("nil RNG")
-			return
-		}
-		o.rng = r
-	}
 }
 
 // WithAuditMode selects the per-operation invariant-checking tier:

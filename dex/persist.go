@@ -42,8 +42,7 @@ func WithNoSync(on bool) PersistOption {
 // checkpoints plus a write-ahead log of every operation, with crash
 // recovery on construction. If dir already holds state, the network
 // resumes from it — the remaining options must match the stored
-// configuration. Incompatible with WithRNG, whose stream position
-// cannot be checkpointed.
+// configuration.
 func WithPersistence(dir string, popts ...PersistOption) Option {
 	return func(o *options) {
 		if dir == "" {
@@ -60,9 +59,6 @@ func WithPersistence(dir string, popts ...PersistOption) Option {
 // newPersistent builds or resumes a durable network (the
 // WithPersistence path of newFromOptions).
 func newPersistent(o options) (*Network, error) {
-	if o.rng != nil {
-		return nil, errors.New("dex: WithRNG is incompatible with WithPersistence")
-	}
 	log, eng, err := persist.Open(o.persistDir, o.popt)
 	if err != nil {
 		return nil, err

@@ -30,7 +30,8 @@
 // An allow directive suppresses matching diagnostics on its own line,
 // on the line directly below it, or — when it appears in a function's
 // doc comment — in that whole function. Reasons are enforced: an
-// allow without one is itself a finding, as is an unknown rule name.
+// allow without one is itself a finding, as is an unknown rule name,
+// and so is an allow that suppresses no finding at all.
 package analysis
 
 import (
@@ -119,6 +120,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				}
 			}
 		}
+		out = append(out, dirs.unused()...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

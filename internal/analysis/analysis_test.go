@@ -18,10 +18,10 @@ var stub = &analysis.Analyzer{
 	Run:     func(pass *analysis.Pass) error { return nil },
 }
 
-// TestDirectiveValidation checks that malformed //dexvet: comments are
-// reported under the "dexvet" pseudo-rule with the expected messages —
-// the analysistest harness cannot cover these, because a `// want`
-// cannot share a line with a line-comment directive.
+// TestDirectiveValidation checks that malformed //dexvet: comments and
+// unused allows are reported under the "dexvet" pseudo-rule with the
+// expected messages — the analysistest harness cannot cover these,
+// because a `// want` cannot share a line with a line-comment directive.
 func TestDirectiveValidation(t *testing.T) {
 	pkgs, err := analysis.Load(moduleRoot(t), "repro/internal/analysis/testdata/src/directives")
 	if err != nil {
@@ -37,6 +37,7 @@ func TestDirectiveValidation(t *testing.T) {
 		"needs a rule name",
 		"unknown directive //dexvet:frobnicate",
 		"//dexvet:noalloc must be in a function's doc comment",
+		"//dexvet:allow stub suppresses nothing",
 	}
 	if len(diags) != len(wants) {
 		t.Fatalf("got %d findings, want %d:\n%v", len(diags), len(wants), diags)

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
@@ -35,32 +36,56 @@ func HasDirective(fd *ast.FuncDecl, name string) bool {
 }
 
 // allowRange is one allow suppression: rule suppressed in
-// [fromLine, toLine] of file.
+// [from, to] of the directive's file. used records whether it has
+// suppressed a finding.
 type allowRange struct {
-	file     string
+	pos      token.Position // the directive itself
 	from, to int
 	rule     string
+	used     bool
 }
 
 type directiveIndex struct {
 	allowsIdx []allowRange
 }
 
+// allows reports whether an allow covers diag, marking the allow used.
 func (d *directiveIndex) allows(diag Diagnostic) bool {
-	for _, a := range d.allowsIdx {
-		if a.rule == diag.Rule && a.file == diag.Pos.Filename &&
+	for i := range d.allowsIdx {
+		a := &d.allowsIdx[i]
+		if a.rule == diag.Rule && a.pos.Filename == diag.Pos.Filename &&
 			diag.Pos.Line >= a.from && diag.Pos.Line <= a.to {
+			a.used = true
 			return true
 		}
 	}
 	return false
 }
 
+// unused reports every allow that suppressed nothing, under the
+// "dexvet" pseudo-rule: an allow whose finding is gone is a stale
+// claim about the code and must be deleted with it.
+func (d *directiveIndex) unused() []Diagnostic {
+	var out []Diagnostic
+	for _, a := range d.allowsIdx {
+		if !a.used {
+			out = append(out, Diagnostic{
+				Pos:  a.pos,
+				Rule: "dexvet",
+				Msg:  fmt.Sprintf("//dexvet:allow %s suppresses nothing — delete it", a.rule),
+			})
+		}
+	}
+	return out
+}
+
 // parseDirectives scans one package for //dexvet: comments, validates
 // them (allow needs a known rule and a non-empty reason; noalloc and
 // mutator must sit in a function's doc comment), and builds the
 // suppression index. Malformed directives come back as findings under
-// the pseudo-rule "dexvet" — they are not themselves suppressible.
+// the pseudo-rule "dexvet" — they are not themselves suppressible, and
+// neither are the unused-allow findings the index reports once every
+// analyzer has run.
 func parseDirectives(pkg *Package, analyzers []*Analyzer) (*directiveIndex, []Diagnostic) {
 	rules := map[string]bool{}
 	for _, a := range analyzers {
@@ -107,7 +132,7 @@ func parseDirectives(pkg *Package, analyzers []*Analyzer) (*directiveIndex, []Di
 						continue
 					}
 					pos := pkg.Fset.Position(c.Pos())
-					ar := allowRange{file: pos.Filename, rule: fields[1]}
+					ar := allowRange{pos: pos, rule: fields[1]}
 					if fd, ok := docOf[group]; ok {
 						ar.from = pkg.Fset.Position(fd.Pos()).Line
 						ar.to = pkg.Fset.Position(fd.End()).Line

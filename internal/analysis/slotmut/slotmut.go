@@ -6,9 +6,10 @@
 //
 // The rule: inside internal/core, a call to an id-keyed mutator —
 // graph.Graph's AddEdge/AddEdgeMult/RemoveEdge/RemoveEdgeMult or
-// core's rawAddEdge/rawRemoveEdge(Mult) funnels — is a finding when
-// the enclosing function has already resolved a slot for one of the
-// endpoint identifiers (via SlotOf/slotOf) earlier in its body: the
+// core's addRealEdge/removeRealEdge and rawAddEdgeMult/rawRemoveEdgeMult
+// funnels — is a finding when the enclosing function has already
+// resolved a slot for one of the endpoint identifiers (via
+// SlotOf/slotOf, or the store's slot) earlier in its body: the
 // *At form would erase a redundant id->slot map probe from the churn
 // path. Call sites with no slot in hand (scratch/oracle graphs, the
 // generic id-keyed funnels themselves) are not findings.
@@ -23,22 +24,22 @@ import (
 )
 
 // idMutators maps each id-keyed mutator to its slot-native form. The
-// raw* entries are internal/core's mutation funnels, the rest are the
-// graph arena's.
+// lower-case entries are internal/core's mutation funnels, the rest are
+// the graph arena's.
 var idMutators = map[string]string{
 	"AddEdge":           "AddEdgeAt",
 	"AddEdgeMult":       "AddEdgeMultAt",
 	"RemoveEdge":        "RemoveEdgeAt",
 	"RemoveEdgeMult":    "RemoveEdgeMultAt",
-	"rawAddEdge":        "rawAddEdgeAt",
-	"rawRemoveEdge":     "rawRemoveEdgeAt",
+	"addRealEdge":       "addRealEdgeAt",
+	"removeRealEdge":    "removeRealEdgeAt",
 	"rawAddEdgeMult":    "rawAddEdgeMultAt",
 	"rawRemoveEdgeMult": "rawRemoveEdgeMultAt",
 }
 
 // slotResolvers are the id->slot probes; holding their result is what
 // makes an id-keyed mutation redundant.
-var slotResolvers = map[string]bool{"SlotOf": true, "slotOf": true}
+var slotResolvers = map[string]bool{"SlotOf": true, "slotOf": true, "slot": true}
 
 // Analyzer is the slotmut rule.
 var Analyzer = &analysis.Analyzer{
@@ -126,7 +127,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 // isEngineMutation keeps the rule on the live engine structures: the
 // receiver must be the graph arena type (any package's type named
 // Graph works, so fixtures can define their own) or internal/core's
-// Network (the raw* funnels).
+// Network (its funnels).
 func isEngineMutation(pkg *analysis.Package, sel *ast.SelectorExpr) bool {
 	s := pkg.Info.Selections[sel]
 	if s == nil {

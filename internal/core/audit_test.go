@@ -60,10 +60,11 @@ func TestCheckNodeDetectsLoadCorruption(t *testing.T) {
 
 func TestCheckNodeDetectsMappingCorruption(t *testing.T) {
 	nw, u := corruptible(t)
-	x := nw.st.simMin(u)
-	if x < 0 {
+	sim := nw.st.sim(u)
+	if len(sim) == 0 {
 		t.Fatal("node holds no vertex")
 	}
+	x := sim[0]
 	// Point the vertex at a different owner without moving it.
 	for _, w := range nw.Nodes() {
 		if w != u {

@@ -75,7 +75,7 @@ func (nw *Network) insertOneOfBatch(s InsertSpec) {
 	if s.ID >= nw.nextID {
 		nw.nextID = s.ID + 1
 	}
-	nw.addNodeEntry(s.ID)
+	nw.st.addNode(s.ID)
 	idSlot, _ := nw.real.SlotOf(s.ID)
 	attachSlot, _ := nw.real.SlotOf(s.Attach)
 	nw.setLoadAt(s.ID, idSlot, 0, true)
@@ -208,7 +208,7 @@ func NewWithMapping(p int64, owner []graph.NodeID, cfg Config) (*Network, error)
 	for x := int64(0); x < p; x++ {
 		u := owner[x]
 		if !nw.st.has(u) {
-			nw.addNodeEntry(u)
+			nw.st.addNode(u)
 		}
 		nw.st.simAdd(u, x)
 		if u >= nw.nextID {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -54,27 +55,26 @@ func (nw *Network) checkInvariants(enforceLoadBounds bool) error {
 			continue
 		}
 		u := nw.simOf[x]
-		if !nw.st.has(u) {
+		s, ok := nw.real.SlotOf(u)
+		if !ok {
 			return fmt.Errorf("I2: vertex %d mapped to unknown node %d", x, u)
 		}
-		if !nw.st.simHas(u, x) {
+		if _, ok := slices.BinarySearch(nw.st.setAt(s, false), x); !ok {
 			return fmt.Errorf("I2: vertex %d not in Sim(%d)", x, u)
 		}
 	}
 	counted := 0
-	for _, u := range nw.st.nodeList {
-		var stray Vertex = -1
-		nw.st.simForEach(u, func(x Vertex) bool {
-			if nw.simOf[x] != u {
-				stray = x
-				return false
-			}
-			return true
-		})
-		if stray >= 0 {
-			return fmt.Errorf("I2: Sim(%d) contains %d owned by %d", u, stray, nw.simOf[stray])
+	for i, u := range nw.st.nodeList {
+		s, ok := nw.real.SlotOf(u)
+		if !ok || nw.st.mirrorPosAt(s) != i {
+			return fmt.Errorf("I2: sampling mirror entry %d holds stale node %d", i, u)
 		}
-		counted += nw.st.simLen(u)
+		for _, x := range nw.st.setAt(s, false) {
+			if nw.simOf[x] != u {
+				return fmt.Errorf("I2: Sim(%d) contains %d owned by %d", u, x, nw.simOf[x])
+			}
+		}
+		counted += nw.st.setLenAt(s, false)
 	}
 	if nw.stag == nil && int64(counted) != p {
 		return fmt.Errorf("I2: %d vertices assigned, want %d", counted, p)
@@ -135,14 +135,7 @@ func (nw *Network) checkInvariants(enforceLoadBounds bool) error {
 	// (I8) staggering bookkeeping.
 	if s := nw.stag; s != nil {
 		for _, u := range nw.st.nodeList {
-			unproc, proj := 0, 0
-			nw.st.simForEach(u, func(x Vertex) bool {
-				if !s.processedFlag[x] {
-					unproc++
-					proj += s.projection(x)
-				}
-				return true
-			})
+			unproc, proj := s.unprocessed(nw.st.sim(u))
 			if got := nw.st.unprocOldOf(u); got != unproc {
 				return fmt.Errorf("I8: unprocOld(%d) = %d, want %d", u, got, unproc)
 			}
@@ -154,7 +147,7 @@ func (nw *Network) checkInvariants(enforceLoadBounds bool) error {
 			if u < 0 {
 				continue
 			}
-			if !nw.st.newHas(u, Vertex(y)) {
+			if !nw.st.has(u) || !slices.Contains(nw.st.newSim(u), Vertex(y)) {
 				return fmt.Errorf("I8: new vertex %d not in NewSim(%d)", y, u)
 			}
 		}
@@ -231,19 +224,16 @@ func (nw *Network) Audit(mode AuditMode) error {
 		return fmt.Errorf("audit: n=%d exceeds p=%d", nw.Size(), nw.z.P())
 	}
 	checked := 0
-	var err error
-	nw.st.forEachDirty(func(u NodeID) bool {
+	for _, u := range nw.st.dirtyList {
 		if !nw.st.has(u) {
-			return true // deleted this step
+			continue // deleted this step
 		}
-		if err = nw.CheckNode(u); err != nil {
-			return false
+		if err := nw.CheckNode(u); err != nil {
+			return err
 		}
-		checked++
-		return checked < auditDirtyCap
-	})
-	if err != nil {
-		return err
+		if checked++; checked == auditDirtyCap {
+			break
+		}
 	}
 	for i := 0; i < auditSampleSize && len(nw.st.nodeList) > 0; i++ {
 		if err := nw.CheckNode(nw.SampleNode(nw.auditRng)); err != nil {
@@ -259,54 +249,38 @@ func (nw *Network) Audit(mode AuditMode) error {
 // to u (I4, node-locally), stagger bookkeeping (I8), and the sampling
 // mirror. It costs O(load(u)) = O(zeta), independent of n and p.
 func (nw *Network) CheckNode(u NodeID) error {
-	if !nw.st.has(u) {
+	su, ok := nw.real.SlotOf(u)
+	if !ok {
 		return fmt.Errorf("audit: unknown node %d", u)
 	}
-	if i, ok := nw.st.mirrorPos(u); !ok || nw.st.nodeList[i] != u {
+	if i := nw.st.mirrorPosAt(su); i < 0 || nw.st.nodeList[i] != u {
 		return fmt.Errorf("audit: node %d missing from sampling mirror", u)
 	}
-	var stray Vertex = -1
-	nw.st.simForEach(u, func(x Vertex) bool {
+	sim := nw.st.setAt(su, false)
+	for _, x := range sim {
 		if nw.simOf[x] != u {
-			stray = x
-			return false
+			return fmt.Errorf("audit: Sim(%d) contains %d owned by %d", u, x, nw.simOf[x])
 		}
-		return true
-	})
-	if stray >= 0 {
-		return fmt.Errorf("audit: Sim(%d) contains %d owned by %d", u, stray, nw.simOf[stray])
 	}
-	want := nw.st.simLen(u)
+	want := len(sim)
 	s := nw.stag
 	if s != nil {
-		var strayNew Vertex = -1
-		nw.st.newForEach(u, func(y Vertex) bool {
+		newSim := nw.st.setAt(su, true)
+		for _, y := range newSim {
 			if s.newSimOf[y] != u {
-				strayNew = y
-				return false
+				return fmt.Errorf("audit: NewSim(%d) contains %d owned by %d", u, y, s.newSimOf[y])
 			}
-			return true
-		})
-		if strayNew >= 0 {
-			return fmt.Errorf("audit: NewSim(%d) contains %d owned by %d", u, strayNew, s.newSimOf[strayNew])
 		}
-		want += nw.st.newLen(u)
-		unproc, proj := 0, 0
-		nw.st.simForEach(u, func(x Vertex) bool {
-			if !s.processedFlag[x] {
-				unproc++
-				proj += s.projection(x)
-			}
-			return true
-		})
-		if got := nw.st.unprocOldOf(u); got != unproc {
+		want += len(newSim)
+		unproc, proj := s.unprocessed(sim)
+		if got := nw.st.unprocOldAt(su); got != unproc {
 			return fmt.Errorf("audit: unprocOld(%d) = %d, want %d", u, got, unproc)
 		}
-		if got := nw.st.effNewOf(u); got != proj+nw.st.newLen(u) {
-			return fmt.Errorf("audit: effNew(%d) = %d, want %d+%d", u, got, proj, nw.st.newLen(u))
+		if got := nw.st.effNewAt(su); got != proj+len(newSim) {
+			return fmt.Errorf("audit: effNew(%d) = %d, want %d+%d", u, got, proj, len(newSim))
 		}
 	}
-	if got := nw.st.loadOf(u); got != want {
+	if got := nw.st.loadAt(su); got != want {
 		return fmt.Errorf("audit: load(%d) = %d, want %d", u, got, want)
 	}
 	if want < 1 {
@@ -319,7 +293,7 @@ func (nw *Network) CheckNode(u NodeID) error {
 	if want > maxLoad {
 		return fmt.Errorf("audit: load(%d) = %d exceeds bound %d", u, want, maxLoad)
 	}
-	row, err := nw.wantRow(u)
+	row, err := nw.wantRow(u, su)
 	if err != nil {
 		return err
 	}
@@ -335,16 +309,16 @@ func (nw *Network) CheckNode(u NodeID) error {
 	return nil
 }
 
-// wantRow computes u's expected real adjacency row — the contraction of
-// the virtual structure restricted to edges incident to u — in O(load(u))
-// time by enumerating the edge slots of u's own vertices (old cycle,
-// and, mid-rebuild, generated new vertices plus the intermediate edges
-// anchored at u's unprocessed old vertices). Every non-loop virtual edge
-// with both endpoints at u is enumerated from both sides, so its
-// incidence count is halved; virtual self-loops are enumerated once.
-// The rules mirror expectedRealGraph exactly, which the differential
-// tests enforce.
-func (nw *Network) wantRow(u NodeID) (map[NodeID]int, error) {
+// wantRow computes the expected real adjacency row of node u at live
+// slot su — the contraction of the virtual structure restricted to
+// edges incident to u — in O(load(u)) time by enumerating the edge
+// slots of u's own vertices (old cycle, and, mid-rebuild, generated new
+// vertices plus the intermediate edges anchored at u's unprocessed old
+// vertices). Every non-loop virtual edge with both endpoints at u is
+// enumerated from both sides, so its incidence count is halved; virtual
+// self-loops are enumerated once. The rules mirror expectedRealGraph
+// exactly, which the differential tests enforce.
+func (nw *Network) wantRow(u NodeID, su int32) (map[NodeID]int, error) {
 	s := nw.stag
 	row := make(map[NodeID]int)
 	loops, same := 0, 0
@@ -355,7 +329,7 @@ func (nw *Network) wantRow(u NodeID) (map[NodeID]int, error) {
 			row[other]++
 		}
 	}
-	nw.st.simForEach(u, func(x Vertex) bool {
+	for _, x := range nw.st.setAt(su, false) {
 		for _, t := range nw.z.NeighborSlots(x) {
 			if t == x {
 				loops++ // chord self-loop of the old cycle
@@ -366,8 +340,7 @@ func (nw *Network) wantRow(u NodeID) (map[NodeID]int, error) {
 			}
 			add(nw.simOf[t])
 		}
-		return true
-	})
+	}
 	if s != nil {
 		resolve := func(t Vertex) NodeID {
 			if v := s.newSimOf[t]; v >= 0 {
@@ -375,7 +348,7 @@ func (nw *Network) wantRow(u NodeID) (map[NodeID]int, error) {
 			}
 			return nw.simOf[s.ownerOld(t)] // intermediate edge anchor
 		}
-		nw.st.newForEach(u, func(y Vertex) bool {
+		for _, y := range nw.st.setAt(su, true) {
 			add(resolve(s.zNew.Succ(y))) // successor edge, owned by y
 			if yp := s.zNew.Pred(y); s.newSimOf[yp] >= 0 {
 				add(s.newSimOf[yp]) // predecessor's successor edge
@@ -389,14 +362,12 @@ func (nw *Network) wantRow(u NodeID) (map[NodeID]int, error) {
 			case s.newSimOf[c] >= 0:
 				add(s.newSimOf[c]) // chord owned by generated c
 			}
-			return true
-		})
-		nw.st.simForEach(u, func(x Vertex) bool {
+		}
+		for _, x := range nw.st.setAt(su, false) {
 			for _, pe := range s.pending[x] {
 				add(s.newSimOf[pe.src]) // intermediate edges anchored at u
 			}
-			return true
-		})
+		}
 	}
 	if same%2 != 0 {
 		return nil, fmt.Errorf("audit: node %d has odd self-incidence count %d", u, same)

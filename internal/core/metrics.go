@@ -135,8 +135,8 @@ func (nw *Network) Totals() Totals { return nw.totals }
 func (nw *Network) beginStep(op OpKind, target NodeID) {
 	nw.step = StepMetrics{Step: nw.totals.Steps + 1, Op: op, Target: target}
 	nw.rebuiltReal = false
-	// Dirty tracking resets by generation bump in the dense store (the
-	// map oracle still pays the scratch-map reset; see store.go).
+	// Dirty tracking resets by a generation bump; only the edge-delta
+	// batch is a scratch map (see store.go).
 	nw.st.resetDirty()
 	if len(nw.edgeDeltas) > 0 {
 		nw.edgeDeltas = resetScratchMap(nw.edgeDeltas)

@@ -27,8 +27,8 @@
 //
 // Per-node engine state (loads, vertex sets, dirty tracking, staggering
 // bookkeeping) lives in a slot-indexed columnar store layered on the
-// overlay graph's dense slot table — see store.go for the layout and
-// the map-based oracle it is differentially tested against.
+// overlay graph's dense slot table — see store.go for the layout, and
+// store_model_test.go for the map-keyed model it is fuzzed against.
 package core
 
 import (
@@ -94,12 +94,6 @@ type Config struct {
 	// discarded, so long churn runs hold O(cap) metrics memory while
 	// Totals keeps exact lifetime aggregates.
 	HistoryCap int
-
-	// useMapState selects the historical map-keyed state store instead
-	// of the dense slot-indexed columns: the differential oracle for
-	// engine_equiv_test and the bench-core baseline. Test-only, hence
-	// unexported; the two backends are byte-identical in behavior.
-	useMapState bool
 }
 
 // DefaultConfig returns the configuration used by the experiments.
@@ -125,8 +119,7 @@ type Network struct {
 
 	// st holds every per-node table — loads, Sim/NewSim vertex sets,
 	// dirty tracking, the O(1) sampling mirror, and the staggering
-	// counters — in slot-indexed columns over nw.real's slot table (or,
-	// for the differential oracle, in the historical maps).
+	// counters — in slot-indexed columns over nw.real's slot table.
 	st state
 
 	dist0 []int32 // cached BFS distances from vertex 0 (coordinator routing)
@@ -177,8 +170,8 @@ type Network struct {
 	// allocates no closure per operation — every predicate the engine ever
 	// hands a walk is one of these. They take (id, slot) pairs straight
 	// from the arena's run cells and read only slot-indexed columns, so
-	// predicate evaluation performs no id→slot map probe. Scratch buffers
-	// for vertexHoldings live here for the same reason.
+	// predicate evaluation performs no id→slot map probe. The scratch
+	// buffer for vertexHoldings lives here for the same reason.
 	steadyInsertStop  func(NodeID, int32) bool
 	steadyLowStop     func(NodeID, int32) bool
 	holdNewStop       func(NodeID, int32) bool // staggered new-cycle holding placement
@@ -192,7 +185,6 @@ type Network struct {
 	shedExcl          NodeID // shedStop's excluded overflowing node
 	stagPhase2        bool   // stagInsertStop: rebuild is in phase 2
 	holdScratch       []holding
-	vertScratch       []Vertex
 
 	contendSlots []int32 // eligible contenders' start slots, parallel to eligible
 
@@ -244,7 +236,7 @@ func New(n0 int, cfg Config) (*Network, error) {
 	}
 	nw.initTracking()
 	for u := 0; u < n0; u++ {
-		nw.addNodeEntry(NodeID(u))
+		nw.st.addNode(NodeID(u))
 	}
 	for x := int64(0); x < p0; x++ {
 		u := NodeID(x * int64(n0) / p0)
@@ -267,34 +259,34 @@ func New(n0 int, cfg Config) (*Network, error) {
 // columns grow and recycle with its slot table from here on.
 func (nw *Network) initTracking() {
 	nw.real = graph.New()
-	nw.st.init(nw.real, nw.cfg.useMapState, nw.cfg.Zeta)
+	nw.st.init(nw.real, nw.cfg.Zeta)
 	nw.auditRng = rand.New(rand.NewSource(nw.cfg.Seed ^ 0x5eed_a0d1))
 	st := &nw.st
 	zeta := nw.cfg.Zeta
 	lowT := 2 * zeta
-	nw.steadyInsertStop = func(u NodeID, s int32) bool { return u != nw.stopExclude && st.loadAt(u, s) >= 2 }
-	nw.steadyLowStop = func(u NodeID, s int32) bool { return st.loadAt(u, s) <= lowT }
-	nw.holdNewStop = func(u NodeID, s int32) bool {
-		return st.newLenAt(u, s) < 4*zeta && st.loadAt(u, s) < 8*zeta-1
+	nw.steadyInsertStop = func(u NodeID, s int32) bool { return u != nw.stopExclude && st.loadAt(s) >= 2 }
+	nw.steadyLowStop = func(_ NodeID, s int32) bool { return st.loadAt(s) <= lowT }
+	nw.holdNewStop = func(_ NodeID, s int32) bool {
+		return st.setLenAt(s, true) < 4*zeta && st.loadAt(s) < 8*zeta-1
 	}
-	nw.inflateP2Stop = func(u NodeID, s int32) bool { return st.loadAt(u, s) <= 6*zeta }
-	nw.deflateHoldStop = func(u NodeID, s int32) bool {
-		return st.loadAt(u, s) <= 6*zeta && st.effNewAt(u, s) < 4*zeta
+	nw.inflateP2Stop = func(_ NodeID, s int32) bool { return st.loadAt(s) <= 6*zeta }
+	nw.deflateHoldStop = func(_ NodeID, s int32) bool {
+		return st.loadAt(s) <= 6*zeta && st.effNewAt(s) < 4*zeta
 	}
 	nw.stagInsertStop = func(w NodeID, s int32) bool {
 		if w == nw.stopExclude {
 			return false
 		}
 		if nw.stagPhase2 {
-			return st.newLenAt(w, s) >= 2
+			return st.setLenAt(s, true) >= 2
 		}
-		if st.newLenAt(w, s) >= 2 {
+		if st.setLenAt(s, true) >= 2 {
 			return true
 		}
-		return st.loadAt(w, s) >= 2 && st.unprocOldAt(w, s) >= 1
+		return st.loadAt(s) >= 2 && st.unprocOldAt(s) >= 1
 	}
-	nw.serialContendStop = func(w NodeID, s int32) bool { return w != nw.contendU && st.newLenAt(w, s) >= 2 }
-	nw.shedStop = func(w NodeID, s int32) bool { return w != nw.shedExcl && st.effNewAt(w, s) < 4*zeta }
+	nw.serialContendStop = func(w NodeID, s int32) bool { return w != nw.contendU && st.setLenAt(s, true) >= 2 }
+	nw.shedStop = func(w NodeID, s int32) bool { return w != nw.shedExcl && st.effNewAt(s) < 4*zeta }
 }
 
 // --- basic accessors -------------------------------------------------------
@@ -375,10 +367,6 @@ func (nw *Network) FreshID() NodeID {
 	return id
 }
 
-// addNodeEntry registers a fresh node with the store: graph slot (and
-// hence dense columns), empty vertex set, and the O(1) sampling mirror.
-func (nw *Network) addNodeEntry(u NodeID) { nw.st.addNode(u) }
-
 // SampleNode returns a uniformly random live node id in O(1), drawing
 // from r. Unlike Nodes() it performs no sorting or allocation, so
 // adversaries can churn million-node networks without a per-step O(n)
@@ -448,61 +436,16 @@ func (nw *Network) walkLen() int {
 
 // --- load & set-size tracking ----------------------------------------------
 
-// setLoad updates u's load and the |Spare| / |Low| counters. fresh marks
-// a node that had no previous load entry. A no-change write is skipped
-// entirely (in particular, it marks nothing dirty).
-func (nw *Network) setLoad(u NodeID, l int, fresh bool) {
-	old := -1
-	if !fresh {
-		old = nw.st.loadOf(u)
-		if old == l {
-			return
-		}
-	}
-	lowT := 2 * nw.cfg.Zeta
-	if !fresh {
-		if old >= 2 {
-			nw.nSpare--
-		}
-		if old <= lowT {
-			nw.nLow--
-		}
-	}
-	if l >= 2 {
-		nw.nSpare++
-	}
-	if l <= lowT {
-		nw.nLow++
-	}
-	nw.st.putLoadDirty(u, l)
-}
-
-// dropLoadEntry removes u from the load tracking (node deletion).
-func (nw *Network) dropLoadEntry(u NodeID) {
-	l := nw.st.loadOf(u)
-	if l >= 2 {
-		nw.nSpare--
-	}
-	if l <= 2*nw.cfg.Zeta {
-		nw.nLow--
-	}
-	nw.st.clearLoad(u)
-}
-
-func (nw *Network) bumpLoad(u NodeID, delta int) {
-	nw.setLoad(u, nw.st.loadOf(u)+delta, false)
-}
-
-// setLoadAt / bumpLoadAt are the slot-native load setters: identical
-// counter bookkeeping to setLoad, with u's live slot already in hand so
-// neither the read nor the write pays an id→slot probe. moveVertexAt
-// runs both endpoints' load updates through these.
+// setLoadAt updates the load of node u at live slot s and the |Spare| /
+// |Low| counters. fresh marks a node that had no previous load entry. A
+// no-change write is skipped entirely (in particular, it marks nothing
+// dirty).
 //
 //dexvet:noalloc
 func (nw *Network) setLoadAt(u NodeID, s int32, l int, fresh bool) {
 	old := -1
 	if !fresh {
-		old = nw.st.loadAt(u, s)
+		old = nw.st.loadAt(s)
 		if old == l {
 			return
 		}
@@ -527,7 +470,23 @@ func (nw *Network) setLoadAt(u NodeID, s int32, l int, fresh bool) {
 
 //dexvet:noalloc
 func (nw *Network) bumpLoadAt(u NodeID, s int32, delta int) {
-	nw.setLoadAt(u, s, nw.st.loadAt(u, s)+delta, false)
+	nw.setLoadAt(u, s, nw.st.loadAt(s)+delta, false)
+}
+
+// setLoad and bumpLoad are the id-keyed forms of the two setters.
+func (nw *Network) setLoad(u NodeID, l int, fresh bool) { nw.setLoadAt(u, nw.st.slot(u), l, fresh) }
+func (nw *Network) bumpLoad(u NodeID, delta int)        { nw.bumpLoadAt(u, nw.st.slot(u), delta) }
+
+// dropLoadEntry removes u's load from the |Spare| / |Low| counters (node
+// deletion; the store zeroes the column when the slot is released).
+func (nw *Network) dropLoadEntry(u NodeID) {
+	l := nw.st.loadOf(u)
+	if l >= 2 {
+		nw.nSpare--
+	}
+	if l <= 2*nw.cfg.Zeta {
+		nw.nLow--
+	}
 }
 
 // --- virtual-edge enumeration and vertex movement --------------------------
@@ -546,47 +505,21 @@ func pairKey(a, b NodeID) edgeKey {
 	return edgeKey{a, b}
 }
 
-// markDirty records that u's real-edge row or load changed this step;
-// sampled audits re-verify exactly the dirty nodes. Every mutation a
-// walk or stop predicate can observe funnels through here (edge rows
-// via rawAdd/RemoveEdge*, loads and stagger counters via setLoad).
-func (nw *Network) markDirty(u NodeID) { nw.st.markDirty(u) }
-
-// rawAddEdge / rawRemoveEdge mutate the live overlay and feed the
-// dirty-node set and (when observed) the step's edge-delta batch, without
-// charging the paper's topology-change counter. All real-graph edge
-// mutations, including rebuild diffs, go through these two functions.
-func (nw *Network) rawAddEdge(a, b NodeID) {
-	nw.real.AddEdge(a, b)
-	nw.markDirty(a)
-	nw.markDirty(b)
-	if nw.edgeObserver != nil {
-		nw.edgeDeltas[pairKey(a, b)]++
-	}
-}
-
-func (nw *Network) rawRemoveEdge(a, b NodeID) {
-	if !nw.real.RemoveEdge(a, b) {
-		panic(fmt.Sprintf("core: removing absent real edge {%d,%d}", a, b))
-	}
-	nw.markDirty(a)
-	nw.markDirty(b)
-	if nw.edgeObserver != nil {
-		nw.edgeDeltas[pairKey(a, b)]--
-	}
-}
-
-// rawAddEdgeAt / rawRemoveEdgeAt are the slot-native forms for callers
-// that already hold endpoint a's slot: moveVertex resolves its anchor
-// node's slot once and reuses it for the whole three-edge batch, instead
-// of paying an id->slot map probe inside every graph mutation. The graph
-// treats {a,b} symmetrically, so anchoring on either endpoint is valid.
+// rawAddEdgeAt / rawRemoveEdgeAt mutate the live overlay, anchored at
+// endpoint a's live slot sa, and feed the dirty-node set and (when
+// observed) the step's edge-delta batch, without charging the paper's
+// topology-change counter. Sampled audits re-verify exactly the dirty
+// nodes, so every mutation a walk or stop predicate can observe marks
+// its nodes: edge rows here and in the Mult forms below, loads through
+// setLoadAt. The graph treats {a,b} symmetrically, so anchoring on
+// either endpoint is valid; moveVertex resolves its anchor's slot once
+// for the whole three-edge batch.
 //
 //dexvet:noalloc
 func (nw *Network) rawAddEdgeAt(a NodeID, sa int32, b NodeID) {
 	nw.real.AddEdgeAt(sa, a, b)
 	nw.st.markDirtyAt(a, sa)
-	nw.markDirty(b)
+	nw.st.markDirty(b)
 	if nw.edgeObserver != nil {
 		nw.edgeDeltas[pairKey(a, b)]++
 	}
@@ -598,7 +531,7 @@ func (nw *Network) rawRemoveEdgeAt(a NodeID, sa int32, b NodeID) {
 		panic(fmt.Sprintf("core: removing absent real edge {%d,%d}", a, b))
 	}
 	nw.st.markDirtyAt(a, sa)
-	nw.markDirty(b)
+	nw.st.markDirty(b)
 	if nw.edgeObserver != nil {
 		nw.edgeDeltas[pairKey(a, b)]--
 	}
@@ -612,8 +545,8 @@ func (nw *Network) rawAddEdgeMult(a, b NodeID, k int) {
 		return
 	}
 	nw.real.AddEdgeMult(a, b, k)
-	nw.markDirty(a)
-	nw.markDirty(b)
+	nw.st.markDirty(a)
+	nw.st.markDirty(b)
 	if nw.edgeObserver != nil {
 		nw.edgeDeltas[pairKey(a, b)] += k
 	}
@@ -626,26 +559,16 @@ func (nw *Network) rawRemoveEdgeMult(a, b NodeID, k int) {
 	if got := nw.real.RemoveEdgeMult(a, b, k); got != k {
 		panic(fmt.Sprintf("core: removing %d of edge {%d,%d}, only %d present", k, a, b, got))
 	}
-	nw.markDirty(a)
-	nw.markDirty(b)
+	nw.st.markDirty(a)
+	nw.st.markDirty(b)
 	if nw.edgeObserver != nil {
 		nw.edgeDeltas[pairKey(a, b)] -= k
 	}
 }
 
-// addRealEdge / removeRealEdge wrap graph mutations and count topology
-// changes for the current step.
-func (nw *Network) addRealEdge(a, b NodeID) {
-	nw.rawAddEdge(a, b)
-	nw.step.TopologyChanges++
-}
-
-func (nw *Network) removeRealEdge(a, b NodeID) {
-	nw.rawRemoveEdge(a, b)
-	nw.step.TopologyChanges++
-}
-
-// addRealEdgeAt / removeRealEdgeAt: slot-native counterparts.
+// addRealEdgeAt / removeRealEdgeAt wrap the raw mutators and count
+// topology changes for the current step; addRealEdge / removeRealEdge
+// are their id-keyed forms.
 //
 //dexvet:noalloc
 func (nw *Network) addRealEdgeAt(a NodeID, sa int32, b NodeID) {
@@ -658,6 +581,9 @@ func (nw *Network) removeRealEdgeAt(a NodeID, sa int32, b NodeID) {
 	nw.rawRemoveEdgeAt(a, sa, b)
 	nw.step.TopologyChanges++
 }
+
+func (nw *Network) addRealEdge(a, b NodeID)    { nw.addRealEdgeAt(a, nw.st.slot(a), b) }
+func (nw *Network) removeRealEdge(a, b NodeID) { nw.removeRealEdgeAt(a, nw.st.slot(a), b) }
 
 // moveVertex transfers current-cycle vertex x from its simulator to node
 // w, updating the contraction's real edges slot by slot. During a
@@ -702,10 +628,10 @@ func (nw *Network) moveVertexAt(x Vertex, u, w NodeID, su, sw int32) {
 			nw.removeRealEdgeAt(u, su, nw.stag.newSimOf[pe.src])
 		}
 	}
-	nw.st.simRemoveAt(u, su, x)
+	nw.st.setRemoveAt(su, x, false)
 	nw.bumpLoadAt(u, su, -1)
 	nw.simOf[x] = w
-	nw.st.simAddAt(w, sw, x)
+	nw.st.setAddAt(sw, x, false)
 	nw.bumpLoadAt(w, sw, 1)
 	for _, t := range nw.slotTargets(x) {
 		if nw.stag != nil && nw.stag.phase == 2 && nw.stag.dropped(t) {
@@ -721,10 +647,10 @@ func (nw *Network) moveVertexAt(x Vertex, u, w NodeID, su, sw int32) {
 		// pending-work accounting with it.
 		if !nw.stag.processed(x) {
 			proj := nw.stag.projection(x)
-			nw.st.addEffNew(u, -proj)
-			nw.st.addEffNew(w, proj)
-			nw.st.addUnprocOld(u, -1)
-			nw.st.addUnprocOld(w, 1)
+			nw.st.addEffNewAt(su, -proj)
+			nw.st.addEffNewAt(sw, proj)
+			nw.st.addUnprocOldAt(su, -1)
+			nw.st.addUnprocOldAt(sw, 1)
 		}
 	}
 	if nw.transferObserver != nil {
@@ -788,13 +714,13 @@ func (nw *Network) applyRealDiff(want *graph.Graph) {
 		for _, v := range nw.real.Neighbors(u) {
 			nw.rawRemoveEdgeMult(u, v, nw.real.Multiplicity(u, v))
 		}
-		nw.markDirty(u)
+		nw.st.markDirty(u)
 		nw.real.RemoveNode(u)
 	}
 	for _, u := range want.Nodes() {
 		if !nw.real.HasNode(u) {
 			nw.real.AddNode(u)
-			nw.markDirty(u)
+			nw.st.markDirty(u)
 		}
 	}
 	for _, u := range want.Nodes() {
@@ -830,12 +756,16 @@ func (nw *Network) Dist0(x Vertex) int { return int(nw.dist0[x]) }
 // anyVertexOf returns some vertex simulated at u (smallest for
 // determinism).
 func (nw *Network) anyVertexOf(u NodeID) (Vertex, bool) {
-	if best := nw.st.simMin(u); best >= 0 {
-		return best, true
+	s, ok := nw.real.SlotOf(u)
+	if !ok {
+		return 0, false
+	}
+	if r := nw.st.setAt(s, false); len(r) > 0 {
+		return r[0], true
 	}
 	if nw.stag != nil {
-		if best := nw.st.newMin(u); best >= 0 {
-			return best, true
+		if r := nw.st.setAt(s, true); len(r) > 0 {
+			return r[0], true
 		}
 	}
 	return 0, false
@@ -889,18 +819,9 @@ func (nw *Network) SetSeedObserver(f func(seed uint64)) {
 	nw.seedObserver = f
 }
 
-// runWalk performs one type-1 token walk on the live overlay and charges
-// its cost. The start's slot is resolved here (the walk's only id→slot
-// probe); callers that already hold it use runWalkAt.
-func (nw *Network) runWalk(start NodeID, exclude NodeID, stop func(NodeID, int32) bool) congest.WalkResult {
-	res := congest.RandomWalkDirect(nw.real, start, exclude, nw.walkLen(), nw.walkSeed(), stop)
-	nw.step.Rounds += res.Steps
-	nw.step.Messages += res.Steps
-	return res
-}
-
-// runWalkAt is runWalk with the start's slot already resolved: the whole
-// walk — stepping, stop predicate, cost charge — touches no id→slot map.
+// runWalkAt performs one type-1 token walk on the live overlay from
+// start at its live slot startSlot and charges its cost: the whole walk
+// — stepping, stop predicate, cost charge — touches no id→slot map.
 //
 //dexvet:noalloc
 func (nw *Network) runWalkAt(start NodeID, startSlot int32, exclude NodeID, stop func(NodeID, int32) bool) congest.WalkResult {

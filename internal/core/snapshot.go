@@ -149,12 +149,9 @@ func decodeBitset(dec *wire.Decoder, n int) []bool {
 
 // AppendState serializes the engine's complete logical state onto enc.
 // It must be called between operations (never from a callback). It
-// fails on the map-backed oracle store and on engines whose RNG was
-// replaced via SetRNG: neither has checkpointable state.
+// fails on engines whose RNG was replaced via SetRNG: their stream
+// position is not checkpointable.
 func (nw *Network) AppendState(enc *wire.Encoder) error {
-	if nw.st.m != nil {
-		return fmt.Errorf("core: map-backed oracle store is not checkpointable")
-	}
 	if nw.rngReplaced {
 		return fmt.Errorf("core: RNG replaced via SetRNG; stream position unknown")
 	}
@@ -418,7 +415,6 @@ func RestoreNetwork(dec *wire.Decoder) (*Network, error) {
 		nw.st.simAdd(u, Vertex(x))
 	}
 	if stag != nil {
-		nw.st.stagReset()
 		for y, u := range stag.newSimOf {
 			if u < 0 {
 				continue
@@ -433,14 +429,7 @@ func RestoreNetwork(dec *wire.Decoder) (*Network, error) {
 		// effNew(u) = |NewSim(u)| + the projected clouds of those
 		// holdings (what processing them will generate at u).
 		for _, u := range nw.st.nodeList {
-			unproc, proj := 0, 0
-			nw.st.simForEach(u, func(x Vertex) bool {
-				if !stag.processedFlag[x] {
-					unproc++
-					proj += stag.projection(x)
-				}
-				return true
-			})
+			unproc, proj := stag.unprocessed(nw.st.sim(u))
 			if unproc != 0 {
 				nw.st.addUnprocOld(u, unproc)
 			}

@@ -99,6 +99,19 @@ func (s *stagger) projection(x Vertex) int {
 	return 0
 }
 
+// unprocessed counts the old vertices of sim the frontier has not
+// processed yet, and the new vertices processing them will generate:
+// what unprocOld and effNew - |NewSim| must hold for sim's node.
+func (s *stagger) unprocessed(sim []Vertex) (unproc, proj int) {
+	for _, x := range sim {
+		if !s.processedFlag[x] {
+			unproc++
+			proj += s.projection(x)
+		}
+	}
+	return unproc, proj
+}
+
 // ownerOld returns the old vertex that generates new vertex t.
 func (s *stagger) ownerOld(t Vertex) Vertex {
 	if s.dir == inflateDir {
@@ -158,14 +171,9 @@ func (nw *Network) startStagger(dir stagDirection) bool {
 		steps = 1
 	}
 	s.batch = (pOld + steps - 1) / steps
-	nw.st.stagReset()
 	for _, u := range nw.st.nodeList {
-		nw.st.addUnprocOld(u, nw.st.simLen(u))
-		proj := 0
-		nw.st.simForEach(u, func(x Vertex) bool {
-			proj += s.projection(x)
-			return true
-		})
+		unproc, proj := s.unprocessed(nw.st.sim(u))
+		nw.st.addUnprocOld(u, unproc)
 		nw.st.addEffNew(u, proj)
 	}
 	nw.stag = s
@@ -239,7 +247,7 @@ func (nw *Network) processOldVertex(x Vertex) {
 	u := nw.simOf[x]
 	s.processedFlag[x] = true
 	nw.st.addUnprocOld(u, -1)
-	nw.markDirty(u) // bookkeeping changed even when x generates nothing
+	nw.st.markDirty(u) // bookkeeping changed even when x generates nothing
 
 	if s.dir == inflateDir {
 		cloud := s.inf.Cloud(x)
@@ -335,11 +343,12 @@ func (nw *Network) linkNewEdge(y, t Vertex, owner NodeID, isCycleEdge bool) {
 func (nw *Network) shedNewOverflow(u NodeID) {
 	st := &nw.st
 	zeta4 := 4 * nw.cfg.Zeta
-	nw.shedExcl = u // parameterizes the prebuilt shedStop
-	for st.effNewOf(u) > zeta4 && st.newLen(u) > 1 {
+	nw.shedExcl = u  // parameterizes the prebuilt shedStop
+	su := st.slot(u) // u survives the loop: it moves vertices, never nodes
+	for st.effNewAt(su) > zeta4 && st.setLenAt(su, true) > 1 {
 		placed := false
 		for attempt := 0; attempt < nw.cfg.WalkRetryLimit; attempt++ {
-			res := nw.runWalk(u, -1, nw.shedStop)
+			res := nw.runWalkAt(u, su, -1, nw.shedStop)
 			if res.Hit {
 				nw.moveNewVertex(st.newMax(u), res.End)
 				placed = true
@@ -374,7 +383,7 @@ func (nw *Network) retryContenders(force bool) {
 		if !ok {
 			continue // node deleted while waiting
 		}
-		if nw.st.newLenAt(u, sl) > 0 {
+		if nw.st.setLenAt(sl, true) > 0 {
 			continue // received a vertex meanwhile
 		}
 		eligible = append(eligible, u)
@@ -397,7 +406,7 @@ func (nw *Network) retryContenders(force bool) {
 // contendStop is the contender donor predicate: donors must keep one
 // vertex (the paper's "taken" reservation), hence newCount >= 2. It is
 // prebuilt (serialContendStop, parameterized by nw.contendU) and reads
-// only the store's dense new-count column (or the oracle's map).
+// only the store's new-count column.
 func (nw *Network) contendStop(u NodeID) func(NodeID, int32) bool {
 	nw.contendU = u
 	return nw.serialContendStop
@@ -553,7 +562,6 @@ func (nw *Network) commitStagger() {
 	for _, u := range nw.st.nodeList {
 		nw.st.promoteNew(u)
 	}
-	nw.st.stagDone()
 	nw.refreshDist0()
 	nw.stag = nil
 	nw.step.StaggerFinished = true
@@ -579,12 +587,11 @@ func (s *stagger) donate(nw *Network, donor, id NodeID) {
 	// Unprocessed old vertex: the recipient will generate its cloud when
 	// the frontier reaches it.
 	var best Vertex = -1
-	nw.st.simForEach(donor, func(x Vertex) bool {
-		if !s.processedFlag[x] && x > best {
-			best = x
+	for _, x := range nw.st.sim(donor) {
+		if !s.processedFlag[x] {
+			best = x // ascending: the last unprocessed vertex is the largest
 		}
-		return true
-	})
+	}
 	if best < 0 {
 		panic("core: staggered donor has nothing to give")
 	}

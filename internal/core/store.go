@@ -10,37 +10,26 @@ import (
 // per-node bookkeeping the recovery algorithms read or write — the load
 // table, the Sim(u) vertex sets, the dirty-node set, the O(1) sampling
 // mirror, and the per-node staggering state (NewSim(u), effNew,
-// unprocOld) — lives here, behind one small API, in one of two
-// interchangeable representations:
+// unprocOld) — lives here, in slot-indexed columns layered on the
+// overlay graph's own slot table (graph.SlotOf / NodeAt /
+// SetSlotHooks): state is addressed by the node's dense slot, not by
+// hashing its id. Columns are sharded along contiguous slot ranges of
+// 1024 slots, so growth allocates a fixed-size block without moving any
+// existing column (per-slot state is pointer stable for the node's
+// lifetime), and walk stop predicates read per-shard arrays without
+// touching any engine-level map. Vertex sets are small sorted runs
+// inside a shard-local arena that recycles through multiple-of-4
+// size-class free lists — the same discipline as the graph arena — so
+// steady-state churn allocates nothing and a rebuild's transient
+// 8*zeta-sized sets return their cells to the shard when it commits.
+// The dirty set is a generation stamp plus an append list: resetting it
+// is a counter bump.
 //
-//   - The dense backend (the default) is a slot-indexed columnar store
-//     layered on the overlay graph's own slot table (graph.SlotOf /
-//     NodeAt / SetSlotHooks): state is addressed by the node's dense
-//     slot, not by hashing its id. Columns are sharded along contiguous
-//     slot ranges of 1024 slots, so growth allocates a fixed-size block
-//     without moving any existing column (per-slot state is pointer
-//     stable for the node's lifetime), and walk stop predicates read
-//     per-shard arrays without touching any engine-level map. Vertex
-//     sets are small sorted runs inside a shard-local arena that
-//     recycles through multiple-of-4 size-class free lists — the same
-//     discipline as the graph arena — so steady-state churn allocates
-//     nothing and a rebuild's transient 8*zeta-sized sets return their
-//     cells to the shard when it commits. The dirty set is a generation
-//     stamp plus an append list: resetting it is a counter bump, which
-//     retires the overgrown-map clear() workaround for good.
-//
-//   - The map backend is the historical representation (Go maps keyed
-//     by NodeID, nested maps for the vertex sets), kept verbatim in
-//     behavior as the differential oracle: engine_equiv_test drives a
-//     dense engine and a map engine through identical traces and
-//     requires byte-identical History, mapping, and overlay at every
-//     step. It is selected only by tests and the bench-core baseline
-//     (Config.useMapState is unexported).
-//
-// Both backends make identical externally visible choices: every
-// consumer of per-node state is order-independent (minimum, maximum,
-// or an explicit sort), so representation never leaks into the seeded
-// recovery outcome.
+// Every store operation has one slot-keyed body (the *At forms); the
+// id-keyed forms resolve the node's slot once and delegate. The
+// reference for all of it is storeModel in store_model_test.go, a
+// map-keyed model that FuzzStoreOps and TestStoreMatchesModel compare
+// every observable against after every operation.
 
 const (
 	// shardBits fixes the shard granularity: 1 << shardBits contiguous
@@ -88,6 +77,13 @@ func newShard(bigRun int32) *shard {
 		sh.pos[i] = -1
 	}
 	return sh
+}
+
+// zero resets slot i's columns to those of a node with no state.
+func (sh *shard) zero(i int32) {
+	sh.load[i], sh.pos[i], sh.dirtyAt[i] = 0, -1, 0
+	sh.sim[i], sh.nxt[i] = vset{}, vset{}
+	sh.effNew[i], sh.unprocOld[i] = 0, 0
 }
 
 // runCap maps a set size to its run capacity class. The ladder is
@@ -295,61 +291,33 @@ func (sh *shard) setReset(col []vset, i int32, vs []Vertex) {
 	copy(sh.arena.buf[v.off:v.off+v.n], vs)
 }
 
-// mapState is the historical map-keyed representation, preserved as
-// the differential oracle for the dense columns.
-type mapState struct {
-	sim       map[NodeID]map[Vertex]struct{}
-	load      map[NodeID]int
-	nodePos   map[NodeID]int
-	dirty     map[NodeID]struct{}
-	newSim    map[NodeID]map[Vertex]struct{}
-	effNew    map[NodeID]int
-	unprocOld map[NodeID]int
-}
-
-// state is the store façade the engine talks to. Exactly one backend
-// is active: dense columns (m == nil) or the map oracle (m != nil).
+// state is the store façade the engine talks to.
 type state struct {
 	g      *graph.Graph
 	shards []*shard
 
 	// nodeList mirrors the live node set in insertion order for O(1)
-	// uniform sampling (both backends share it; only the id->position
-	// lookup differs).
+	// uniform sampling; shard.pos is each node's position in it.
 	nodeList []NodeID
 
+	// dirtyList holds the nodes marked since the last resetDirty (it may
+	// retain ids deleted later in the step; audits skip them).
 	dirtyGen  uint32
 	dirtyList []NodeID
 
 	bigRun int32 // heavy-node run class handed to new shards
-
-	m *mapState
 }
 
-// init binds the store to the engine's live overlay graph. The dense
-// backend registers slot hooks so its columns grow, reset, and recycle
-// in lockstep with the graph's slot table; zeta sizes the heavy-node
-// run class (loads are bounded by 4*zeta outside adoption spikes).
-func (st *state) init(g *graph.Graph, useMap bool, zeta int) {
+// init binds the store to the engine's live overlay graph and registers
+// the slot hooks that grow, reset, and recycle its columns in lockstep
+// with the graph's slot table; zeta sizes the heavy-node run class
+// (loads are bounded by 4*zeta outside adoption spikes).
+func (st *state) init(g *graph.Graph, zeta int) {
 	st.g = g
-	st.bigRun = (int32(4*zeta) + 7) &^ 7
-	if st.bigRun < 16 {
-		st.bigRun = 16
-	}
-	if useMap {
-		st.m = &mapState{
-			sim:     make(map[NodeID]map[Vertex]struct{}),
-			load:    make(map[NodeID]int),
-			nodePos: make(map[NodeID]int),
-			dirty:   make(map[NodeID]struct{}),
-		}
-		return
-	}
+	st.bigRun = max((int32(4*zeta)+7)&^7, 16)
 	st.dirtyGen = 1
 	g.SetSlotHooks(st.slotAssigned, st.slotReleased)
 }
-
-func (st *state) dense() bool { return st.m == nil }
 
 func (st *state) shardOf(s int32) (*shard, int32) {
 	return st.shards[s>>shardBits], s & shardMask
@@ -363,17 +331,10 @@ func (st *state) slotAssigned(_ NodeID, s int32) {
 	for idx >= len(st.shards) {
 		st.shards = append(st.shards, nil)
 	}
-	sh := st.shards[idx]
-	if sh == nil {
-		sh = newShard(st.bigRun)
-		st.shards[idx] = sh
+	if st.shards[idx] == nil {
+		st.shards[idx] = newShard(st.bigRun)
 	}
-	i := s & shardMask
-	sh.load[i] = 0
-	sh.pos[i] = -1
-	sh.dirtyAt[i] = 0
-	sh.sim[i], sh.nxt[i] = vset{}, vset{}
-	sh.effNew[i], sh.unprocOld[i] = 0, 0
+	st.shards[idx].zero(s & shardMask)
 }
 
 // slotReleased (graph hook) recycles the slot's vertex runs and zeroes
@@ -382,11 +343,7 @@ func (st *state) slotReleased(_ NodeID, s int32) {
 	sh, i := st.shardOf(s)
 	sh.arena.release(sh.sim[i].off, sh.sim[i].cap)
 	sh.arena.release(sh.nxt[i].off, sh.nxt[i].cap)
-	sh.sim[i], sh.nxt[i] = vset{}, vset{}
-	sh.load[i] = 0
-	sh.pos[i] = -1
-	sh.dirtyAt[i] = 0
-	sh.effNew[i], sh.unprocOld[i] = 0, 0
+	sh.zero(i)
 }
 
 // --- node lifecycle ---------------------------------------------------------
@@ -396,92 +353,51 @@ func (st *state) size() int { return len(st.nodeList) }
 
 // has reports whether u is a live engine node.
 func (st *state) has(u NodeID) bool {
-	if m := st.m; m != nil {
-		_, ok := m.sim[u]
-		return ok
-	}
 	_, ok := st.g.SlotOf(u)
 	return ok
 }
 
-// addNode registers a fresh node: graph slot (dense columns via the
-// hook), empty Sim set, sampling-mirror entry. The load stays 0 until
-// the caller's setLoad.
+// slot resolves live node u's slot: the one id->slot probe in front of
+// every id-keyed accessor below.
+func (st *state) slot(u NodeID) int32 {
+	s, ok := st.g.SlotOf(u)
+	if !ok {
+		panic(fmt.Sprintf("core: node %d has no slot", u))
+	}
+	return s
+}
+
+// addNode registers a fresh node: graph slot (zeroed columns via the
+// hook) and sampling-mirror entry. The load stays 0 until the caller's
+// setLoadAt.
 func (st *state) addNode(u NodeID) {
 	st.g.AddNode(u)
-	if m := st.m; m != nil {
-		m.sim[u] = make(map[Vertex]struct{})
-		m.nodePos[u] = len(st.nodeList)
-	} else {
-		s, _ := st.g.SlotOf(u)
-		sh, i := st.shardOf(s)
-		sh.pos[i] = int32(len(st.nodeList))
-	}
+	sh, i := st.shardOf(st.slot(u))
+	sh.pos[i] = int32(len(st.nodeList))
 	st.nodeList = append(st.nodeList, u)
 }
 
-// removeNode drops u's engine state and its graph node (the slot hook
-// recycles the dense columns). The caller has already moved every
-// vertex away and settled the load counters.
+// removeNode drops u from the sampling mirror and removes its graph
+// node (the slot hook recycles the columns). The caller has already
+// moved every vertex away and settled the load counters.
 func (st *state) removeNode(u NodeID) {
-	st.mirrorRemove(u)
-	if m := st.m; m != nil {
-		delete(m.sim, u)
-		delete(m.load, u)
-		if m.newSim != nil {
-			delete(m.newSim, u)
-			delete(m.effNew, u)
-			delete(m.unprocOld, u)
-		}
+	sh, i := st.shardOf(st.slot(u))
+	p, last := sh.pos[i], len(st.nodeList)-1
+	moved := st.nodeList[last]
+	st.nodeList[p] = moved
+	st.nodeList = st.nodeList[:last]
+	if int(p) != last {
+		msh, mi := st.shardOf(st.slot(moved))
+		msh.pos[mi] = p
 	}
 	st.g.RemoveNode(u)
 }
 
-func (st *state) mirrorRemove(u NodeID) {
-	var i int32
-	if m := st.m; m != nil {
-		p, ok := m.nodePos[u]
-		if !ok {
-			return
-		}
-		i = int32(p)
-		delete(m.nodePos, u)
-	} else {
-		s, ok := st.g.SlotOf(u)
-		if !ok {
-			return
-		}
-		sh, si := st.shardOf(s)
-		i = sh.pos[si]
-		if i < 0 {
-			return
-		}
-		sh.pos[si] = -1
-	}
-	last := len(st.nodeList) - 1
-	moved := st.nodeList[last]
-	st.nodeList[i] = moved
-	st.nodeList = st.nodeList[:last]
-	if int(i) == last {
-		return
-	}
-	if m := st.m; m != nil {
-		m.nodePos[moved] = int(i)
-	} else {
-		s, _ := st.g.SlotOf(moved)
-		sh, si := st.shardOf(s)
-		sh.pos[si] = i
-	}
-}
-
 // restoreMirror rebuilds the sampling mirror from a serialized node
 // list, preserving its insertion/swap order exactly (SampleNode's draws
-// depend on it). Dense backend only; the graph slots must already exist
-// (DecodeBinary fired the assign hooks).
+// depend on it). The graph slots must already exist (DecodeBinary fired
+// the assign hooks).
 func (st *state) restoreMirror(list []NodeID) error {
-	if st.m != nil {
-		return fmt.Errorf("store: restoreMirror requires the dense backend")
-	}
 	st.nodeList = append(st.nodeList[:0], list...)
 	for i, u := range list {
 		s, ok := st.g.SlotOf(u)
@@ -497,94 +413,48 @@ func (st *state) restoreMirror(list []NodeID) error {
 	return nil
 }
 
-// mirrorPos returns u's sampling-mirror position, for audits.
-func (st *state) mirrorPos(u NodeID) (int, bool) {
-	if m := st.m; m != nil {
-		p, ok := m.nodePos[u]
-		return p, ok
-	}
-	s, ok := st.g.SlotOf(u)
-	if !ok {
-		return 0, false
-	}
+// mirrorPosAt returns the sampling-mirror position of the node at slot
+// s (-1 when it is missing from the mirror), for audits.
+func (st *state) mirrorPosAt(s int32) int {
 	sh, i := st.shardOf(s)
-	if sh.pos[i] < 0 {
-		return 0, false
+	return int(sh.pos[i])
+}
+
+// checkCoherence verifies that the slot table and the sampling mirror
+// hold the same number of nodes (audits check each node's position).
+func (st *state) checkCoherence() error {
+	if st.g.NumNodes() != len(st.nodeList) {
+		return fmt.Errorf("store: slot table holds %d nodes, mirror %d", st.g.NumNodes(), len(st.nodeList))
 	}
-	return int(sh.pos[i]), true
+	return nil
 }
 
 // --- load -------------------------------------------------------------------
 
 // loadOf returns u's total load (0 for absent nodes).
 func (st *state) loadOf(u NodeID) int {
-	if m := st.m; m != nil {
-		return m.load[u]
-	}
 	if s, ok := st.g.SlotOf(u); ok {
-		sh, i := st.shardOf(s)
-		return int(sh.load[i])
+		return st.loadAt(s)
 	}
 	return 0
 }
 
-// loadAt is loadOf with u's slot already in hand (walk stop predicates
-// receive (id, slot) pairs straight from the arena's run cells, so the
-// dense branch costs one shard index and zero map probes). s must be u's
-// live slot; the oracle branch keys by id and ignores it.
-func (st *state) loadAt(u NodeID, s int32) int {
-	if m := st.m; m != nil {
-		return m.load[u]
-	}
+// loadAt returns the load of the node at live slot s. Walk stop
+// predicates receive (id, slot) pairs straight from the arena's run
+// cells, so the read costs one shard index and zero map probes.
+func (st *state) loadAt(s int32) int {
 	sh, i := st.shardOf(s)
 	return int(sh.load[i])
 }
 
-// putLoadDirty writes u's load and marks u dirty in one slot
-// resolution (the caller has decided the write is a real change).
-func (st *state) putLoadDirty(u NodeID, l int) {
-	if m := st.m; m != nil {
-		m.load[u] = l
-		st.markDirtyMap(u)
-		return
-	}
-	s, ok := st.g.SlotOf(u)
-	if !ok {
-		return
-	}
-	sh, i := st.shardOf(s)
-	sh.load[i] = int32(l)
-	st.markDirtySlot(sh, i, u)
-}
-
-// putLoadDirtyAt is putLoadDirty with u's live slot already in hand (the
-// steady-state vertex-move path resolves each endpoint's slot once and
-// reuses it for the whole edge/load/set batch). The oracle branch keys
-// by id and ignores s.
+// putLoadDirtyAt writes the load of node u at live slot s and marks u
+// dirty (the caller has decided the write is a real change).
 //
 //dexvet:noalloc
 func (st *state) putLoadDirtyAt(u NodeID, s int32, l int) {
-	if m := st.m; m != nil {
-		m.load[u] = l
-		st.markDirtyMap(u)
-		return
-	}
 	sh, i := st.shardOf(s)
 	sh.load[i] = int32(l)
-	st.markDirtySlot(sh, i, u)
-}
-
-// clearLoad drops u's load entry (node deletion; counters already
-// settled by the caller).
-func (st *state) clearLoad(u NodeID) {
-	if m := st.m; m != nil {
-		delete(m.load, u)
-		return
-	}
-	if s, ok := st.g.SlotOf(u); ok {
-		sh, i := st.shardOf(s)
-		sh.load[i] = 0
-	}
+	st.markDirtyAt(u, s)
 }
 
 // --- dirty set --------------------------------------------------------------
@@ -592,43 +462,23 @@ func (st *state) clearLoad(u NodeID) {
 // markDirty records that u's real-edge row or load changed this step.
 // Nodes already deleted are skipped — no audit can observe them.
 func (st *state) markDirty(u NodeID) {
-	if st.m != nil {
-		st.markDirtyMap(u)
-		return
-	}
 	if s, ok := st.g.SlotOf(u); ok {
-		sh, i := st.shardOf(s)
-		st.markDirtySlot(sh, i, u)
+		st.markDirtyAt(u, s)
 	}
 }
 
-// markDirtyAt is markDirty with u's live slot already in hand (the
+// markDirtyAt is markDirty with u's live slot s already in hand (the
 // slot-native edge mutators hand it down, skipping the map probe).
 func (st *state) markDirtyAt(u NodeID, s int32) {
-	if st.m != nil {
-		st.markDirtyMap(u)
-		return
-	}
 	sh, i := st.shardOf(s)
-	st.markDirtySlot(sh, i, u)
-}
-
-func (st *state) markDirtyMap(u NodeID) { st.m.dirty[u] = struct{}{} }
-
-func (st *state) markDirtySlot(sh *shard, i int32, u NodeID) {
 	if sh.dirtyAt[i] != st.dirtyGen {
 		sh.dirtyAt[i] = st.dirtyGen
 		st.dirtyList = append(st.dirtyList, u)
 	}
 }
 
-// resetDirty empties the dirty set: a generation bump for the dense
-// columns, the PR 4 overgrown-map reset for the oracle.
+// resetDirty empties the dirty set by a generation bump.
 func (st *state) resetDirty() {
-	if m := st.m; m != nil {
-		m.dirty = resetScratchMap(m.dirty)
-		return
-	}
 	st.dirtyList = st.dirtyList[:0]
 	st.dirtyGen++
 	if st.dirtyGen == 0 { // wrapped: stale stamps could alias, wipe them
@@ -641,54 +491,13 @@ func (st *state) resetDirty() {
 	}
 }
 
-// dirtyCount returns the number of dirty marks this step (the dense
-// list may retain ids deleted later in the step; audits skip them).
-func (st *state) dirtyCount() int {
-	if m := st.m; m != nil {
-		return len(m.dirty)
-	}
-	return len(st.dirtyList)
-}
-
-// forEachDirty visits the step's dirty nodes until f returns false.
-// Visit order is unspecified (map order on the oracle backend) and
-// part of the contract: callers aggregate or audit per node.
-//
-//dexvet:allow determinism oracle backend only; visit order is documented as unspecified and every caller is a per-node aggregate or audit
-func (st *state) forEachDirty(f func(u NodeID) bool) {
-	if m := st.m; m != nil {
-		for u := range m.dirty {
-			if !f(u) {
-				return
-			}
-		}
-		return
-	}
-	for _, u := range st.dirtyList {
-		if !f(u) {
-			return
-		}
-	}
-}
-
 // --- vertex sets: Sim(u) current-cycle, NewSim(u) next-cycle ----------------
 //
-// One implementation serves both families: nxt selects the dense column
-// (shard.sim vs shard.nxt) and the oracle table (mapState.sim vs
-// mapState.newSim), so a fix in one family cannot silently miss its
-// twin. The public simX/newX wrappers keep call sites readable.
+// One implementation serves both families: nxt selects the column
+// (shard.sim vs shard.nxt), so a fix in one family cannot silently miss
+// its twin.
 
-// sets returns the selected oracle table; entries may be written
-// through the returned reference (newSim exists only while a rebuild
-// is staggered).
-func (m *mapState) sets(nxt bool) map[NodeID]map[Vertex]struct{} {
-	if nxt {
-		return m.newSim
-	}
-	return m.sim
-}
-
-// col returns the selected dense column.
+// col returns the selected column.
 func (sh *shard) col(nxt bool) []vset {
 	if nxt {
 		return sh.nxt
@@ -696,336 +505,110 @@ func (sh *shard) col(nxt bool) []vset {
 	return sh.sim
 }
 
-func (st *state) setLen(u NodeID, nxt bool) int {
-	if m := st.m; m != nil {
-		return len(m.sets(nxt)[u])
-	}
-	if s, ok := st.g.SlotOf(u); ok {
-		sh, i := st.shardOf(s)
-		return int(sh.col(nxt)[i].n)
-	}
-	return 0
+// setAt returns the selected set of the node at live slot s: a sorted,
+// read-only view of its arena run, valid until the next set mutation in
+// the slot's shard.
+//
+//dexvet:noalloc
+func (st *state) setAt(s int32, nxt bool) []Vertex {
+	sh, i := st.shardOf(s)
+	return sh.run(sh.col(nxt), i)
 }
 
-// setLenAt is setLen with u's slot already resolved (see loadAt).
-func (st *state) setLenAt(u NodeID, s int32, nxt bool) int {
-	if m := st.m; m != nil {
-		return len(m.sets(nxt)[u])
-	}
+// setLenAt is len(setAt(s, nxt)), read from the run header alone.
+func (st *state) setLenAt(s int32, nxt bool) int {
 	sh, i := st.shardOf(s)
 	return int(sh.col(nxt)[i].n)
 }
 
-func (st *state) setAdd(u NodeID, x Vertex, nxt bool) {
-	if m := st.m; m != nil {
-		tbl := m.sets(nxt)
-		set := tbl[u]
-		if set == nil {
-			set = make(map[Vertex]struct{})
-			tbl[u] = set
-		}
-		set[x] = struct{}{}
-		return
-	}
-	s, _ := st.g.SlotOf(u)
-	sh, i := st.shardOf(s)
-	sh.setAdd(sh.col(nxt), i, x)
-}
-
-func (st *state) setRemove(u NodeID, x Vertex, nxt bool) {
-	if m := st.m; m != nil {
-		delete(m.sets(nxt)[u], x)
-		return
-	}
-	s, _ := st.g.SlotOf(u)
-	sh, i := st.shardOf(s)
-	sh.setRemove(sh.col(nxt), i, x)
-}
-
-// setAddAt / setRemoveAt / setMaxAt: slot-native forms for callers that
-// already hold u's live slot (see loadAt). The oracle branch keys by id.
-//
 //dexvet:noalloc
-func (st *state) setAddAt(u NodeID, s int32, x Vertex, nxt bool) {
-	if m := st.m; m != nil {
-		st.setAdd(u, x, nxt)
-		return
-	}
+func (st *state) setAddAt(s int32, x Vertex, nxt bool) {
 	sh, i := st.shardOf(s)
 	sh.setAdd(sh.col(nxt), i, x)
 }
 
 //dexvet:noalloc
-func (st *state) setRemoveAt(u NodeID, s int32, x Vertex, nxt bool) {
-	if m := st.m; m != nil {
-		delete(m.sets(nxt)[u], x)
-		return
-	}
+func (st *state) setRemoveAt(s int32, x Vertex, nxt bool) {
 	sh, i := st.shardOf(s)
 	sh.setRemove(sh.col(nxt), i, x)
 }
 
-//dexvet:noalloc
-func (st *state) setMaxAt(u NodeID, s int32, nxt bool) Vertex {
-	if m := st.m; m != nil {
-		return st.setMax(u, nxt)
-	}
-	sh, i := st.shardOf(s)
-	if r := sh.run(sh.col(nxt), i); len(r) > 0 {
-		return r[len(r)-1]
-	}
-	return -1
-}
+// Id-keyed forms for callers without the slot in hand.
+func (st *state) sim(u NodeID) []Vertex        { return st.setAt(st.slot(u), false) }
+func (st *state) newSim(u NodeID) []Vertex     { return st.setAt(st.slot(u), true) }
+func (st *state) simLen(u NodeID) int          { return st.setLenAt(st.slot(u), false) }
+func (st *state) newLen(u NodeID) int          { return st.setLenAt(st.slot(u), true) }
+func (st *state) simAdd(u NodeID, x Vertex)    { st.setAddAt(st.slot(u), x, false) }
+func (st *state) simRemove(u NodeID, x Vertex) { st.setRemoveAt(st.slot(u), x, false) }
+func (st *state) newAdd(u NodeID, y Vertex)    { st.setAddAt(st.slot(u), y, true) }
+func (st *state) newRemove(u NodeID, y Vertex) { st.setRemoveAt(st.slot(u), y, true) }
 
-func (st *state) setHas(u NodeID, x Vertex, nxt bool) bool {
-	if m := st.m; m != nil {
-		_, ok := m.sets(nxt)[u][x]
-		return ok
-	}
-	if s, ok := st.g.SlotOf(u); ok {
-		sh, i := st.shardOf(s)
-		for _, y := range sh.run(sh.col(nxt), i) {
-			if y == x {
-				return true
-			}
-			if y > x {
-				break
-			}
-		}
-	}
-	return false
-}
-
-// setMin returns u's smallest vertex in the selected set, or -1.
-func (st *state) setMin(u NodeID, nxt bool) Vertex {
-	if m := st.m; m != nil {
-		best := Vertex(-1)
-		for x := range m.sets(nxt)[u] {
-			if best < 0 || x < best {
-				best = x
-			}
-		}
-		return best
-	}
-	if s, ok := st.g.SlotOf(u); ok {
-		sh, i := st.shardOf(s)
-		if r := sh.run(sh.col(nxt), i); len(r) > 0 {
-			return r[0]
-		}
-	}
-	return -1
-}
-
-// setMax returns u's largest vertex in the selected set, or -1.
-func (st *state) setMax(u NodeID, nxt bool) Vertex {
-	if m := st.m; m != nil {
-		best := Vertex(-1)
-		for x := range m.sets(nxt)[u] {
-			if x > best {
-				best = x
-			}
-		}
-		return best
-	}
-	if s, ok := st.g.SlotOf(u); ok {
-		sh, i := st.shardOf(s)
-		if r := sh.run(sh.col(nxt), i); len(r) > 0 {
-			return r[len(r)-1]
-		}
-	}
-	return -1
-}
-
-// setForEach visits the selected set until f returns false (ascending
-// for the dense backend, unordered for the oracle — every caller is
-// order-independent).
+// setMaxAt returns the largest vertex of the selected set at live slot
+// s, which must be non-empty; simMax / newMax are its id-keyed forms.
 //
-//dexvet:allow determinism oracle backend only; the dense backend visits ascending and callers are documented order-independent, which the differential oracle itself verifies
-func (st *state) setForEach(u NodeID, nxt bool, f func(x Vertex) bool) {
-	if m := st.m; m != nil {
-		for x := range m.sets(nxt)[u] {
-			if !f(x) {
-				return
-			}
-		}
-		return
+//dexvet:noalloc
+func (st *state) setMaxAt(s int32, nxt bool) Vertex {
+	r := st.setAt(s, nxt)
+	if len(r) == 0 {
+		panic("core: largest vertex of an empty set")
 	}
-	s, ok := st.g.SlotOf(u)
-	if !ok {
-		return
-	}
-	sh, i := st.shardOf(s)
-	for _, x := range sh.run(sh.col(nxt), i) {
-		if !f(x) {
-			return
-		}
-	}
+	return r[len(r)-1]
 }
 
-// setAppend appends the selected set to buf in ascending order.
-func (st *state) setAppend(u NodeID, nxt bool, buf []Vertex) []Vertex {
-	if m := st.m; m != nil {
-		n := len(buf)
-		for x := range m.sets(nxt)[u] {
-			buf = append(buf, x)
-		}
-		sortVertices(buf[n:])
-		return buf
-	}
-	s, ok := st.g.SlotOf(u)
-	if !ok {
-		return buf
-	}
-	sh, i := st.shardOf(s)
-	return append(buf, sh.run(sh.col(nxt), i)...)
-}
-
-// Sim(u) — the current-cycle vertex set.
-func (st *state) simLen(u NodeID) int                      { return st.setLen(u, false) }
-func (st *state) simAdd(u NodeID, x Vertex)                { st.setAdd(u, x, false) }
-func (st *state) simRemove(u NodeID, x Vertex)             { st.setRemove(u, x, false) }
-func (st *state) simHas(u NodeID, x Vertex) bool           { return st.setHas(u, x, false) }
-func (st *state) simMin(u NodeID) Vertex                   { return st.setMin(u, false) }
-func (st *state) simMax(u NodeID) Vertex                   { return st.setMax(u, false) }
-func (st *state) simForEach(u NodeID, f func(Vertex) bool) { st.setForEach(u, false, f) }
-func (st *state) simAddAt(u NodeID, s int32, x Vertex)     { st.setAddAt(u, s, x, false) }
-func (st *state) simRemoveAt(u NodeID, s int32, x Vertex)  { st.setRemoveAt(u, s, x, false) }
-func (st *state) simMaxAt(u NodeID, s int32) Vertex        { return st.setMaxAt(u, s, false) }
-func (st *state) simAppend(u NodeID, buf []Vertex) []Vertex {
-	return st.setAppend(u, false, buf)
-}
-
-// NewSim(u) — the next-cycle vertex set while a rebuild is staggered.
-func (st *state) newLen(u NodeID) int                      { return st.setLen(u, true) }
-func (st *state) newLenAt(u NodeID, s int32) int           { return st.setLenAt(u, s, true) }
-func (st *state) newAdd(u NodeID, y Vertex)                { st.setAdd(u, y, true) }
-func (st *state) newRemove(u NodeID, y Vertex)             { st.setRemove(u, y, true) }
-func (st *state) newHas(u NodeID, y Vertex) bool           { return st.setHas(u, y, true) }
-func (st *state) newMin(u NodeID) Vertex                   { return st.setMin(u, true) }
-func (st *state) newMax(u NodeID) Vertex                   { return st.setMax(u, true) }
-func (st *state) newForEach(u NodeID, f func(Vertex) bool) { st.setForEach(u, true, f) }
-func (st *state) newAppend(u NodeID, buf []Vertex) []Vertex {
-	return st.setAppend(u, true, buf)
-}
+func (st *state) simMax(u NodeID) Vertex { return st.setMaxAt(st.slot(u), false) }
+func (st *state) newMax(u NodeID) Vertex { return st.setMaxAt(st.slot(u), true) }
 
 // simReset replaces u's current-cycle set with vs (one-step rebuild
 // commit). vs is sorted in place; the caller's provisional assignment
 // is dead after the commit.
 func (st *state) simReset(u NodeID, vs []Vertex) {
-	if m := st.m; m != nil {
-		set := make(map[Vertex]struct{}, len(vs))
-		for _, x := range vs {
-			set[x] = struct{}{}
-		}
-		m.sim[u] = set
-		return
-	}
 	sortVertices(vs)
-	s, _ := st.g.SlotOf(u)
-	sh, i := st.shardOf(s)
+	sh, i := st.shardOf(st.slot(u))
 	sh.setReset(sh.sim, i, vs)
-}
-
-// --- staggering counters ----------------------------------------------------
-
-// stagReset prepares the per-node staggering state for a fresh rebuild
-// (the dense columns are already zero between rebuilds).
-func (st *state) stagReset() {
-	if m := st.m; m != nil {
-		m.newSim = make(map[NodeID]map[Vertex]struct{}, st.size())
-		m.effNew = make(map[NodeID]int, st.size())
-		m.unprocOld = make(map[NodeID]int, st.size())
-	}
-}
-
-// stagDone drops the rebuild's per-node state after the commit has
-// promoted every node.
-func (st *state) stagDone() {
-	if m := st.m; m != nil {
-		m.newSim, m.effNew, m.unprocOld = nil, nil, nil
-	}
 }
 
 // promoteNew installs u's new-cycle set as its current set (staggered
 // rebuild commit) and zeroes u's staggering counters.
 func (st *state) promoteNew(u NodeID) {
-	if m := st.m; m != nil {
-		set := m.newSim[u]
-		if set == nil {
-			set = make(map[Vertex]struct{})
-		}
-		m.sim[u] = set
-		return
-	}
-	s, _ := st.g.SlotOf(u)
-	sh, i := st.shardOf(s)
+	sh, i := st.shardOf(st.slot(u))
 	sh.arena.release(sh.sim[i].off, sh.sim[i].cap)
 	sh.sim[i] = sh.nxt[i]
 	sh.nxt[i] = vset{}
 	sh.effNew[i], sh.unprocOld[i] = 0, 0
 }
 
-func (st *state) effNewOf(u NodeID) int {
-	if m := st.m; m != nil {
-		return m.effNew[u]
-	}
-	if s, ok := st.g.SlotOf(u); ok {
-		sh, i := st.shardOf(s)
-		return int(sh.effNew[i])
-	}
-	return 0
-}
+// --- staggering counters ----------------------------------------------------
+//
+// effNew (generated plus projected new vertices) and unprocOld
+// (unprocessed old vertices) of the node at live slot s, then the
+// id-keyed forms.
 
-// effNewAt is effNewOf with u's slot already resolved (see loadAt).
-func (st *state) effNewAt(u NodeID, s int32) int {
-	if m := st.m; m != nil {
-		return m.effNew[u]
-	}
+func (st *state) effNewAt(s int32) int {
 	sh, i := st.shardOf(s)
 	return int(sh.effNew[i])
 }
 
-func (st *state) addEffNew(u NodeID, d int) {
-	if m := st.m; m != nil {
-		m.effNew[u] += d
-		return
-	}
-	s, _ := st.g.SlotOf(u)
-	sh, i := st.shardOf(s)
-	sh.effNew[i] += int32(d)
-}
-
-func (st *state) unprocOldOf(u NodeID) int {
-	if m := st.m; m != nil {
-		return m.unprocOld[u]
-	}
-	if s, ok := st.g.SlotOf(u); ok {
-		sh, i := st.shardOf(s)
-		return int(sh.unprocOld[i])
-	}
-	return 0
-}
-
-// unprocOldAt is unprocOldOf with u's slot already resolved (see loadAt).
-func (st *state) unprocOldAt(u NodeID, s int32) int {
-	if m := st.m; m != nil {
-		return m.unprocOld[u]
-	}
+func (st *state) unprocOldAt(s int32) int {
 	sh, i := st.shardOf(s)
 	return int(sh.unprocOld[i])
 }
 
-func (st *state) addUnprocOld(u NodeID, d int) {
-	if m := st.m; m != nil {
-		m.unprocOld[u] += d
-		return
-	}
-	s, _ := st.g.SlotOf(u)
+func (st *state) addEffNewAt(s int32, d int) {
+	sh, i := st.shardOf(s)
+	sh.effNew[i] += int32(d)
+}
+
+func (st *state) addUnprocOldAt(s int32, d int) {
 	sh, i := st.shardOf(s)
 	sh.unprocOld[i] += int32(d)
 }
 
-// --- scratch-buffer API -----------------------------------------------------
+func (st *state) effNewOf(u NodeID) int        { return st.effNewAt(st.slot(u)) }
+func (st *state) unprocOldOf(u NodeID) int     { return st.unprocOldAt(st.slot(u)) }
+func (st *state) addEffNew(u NodeID, d int)    { st.addEffNewAt(st.slot(u), d) }
+func (st *state) addUnprocOld(u NodeID, d int) { st.addUnprocOldAt(st.slot(u), d) }
+
+// --- scratch maps -----------------------------------------------------------
 
 // scratchMapResetCap is the live-entry count past which a per-step
 // scratch map is reallocated instead of cleared. clear() on a Go map
@@ -1033,10 +616,9 @@ func (st *state) addUnprocOld(u NodeID, d int) {
 // shrinks — after one type-2 rebuild floods a scratch map with O(n)
 // entries, every later step would pay an O(n) memclr to wipe a handful
 // (at 10^5 nodes that memclr once dominated the churn profile). The
-// dense store's own scratch state (dirty list and stamps) resets by
-// generation bump and never needs this; the helper remains for the
-// map-keyed scratch that survives it — the edge-delta batch, keyed by
-// node pair, and the oracle backend's step maps.
+// store's own scratch state (dirty list and stamps) resets by
+// generation bump and never needs this; the one map-keyed scratch left
+// is the edge-delta batch, keyed by node pair.
 const scratchMapResetCap = 1024
 
 // resetScratchMap empties a per-step scratch map without inheriting a
@@ -1047,46 +629,4 @@ func resetScratchMap[K comparable, V any](m map[K]V) map[K]V {
 	}
 	clear(m)
 	return m
-}
-
-// --- test/oracle snapshots --------------------------------------------------
-
-// loadSnapshot materializes the load table (test comparisons only).
-func (st *state) loadSnapshot() map[NodeID]int {
-	out := make(map[NodeID]int, st.size())
-	for _, u := range st.nodeList {
-		out[u] = st.loadOf(u)
-	}
-	return out
-}
-
-// simSnapshot materializes every Sim set (test comparisons only).
-func (st *state) simSnapshot() map[NodeID][]Vertex {
-	out := make(map[NodeID][]Vertex, st.size())
-	for _, u := range st.nodeList {
-		out[u] = st.simAppend(u, nil)
-	}
-	return out
-}
-
-// checkCoherence verifies the store's internal bookkeeping: mirror
-// sizes, backend table sizes, and (dense) slot-table agreement. Used
-// by audits in place of the historical map-length cross-checks.
-func (st *state) checkCoherence() error {
-	if m := st.m; m != nil {
-		if len(m.load) != len(m.sim) {
-			return fmt.Errorf("store: load table size %d != node count %d", len(m.load), len(m.sim))
-		}
-		if len(m.nodePos) != len(st.nodeList) {
-			return fmt.Errorf("store: mirror index size %d != mirror %d", len(m.nodePos), len(st.nodeList))
-		}
-		if len(m.sim) != len(st.nodeList) {
-			return fmt.Errorf("store: node count %d != mirror %d", len(m.sim), len(st.nodeList))
-		}
-		return nil
-	}
-	if st.g.NumNodes() != len(st.nodeList) {
-		return fmt.Errorf("store: slot table holds %d nodes, mirror %d", st.g.NumNodes(), len(st.nodeList))
-	}
-	return nil
 }

@@ -9,7 +9,7 @@ import "fmt"
 //
 //dexvet:mutator
 func (nw *Network) Insert(id, attach NodeID) error {
-	if nw.st.has(id) || nw.real.HasNode(id) {
+	if nw.st.has(id) {
 		return fmt.Errorf("%w: %d", ErrDuplicateID, id)
 	}
 	if !nw.st.has(attach) {
@@ -43,16 +43,12 @@ func (nw *Network) recoverInsert(id, attach NodeID, idSlot, attachSlot int32) {
 	// and the exhaustion ladder. History and mapping are byte-identical
 	// to the generic path by construction; engine_equiv_test and
 	// FuzzChurnTrace enforce it.
-	if nw.stag == nil && nw.st.loadAt(attach, attachSlot) >= 2 &&
+	if nw.stag == nil && nw.st.loadAt(attachSlot) >= 2 &&
 		nw.real.DistinctDegreeAt(attachSlot) <= 8*nw.cfg.Zeta {
 		nw.stopExclude = id // keep the predicate state exactly as insertStop leaves it
 		_ = nw.walkSeed()   // 0-step walks draw nothing from the seed
-		best := nw.st.simMaxAt(attach, attachSlot)
-		if best < 0 {
-			panic("core: donor has no vertex")
-		}
 		nw.fastInserts++
-		nw.moveVertexAt(best, attach, id, attachSlot, idSlot)
+		nw.moveVertexAt(nw.st.setMaxAt(attachSlot, false), attach, id, attachSlot, idSlot)
 		return
 	}
 	stop := nw.insertStop(id)
@@ -119,11 +115,7 @@ func (nw *Network) donateVertexTo(donor, id NodeID) {
 		nw.stag.donate(nw, donor, id)
 		return
 	}
-	best := nw.st.simMax(donor)
-	if best < 0 {
-		panic("core: donor has no vertex")
-	}
-	nw.moveVertex(best, id)
+	nw.moveVertex(nw.st.simMax(donor), id)
 }
 
 // Delete handles an adversarial deletion (Algorithm 4.3): node id leaves;
@@ -199,13 +191,11 @@ type holding struct {
 // delete/redistribute flow guarantees is after its last use.
 func (nw *Network) vertexHoldings(id NodeID) []holding {
 	hs := nw.holdScratch[:0]
-	nw.vertScratch = nw.st.simAppend(id, nw.vertScratch[:0])
-	for _, x := range nw.vertScratch {
+	for _, x := range nw.st.sim(id) {
 		hs = append(hs, holding{x: x})
 	}
 	if nw.stag != nil {
-		nw.vertScratch = nw.st.newAppend(id, nw.vertScratch[:0])
-		for _, y := range nw.vertScratch {
+		for _, y := range nw.st.newSim(id) {
 			hs = append(hs, holding{x: y, isNew: true})
 		}
 	}

@@ -224,11 +224,10 @@ func (nw *Network) simplifiedDeflate(initiator NodeID) {
 // contenderStart picks the new-cycle vertex that absorbed one of u's old
 // vertices, the natural walk origin for a contending node.
 func (nw *Network) contenderStart(def pcycle.Deflation, u NodeID) Vertex {
-	best := nw.st.simMin(u)
-	if best < 0 {
-		return 0
+	if r := nw.st.sim(u); len(r) > 0 {
+		return def.NewVertexOf(r[0])
 	}
-	return def.NewVertexOf(best)
+	return 0
 }
 
 // rebalanceWalks runs the Phase-2 epochs of Algorithm 4.5: every node

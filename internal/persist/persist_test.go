@@ -304,8 +304,7 @@ func TestTornTailTruncated(t *testing.T) {
 }
 
 // TestResumeRejectsMismatchedOptions: resuming with a different
-// engine configuration is refused instead of silently diverging, and
-// WithRNG cannot combine with persistence at all.
+// engine configuration is refused instead of silently diverging.
 func TestResumeRejectsMismatchedOptions(t *testing.T) {
 	dir := t.TempDir()
 	pnw := mustNew(t, dex.WithInitialSize(32), dex.WithZeta(8),
@@ -316,10 +315,6 @@ func TestResumeRejectsMismatchedOptions(t *testing.T) {
 	if _, err := dex.New(dex.WithInitialSize(32), dex.WithZeta(4),
 		dex.WithPersistence(dir, dex.WithNoSync(true))); err == nil {
 		t.Fatal("mismatched zeta accepted on resume")
-	}
-	if _, err := dex.New(dex.WithRNG(rand.New(rand.NewSource(1))),
-		dex.WithPersistence(t.TempDir(), dex.WithNoSync(true))); err == nil {
-		t.Fatal("WithRNG + WithPersistence accepted")
 	}
 }
 
