@@ -64,11 +64,11 @@ bench-graph:
 
 # Engine-state benchmarks + alloc gates: one steady-state recovery op
 # (delete+insert) at 10^5 nodes on the slot-indexed store, the
-# zero-allocation gates on the recovery path and the warm size-count
-# flood (mirrors bench-graph one layer up), one Simplified-mode
-# size-count flood at n=1024 in its direct form vs the message-passing
-# engine it is proven equal to, and the Concurrent façade's throughput
-# rows (1/4/8/16 submitters through its lock).
+# zero-allocation gates on the recovery path, the sampled audit and
+# the warm size-count flood (mirrors bench-graph one layer up), one
+# Simplified-mode size-count flood at n=1024 in its direct form vs the
+# message-passing engine it is proven equal to, and the Concurrent
+# façade's throughput rows (1/4/8/16 submitters through its lock).
 bench-core:
 	$(GO) test ./internal/core ./internal/congest -run 'ZeroAllocs' -count 1 -v
 	$(GO) test ./internal/core -run '^$$' -bench RecoveryOp -benchtime 2000x -timeout 20m

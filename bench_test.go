@@ -336,15 +336,13 @@ func BenchmarkChurnSampledAudit(b *testing.B) {
 // are named serialized/c=N; the name dates from when a pipelined
 // scheduler ran beside them, and the allocs/op ratchet keys on it.
 //
-// The engine's recovery path allocates nothing
-// (TestRecoveryOpZeroAllocsSteadyState), so every allocation here is
-// made above it. A -memprofilerate 1 profile of the c=1 row attributes
-// the 71 allocations of a pair as follows:
-//   - 69 to AuditSampled's node checks (core.CheckNode): the map and
-//     closure wantRow builds per call, and graph.Neighbors' slice;
-//   - 2 to boxing VertexTransferred events into the Event interface,
-//     which happens because the façade's forwarder is always
-//     subscribed.
+// Neither the engine's recovery path nor the sampled audit allocates
+// (TestRecoveryOpZeroAllocsSteadyState, TestAuditSampledZeroAllocs),
+// so every allocation here is made above the engine. A
+// -memprofilerate 1 profile of the c=1 row attributes both allocations
+// of a pair to boxing VertexTransferred events into the Event
+// interface, which happens because the façade's forwarder is always
+// subscribed.
 
 const concBenchN0 = 4096
 

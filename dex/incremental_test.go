@@ -16,11 +16,22 @@ type mirrorGraph struct {
 
 func newMirror(src *dex.Graph) *mirrorGraph { return &mirrorGraph{g: src.Clone()} }
 
+// apply replays one EdgesChanged batch onto the mirror, checking the
+// batch contract EdgesChanged documents on the way: no zero deltas,
+// U <= V, and pairs strictly ascending by (U, V), so no pair repeats.
 func (m *mirrorGraph) apply(t *testing.T, deltas []dex.EdgeDelta) {
 	t.Helper()
-	for _, d := range deltas {
+	for i, d := range deltas {
 		if d.Delta == 0 {
 			t.Fatalf("zero delta for edge {%d,%d}", d.U, d.V)
+		}
+		if d.U > d.V {
+			t.Fatalf("delta for edge {%d,%d} has U > V", d.U, d.V)
+		}
+		if i > 0 {
+			if p := deltas[i-1]; p.U > d.U || p.U == d.U && p.V >= d.V {
+				t.Fatalf("batch not strictly ascending: {%d,%d} then {%d,%d}", p.U, p.V, d.U, d.V)
+			}
 		}
 		for k := d.Delta; k > 0; k-- {
 			m.g.AddEdge(d.U, d.V)
@@ -110,6 +121,46 @@ func TestEdgeEventsReplayMirrorsGraph(t *testing.T) {
 			}
 		})
 	}
+	// A one-step deflation of a few thousand nodes rewires the whole
+	// overlay in one step. Its diff is larger than the edge log keeps
+	// between steps (1<<14 entries), so the engine drops the log's
+	// capacity after delivering it; the mirror must still match.
+	t.Run("simplified-rebuild-spike", func(t *testing.T) {
+		nw, err := dex.New(
+			dex.WithInitialSize(4096),
+			dex.WithMode(dex.Simplified),
+			dex.WithSeed(11),
+			dex.WithEdgeEvents(true),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mirror := newMirror(nw.Graph())
+		spike := 0
+		cancel := nw.Subscribe(func(ev dex.Event) {
+			if e, ok := ev.(dex.EdgesChanged); ok {
+				mirror.apply(t, e.Deltas)
+				spike = max(spike, len(e.Deltas))
+			}
+		})
+		defer cancel()
+		rng := rand.New(rand.NewSource(11))
+		for i := 0; spike <= 1<<14; i++ {
+			if i == 4096 {
+				t.Fatalf("no step's diff exceeded 1<<14 entries (largest %d)", spike)
+			}
+			if err := nw.Delete(nw.SampleNode(rng)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sameEdgeMultiset(t, nw.Graph(), mirror.g, nw.Totals().Steps)
+		for i := 0; i < 50; i++ { // the log serves steps after the spike
+			if err := nw.Insert(nw.FreshID(), nw.SampleNode(rng)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sameEdgeMultiset(t, nw.Graph(), mirror.g, nw.Totals().Steps)
+	})
 }
 
 // TestEdgeEventsOffByDefault checks no EdgesChanged event is published

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -164,4 +165,155 @@ func TestHistoryCapCore(t *testing.T) {
 	if _, err := New(16, Config{Zeta: 8, Theta: 1.0 / 64, WalkFactor: 4, WalkRetryLimit: 64, HistoryCap: -1}); err == nil {
 		t.Fatal("accepted negative history cap")
 	}
+}
+
+// TestCheckNodeCorruptionTable corrupts one fact of a healthy network
+// per case and requires CheckNode to fail at every live node the
+// corruption touches: both endpoints of a corrupted edge, the holder of
+// a corrupted vertex. The cases aim at the merge pass's branches: a
+// cell whose multiplicity alone is wrong, foreign cells before and
+// after the expected row, an expected neighbor missing after the run's
+// last cell, the self-loop bookkeeping kept apart from the row, and,
+// mid-rebuild, the pending intermediate edges and NewSim ownership.
+func TestCheckNodeCorruptionTable(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		stagger bool
+		// corrupt tampers with nw behind the engine's back and returns
+		// the nodes whose check must now fail.
+		corrupt func(t *testing.T, nw *Network) []NodeID
+	}{
+		{"extra-multiplicity", false, func(t *testing.T, nw *Network) []NodeID {
+			u, v := edgeWith(t, nw, func(u, v NodeID) bool { return u != v })
+			nw.real.AddEdge(u, v)
+			return []NodeID{u, v}
+		}},
+		{"foreign-edge-below-run", false, func(t *testing.T, nw *Network) []NodeID {
+			w := nw.Nodes()[0] // sorts below every neighbor of any other node
+			u := nonNeighbor(t, nw, w)
+			nw.real.AddEdge(u, w)
+			return []NodeID{u, w}
+		}},
+		{"foreign-edge-above-run", false, func(t *testing.T, nw *Network) []NodeID {
+			nodes := nw.Nodes()
+			w := nodes[len(nodes)-1] // sorts above every neighbor of any other node
+			u := nonNeighbor(t, nw, w)
+			nw.real.AddEdge(u, w)
+			return []NodeID{u, w}
+		}},
+		{"missing-edge-above-run", false, func(t *testing.T, nw *Network) []NodeID {
+			// v is u's largest neighbor, so u's expected row outlasts its run.
+			u, v := edgeWith(t, nw, func(u, v NodeID) bool {
+				if v == u {
+					return false
+				}
+				for _, w := range nw.real.Neighbors(u) {
+					if w > v && w != u {
+						return false
+					}
+				}
+				return true
+			})
+			nw.real.RemoveEdgeMult(u, v, nw.real.Multiplicity(u, v))
+			return []NodeID{u, v}
+		}},
+		{"unexpected-self-loop", false, func(t *testing.T, nw *Network) []NodeID {
+			u := nodeWith(t, nw, func(u NodeID) bool { return nw.real.Multiplicity(u, u) == 0 })
+			nw.real.AddEdge(u, u)
+			return []NodeID{u}
+		}},
+		{"expected-self-loop-removed", false, func(t *testing.T, nw *Network) []NodeID {
+			u := nodeWith(t, nw, func(u NodeID) bool { return nw.real.Multiplicity(u, u) > 0 })
+			nw.real.RemoveEdge(u, u)
+			return []NodeID{u}
+		}},
+		{"pending-edge-removed", true, func(t *testing.T, nw *Network) []NodeID {
+			s := nw.stag
+			for _, u := range nw.Nodes() {
+				for _, x := range nw.st.sim(u) {
+					for _, pe := range s.pending[x] {
+						if w := s.newSimOf[pe.src]; w != u {
+							if !nw.real.RemoveEdge(u, w) {
+								t.Fatalf("pending edge {%d,%d} is not a real edge", u, w)
+							}
+							return []NodeID{u, w}
+						}
+					}
+				}
+			}
+			t.Fatal("no pending intermediate edge between two nodes")
+			return nil
+		}},
+		{"newsim-owner-corrupted", true, func(t *testing.T, nw *Network) []NodeID {
+			u := nodeWith(t, nw, func(u NodeID) bool { return nw.st.newLen(u) > 0 })
+			w := nodeWith(t, nw, func(w NodeID) bool { return w != u })
+			nw.stag.newSimOf[nw.st.newSim(u)[0]] = w
+			return []NodeID{u}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var nw *Network
+			if tc.stagger {
+				nw = midRebuildEngine(t)
+			} else {
+				nw = mustNew(t, 64, DefaultConfig())
+				churnQuiet(t, nw, 100)
+			}
+			if err := checkEveryNode(nw); err != nil {
+				t.Fatalf("healthy network fails the node check: %v", err)
+			}
+			for _, u := range tc.corrupt(t, nw) {
+				if err := nw.CheckNode(u); err == nil {
+					t.Errorf("CheckNode(%d) missed the corruption", u)
+				}
+			}
+		})
+	}
+}
+
+// midRebuildEngine returns the compatibility script's Staggered network
+// paused mid-rebuild, checked to hold pending intermediate edges and
+// NewSim holdings, so the audit's stagger branches have state to read.
+func midRebuildEngine(t *testing.T) *Network {
+	t.Helper()
+	nw := compatEngine(t, Staggered, 898)
+	if nw.stag == nil || len(nw.stag.pending) == 0 ||
+		!slices.ContainsFunc(nw.st.nodeList, func(u NodeID) bool { return nw.st.newLen(u) > 0 }) {
+		t.Fatal("the script no longer pauses a rebuild with pending intermediate edges and NewSim holdings")
+	}
+	return nw
+}
+
+// nodeWith returns the smallest live node satisfying ok.
+func nodeWith(t *testing.T, nw *Network, ok func(u NodeID) bool) NodeID {
+	t.Helper()
+	for _, u := range nw.Nodes() {
+		if ok(u) {
+			return u
+		}
+	}
+	t.Fatal("no node qualifies")
+	return 0
+}
+
+// edgeWith returns the first real edge {u,v}, in node then neighbor
+// order, satisfying ok.
+func edgeWith(t *testing.T, nw *Network, ok func(u, v NodeID) bool) (NodeID, NodeID) {
+	t.Helper()
+	for _, u := range nw.Nodes() {
+		for _, v := range nw.real.Neighbors(u) {
+			if ok(u, v) {
+				return u, v
+			}
+		}
+	}
+	t.Fatal("no edge qualifies")
+	return 0, 0
+}
+
+// nonNeighbor returns the smallest live node other than w not adjacent
+// to w.
+func nonNeighbor(t *testing.T, nw *Network, w NodeID) NodeID {
+	t.Helper()
+	return nodeWith(t, nw, func(u NodeID) bool { return u != w && nw.real.Multiplicity(u, w) == 0 })
 }

@@ -8,12 +8,12 @@ import (
 )
 
 // This file is the bench-core tier: the engine-state benchmark and
-// allocation-regression gate for the slot-indexed store, the per-op
+// allocation-regression gates for the slot-indexed store, the per-op
 // analogue of internal/graph's bench/alloc gates for the arena.
 // BenchmarkRecoveryOp prices one steady-state recovery operation
-// (delete + insert at fixed n); the Test*Allocs gate pins the recovery
-// path at zero allocations per op so a map or slice can't silently
-// sneak back into it.
+// (delete + insert at fixed n); the Test*Allocs gates pin the recovery
+// path and the sampled audit at zero allocations per op so a map or
+// slice can't silently sneak back into them.
 
 // steadyEngine builds an n-node network, churned enough that the
 // store's free lists and the arena runs are at steady-state capacity,
@@ -116,4 +116,51 @@ func TestRecoveryOpZeroAllocsSteadyState(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state delete+insert allocates %.2f per pair, want 0", allocs)
 	}
+}
+
+// TestAuditSampledZeroAllocs is the alloc gate on the sampled audit:
+// the node check merges wantRow's sorted expected row, built in a
+// network-owned buffer, against the arena run, so auditing every step
+// costs no allocation. The steady case audits after each delete+insert
+// pair; the staggered case audits a network paused mid-rebuild, whose
+// rows also carry NewSim holdings and pending intermediate edges.
+func TestAuditSampledZeroAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("steady-state warmup is a few thousand ops")
+	}
+	t.Run("steady", func(t *testing.T) {
+		nw := steadyEngine(t, 4096)
+		rng := rand.New(rand.NewSource(29))
+		triple := func() {
+			if err := nw.Delete(nw.SampleNode(rng)); err != nil {
+				t.Fatal(err)
+			}
+			if err := nw.Insert(nw.FreshID(), nw.SampleNode(rng)); err != nil {
+				t.Fatal(err)
+			}
+			if err := nw.Audit(AuditSampled); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 256; i++ {
+			triple()
+		}
+		if allocs := testing.AllocsPerRun(400, triple); allocs != 0 {
+			t.Fatalf("delete+insert+sampled audit allocates %.2f per triple, want 0", allocs)
+		}
+	})
+	t.Run("staggered-mid-rebuild", func(t *testing.T) {
+		nw := midRebuildEngine(t)
+		audit := func() {
+			if err := nw.Audit(AuditSampled); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			audit()
+		}
+		if allocs := testing.AllocsPerRun(400, audit); allocs != 0 {
+			t.Fatalf("mid-rebuild sampled audit allocates %.2f per call, want 0", allocs)
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/spectral"
 )
 
@@ -355,5 +356,29 @@ func TestHistoryAndAccessors(t *testing.T) {
 	}
 	if nw.OrphanRescues() != 0 {
 		t.Fatal("unexpected orphan rescues")
+	}
+}
+
+// TestEdgeLogDropsSpikeCapacity drives a Simplified network into a
+// one-step deflation whose raw edge log outgrows edgeLogRetainCap, and
+// checks that the step's end releases the spike's backing array rather
+// than pinning it for the rest of the run.
+func TestEdgeLogDropsSpikeCapacity(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Mode = Simplified
+	nw := mustNew(t, 4096, cfg)
+	spike := 0
+	nw.SetEdgeObserver(func(_ int, d []graph.EdgeDelta) { spike = max(spike, len(d)) })
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; spike <= edgeLogRetainCap; i++ {
+		if i == 4096 {
+			t.Fatalf("no step's diff exceeded %d entries (largest %d)", edgeLogRetainCap, spike)
+		}
+		if err := nw.Delete(nw.SampleNode(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c := cap(nw.edgeLog); c > edgeLogRetainCap {
+		t.Fatalf("edge log keeps capacity %d after the spike, bound %d", c, edgeLogRetainCap)
 	}
 }

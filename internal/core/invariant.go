@@ -225,10 +225,11 @@ func (nw *Network) Audit(mode AuditMode) error {
 	}
 	checked := 0
 	for _, u := range nw.st.dirtyList {
-		if !nw.st.has(u) {
+		su, ok := nw.real.SlotOf(u)
+		if !ok {
 			continue // deleted this step
 		}
-		if err := nw.CheckNode(u); err != nil {
+		if err := nw.checkNodeAt(u, su); err != nil {
 			return err
 		}
 		if checked++; checked == auditDirtyCap {
@@ -253,13 +254,24 @@ func (nw *Network) CheckNode(u NodeID) error {
 	if !ok {
 		return fmt.Errorf("audit: unknown node %d", u)
 	}
+	return nw.checkNodeAt(u, su)
+}
+
+// checkNodeAt is CheckNode for node u at live slot su. The contraction
+// row is checked by one merge pass: wantRow's sorted expected
+// incidences against u's arena run, which is sorted by id too. A row
+// mismatch reports a distinct-neighbor count mismatch first, else the
+// smallest neighbor whose multiplicity differs.
+//
+//dexvet:noalloc
+func (nw *Network) checkNodeAt(u NodeID, su int32) error {
 	if i := nw.st.mirrorPosAt(su); i < 0 || nw.st.nodeList[i] != u {
-		return fmt.Errorf("audit: node %d missing from sampling mirror", u)
+		return auditErrorf("audit: node %d missing from sampling mirror", int64(u))
 	}
 	sim := nw.st.setAt(su, false)
 	for _, x := range sim {
 		if nw.simOf[x] != u {
-			return fmt.Errorf("audit: Sim(%d) contains %d owned by %d", u, x, nw.simOf[x])
+			return auditErrorf("audit: Sim(%d) contains %d owned by %d", int64(u), x, int64(nw.simOf[x]))
 		}
 	}
 	want := len(sim)
@@ -268,67 +280,115 @@ func (nw *Network) CheckNode(u NodeID) error {
 		newSim := nw.st.setAt(su, true)
 		for _, y := range newSim {
 			if s.newSimOf[y] != u {
-				return fmt.Errorf("audit: NewSim(%d) contains %d owned by %d", u, y, s.newSimOf[y])
+				return auditErrorf("audit: NewSim(%d) contains %d owned by %d", int64(u), y, int64(s.newSimOf[y]))
 			}
 		}
 		want += len(newSim)
 		unproc, proj := s.unprocessed(sim)
 		if got := nw.st.unprocOldAt(su); got != unproc {
-			return fmt.Errorf("audit: unprocOld(%d) = %d, want %d", u, got, unproc)
+			return auditErrorf("audit: unprocOld(%d) = %d, want %d", int64(u), int64(got), int64(unproc))
 		}
 		if got := nw.st.effNewAt(su); got != proj+len(newSim) {
-			return fmt.Errorf("audit: effNew(%d) = %d, want %d+%d", u, got, proj, len(newSim))
+			return auditErrorf("audit: effNew(%d) = %d, want %d+%d", int64(u), int64(got), int64(proj), int64(len(newSim)))
 		}
 	}
 	if got := nw.st.loadAt(su); got != want {
-		return fmt.Errorf("audit: load(%d) = %d, want %d", u, got, want)
+		return auditErrorf("audit: load(%d) = %d, want %d", int64(u), int64(got), int64(want))
 	}
 	if want < 1 {
-		return fmt.Errorf("audit: node %d simulates nothing", u)
+		return auditErrorf("audit: node %d simulates nothing", int64(u))
 	}
 	maxLoad := 4 * nw.cfg.Zeta
 	if s != nil {
 		maxLoad = 8 * nw.cfg.Zeta
 	}
 	if want > maxLoad {
-		return fmt.Errorf("audit: load(%d) = %d exceeds bound %d", u, want, maxLoad)
+		return auditErrorf("audit: load(%d) = %d exceeds bound %d", int64(u), int64(want), int64(maxLoad))
 	}
-	row, err := nw.wantRow(u, su)
-	if err != nil {
-		return err
+	row, loops, same := nw.wantRow(u, su)
+	if same%2 != 0 {
+		return auditErrorf("audit: node %d has odd self-incidence count %d", int64(u), int64(same))
 	}
-	nbrs := nw.real.Neighbors(u)
-	if len(nbrs) != len(row) {
-		return fmt.Errorf("audit: node %d has %d distinct real neighbors, contraction wants %d", u, len(nbrs), len(row))
+	loops += same / 2
+	// i walks row; each run of equal ids in it is one expected neighbor,
+	// and distinct counts them (plus u itself when a loop is expected).
+	i, cells, distinct := 0, 0, 0
+	if loops > 0 {
+		distinct = 1
 	}
-	for _, v := range nbrs {
-		if got, want := nw.real.Multiplicity(u, v), row[v]; got != want {
-			return fmt.Errorf("audit: edge {%d,%d} multiplicity %d, contraction wants %d", u, v, got, want)
+	bad, badGot, badWant := NodeID(0), 0, -1
+	nw.real.ForEachNeighborAt(su, func(v NodeID, _ int32, m int) bool {
+		cells++
+		exp := loops
+		if v != u {
+			for i < len(row) && row[i] < v { // expected, absent from the run
+				i = runEnd(row, i)
+				distinct++
+			}
+			exp = 0
+			if i < len(row) && row[i] == v {
+				j := runEnd(row, i)
+				exp, i = j-i, j
+				distinct++
+			}
 		}
+		if m != exp && badWant < 0 {
+			bad, badGot, badWant = v, m, exp
+		}
+		return true
+	})
+	for i < len(row) { // expected neighbors above the run's last cell
+		i = runEnd(row, i)
+		distinct++
+	}
+	if cells != distinct {
+		return auditErrorf("audit: node %d has %d distinct real neighbors, contraction wants %d", int64(u), int64(cells), int64(distinct))
+	}
+	if badWant >= 0 {
+		return auditErrorf("audit: edge {%d,%d} multiplicity %d, contraction wants %d", int64(u), int64(bad), int64(badGot), int64(badWant))
 	}
 	return nil
 }
 
-// wantRow computes the expected real adjacency row of node u at live
-// slot su — the contraction of the virtual structure restricted to
-// edges incident to u — in O(load(u)) time by enumerating the edge
-// slots of u's own vertices (old cycle, and, mid-rebuild, generated new
-// vertices plus the intermediate edges anchored at u's unprocessed old
-// vertices). Every non-loop virtual edge with both endpoints at u is
-// enumerated from both sides, so its incidence count is halved; virtual
-// self-loops are enumerated once. The rules mirror expectedRealGraph
-// exactly, which the differential tests enforce.
-func (nw *Network) wantRow(u NodeID, su int32) (map[NodeID]int, error) {
-	s := nw.stag
-	row := make(map[NodeID]int)
-	loops, same := 0, 0
-	add := func(other NodeID) {
-		if other == u {
-			same++
-		} else {
-			row[other]++
-		}
+// runEnd returns the end of the run of equal ids that starts at row[i].
+func runEnd(row []NodeID, i int) int {
+	j := i + 1
+	for j < len(row) && row[j] == row[i] {
+		j++
 	}
+	return j
+}
+
+// auditErrorf formats a node-check failure. The checks are
+// //dexvet:noalloc and pass plain integers; boxing them for fmt happens
+// here, on the failing path only.
+func auditErrorf(format string, args ...int64) error {
+	a := make([]any, len(args))
+	for i, v := range args {
+		a[i] = v
+	}
+	return fmt.Errorf(format, a...)
+}
+
+// wantRow builds the expected real adjacency row of node u at live slot
+// su — the contraction of the virtual structure restricted to edges
+// incident to u — in O(load(u)) time by enumerating the edge slots of
+// u's own vertices (old cycle, and, mid-rebuild, generated new vertices
+// plus the intermediate edges anchored at u's unprocessed old
+// vertices). row holds the far node of every incidence, sorted, so a
+// neighbor appears once per unit of multiplicity; it lives in the
+// network's audit scratch and is valid until the next call. Incidences
+// with both ends at u are counted apart: loops are virtual self-loops,
+// enumerated once, and same are the non-loop virtual edges with both
+// endpoints at u, which are enumerated from both sides (so same is even
+// on a coherent mapping, and each pair is one real self-loop). The
+// rules mirror expectedRealGraph exactly, which the differential tests
+// enforce.
+//
+//dexvet:noalloc
+func (nw *Network) wantRow(u NodeID, su int32) (row []NodeID, loops, same int) {
+	s := nw.stag
+	row = nw.auditRow[:0]
 	for _, x := range nw.st.setAt(su, false) {
 		for _, t := range nw.z.NeighborSlots(x) {
 			if t == x {
@@ -338,44 +398,52 @@ func (nw *Network) wantRow(u NodeID, su int32) (map[NodeID]int, error) {
 			if s != nil && s.droppedFlag[t] {
 				continue
 			}
-			add(nw.simOf[t])
+			row = append(row, nw.simOf[t])
 		}
 	}
 	if s != nil {
-		resolve := func(t Vertex) NodeID {
-			if v := s.newSimOf[t]; v >= 0 {
-				return v // endpoint generated: direct edge
-			}
-			return nw.simOf[s.ownerOld(t)] // intermediate edge anchor
-		}
 		for _, y := range nw.st.setAt(su, true) {
-			add(resolve(s.zNew.Succ(y))) // successor edge, owned by y
+			row = append(row, nw.newEdgeEnd(s.zNew.Succ(y))) // successor edge, owned by y
 			if yp := s.zNew.Pred(y); s.newSimOf[yp] >= 0 {
-				add(s.newSimOf[yp]) // predecessor's successor edge
+				row = append(row, s.newSimOf[yp]) // predecessor's successor edge
 			}
 			c := s.zNew.Inv(y)
 			switch {
 			case c == y:
 				loops++ // chord self-loop, owned by y
 			case y < c:
-				add(resolve(c)) // chord owned by the smaller endpoint y
+				row = append(row, nw.newEdgeEnd(c)) // chord owned by the smaller endpoint y
 			case s.newSimOf[c] >= 0:
-				add(s.newSimOf[c]) // chord owned by generated c
+				row = append(row, s.newSimOf[c]) // chord owned by generated c
 			}
 		}
 		for _, x := range nw.st.setAt(su, false) {
 			for _, pe := range s.pending[x] {
-				add(s.newSimOf[pe.src]) // intermediate edges anchored at u
+				row = append(row, s.newSimOf[pe.src]) // intermediate edges anchored at u
 			}
 		}
 	}
-	if same%2 != 0 {
-		return nil, fmt.Errorf("audit: node %d has odd self-incidence count %d", u, same)
+	slices.Sort(row)
+	lo, _ := slices.BinarySearch(row, u)
+	hi := lo
+	for hi < len(row) && row[hi] == u {
+		hi++
 	}
-	if l := loops + same/2; l > 0 {
-		row[u] = l
+	same = hi - lo
+	row = slices.Delete(row, lo, hi)
+	nw.auditRow = row
+	return row, loops, same
+}
+
+// newEdgeEnd returns the node on which the new-cycle edge to t lands
+// mid-rebuild: t's simulator once t is generated, else the simulator of
+// the old vertex that will generate t (an intermediate edge).
+func (nw *Network) newEdgeEnd(t Vertex) NodeID {
+	s := nw.stag
+	if v := s.newSimOf[t]; v >= 0 {
+		return v
 	}
-	return row, nil
+	return nw.simOf[s.ownerOld(t)]
 }
 
 // RecomputeGraph rebuilds the real overlay from the virtual structure
@@ -417,20 +485,14 @@ func (nw *Network) expectedRealGraph() *graph.Graph {
 			continue
 		}
 		// Successor edge, owned by y.
-		if t := s.zNew.Succ(y); s.newSimOf[t] >= 0 {
-			g.AddEdge(u, s.newSimOf[t])
-		} else {
-			g.AddEdge(u, nw.simOf[s.ownerOld(t)])
-		}
+		g.AddEdge(u, nw.newEdgeEnd(s.zNew.Succ(y)))
 		// Chord, owned by the smaller endpoint (self-loops own themselves).
 		t := s.zNew.Inv(y)
 		switch {
 		case t == y:
 			g.AddEdge(u, u)
-		case y < t && s.newSimOf[t] >= 0:
-			g.AddEdge(u, s.newSimOf[t])
 		case y < t:
-			g.AddEdge(u, nw.simOf[s.ownerOld(t)])
+			g.AddEdge(u, nw.newEdgeEnd(t))
 		}
 	}
 	return g

@@ -135,12 +135,10 @@ func (nw *Network) Totals() Totals { return nw.totals }
 func (nw *Network) beginStep(op OpKind, target NodeID) {
 	nw.step = StepMetrics{Step: nw.totals.Steps + 1, Op: op, Target: target}
 	nw.rebuiltReal = false
-	// Dirty tracking resets by a generation bump; only the edge-delta
-	// batch is a scratch map (see store.go).
+	// Both per-step scratch sets reset in O(1): dirty tracking by a
+	// generation bump, the edge log by truncation.
 	nw.st.resetDirty()
-	if len(nw.edgeDeltas) > 0 {
-		nw.edgeDeltas = resetScratchMap(nw.edgeDeltas)
-	}
+	nw.resetEdgeLog()
 }
 
 func (nw *Network) endStep() StepMetrics {

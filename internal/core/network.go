@@ -32,11 +32,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/congest"
 	"repro/internal/graph"
@@ -136,15 +137,17 @@ type Network struct {
 	totals      Totals
 	rebuiltReal bool // set when a one-step type-2 rebuild rewired nw.real
 
-	// edgeDeltas accumulates the step's net real-edge changes per node
-	// pair; it is only maintained while an edge observer is registered and
-	// is flushed (sorted, zeroes dropped) at the end of each step.
-	edgeDeltas   map[edgeKey]int
+	// edgeLog records the step's real-edge changes, one entry per raw
+	// mutation, while an edge observer is registered; flushEdgeDeltas
+	// nets it into the step's diff at the end of each step.
+	edgeLog      []graph.EdgeDelta
 	edgeObserver func(step int, deltas []graph.EdgeDelta)
 
 	// auditRng drives sampled audits; it is separate from rng so auditing
-	// never perturbs the recovery algorithm's random choices.
+	// never perturbs the recovery algorithm's random choices. auditRow is
+	// wantRow's reused expected-row buffer.
 	auditRng *rand.Rand
+	auditRow []NodeID
 
 	// failure counters for the pathological paths (never hit in normal
 	// operation; exercised by failure-injection tests).
@@ -383,35 +386,60 @@ func (nw *Network) SampleNode(r *rand.Rand) NodeID {
 //dexvet:mutator
 func (nw *Network) SetEdgeObserver(f func(step int, deltas []graph.EdgeDelta)) {
 	nw.edgeObserver = f
-	if f != nil && nw.edgeDeltas == nil {
-		nw.edgeDeltas = make(map[edgeKey]int)
-	}
 }
 
-// flushEdgeDeltas delivers the step's accumulated edge diff.
+// edgeLogRetainCap bounds the capacity the edge log keeps between
+// steps. A staggered step logs O(batch) entries, under a thousand in a
+// 4096-to-24096-node staggered run; a one-step rebuild logs O(n), and
+// keeping that spike's backing array would pin megabytes for the rest
+// of the run.
+const edgeLogRetainCap = 1 << 14
+
+// logEdge records a change of k in the multiplicity of edge {a,b}.
+func (nw *Network) logEdge(a, b NodeID, k int) {
+	if a > b {
+		a, b = b, a
+	}
+	nw.edgeLog = append(nw.edgeLog, graph.EdgeDelta{U: a, V: b, Delta: k})
+}
+
+// resetEdgeLog empties the edge log, dropping a spike's capacity (see
+// edgeLogRetainCap).
+func (nw *Network) resetEdgeLog() {
+	if cap(nw.edgeLog) > edgeLogRetainCap {
+		nw.edgeLog = nil
+		return
+	}
+	nw.edgeLog = nw.edgeLog[:0]
+}
+
+// flushEdgeDeltas delivers the step's edge diff: the log sorted by
+// (U, V), each pair's changes summed, zero sums dropped.
 func (nw *Network) flushEdgeDeltas() {
-	if nw.edgeObserver == nil || len(nw.edgeDeltas) == 0 {
+	log := nw.edgeLog
+	if nw.edgeObserver == nil || len(log) == 0 {
 		return
 	}
-	out := make([]graph.EdgeDelta, 0, len(nw.edgeDeltas))
-	for k, d := range nw.edgeDeltas {
-		if d != 0 {
-			out = append(out, graph.EdgeDelta{U: k.u, V: k.v, Delta: d})
-		}
-	}
-	// A rebuild's O(n)-entry diff must not leave every later clear()
-	// paying for the spike's table capacity (see scratchMapResetCap).
-	nw.edgeDeltas = resetScratchMap(nw.edgeDeltas)
-	if len(out) == 0 {
-		return
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
+	slices.SortFunc(log, func(a, b graph.EdgeDelta) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 	})
-	nw.edgeObserver(nw.step.Step, out)
+	n := 0
+	for i := 0; i < len(log); {
+		d := log[i]
+		for i++; i < len(log) && log[i].U == d.U && log[i].V == d.V; i++ {
+			d.Delta += log[i].Delta
+		}
+		if d.Delta != 0 {
+			log[n] = d
+			n++
+		}
+	}
+	nw.resetEdgeLog()
+	if n == 0 {
+		return
+	}
+	// Subscribers may keep the batch, so it must not alias the log.
+	nw.edgeObserver(nw.step.Step, slices.Clone(log[:n]))
 }
 
 // MaxLoad returns the maximum total load over all nodes.
@@ -495,19 +523,9 @@ func (nw *Network) dropLoadEntry(u NodeID) {
 // p-cycle.
 func (nw *Network) slotTargets(x Vertex) [3]Vertex { return nw.z.NeighborSlots(x) }
 
-// edgeKey canonically orders an undirected node pair for delta tracking.
-type edgeKey struct{ u, v NodeID }
-
-func pairKey(a, b NodeID) edgeKey {
-	if a > b {
-		a, b = b, a
-	}
-	return edgeKey{a, b}
-}
-
 // rawAddEdgeAt / rawRemoveEdgeAt mutate the live overlay, anchored at
 // endpoint a's live slot sa, and feed the dirty-node set and (when
-// observed) the step's edge-delta batch, without charging the paper's
+// observed) the step's edge log, without charging the paper's
 // topology-change counter. Sampled audits re-verify exactly the dirty
 // nodes, so every mutation a walk or stop predicate can observe marks
 // its nodes: edge rows here and in the Mult forms below, loads through
@@ -521,7 +539,7 @@ func (nw *Network) rawAddEdgeAt(a NodeID, sa int32, b NodeID) {
 	nw.st.markDirtyAt(a, sa)
 	nw.st.markDirty(b)
 	if nw.edgeObserver != nil {
-		nw.edgeDeltas[pairKey(a, b)]++
+		nw.logEdge(a, b, 1)
 	}
 }
 
@@ -533,7 +551,7 @@ func (nw *Network) rawRemoveEdgeAt(a NodeID, sa int32, b NodeID) {
 	nw.st.markDirtyAt(a, sa)
 	nw.st.markDirty(b)
 	if nw.edgeObserver != nil {
-		nw.edgeDeltas[pairKey(a, b)]--
+		nw.logEdge(a, b, -1)
 	}
 }
 
@@ -548,7 +566,7 @@ func (nw *Network) rawAddEdgeMult(a, b NodeID, k int) {
 	nw.st.markDirty(a)
 	nw.st.markDirty(b)
 	if nw.edgeObserver != nil {
-		nw.edgeDeltas[pairKey(a, b)] += k
+		nw.logEdge(a, b, k)
 	}
 }
 
@@ -562,7 +580,7 @@ func (nw *Network) rawRemoveEdgeMult(a, b NodeID, k int) {
 	nw.st.markDirty(a)
 	nw.st.markDirty(b)
 	if nw.edgeObserver != nil {
-		nw.edgeDeltas[pairKey(a, b)] -= k
+		nw.logEdge(a, b, -k)
 	}
 }
 

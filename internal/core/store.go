@@ -607,26 +607,3 @@ func (st *state) effNewOf(u NodeID) int        { return st.effNewAt(st.slot(u)) 
 func (st *state) unprocOldOf(u NodeID) int     { return st.unprocOldAt(st.slot(u)) }
 func (st *state) addEffNew(u NodeID, d int)    { st.addEffNewAt(st.slot(u), d) }
 func (st *state) addUnprocOld(u NodeID, d int) { st.addUnprocOldAt(st.slot(u), d) }
-
-// --- scratch maps -----------------------------------------------------------
-
-// scratchMapResetCap is the live-entry count past which a per-step
-// scratch map is reallocated instead of cleared. clear() on a Go map
-// costs its table capacity, not its live count, and the capacity never
-// shrinks — after one type-2 rebuild floods a scratch map with O(n)
-// entries, every later step would pay an O(n) memclr to wipe a handful
-// (at 10^5 nodes that memclr once dominated the churn profile). The
-// store's own scratch state (dirty list and stamps) resets by
-// generation bump and never needs this; the one map-keyed scratch left
-// is the edge-delta batch, keyed by node pair.
-const scratchMapResetCap = 1024
-
-// resetScratchMap empties a per-step scratch map without inheriting a
-// spike's table capacity (see scratchMapResetCap).
-func resetScratchMap[K comparable, V any](m map[K]V) map[K]V {
-	if len(m) > scratchMapResetCap {
-		return make(map[K]V, 64)
-	}
-	clear(m)
-	return m
-}

@@ -25,8 +25,7 @@ func (g *Graph) AppendBinary(enc *wire.Encoder) {
 	enc.Uvarint(uint64(len(g.ids)))
 	for s, id := range g.ids {
 		enc.Varint(int64(id))
-		live, ok := g.index[id]
-		enc.Bool(ok && live == int32(s))
+		enc.Bool(g.liveAt(s))
 	}
 	enc.Uvarint(uint64(len(g.freeSlots)))
 	for _, s := range g.freeSlots {
@@ -35,9 +34,8 @@ func (g *Graph) AppendBinary(enc *wire.Encoder) {
 	// Distinct edges, each once with multiplicity, in slot order. Slot
 	// order (not sorted-ID order) keeps encoding O(cells) with no sort.
 	enc.Uvarint(uint64(g.distinctEdges()))
-	for s := range g.recs {
-		id := g.ids[s]
-		if live, ok := g.index[id]; !ok || live != int32(s) {
+	for s, id := range g.ids {
+		if !g.liveAt(s) {
 			continue
 		}
 		r := g.recs[s]
@@ -53,11 +51,22 @@ func (g *Graph) AppendBinary(enc *wire.Encoder) {
 	enc.U64(g.epoch)
 }
 
-// distinctEdges counts distinct {u,v} pairs (self-loops once).
+// liveAt reports whether slot s holds a live node, not the stale id a
+// freed slot keeps. It resolves the id through lookup, so the engine's
+// dense ids cost an array read instead of a map probe.
+func (g *Graph) liveAt(s int) bool {
+	live, ok := g.lookup(g.ids[s])
+	return ok && live == int32(s)
+}
+
+// distinctEdges counts distinct {u,v} pairs (self-loops once), in slot
+// order.
 func (g *Graph) distinctEdges() int {
 	n := 0
-	for _, s := range g.index {
-		id := g.ids[s]
+	for s, id := range g.ids {
+		if !g.liveAt(s) {
+			continue
+		}
 		r := g.recs[s]
 		for i := r.off; i < r.off+r.n; i++ {
 			if g.pool[i].v >= id {
@@ -105,9 +114,8 @@ func (g *Graph) DecodeBinary(dec *wire.Decoder) error {
 		}
 	}
 	if g.onSlotAssign != nil {
-		for s := range g.ids {
-			id := g.ids[s]
-			if live, ok := g.index[id]; ok && live == int32(s) {
+		for s, id := range g.ids {
+			if g.liveAt(s) {
 				g.onSlotAssign(id, int32(s))
 			}
 		}
@@ -124,7 +132,7 @@ func (g *Graph) DecodeBinary(dec *wire.Decoder) error {
 		if s >= numSlots {
 			return fmt.Errorf("graph: free slot %d out of range", s)
 		}
-		if live, ok := g.index[g.ids[s]]; ok && live == int32(s) {
+		if g.liveAt(int(s)) {
 			return fmt.Errorf("graph: slot %d both live and free", s)
 		}
 		g.freeSlots = append(g.freeSlots, int32(s))

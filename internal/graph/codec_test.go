@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -146,5 +148,118 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	out.AddNode(1)
 	if err := out.DecodeBinary(wire.NewDecoder(data)); err == nil {
 		t.Fatal("decode into non-empty graph accepted")
+	}
+}
+
+// straddleGraph churns a graph whose ids straddle the dense id->slot
+// budget (4*slots+256 cells): small ids that resolve through the dense
+// array, ids past the budget, ids at and beyond 2^32, and negative ids,
+// the last three map-only. Deletions leave freed slots holding the
+// stale id of their last occupant; some of those ids come back in a
+// different slot.
+func straddleGraph(t testing.TB, seed int64) *Graph {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	mint := func(i int) NodeID {
+		switch i % 4 {
+		case 0:
+			return NodeID(i)
+		case 1:
+			return NodeID(5000 + i)
+		case 2:
+			return NodeID(1<<32 + i)
+		default:
+			return NodeID(-1 - i)
+		}
+	}
+	g := New()
+	var live, dead []NodeID
+	for i := 0; i < 48; i++ {
+		live = append(live, mint(i))
+		g.AddNode(mint(i))
+	}
+	for step := 0; step < 600; step++ {
+		switch r := rng.Intn(8); {
+		case r == 0:
+			u := mint(48 + step)
+			g.AddNode(u)
+			live = append(live, u)
+		case r == 1 && len(live) > 8:
+			i := rng.Intn(len(live))
+			g.RemoveNode(live[i])
+			dead = append(dead, live[i])
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		case r == 2 && len(dead) > 0:
+			i := rng.Intn(len(dead)) // a stale id comes back
+			g.AddNode(dead[i])
+			live = append(live, dead[i])
+			dead[i] = dead[len(dead)-1]
+			dead = dead[:len(dead)-1]
+		default:
+			u := live[rng.Intn(len(live))]
+			v := live[rng.Intn(len(live))]
+			if rng.Intn(4) == 0 {
+				g.RemoveEdge(u, v)
+			} else {
+				g.AddEdgeMult(u, v, 1+rng.Intn(3))
+			}
+		}
+	}
+	// End with stale ids parked on the free stack, one of them live
+	// again in another slot.
+	for i := 0; i < 6; i++ {
+		g.RemoveNode(live[i])
+	}
+	g.AddNode(live[0])
+	if err := g.Validate(); err != nil {
+		t.Fatalf("straddle graph invalid: %v", err)
+	}
+	return g
+}
+
+// TestCodecGoldenHash pins AppendBinary's bytes for graphs whose ids
+// sit both on and off the dense id->slot path. The hashes were measured
+// on the encoder that tested liveness through the authoritative id map
+// and counted edges by ranging over it, so they prove the slot-order
+// encoder writes the same bytes. The engine's golden checkpoint hashes
+// cover only engine-minted ids, which are all dense.
+func TestCodecGoldenHash(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		want string
+	}{
+		{1, "dd2cb039ff94587abd225b93faf89abb39a617b35a38ab073aa9833b7c8dcc60"},
+		{2, "4350bf0f4a64611c6190d8a189f86b15e7e45dcaf24094a65705a0d1a081cde0"},
+	} {
+		g := straddleGraph(t, tc.seed)
+		var small, big, neg, stale, moved int
+		for _, u := range g.Nodes() {
+			switch {
+			case u < 0:
+				neg++
+			case u >= 1<<32:
+				big++
+			case u < 256:
+				small++
+			}
+		}
+		for _, s := range g.freeSlots {
+			if ls, ok := g.SlotOf(g.ids[s]); !ok {
+				stale++
+			} else if ls != s {
+				moved++
+			}
+		}
+		if small == 0 || big == 0 || neg == 0 || stale == 0 || moved == 0 || len(g.dense) == 0 {
+			t.Fatalf("seed %d: graph misses a pinned case: %d small, %d >= 2^32, %d negative live ids, %d free slots with absent and %d with re-added ids, dense len %d",
+				tc.seed, small, big, neg, stale, moved, len(g.dense))
+		}
+		enc := wire.NewEncoder(nil)
+		g.AppendBinary(enc)
+		sum := sha256.Sum256(enc.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("seed %d: AppendBinary SHA-256 %s, want %s: the graph encoding changed", tc.seed, got, tc.want)
+		}
 	}
 }

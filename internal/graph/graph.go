@@ -242,14 +242,10 @@ func (g *Graph) SlotOf(u NodeID) (int32, bool) {
 // NodeAt returns the node currently occupying slot s, if any. Freed
 // slots (and out-of-range indexes) report ok=false.
 func (g *Graph) NodeAt(s int32) (NodeID, bool) {
-	if s < 0 || int(s) >= len(g.ids) {
+	if s < 0 || int(s) >= len(g.ids) || !g.liveAt(int(s)) {
 		return 0, false
 	}
-	u := g.ids[s]
-	if live, ok := g.lookup(u); ok && live == s {
-		return u, true
-	}
-	return 0, false
+	return g.ids[s], true
 }
 
 // Slots returns the size of the slot table: every valid slot index is
