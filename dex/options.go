@@ -176,7 +176,8 @@ func WithAsyncEvents(buffer int) Option {
 // batched, deterministically ordered diff. Subscribers can mirror the
 // overlay without rescanning it — a type-2 rebuild shows up as exactly
 // the edges that changed, not a wholesale graph swap. Off by default
-// (the diff costs one map entry per touched node pair per step).
+// (the diff costs one log entry per raw edge mutation, sorted and netted
+// per node pair when the step ends).
 func WithEdgeEvents(on bool) Option {
 	return func(o *options) { o.edgeEvents = on }
 }

@@ -26,9 +26,10 @@
 // to the CONGEST model.
 //
 // Per-node engine state (loads, vertex sets, dirty tracking, staggering
-// bookkeeping) lives in a slot-indexed columnar store layered on the
-// overlay graph's dense slot table — see store.go for the layout, and
-// store_model_test.go for the map-keyed model it is fuzzed against.
+// bookkeeping) lives in flat slot-indexed columns layered on the overlay
+// graph's dense slot table, with every node's vertex sets held in one
+// shared arena — see store.go for the layout, and store_model_test.go
+// for the map-keyed model it is fuzzed against.
 package core
 
 import (

@@ -121,8 +121,8 @@ func compareStore(st *state, m *storeModel, ids int) error {
 		if st.effNewAt(s) != n.effNew || st.unprocOldAt(s) != n.unprocOld {
 			return fmt.Errorf("node %d: effNew %d unprocOld %d, model %d %d", u, st.effNewAt(s), st.unprocOldAt(s), n.effNew, n.unprocOld)
 		}
-		if sh, si := st.shardOf(s); (sh.dirtyAt[si] == st.dirtyGen) != n.dirty {
-			return fmt.Errorf("node %d: dirty stamp %d at generation %d, model dirty=%v", u, sh.dirtyAt[si], st.dirtyGen, n.dirty)
+		if (st.dirtyAt[s] == st.dirtyGen) != n.dirty {
+			return fmt.Errorf("node %d: dirty stamp %d at generation %d, model dirty=%v", u, st.dirtyAt[s], st.dirtyGen, n.dirty)
 		}
 	}
 	for u := NodeID(0); u < NodeID(ids); u++ {
@@ -258,7 +258,7 @@ func applyStoreOp(st *state, m *storeModel, op byte, a, b int) {
 // triple decodes through applyStoreOp into one operation applied to the
 // store and the map-keyed model in lockstep, and compareStore must find
 // them equal after each. The committed corpus under
-// testdata/fuzz/FuzzStoreOps replays slot recycling, shard compaction
+// testdata/fuzz/FuzzStoreOps replays slot recycling, arena compaction
 // past 2,048 cells, the snap-back of runs above bigRun, promotion in
 // the middle of a stagger, and the dirty-generation wrap. Run it with
 // `make fuzz-store` or
@@ -292,39 +292,70 @@ func FuzzStoreOps(f *testing.F) {
 
 // TestStoreMatchesModel replays seeded random operation sequences
 // through FuzzStoreOps' decoder: small live sets with heavy set churn at
-// three bigRun classes, and a birth-heavy sequence whose live set
-// crosses the 1024-slot shard boundary.
+// three bigRun classes, and a birth-heavy sequence whose slot table
+// passes 1024 slots (the case keeps its name from when that boundary
+// split the columns into two shards). That sequence then drains, and
+// the drain must compact the vertex arena while slots at or above 1024
+// hold runs, so the one arena's repack is model-checked across the old
+// boundary.
 func TestStoreMatchesModel(t *testing.T) {
+	const wideSlots = 1024
 	for _, tc := range []struct {
-		name                   string
-		zeta, ids, ops, shards int
-		addBias                float64
-		seed                   int64
+		name                  string
+		zeta, ids, ops, drain int // drain: extra ops after ops, half of them forced removals
+		addBias               float64
+		seed                  int64
 	}{
-		{"zeta=2", 2, 48, 3000, 1, 0.1, 1},
-		{"zeta=5", 5, 48, 3000, 1, 0.1, 2},
-		{"zeta=8", 8, 48, 3000, 1, 0.1, 3},
-		{"two-shards", 8, 4000, 1800, 2, 0.7, 4},
+		{"zeta=2", 2, 48, 3000, 0, 0.1, 1},
+		{"zeta=5", 5, 48, 3000, 0, 0.1, 2},
+		{"zeta=8", 8, 48, 3000, 0, 0.1, 3},
+		{"two-shards", 8, 4000, 1800, 2000, 0.7, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(tc.seed))
 			st, m := newStorePair(tc.zeta)
-			for i := 0; i < tc.ops; i++ {
+			wideCompactions := 0
+			for i := 0; i < tc.ops+tc.drain; i++ {
 				op := byte(rng.Intn(numStoreOps))
-				if rng.Float64() < tc.addBias {
+				switch r := rng.Float64(); {
+				case i < tc.ops && r < tc.addBias:
 					op = opAddNode
+				case i >= tc.ops && r < 0.5:
+					op = opRemoveNode
 				}
 				a, b := rng.Intn(tc.ids), rng.Intn(256)
+				wideRuns, bufLen := runsFrom(st, wideSlots), len(st.arena.buf)
 				applyStoreOp(st, m, op, a, b)
 				if err := compareStore(st, m, tc.ids); err != nil {
 					t.Fatalf("op %d (%d,%d,%d): %v", i, op, a, b, err)
 				}
+				// Only a compaction shortens the arena buffer: alloc
+				// extends it and release parks runs on free lists.
+				if wideRuns && len(st.arena.buf) < bufLen {
+					wideCompactions++
+				}
 			}
-			if len(st.shards) < tc.shards {
-				t.Fatalf("slots reached %d shards, want %d (%d nodes now)", len(st.shards), tc.shards, st.size())
+			if tc.drain == 0 {
+				return
+			}
+			if st.g.Slots() <= wideSlots {
+				t.Fatalf("slot table holds %d slots, want more than %d", st.g.Slots(), wideSlots)
+			}
+			if wideCompactions == 0 {
+				t.Fatalf("no arena compaction ran while slots >= %d held runs", wideSlots)
 			}
 		})
 	}
+}
+
+// runsFrom reports whether any slot at or above from holds a vertex run.
+func runsFrom(st *state, from int) bool {
+	for s := from; s < len(st.simRuns); s++ {
+		if st.simRuns[s].cap+st.newRuns[s].cap > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // modelOf projects the store contents a running engine's virtual
@@ -370,8 +401,7 @@ func modelOf(nw *Network) (*storeModel, error) {
 				}
 			}
 		}
-		sh, i := nw.st.shardOf(nw.st.slot(u))
-		n.dirty = sh.dirtyAt[i] == nw.st.dirtyGen
+		n.dirty = nw.st.dirtyAt[nw.st.slot(u)] == nw.st.dirtyGen
 	}
 	m.dirtyList = append(m.dirtyList, nw.st.dirtyList...)
 	return m, nil

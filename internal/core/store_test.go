@@ -8,8 +8,7 @@ import (
 // corruptLoad bumps u's stored load behind the engine's back — without
 // touching counters, sets, or dirty marks — for audit-detection tests.
 func (st *state) corruptLoad(u NodeID, d int) {
-	sh, i := st.shardOf(st.slot(u))
-	sh.load[i] += int32(d)
+	st.load[st.slot(u)] += int32(d)
 }
 
 // loadSnapshot materializes the load table for state comparisons.
@@ -51,18 +50,10 @@ func TestStoreVertexArenaRecycles(t *testing.T) {
 		}
 	}
 	churn(600) // crosses several rebuilds
-	poolCells := 0
-	freeCells := 0
+	poolCells, freeCells := cap(nw.st.arena.buf), nw.st.arena.freeCells
 	liveCells := 0
-	for _, sh := range nw.st.shards {
-		if sh == nil {
-			continue
-		}
-		poolCells += cap(sh.arena.buf)
-		freeCells += sh.arena.freeCells
-		for i := range sh.sim {
-			liveCells += int(sh.sim[i].n + sh.nxt[i].n)
-		}
+	for s := range nw.st.simRuns {
+		liveCells += int(nw.st.simRuns[s].n + nw.st.newRuns[s].n)
 	}
 	if liveCells == 0 {
 		t.Fatal("no live vertex cells after churn")
@@ -71,7 +62,7 @@ func TestStoreVertexArenaRecycles(t *testing.T) {
 	// must stay within a small constant of the live vertex count — the
 	// compaction and shrink policies cap parked capacity at half the
 	// pool plus per-run rounding.
-	if poolCells > 4*liveCells+8*shardSlots {
+	if poolCells > 4*liveCells+8*1024 {
 		t.Fatalf("vertex pool holds %d cells for %d live vertices (free %d)", poolCells, liveCells, freeCells)
 	}
 	if err := nw.CheckInvariants(); err != nil {

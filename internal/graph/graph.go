@@ -43,7 +43,8 @@
 // probe. Walk stepping uses RandomNeighborStepAt / ForEachNeighborAt (or
 // their id-keyed wrappers), which read the run in place and never
 // materialize slices. The previous map-of-maps implementation lives
-// on as Ref (ref.go), the oracle the differential tests check this arena
+// on in the tests as Ref (ref_test.go), the oracle that FuzzGraphOps,
+// TestArenaMatchesRef and TestScaleGraphMemoryFootprint check this arena
 // against.
 package graph
 

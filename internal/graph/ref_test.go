@@ -224,8 +224,6 @@ func (g *Ref) Edges() []Edge {
 }
 
 // Validate checks adjacency symmetry and edge accounting.
-//
-//dexvet:allow determinism audit-only: any inconsistency fails validation; which of several is reported first is immaterial
 func (g *Ref) Validate() error {
 	total := 0
 	for u, nbrs := range g.adj {
