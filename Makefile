@@ -63,7 +63,9 @@ bench-graph:
 	$(GO) test ./internal/graph -run '^$$' -bench 'WalkHop|GraphChurn' -benchtime 100000x
 
 # Engine-state benchmarks + alloc gates: one steady-state recovery op
-# (delete+insert) at 10^5 nodes on the slot-indexed store, the
+# (delete+insert) at 10^5 nodes on the slot-indexed store, the same
+# pair on the network the workloads grow by single joins with the
+# sampled audit off and on (the gap is the audit's cost per pair), the
 # zero-allocation gates on the recovery path, the sampled audit and
 # the warm size-count flood (mirrors bench-graph one layer up), one
 # Simplified-mode size-count flood at n=1024 in its direct form vs the
@@ -71,7 +73,7 @@ bench-graph:
 # façade's throughput rows (1/4/8/16 submitters through its lock).
 bench-core:
 	$(GO) test ./internal/core ./internal/congest -run 'ZeroAllocs' -count 1 -v
-	$(GO) test ./internal/core -run '^$$' -bench RecoveryOp -benchtime 2000x -timeout 20m
+	$(GO) test ./internal/core -run '^$$' -bench 'RecoveryOp|ChurnAudit' -benchtime 2000x -timeout 20m
 	$(GO) test ./internal/congest -run '^$$' -bench FloodAggregate -benchtime 200x -benchmem
 	$(GO) test . -run '^$$' -bench ConcurrentChurn -benchtime 300x -timeout 20m
 
@@ -93,6 +95,9 @@ bench-json:
 	$(GO) test ./internal/core -run '^$$' \
 		-bench 'RecoveryOp/dense' -benchtime 200x -benchmem -count 6 -timeout 20m \
 		| $(GO) run ./cmd/benchjson > BENCH_core.json
+	$(GO) test ./internal/core -run '^$$' \
+		-bench 'ChurnAudit' -benchtime 2000x -benchmem -count 3 -timeout 20m \
+		| $(GO) run ./cmd/benchjson -append BENCH_core.json
 	$(GO) test ./internal/persist -run '^$$' \
 		-bench 'WALAppend|Checkpoint' -benchtime 200x -benchmem -timeout 20m \
 		| $(GO) run ./cmd/benchjson -append BENCH_core.json
@@ -115,6 +120,9 @@ bench-diff:
 	$(GO) test ./internal/core -run '^$$' \
 		-bench 'RecoveryOp/dense' -benchtime 200x -benchmem -count 6 -timeout 20m \
 		| $(GO) run ./cmd/benchjson > /tmp/bench_core_fresh.json
+	$(GO) test ./internal/core -run '^$$' \
+		-bench 'ChurnAudit' -benchtime 2000x -benchmem -count 3 -timeout 20m \
+		| $(GO) run ./cmd/benchjson -append /tmp/bench_core_fresh.json
 	$(GO) test ./internal/persist -run '^$$' \
 		-bench 'WALAppend|Checkpoint' -benchtime 200x -benchmem -timeout 20m \
 		| $(GO) run ./cmd/benchjson -append /tmp/bench_core_fresh.json

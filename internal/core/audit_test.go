@@ -173,8 +173,15 @@ func TestHistoryCapCore(t *testing.T) {
 // a corrupted vertex. The cases aim at the merge pass's branches: a
 // cell whose multiplicity alone is wrong, foreign cells before and
 // after the expected row, an expected neighbor missing after the run's
-// last cell, the self-loop bookkeeping kept apart from the row, and,
-// mid-rebuild, the pending intermediate edges and NewSim ownership.
+// last cell, the self-loop bookkeeping kept apart from the row, a node
+// missing from the sampling mirror, and, mid-rebuild, the pending
+// intermediate edges and NewSim ownership.
+//
+// Every case also runs through the sampled audit, whose warm pass reads
+// the same cells ahead of the checks: with one corrupted node marked
+// dirty, Audit must return exactly CheckNode's error (and not panic in
+// the warm pass); with all of them marked, in either order, it must
+// name the one first in dirtyList.
 func TestCheckNodeCorruptionTable(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -250,6 +257,18 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 			nw.stag.newSimOf[nw.st.newSim(u)[0]] = w
 			return []NodeID{u}
 		}},
+		{"missing-from-mirror", false, func(t *testing.T, nw *Network) []NodeID {
+			u := nw.Nodes()[1]
+			nw.st.pos[nw.st.slot(u)] = -1
+			return []NodeID{u}
+		}},
+		{"two-corrupted-dirty-nodes", false, func(t *testing.T, nw *Network) []NodeID {
+			nodes := nw.Nodes()
+			a, b := nodes[len(nodes)-1], nodes[0] // dirtyList order against id order
+			nw.st.corruptLoad(a, 1)
+			nw.st.corruptLoad(b, -1)
+			return []NodeID{a, b}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var nw *Network
@@ -262,12 +281,33 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 			if err := checkEveryNode(nw); err != nil {
 				t.Fatalf("healthy network fails the node check: %v", err)
 			}
-			for _, u := range tc.corrupt(t, nw) {
+			bad := tc.corrupt(t, nw)
+			for _, u := range bad {
 				if err := nw.CheckNode(u); err == nil {
 					t.Errorf("CheckNode(%d) missed the corruption", u)
 				}
+				auditDirty(t, nw, u)
 			}
+			auditDirty(t, nw, bad...)
+			slices.Reverse(bad)
+			auditDirty(t, nw, bad...)
 		})
+	}
+}
+
+// auditDirty marks exactly dirty as the last step's dirty nodes, in
+// order, and requires the sampled audit to fail with the error CheckNode
+// reports for the first of them.
+func auditDirty(t *testing.T, nw *Network, dirty ...NodeID) {
+	t.Helper()
+	nw.st.resetDirty()
+	for _, u := range dirty {
+		nw.st.markDirty(u)
+	}
+	want := nw.CheckNode(dirty[0])
+	got := nw.Audit(AuditSampled)
+	if got == nil || want == nil || got.Error() != want.Error() {
+		t.Errorf("Audit with dirty nodes %v = %v, want CheckNode(%d)'s %v", dirty, got, dirty[0], want)
 	}
 }
 

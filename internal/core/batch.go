@@ -148,6 +148,7 @@ func (nw *Network) DeleteBatch(ids []NodeID) error {
 		}
 		coordLost := nw.simOf[0] == id
 		orphans := nw.vertexHoldings(id)
+		nw.warmAdoption(nw.st.slot(id))
 		for _, h := range orphans {
 			nw.moveHolding(h, v)
 		}

@@ -83,6 +83,80 @@ func BenchmarkRecoveryOp(b *testing.B) {
 	}
 }
 
+// joinedEngine builds the network the end-to-end workloads run
+// (bench/workload.go): Staggered, started at 256 nodes, grown to n by
+// single joins at uniform attach points, then aged by pairs
+// delete+insert pairs. steadyEngine's 512-member InsertBatch growth
+// ends at a different network (p/n near 10.6 at 10^5 nodes, where
+// single joins end near 2.6), so rows that price what the workloads
+// see build this one.
+func joinedEngine(tb testing.TB, n, pairs int) *Network {
+	cfg := DefaultConfig()
+	cfg.HistoryCap = 128
+	nw, err := New(256, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(31))
+	for nw.Size() < n {
+		if err := nw.Insert(nw.FreshID(), nw.SampleNode(rng)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < pairs; i++ {
+		if err := nw.Delete(nw.SampleNode(rng)); err != nil {
+			tb.Fatal(err)
+		}
+		if err := nw.Insert(nw.FreshID(), nw.SampleNode(rng)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return nw
+}
+
+// BenchmarkChurnAudit prices the sampled audit on the network the
+// workloads run: one iteration is a delete plus an insert on a
+// joinedEngine aged by 2*10^4 pairs, each op followed by Audit(mode) as
+// the dex façade does after every operation. Audit draws nothing from
+// the engine's random source, so both rows run the same operations on
+// the same network, and the gap between off and sampled is the audit's
+// cost per pair. Neither row allocates per op (the ZeroAllocs gates
+// below pin both paths). Run via `make bench-core`.
+func BenchmarkChurnAudit(b *testing.B) {
+	for _, mode := range []AuditMode{AuditOff, AuditSampled} {
+		for _, size := range []int{100000} {
+			b.Run(fmt.Sprintf("%s/n=%d", mode, size), func(b *testing.B) {
+				nw := joinedEngine(b, size, size/5)
+				rng := rand.New(rand.NewSource(23))
+				pair := func() {
+					if err := nw.Delete(nw.SampleNode(rng)); err != nil {
+						b.Fatal(err)
+					}
+					if err := nw.Audit(mode); err != nil {
+						b.Fatal(err)
+					}
+					if err := nw.Insert(nw.FreshID(), nw.SampleNode(rng)); err != nil {
+						b.Fatal(err)
+					}
+					if err := nw.Audit(mode); err != nil {
+						b.Fatal(err)
+					}
+				}
+				// Size the audit's reused buffers before the window.
+				for i := 0; i < 64; i++ {
+					pair()
+				}
+				runtime.GC()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pair()
+				}
+			})
+		}
+	}
+}
+
 // TestRecoveryOpZeroAllocsSteadyState is the alloc-regression gate on
 // the recovery path: at steady state (no type-2 rebuild in the
 // window), a delete+insert pair must not allocate — walks, vertex-set

@@ -210,6 +210,16 @@ const (
 // dirtied by the most recent operation (up to auditDirtyCap of them)
 // plus auditSampleSize random nodes, using its own random source so the
 // recovery algorithm's coin flips are untouched.
+//
+// A sampled audit first gathers its whole check list — the live dirty
+// nodes in dirtyList order, then every sample — so that warmAudit can
+// take the list's cache misses together, level by level, before the
+// checks run in list order. Each check alone is a chain of dependent
+// misses (mirror cell, store columns, Sim run, simOf, the arena run);
+// walked one node at a time, no two of them overlap. Every sample is
+// drawn before the first check, so a failing audit leaves auditRng
+// past all auditSampleSize draws; the source is not checkpointed and
+// decides nothing but which nodes are sampled.
 func (nw *Network) Audit(mode AuditMode) error {
 	switch mode {
 	case AuditOff:
@@ -223,25 +233,87 @@ func (nw *Network) Audit(mode AuditMode) error {
 	if int64(nw.Size()) > nw.z.P() {
 		return fmt.Errorf("audit: n=%d exceeds p=%d", nw.Size(), nw.z.P())
 	}
-	checked := 0
+	ids, slots := nw.auditIDs[:0], nw.auditSlots[:0]
 	for _, u := range nw.st.dirtyList {
 		su, ok := nw.real.SlotOf(u)
 		if !ok {
 			continue // deleted this step
 		}
-		if err := nw.checkNodeAt(u, su); err != nil {
-			return err
-		}
-		if checked++; checked == auditDirtyCap {
+		ids, slots = append(ids, u), append(slots, su)
+		if len(ids) == auditDirtyCap {
 			break
 		}
 	}
 	for i := 0; i < auditSampleSize && len(nw.st.nodeList) > 0; i++ {
-		if err := nw.CheckNode(nw.SampleNode(nw.auditRng)); err != nil {
+		u := nw.SampleNode(nw.auditRng)
+		su, ok := nw.real.SlotOf(u)
+		if !ok {
+			su = -1 // CheckNode's unknown-node error, raised in list order
+		}
+		ids, slots = append(ids, u), append(slots, su)
+	}
+	nw.auditIDs, nw.auditSlots = ids, slots
+	nw.warmAudit(slots)
+	for i, u := range ids {
+		if slots[i] < 0 {
+			return fmt.Errorf("audit: unknown node %d", u)
+		}
+		if err := nw.checkNodeAt(u, slots[i]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// warmAudit touches the cells the node checks of slots will read, one
+// level of the checks' dependency chains at a time across the whole
+// list, so the misses of different nodes overlap instead of queuing:
+//
+//  1. each node's pos, load and simRuns cells, and its graph record;
+//  2. its mirror cell nodeList[pos], its Sim run, simOf[x] and inv[x]
+//     for each vertex x, and the head of its arena run;
+//  3. simOf[inv[x]], the far end of each chord wantRow follows.
+//
+// It reads only cells checkNodeAt reads, behind the same guards (a
+// negative slot is a node the check reports unknown; a mirror position
+// out of range is one it reports missing), writes nothing but
+// warmSink, and never fails: the checks that follow decide.
+//
+//dexvet:noalloc
+func (nw *Network) warmAudit(slots []int32) {
+	st, sink := &nw.st, 0
+	for _, s := range slots {
+		if s >= 0 {
+			sink += int(st.pos[s]) + int(st.load[s]) + int(st.simRuns[s].n) + nw.real.DistinctDegreeAt(s)
+		}
+	}
+	for _, s := range slots {
+		if s < 0 {
+			continue
+		}
+		if i := st.pos[s]; i >= 0 && int(i) < len(st.nodeList) {
+			sink += int(st.nodeList[i])
+		}
+		for _, x := range st.setAt(s, false) {
+			sink += int(nw.simOf[x]) + int(nw.z.Inv(x))
+		}
+		nw.real.ForEachNeighborAt(s, func(v NodeID, _ int32, _ int) bool {
+			sink += int(v)
+			return false
+		})
+	}
+	stag := nw.stag
+	for _, s := range slots {
+		if s < 0 {
+			continue
+		}
+		for _, x := range st.setAt(s, false) {
+			if t := nw.z.Inv(x); t != x && (stag == nil || !stag.droppedFlag[t]) {
+				sink += int(nw.simOf[t])
+			}
+		}
+	}
+	nw.warmSink = sink
 }
 
 // CheckNode verifies every node-local invariant at u: mapping coherence

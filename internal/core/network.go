@@ -146,9 +146,16 @@ type Network struct {
 
 	// auditRng drives sampled audits; it is separate from rng so auditing
 	// never perturbs the recovery algorithm's random choices. auditRow is
-	// wantRow's reused expected-row buffer.
-	auditRng *rand.Rand
-	auditRow []NodeID
+	// wantRow's reused expected-row buffer; auditIDs and auditSlots hold
+	// a sampled audit's check list, gathered before warmAudit runs.
+	// warmSink is the one field the warm passes (warmAudit,
+	// warmAdoption) write: it keeps the compiler from dropping their
+	// loads, and nothing reads it.
+	auditRng   *rand.Rand
+	auditRow   []NodeID
+	auditIDs   []NodeID
+	auditSlots []int32
+	warmSink   int
 
 	// failure counters for the pathological paths (never hit in normal
 	// operation; exercised by failure-injection tests).

@@ -99,12 +99,17 @@ func (a *vertexArena) alloc(capn int32) (off, got int32) {
 		}
 	}
 	o := len(a.buf)
-	if want := o + int(capn); cap(a.buf) >= want {
+	a.extend(o + int(capn))
+	return int32(o), capn
+}
+
+// extend lengthens buf to want cells, using spare capacity first.
+func (a *vertexArena) extend(want int) {
+	if cap(a.buf) >= want {
 		a.buf = a.buf[:want]
 	} else {
-		a.buf = append(a.buf, make([]Vertex, capn)...)
+		a.buf = append(a.buf, make([]Vertex, want-len(a.buf))...)
 	}
-	return int32(o), capn
 }
 
 func (a *vertexArena) release(off, capn int32) {
@@ -120,8 +125,17 @@ func (a *vertexArena) release(off, capn int32) {
 }
 
 // resize moves v's run into a fresh run of capn cells (capn >= v.n) and
-// releases the old one.
+// releases the old one. A run that grows while it ends the buffer
+// extends in place instead: above bigRun the classes step by 8 cells,
+// so a set that keeps growing would otherwise copy itself, and carve a
+// fresh tail run, every 8 adds, quadratic in its size (FuzzStoreOps'
+// bulk-grow-4k input grows one set to 87k vertices).
 func (a *vertexArena) resize(v *vset, capn int32) {
+	if capn > v.cap && int(v.off+v.cap) == len(a.buf) {
+		a.extend(int(v.off + capn))
+		v.cap = capn
+		return
+	}
 	newOff, got := a.alloc(capn)
 	copy(a.buf[newOff:newOff+v.n], a.buf[v.off:v.off+v.n])
 	a.release(v.off, v.cap)

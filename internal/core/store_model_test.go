@@ -11,8 +11,9 @@ import (
 )
 
 // This file keeps the store's historical map-keyed representation as a
-// test-only reference model. storeModel holds per-node state in plain
-// maps, where every operation is obviously right. FuzzStoreOps and
+// test-only reference model. storeModel holds per-node state in a plain
+// map keyed by node id, each vertex set a sorted slice, where every
+// operation is obviously right. FuzzStoreOps and
 // TestStoreMatchesModel drive random valid operation sequences through
 // the dense store — over a real graph.Graph, so slot reuse and the slot
 // hooks run for real — and the model in lockstep, and compareStore
@@ -21,20 +22,33 @@ import (
 // TestDenseMatchesMapOracle compares a running engine's store against
 // the model its virtual mapping implies (modelOf).
 
-// modelNode is one live node's state in the model.
+// modelNode is one live node's state in the model. The vertex sets are
+// plain sorted slices, kept sorted by binary-search insertion, so
+// comparing one with the store's run costs a single pass: re-sorting a
+// set after every operation made bulk-growth inputs quadratic, and the
+// fuzzer finds those within seconds.
 type modelNode struct {
-	sim, nxt          map[Vertex]bool // Sim(u) and NewSim(u)
+	sim, nxt          []Vertex // Sim(u) and NewSim(u), sorted, no duplicates
 	load              int
 	effNew, unprocOld int
 	dirty             bool // marked since the last reset, or since the node was added
 }
 
 // set returns Sim(u) (nxt false) or NewSim(u) (nxt true).
-func (n *modelNode) set(nxt bool) map[Vertex]bool {
+func (n *modelNode) set(nxt bool) *[]Vertex {
 	if nxt {
-		return n.nxt
+		return &n.nxt
 	}
-	return n.sim
+	return &n.sim
+}
+
+// setInsert adds x to the sorted set and reports whether it was absent.
+func setInsert(set *[]Vertex, x Vertex) bool {
+	i, found := slices.BinarySearch(*set, x)
+	if !found {
+		*set = slices.Insert(*set, i, x)
+	}
+	return !found
 }
 
 // storeModel is the map-keyed reference for the dense store.
@@ -47,7 +61,7 @@ type storeModel struct {
 func newStoreModel() *storeModel { return &storeModel{nodes: map[NodeID]*modelNode{}} }
 
 func (m *storeModel) addNode(u NodeID) {
-	m.nodes[u] = &modelNode{sim: map[Vertex]bool{}, nxt: map[Vertex]bool{}}
+	m.nodes[u] = &modelNode{}
 	m.list = append(m.list, u)
 }
 
@@ -70,15 +84,6 @@ func (m *storeModel) resetDirty() {
 	for _, n := range m.nodes {
 		n.dirty = false
 	}
-}
-
-func sortedSet(set map[Vertex]bool) []Vertex {
-	out := make([]Vertex, 0, len(set))
-	for x := range set {
-		out = append(out, x)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // compareStore checks every observable of the dense store against the
@@ -110,7 +115,7 @@ func compareStore(st *state, m *storeModel, ids int) error {
 			return fmt.Errorf("node %d: load %d (by id %d), model %d", u, st.loadAt(s), st.loadOf(u), n.load)
 		}
 		for _, nxt := range []bool{false, true} {
-			want, got := sortedSet(n.set(nxt)), st.setAt(s, nxt)
+			want, got := *n.set(nxt), st.setAt(s, nxt)
 			if !slices.Equal(got, want) || st.setLenAt(s, nxt) != len(want) {
 				return fmt.Errorf("node %d (next cycle %v): set %v (len %d), model %v", u, nxt, got, st.setLenAt(s, nxt), want)
 			}
@@ -204,26 +209,25 @@ func applyStoreOp(st *state, m *storeModel, op byte, a, b int) {
 		st.removeNode(u)
 		m.removeNode(u)
 	case opSimAdd, opNewAdd:
-		if x := Vertex(b); !n.set(nxt)[x] {
+		if x := Vertex(b); setInsert(n.set(nxt), x) {
 			st.setAddAt(s, x, nxt)
-			n.set(nxt)[x] = true
 		}
 	case opSimRemove, opNewRemove:
-		if set := sortedSet(n.set(nxt)); len(set) > 0 {
-			x := set[b%len(set)]
-			st.setRemoveAt(s, x, nxt)
-			delete(n.set(nxt), x)
+		if set := n.set(nxt); len(*set) > 0 {
+			i := b % len(*set)
+			st.setRemoveAt(s, (*set)[i], nxt)
+			*set = slices.Delete(*set, i, i+1)
 		}
 	case opSimGrow, opNewGrow:
 		// b%64+1 vertices above the current maximum: bulk growth that
 		// carries a run through its size classes, past bigRun.
-		base := Vertex(0)
-		if set := sortedSet(n.set(nxt)); len(set) > 0 {
-			base = set[len(set)-1] + 1
+		set, base := n.set(nxt), Vertex(0)
+		if len(*set) > 0 {
+			base = (*set)[len(*set)-1] + 1
 		}
 		for j := 0; j <= b%64; j++ {
 			st.setAddAt(s, base+Vertex(j), nxt)
-			n.set(nxt)[base+Vertex(j)] = true
+			setInsert(set, base+Vertex(j))
 		}
 	case opSimReset:
 		// b distinct vertices in scrambled order (37 is a unit mod 512).
@@ -231,14 +235,11 @@ func applyStoreOp(st *state, m *storeModel, op byte, a, b int) {
 		for j := range vs {
 			vs[j] = Vertex((j*37 + b) % 512)
 		}
-		n.sim = map[Vertex]bool{}
-		for _, x := range vs {
-			n.sim[x] = true
-		}
+		n.sim = slices.Sorted(slices.Values(vs))
 		st.simReset(u, vs)
 	case opPromote:
 		st.promoteNew(u)
-		n.sim, n.nxt = n.nxt, map[Vertex]bool{}
+		n.sim, n.nxt = n.nxt, nil
 		n.effNew, n.unprocOld = 0, 0
 	case opPutLoad:
 		st.putLoadDirtyAt(u, s, b)
@@ -376,7 +377,7 @@ func modelOf(nw *Network) (*storeModel, error) {
 		if m.nodes[u] == nil {
 			return nil, fmt.Errorf("vertex %d mapped to node %d, which is not in the mirror", x, u)
 		}
-		m.nodes[u].sim[Vertex(x)] = true
+		setInsert(&m.nodes[u].sim, Vertex(x))
 	}
 	if s != nil {
 		for y, u := range s.newSimOf {
@@ -386,7 +387,7 @@ func modelOf(nw *Network) (*storeModel, error) {
 			if m.nodes[u] == nil {
 				return nil, fmt.Errorf("new vertex %d mapped to node %d, which is not in the mirror", y, u)
 			}
-			m.nodes[u].nxt[Vertex(y)] = true
+			setInsert(&m.nodes[u].nxt, Vertex(y))
 		}
 	}
 	for _, u := range m.list {
@@ -394,7 +395,7 @@ func modelOf(nw *Network) (*storeModel, error) {
 		n.load = len(n.sim) + len(n.nxt)
 		if s != nil {
 			n.effNew = len(n.nxt)
-			for x := range n.sim {
+			for _, x := range n.sim {
 				if !s.processed(x) {
 					n.unprocOld++
 					n.effNew += s.projection(x)

@@ -138,6 +138,7 @@ func (nw *Network) Delete(id NodeID) error {
 	// v attaches all of u's edges to itself: move every vertex u simulated
 	// to v (Alg 4.3 line 1).
 	orphans := nw.vertexHoldings(id)
+	nw.warmAdoption(nw.st.slot(id))
 	for _, h := range orphans {
 		nw.moveHolding(h, v)
 	}
@@ -157,6 +158,33 @@ func (nw *Network) Delete(id NodeID) error {
 	nw.afterRecovery(v)
 	nw.endStep()
 	return nil
+}
+
+// warmAdoption touches, ahead of an adoption, the cells its edge
+// mutations land in. Each mutation joins two of the victim at slot s,
+// the survivor and the victim's other neighbors, and the survivor is a
+// neighbor too, so every one of them reads and writes the graph records
+// and runs of the victim's neighbors. The first pass over the victim's
+// run touches each neighbor's record, the second each neighbor's run
+// head, so the misses of different neighbors overlap instead of queuing
+// one move at a time. It reads nothing the moves do not read and writes
+// only warmSink.
+//
+//dexvet:noalloc
+func (nw *Network) warmAdoption(s int32) {
+	sink := 0
+	nw.real.ForEachNeighborAt(s, func(_ NodeID, vs int32, _ int) bool {
+		sink += nw.real.DistinctDegreeAt(vs)
+		return true
+	})
+	nw.real.ForEachNeighborAt(s, func(_ NodeID, vs int32, _ int) bool {
+		nw.real.ForEachNeighborAt(vs, func(w NodeID, _ int32, _ int) bool {
+			sink += int(w)
+			return false
+		})
+		return true
+	})
+	nw.warmSink = sink
 }
 
 // survivingNeighbor picks the smallest distinct neighbor of id. It scans
