@@ -66,14 +66,17 @@ bench-graph:
 # (delete+insert) at 10^5 nodes on the slot-indexed store, the same
 # pair on the network the workloads grow by single joins with the
 # sampled audit off and on (the gap is the audit's cost per pair), the
-# zero-allocation gates on the recovery path, the sampled audit and
-# the warm size-count flood (mirrors bench-graph one layer up), one
-# Simplified-mode size-count flood at n=1024 in its direct form vs the
-# message-passing engine it is proven equal to, and the Concurrent
-# façade's throughput rows (1/4/8/16 submitters through its lock).
+# engine halves of a checkpoint and of a reopen (AppendState,
+# RestoreNetwork) on that network, the zero-allocation gates on the
+# recovery path, the sampled audit and the warm size-count flood
+# (mirrors bench-graph one layer up), one Simplified-mode size-count
+# flood at n=1024 in its direct form vs the message-passing engine it
+# is proven equal to, and the Concurrent façade's throughput rows
+# (1/4/8/16 submitters through its lock).
 bench-core:
 	$(GO) test ./internal/core ./internal/congest -run 'ZeroAllocs' -count 1 -v
 	$(GO) test ./internal/core -run '^$$' -bench 'RecoveryOp|ChurnAudit' -benchtime 2000x -timeout 20m
+	$(GO) test ./internal/core -run '^$$' -bench 'AppendState|RestoreNetwork' -benchtime 20x -benchmem -timeout 20m
 	$(GO) test ./internal/congest -run '^$$' -bench FloodAggregate -benchtime 200x -benchmem
 	$(GO) test . -run '^$$' -bench ConcurrentChurn -benchtime 300x -timeout 20m
 
@@ -97,6 +100,9 @@ bench-json:
 		| $(GO) run ./cmd/benchjson > BENCH_core.json
 	$(GO) test ./internal/core -run '^$$' \
 		-bench 'ChurnAudit' -benchtime 2000x -benchmem -count 3 -timeout 20m \
+		| $(GO) run ./cmd/benchjson -append BENCH_core.json
+	$(GO) test ./internal/core -run '^$$' \
+		-bench 'AppendState|RestoreNetwork' -benchtime 20x -benchmem -count 3 -timeout 20m \
 		| $(GO) run ./cmd/benchjson -append BENCH_core.json
 	$(GO) test ./internal/persist -run '^$$' \
 		-bench 'WALAppend|Checkpoint' -benchtime 200x -benchmem -timeout 20m \
@@ -122,6 +128,9 @@ bench-diff:
 		| $(GO) run ./cmd/benchjson > /tmp/bench_core_fresh.json
 	$(GO) test ./internal/core -run '^$$' \
 		-bench 'ChurnAudit' -benchtime 2000x -benchmem -count 3 -timeout 20m \
+		| $(GO) run ./cmd/benchjson -append /tmp/bench_core_fresh.json
+	$(GO) test ./internal/core -run '^$$' \
+		-bench 'AppendState|RestoreNetwork' -benchtime 20x -benchmem -count 3 -timeout 20m \
 		| $(GO) run ./cmd/benchjson -append /tmp/bench_core_fresh.json
 	$(GO) test ./internal/persist -run '^$$' \
 		-bench 'WALAppend|Checkpoint' -benchtime 200x -benchmem -timeout 20m \
@@ -178,8 +187,11 @@ fuzz-churn:
 fuzz-graph:
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzGraphOps -fuzztime $(FUZZTIME)
 
+# Minimization is capped at 10 calls per input: at the default 60 s
+# budget the fuzzer spends most of a short run minimizing the large
+# corpus entries' descendants and executes almost nothing new.
 fuzz-store:
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzStoreOps -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzStoreOps -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 
 fuzz-crash:
 	$(GO) test ./internal/persist -run '^$$' -fuzz FuzzCrashRecovery -fuzztime $(FUZZTIME)

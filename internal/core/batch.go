@@ -110,11 +110,7 @@ func (nw *Network) DeleteBatch(ids []NodeID) error {
 	}
 	// The adversary may only delete node sets whose removal leaves the
 	// graph connected with a surviving neighbor per victim.
-	remainder := nw.real.Clone()
-	for id := range victim {
-		remainder.RemoveNode(id)
-	}
-	if !remainder.Connected() {
+	if !nw.remainderConnected(ids, victim) {
 		return fmt.Errorf("core: batch deletion would disconnect the network")
 	}
 	for _, id := range ids {
@@ -168,6 +164,43 @@ func (nw *Network) DeleteBatch(ids []NodeID) error {
 	nw.afterRecovery(nw.anySurvivor(nil))
 	nw.endStep()
 	return nil
+}
+
+// remainderConnected reports whether the overlay stays connected once
+// the distinct live nodes ids (the set victim) are removed. It runs a
+// BFS in place over the live overlay from a surviving node, never
+// entering a victim, on slot-indexed scratch the network keeps; the
+// remainder is connected iff the BFS reaches every survivor.
+func (nw *Network) remainderConnected(ids []NodeID, victim map[NodeID]bool) bool {
+	n := nw.real.Slots()
+	if len(nw.bfsSeen) < n {
+		nw.bfsSeen = make([]bool, n)
+	}
+	seen := nw.bfsSeen[:n]
+	clear(seen)
+	for _, id := range ids {
+		seen[nw.st.slot(id)] = true
+	}
+	queue := nw.bfsQueue[:0]
+	for _, u := range nw.st.nodeList {
+		if !victim[u] {
+			su := nw.st.slot(u)
+			seen[su] = true
+			queue = append(queue, su)
+			break
+		}
+	}
+	for i := 0; i < len(queue); i++ {
+		nw.real.ForEachNeighborAt(queue[i], func(_ NodeID, vs int32, _ int) bool {
+			if !seen[vs] {
+				seen[vs] = true
+				queue = append(queue, vs)
+			}
+			return true
+		})
+	}
+	nw.bfsQueue = queue
+	return len(queue) == nw.Size()-len(ids)
 }
 
 // anySurvivor returns the smallest live node not in the exclusion set.

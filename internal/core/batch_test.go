@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -85,6 +88,80 @@ func TestDeleteBatchValidation(t *testing.T) {
 	}
 	if err := nw.DeleteBatch(all[:13]); err != ErrTooSmall {
 		t.Fatalf("expected ErrTooSmall, got %v", err)
+	}
+}
+
+// TestDeleteBatchRejections covers Section 5's two preconditions on a
+// deletion batch: the remainder must stay connected, and every victim
+// must keep a surviving neighbor. A refused batch must leave the
+// network exactly as it was.
+func TestDeleteBatchRejections(t *testing.T) {
+	nw := mustNew(t, 64, DefaultConfig())
+	snapChurn(t, nw, 3, 200)
+	// nbrs lists u's neighbors other than u itself.
+	nbrs := func(u NodeID) []NodeID {
+		var out []NodeID
+		for _, v := range nw.Graph().Neighbors(u) {
+			if v != u {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	nodes := nw.Nodes()
+	slices.Sort(nodes)
+
+	// Deleting every neighbor of the node with the fewest strands it.
+	strand := nodes[0]
+	for _, u := range nodes {
+		if len(nbrs(u)) < len(nbrs(strand)) {
+			strand = u
+		}
+	}
+	// Deleting a node together with its neighbors leaves it none; pick
+	// one whose deletion with them keeps the rest connected.
+	isolate := NodeID(-1)
+	for _, u := range nodes {
+		rest := nw.Graph().Clone()
+		rest.RemoveNode(u)
+		for _, v := range nbrs(u) {
+			rest.RemoveNode(v)
+		}
+		if rest.Connected() {
+			isolate = u
+			break
+		}
+	}
+	if isolate < 0 {
+		t.Fatal("no node can be deleted with its neighbors without disconnecting the rest")
+	}
+
+	for _, tc := range []struct {
+		name    string
+		ids     []NodeID
+		wantErr string
+	}{
+		{"would-disconnect", nbrs(strand), "core: batch deletion would disconnect the network"},
+		{"no-surviving-neighbor", append([]NodeID{isolate}, nbrs(isolate)...),
+			fmt.Sprintf("core: victim %d has no surviving neighbor", isolate)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			totals, history := nw.Totals(), nw.History()
+			overlay, epoch := nw.Graph().Clone(), nw.Graph().Epoch()
+			err := nw.DeleteBatch(tc.ids)
+			if err == nil || err.Error() != tc.wantErr {
+				t.Fatalf("DeleteBatch(%v) error %v, want %q", tc.ids, err, tc.wantErr)
+			}
+			if nw.Totals() != totals || !reflect.DeepEqual(nw.History(), history) {
+				t.Fatal("a refused batch changed the metrics")
+			}
+			if err := graphsEqual(nw.Graph(), overlay); err != nil || nw.Graph().Epoch() != epoch {
+				t.Fatalf("a refused batch changed the overlay: %v (epoch %d, was %d)", err, nw.Graph().Epoch(), epoch)
+			}
+			if err := nw.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // This file is the bench-core tier: the engine-state benchmark and
@@ -154,6 +156,57 @@ func BenchmarkChurnAudit(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkAppendState prices the engine half of a checkpoint on the
+// network the workloads run (joinedEngine, aged by 2*10^4 pairs): one
+// iteration serializes the whole engine state into a buffer grown by an
+// earlier checkpoint, as persist.Checkpoint reuses its own. bytes/state
+// is the encoded size. Run via `make bench-core`.
+func BenchmarkAppendState(b *testing.B) {
+	for _, size := range []int{100000} {
+		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
+			nw := joinedEngine(b, size, size/5)
+			enc := wire.NewEncoder(nil)
+			if err := nw.AppendState(enc); err != nil {
+				b.Fatal(err)
+			}
+			runtime.GC()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				enc.Reset()
+				if err := nw.AppendState(enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(enc.Len()), "bytes/state")
+		})
+	}
+}
+
+// BenchmarkRestoreNetwork prices the engine half of a reopen on the same
+// network: one iteration restores a live engine from its serialized
+// state, re-deriving the overlay from the mapping. Run via
+// `make bench-core`.
+func BenchmarkRestoreNetwork(b *testing.B) {
+	for _, size := range []int{100000} {
+		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
+			enc := wire.NewEncoder(nil)
+			if err := joinedEngine(b, size, size/5).AppendState(enc); err != nil {
+				b.Fatal(err)
+			}
+			data := enc.Bytes()
+			runtime.GC()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RestoreNetwork(wire.NewDecoder(data)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

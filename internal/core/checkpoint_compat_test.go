@@ -12,14 +12,42 @@ import (
 	"repro/internal/wire"
 )
 
-// These tests pin the engine checkpoint format (stateVersion 1). Each
-// fails if the bytes AppendState writes, or the way RestoreNetwork
-// reads older bytes, drift.
+// These tests pin the engine checkpoint format (stateVersion 2) and the
+// reading of version 1. Each fails if the bytes AppendState writes, or
+// the way RestoreNetwork reads older bytes, drift.
 
 // legacyFixture is a checkpoint written by a four-worker engine while
 // seeds it had drawn ahead were still pending; gen.sh beside it says
 // how it was made.
 const legacyFixture = "testdata/legacy-pending-seeds/ckpt.state"
+
+// v1Fixtures are version-1 checkpoints of the compatibility script,
+// which stored the overlay's edges; gen.sh beside them says how they
+// were made. want is each file's SHA-256, the golden hash the last
+// version-1 encoder was pinned to.
+var v1Fixtures = []struct {
+	name string
+	mode RecoveryMode
+	ops  int
+	want string
+}{
+	{"staggered-mid-rebuild", Staggered, 898, "5160f5c2adea5d0689408f19fb5cc243e09d6d341d732b4ebbb665f5971341a4"},
+	{"simplified", Simplified, 1000, "9a94318a4563f88690ada57e5af3281d73fbe839ff33999b54590f8a30833080"},
+}
+
+// readV1Fixture reads one version-1 fixture and checks its hash.
+func readV1Fixture(t *testing.T, name, want string) []byte {
+	t.Helper()
+	data, err := os.ReadFile("testdata/state-v1/" + name + ".state")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("%s: fixture SHA-256 %s, want %s", name, got, want)
+	}
+	return data
+}
 
 // compatEngine returns a serial engine that has run the first ops ops
 // of the compatibility script.
@@ -40,9 +68,9 @@ func compatEngine(t *testing.T, mode RecoveryMode, ops int) *Network {
 // TestCheckpointGoldenHash pins the SHA-256 of AppendState's bytes for
 // a seeded serial engine at two points of the compatibility script:
 // Staggered mid-rebuild, so the in-flight rebuild is serialized too,
-// and Simplified after two inflations and a deflation. The hashes were
-// measured on the engine that still had a parallel walk pool, so they
-// also prove that removing it left serial state byte-identical.
+// and Simplified after two inflations and a deflation. The states are
+// the ones the committed version-1 fixtures hold, which
+// TestRestoreStateV1 proves restore to the same engines.
 func TestCheckpointGoldenHash(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -51,8 +79,8 @@ func TestCheckpointGoldenHash(t *testing.T) {
 		phase int // rebuild phase in flight after the last op, 0 = none
 		want  string
 	}{
-		{"staggered-mid-rebuild", Staggered, 898, 1, "5160f5c2adea5d0689408f19fb5cc243e09d6d341d732b4ebbb665f5971341a4"},
-		{"simplified", Simplified, 1000, 0, "9a94318a4563f88690ada57e5af3281d73fbe839ff33999b54590f8a30833080"},
+		{"staggered-mid-rebuild", Staggered, 898, 1, "8ee4439fc3f4a69025fb753bd885281d3cee491fc269a7ad932afbf8ab5db9a8"},
+		{"simplified", Simplified, 1000, 0, "df8fbbf6a4cb85bfb971f560373805c3781bbfb42fde6a3ac24a72f8beaa018a"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nw := compatEngine(t, tc.mode, tc.ops)
@@ -62,6 +90,80 @@ func TestCheckpointGoldenHash(t *testing.T) {
 			sum := sha256.Sum256(encodeState(t, nw))
 			if got := hex.EncodeToString(sum[:]); got != tc.want {
 				t.Fatalf("checkpoint SHA-256 %s, want %s: the format or the serial engine changed", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestRestoreStateV1 restores each version-1 fixture, which checks its
+// stored edges against the derived contraction, and requires the
+// engine that the script reaches at the same op: the same state, and
+// the same version-2 checkpoint when re-encoded.
+func TestRestoreStateV1(t *testing.T) {
+	for _, fx := range v1Fixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			re := restoreState(t, readV1Fixture(t, fx.name, fx.want))
+			oracle := compatEngine(t, fx.mode, fx.ops)
+			requireSameState(t, "at the restore point", oracle, re)
+			if !bytes.Equal(encodeState(t, oracle), encodeState(t, re)) {
+				t.Fatal("restored engine re-encodes differently from the script's engine")
+			}
+		})
+	}
+}
+
+// v1EdgeMults returns the offsets of the stored edge multiplicities in
+// a version-1 checkpoint, walking the graph section that follows the
+// RNG fields: codec version, slot table, free-slot stack, edge count,
+// then each edge as two endpoint varints and a multiplicity.
+func v1EdgeMults(t *testing.T, data []byte) []int {
+	t.Helper()
+	_, _, k, seedsOff := pendingSeeds(t, data)
+	dec := wire.NewDecoder(data[seedsOff+8*int(k):])
+	if v := dec.Uvarint(); v != 1 {
+		t.Fatalf("graph section version %d, want 1", v)
+	}
+	for n := dec.Uvarint(); n > 0 && dec.Err() == nil; n-- {
+		dec.Varint()
+		dec.Bool()
+	}
+	for n := dec.Uvarint(); n > 0 && dec.Err() == nil; n-- {
+		dec.Uvarint()
+	}
+	var offs []int
+	for n := dec.Uvarint(); n > 0 && dec.Err() == nil; n-- {
+		dec.Varint()
+		dec.Varint()
+		offs = append(offs, len(data)-dec.Remaining())
+		dec.Uvarint()
+	}
+	if err := dec.Err(); err != nil {
+		t.Fatalf("graph section: %v", err)
+	}
+	return offs
+}
+
+// TestRestoreRejectsTamperedV1Edge: a version-1 checkpoint whose stored
+// overlay is not the contraction of its mapping is refused. Raising one
+// stored multiplicity by one keeps the overlay symmetric and valid as a
+// graph, so only the comparison with the derived contraction catches it.
+func TestRestoreRejectsTamperedV1Edge(t *testing.T) {
+	for _, fx := range v1Fixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			data := readV1Fixture(t, fx.name, fx.want)
+			offs := v1EdgeMults(t, data)
+			if len(offs) == 0 {
+				t.Fatal("fixture stores no edges")
+			}
+			b := bytes.Clone(data)
+			off := offs[len(offs)/2]
+			if b[off] < 1 || b[off] > 3 {
+				t.Fatalf("multiplicity byte %d at %d, want 1..3", b[off], off)
+			}
+			b[off]++
+			_, err := RestoreNetwork(wire.NewDecoder(b))
+			if err == nil || !strings.Contains(err.Error(), "not the contraction") {
+				t.Fatalf("RestoreNetwork error %v, want one naming the contraction", err)
 			}
 		})
 	}

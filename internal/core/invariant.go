@@ -454,7 +454,7 @@ func auditErrorf(format string, args ...int64) error {
 // enumerated once, and same are the non-loop virtual edges with both
 // endpoints at u, which are enumerated from both sides (so same is even
 // on a coherent mapping, and each pair is one real self-loop). The
-// rules mirror expectedRealGraph exactly, which the differential tests
+// rules mirror contractionEdges exactly, which the differential tests
 // enforce.
 //
 //dexvet:noalloc
@@ -531,6 +531,25 @@ func (nw *Network) expectedRealGraph() *graph.Graph {
 	for _, u := range nw.st.nodeList {
 		g.AddNode(u)
 	}
+	nw.contractionEdges(func(a, b NodeID) bool {
+		g.AddEdge(a, b)
+		return true
+	})
+	return g
+}
+
+// contractionEdges calls edge(a, b) once for each edge of the current
+// virtual structure, a and b the nodes simulating its two ends, and
+// stops early if edge returns false. The edges are the old cycle's
+// successor and chord edges between vertices a phase-2 rebuild has not
+// dropped (a chord self-loop once) and, mid-rebuild, each generated new
+// vertex's successor edge and the chord it owns as the smaller
+// endpoint, each landing through newEdgeEnd. Their contraction under Phi
+// is the overlay I4 requires. The rules live here alone:
+// expectedRealGraph (the I4 oracle) and RestoreNetwork (which re-derives
+// a checkpoint's overlay) both enumerate them through this function, and
+// wantRow is their node-local form.
+func (nw *Network) contractionEdges(edge func(a, b NodeID) bool) {
 	s := nw.stag
 	p := nw.z.P()
 	aliveOld := func(x Vertex) bool {
@@ -540,15 +559,15 @@ func (nw *Network) expectedRealGraph() *graph.Graph {
 		if !aliveOld(x) {
 			continue
 		}
-		if t := nw.z.Succ(x); aliveOld(t) {
-			g.AddEdge(nw.simOf[x], nw.simOf[t])
+		if t := nw.z.Succ(x); aliveOld(t) && !edge(nw.simOf[x], nw.simOf[t]) {
+			return
 		}
-		if t := nw.z.Inv(x); t >= x && aliveOld(t) {
-			g.AddEdge(nw.simOf[x], nw.simOf[t])
+		if t := nw.z.Inv(x); t >= x && aliveOld(t) && !edge(nw.simOf[x], nw.simOf[t]) {
+			return
 		}
 	}
 	if s == nil {
-		return g
+		return
 	}
 	pNew := s.zNew.P()
 	for y := int64(0); y < pNew; y++ {
@@ -557,17 +576,14 @@ func (nw *Network) expectedRealGraph() *graph.Graph {
 			continue
 		}
 		// Successor edge, owned by y.
-		g.AddEdge(u, nw.newEdgeEnd(s.zNew.Succ(y)))
+		if !edge(u, nw.newEdgeEnd(s.zNew.Succ(y))) {
+			return
+		}
 		// Chord, owned by the smaller endpoint (self-loops own themselves).
-		t := s.zNew.Inv(y)
-		switch {
-		case t == y:
-			g.AddEdge(u, u)
-		case y < t:
-			g.AddEdge(u, nw.newEdgeEnd(t))
+		if t := s.zNew.Inv(y); t == y && !edge(u, u) || y < t && !edge(u, nw.newEdgeEnd(t)) {
+			return
 		}
 	}
-	return g
 }
 
 // graphsEqual compares node sets and edge multisets.

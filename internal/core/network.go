@@ -157,6 +157,11 @@ type Network struct {
 	auditSlots []int32
 	warmSink   int
 
+	// bfsSeen and bfsQueue are DeleteBatch's slot-indexed scratch for
+	// its in-place connectivity check (remainderConnected).
+	bfsSeen  []bool
+	bfsQueue []int32
+
 	// failure counters for the pathological paths (never hit in normal
 	// operation; exercised by failure-injection tests).
 	orphanRescues  int

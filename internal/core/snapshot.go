@@ -19,12 +19,17 @@ import (
 //
 //   - Most per-node state is recomputable from the mapping: load(u) =
 //     |Sim(u)| + |NewSim(u)|, the |Spare|/|Low| counters rebuild through
-//     setLoad, unprocOld/effNew follow from the stagger flags by the
-//     invariants audits already check, and the overlay's adjacency is
-//     a function of the mapping — but the overlay's *slot table* is
-//     serialized exactly (graph.AppendBinary), because slot numbering
-//     and the free-slot stack determine how the columnar store addresses
-//     state and must survive a restore bit-for-bit.
+//     setLoad, and unprocOld/effNew follow from the stagger flags by the
+//     invariants audits already check.
+//
+//   - The overlay is the contraction of the virtual structure under the
+//     mapping (invariant I4), so its edges are not written: a restore
+//     re-derives them from Z(p), the mapping and the stagger state
+//     through contractionEdges. Only the overlay's slot table is
+//     serialized (graph.AppendBinary): slot numbering, the free-slot
+//     stack and the epoch, which the mapping does not determine and
+//     which decide how the columnar store addresses state, so they must
+//     survive a restore bit-for-bit.
 //
 // Not serialized (and provably unobservable between steps): the
 // in-flight step scratch (nw.step, dirty set), the audit RNG (audits
@@ -41,9 +46,15 @@ import (
 //     were always the last k draws of the stream, so a restore checks
 //     them against the regenerated draws and positions the source at
 //     rngDraws - k, where the next walk draws the first of them again.
+//
+// Version 1 of the format also stored every distinct overlay edge. It
+// still loads: the stored edges are decoded and must equal the
+// contraction the mapping derives, or the restore fails. The restored
+// engine writes version 2 from its next checkpoint on.
 
-// stateVersion is the engine snapshot format version.
-const stateVersion = 1
+// stateVersion is the engine snapshot format version AppendState
+// writes. RestoreNetwork reads it and version 1.
+const stateVersion = 2
 
 // AppendBinary serializes the step metrics onto enc. The encoding is
 // shared by engine checkpoints, WAL records, and the persistence
@@ -226,12 +237,13 @@ func (nw *Network) AppendState(enc *wire.Encoder) error {
 }
 
 // RestoreNetwork rebuilds a live engine from a stream produced by
-// AppendState. The restored engine continues byte-identically to the
-// engine that was serialized: same History, mapping, loads, overlay,
-// and walk-seed stream.
+// AppendState, in version 2 or version 1 of the format. The restored
+// engine continues byte-identically to the engine that was serialized:
+// same History, mapping, loads, overlay, and walk-seed stream.
 func RestoreNetwork(dec *wire.Decoder) (*Network, error) {
-	if v := dec.Uvarint(); dec.Err() == nil && v != stateVersion {
-		return nil, fmt.Errorf("core: unknown state version %d", v)
+	version := dec.Uvarint()
+	if dec.Err() == nil && version != 1 && version != stateVersion {
+		return nil, fmt.Errorf("core: unknown state version %d", version)
 	}
 	var cfg Config
 	cfg.Zeta = int(dec.Varint())
@@ -275,6 +287,12 @@ func RestoreNetwork(dec *wire.Decoder) (*Network, error) {
 	if nAhead > rngDraws {
 		return nil, fmt.Errorf("core: %d pending seeds exceed the %d RNG draws", nAhead, rngDraws)
 	}
+	// The mapping (at least a byte per vertex) follows, so a modulus the
+	// input cannot hold is refused before pcycle.New allocates p
+	// inverses for it.
+	if uint64(p) > uint64(dec.Remaining()) {
+		return nil, fmt.Errorf("core: mapping length %d exceeds input", p)
+	}
 	z, err := pcycle.New(p)
 	if err != nil {
 		return nil, fmt.Errorf("core: restored modulus: %w", err)
@@ -306,9 +324,6 @@ func RestoreNetwork(dec *wire.Decoder) (*Network, error) {
 	if err := nw.st.restoreMirror(nodeList); err != nil {
 		return nil, err
 	}
-	if uint64(p) > uint64(dec.Remaining()) {
-		return nil, fmt.Errorf("core: mapping length %d exceeds input", p)
-	}
 	nw.simOf = make([]NodeID, p)
 	for x := range nw.simOf {
 		nw.simOf[x] = NodeID(dec.Varint())
@@ -333,6 +348,15 @@ func RestoreNetwork(dec *wire.Decoder) (*Network, error) {
 		if s.frontier < 0 || s.frontier > p || s.batch < 1 {
 			return nil, fmt.Errorf("core: bad stagger schedule frontier=%d batch=%d", s.frontier, s.batch)
 		}
+		// An inflation grows the cycle and a deflation shrinks it; the
+		// owner maps (newEdgeEnd) stay inside Z(p) only then. Like the
+		// mapping, the new mapping takes at least a byte per vertex.
+		if (s.dir == inflateDir) != (pNew > p) {
+			return nil, fmt.Errorf("core: bad stagger moduli %d -> %d", p, pNew)
+		}
+		if uint64(pNew) > uint64(dec.Remaining()) {
+			return nil, fmt.Errorf("core: new mapping length %d exceeds input", pNew)
+		}
 		// The in-flight maps are rebuilt as literals from the stored
 		// primes: NewDeflationFloor's admissibility floor depended on the
 		// node count when the rebuild started, so recomputing it here
@@ -353,9 +377,6 @@ func RestoreNetwork(dec *wire.Decoder) (*Network, error) {
 		}
 		s.processedFlag = decodeBitset(dec, int(p))
 		s.droppedFlag = decodeBitset(dec, int(p))
-		if uint64(pNew) > uint64(dec.Remaining()) {
-			return nil, fmt.Errorf("core: new mapping length %d exceeds input", pNew)
-		}
 		s.newSimOf = make([]NodeID, pNew)
 		for y := range s.newSimOf {
 			s.newSimOf[y] = NodeID(dec.Varint())
@@ -442,6 +463,13 @@ func RestoreNetwork(dec *wire.Decoder) (*Network, error) {
 		nw.setLoad(u, nw.st.simLen(u)+nw.st.newLen(u), true)
 	}
 	nw.stag = stag
+	if version == 1 {
+		if err := graphsEqual(nw.real, nw.expectedRealGraph()); err != nil {
+			return nil, fmt.Errorf("core: stored overlay is not the contraction of the mapping: %w", err)
+		}
+	} else if err := nw.deriveOverlay(); err != nil {
+		return nil, err
+	}
 	nw.refreshDist0()
 
 	// RNG: fast-forward a fresh source to the recorded stream position,
@@ -468,4 +496,36 @@ func RestoreNetwork(dec *wire.Decoder) (*Network, error) {
 	nw.orphanRescues = orphanRescues
 	nw.walkExhaustion = walkExhaustion
 	return nw, nil
+}
+
+// deriveOverlay adds the contraction's edges to an overlay restored as a
+// bare slot table, each undirected edge once and slot-natively, then
+// restores the stored epoch the additions advanced and validates the
+// result. Every endpoint must already be a node of the slot table: a
+// mapping that names any other node is a restore error, never a new
+// node.
+func (nw *Network) deriveOverlay() error {
+	g := nw.real
+	if g.NumEdges() != 0 {
+		return fmt.Errorf("core: version-%d state carries overlay edges", stateVersion)
+	}
+	epoch := g.Epoch()
+	var err error
+	nw.contractionEdges(func(a, b NodeID) bool {
+		sa, okA := g.SlotOf(a)
+		if _, okB := g.SlotOf(b); !okA || !okB {
+			err = fmt.Errorf("core: derived edge {%d,%d} ends at a node the slot table lacks", a, b)
+			return false
+		}
+		g.AddEdgeAt(sa, a, b)
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	g.SetEpoch(epoch)
+	if err := g.Validate(); err != nil {
+		return fmt.Errorf("core: derived overlay: %w", err)
+	}
+	return nil
 }

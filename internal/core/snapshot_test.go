@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/primes"
 	"repro/internal/wire"
 )
 
@@ -58,6 +63,21 @@ func requireSameState(t *testing.T, tag string, a, b *Network) {
 	}
 	if err := graphsEqual(a.Graph(), b.Graph()); err != nil {
 		t.Fatalf("%s: overlays differ: %v", tag, err)
+	}
+	// The slot table and the epoch must match exactly, not just the
+	// overlay's content: slots address the columnar store.
+	if a.Graph().Slots() != b.Graph().Slots() {
+		t.Fatalf("%s: slot tables of %d and %d slots", tag, a.Graph().Slots(), b.Graph().Slots())
+	}
+	for s := int32(0); s < int32(a.Graph().Slots()); s++ {
+		au, aok := a.Graph().NodeAt(s)
+		bu, bok := b.Graph().NodeAt(s)
+		if au != bu || aok != bok {
+			t.Fatalf("%s: slot %d holds (%d, live %v) and (%d, live %v)", tag, s, au, aok, bu, bok)
+		}
+	}
+	if a.Graph().Epoch() != b.Graph().Epoch() {
+		t.Fatalf("%s: overlay epochs %d != %d", tag, a.Graph().Epoch(), b.Graph().Epoch())
 	}
 	if a.nSpare != b.nSpare || a.nLow != b.nLow {
 		t.Fatalf("%s: counters (%d,%d) != (%d,%d)", tag, a.nSpare, a.nLow, b.nSpare, b.nLow)
@@ -148,6 +168,9 @@ func TestSnapshotRoundTripSteady(t *testing.T) {
 				data := encodeState(t, nw)
 				re := restoreState(t, data)
 				requireSameState(t, "immediately after restore", nw, re)
+				if !bytes.Equal(encodeState(t, re), data) {
+					t.Fatal("restored engine re-encodes differently")
+				}
 				churnBoth(t, nw, re, 99, 300)
 			})
 		}
@@ -198,6 +221,9 @@ func TestSnapshotRoundTripMidStagger(t *testing.T) {
 					data := encodeState(t, nw)
 					re := restoreState(t, data)
 					requireSameState(t, fmt.Sprintf("mid-stagger phase %d", phase), nw, re)
+					if !bytes.Equal(encodeState(t, re), data) {
+						t.Fatalf("mid-stagger phase %d: restored engine re-encodes differently", phase)
+					}
 					// Drive both to the rebuild commit and beyond.
 					churnBoth(t, nw, re, int64(1000+i), 200)
 				}
@@ -235,5 +261,94 @@ func TestSnapshotRejectsTruncation(t *testing.T) {
 		if _, err := RestoreNetwork(wire.NewDecoder(data[:cut])); err == nil {
 			t.Fatalf("truncation at %d/%d accepted", cut, len(data))
 		}
+	}
+}
+
+// TestRestoreRejectsHostileModulus: a modulus the input is too short to
+// hold cannot be a checkpoint's, because the mapping that follows takes
+// at least a byte per vertex. Both the cycle's p and a rebuild's pNew
+// must be refused before pcycle.New allocates a table of p inverses
+// (8 bytes each) for them.
+func TestRestoreRejectsHostileModulus(t *testing.T) {
+	const hostile = 10_000_019 // pcycle.New would take 80 MB for it
+	if !primes.IsPrime(hostile) {
+		t.Fatalf("%d is not prime: pcycle.New would refuse it without allocating", hostile)
+	}
+	// A header naming p = hostile, complete up to the overlay section.
+	cfg := DefaultConfig()
+	head := wire.NewEncoder(nil)
+	head.Uvarint(stateVersion)
+	head.Varint(int64(cfg.Zeta))
+	head.F64(cfg.Theta)
+	head.Varint(int64(cfg.WalkFactor))
+	head.Varint(int64(cfg.WalkRetryLimit))
+	head.Uvarint(uint64(cfg.Mode))
+	head.Varint(cfg.Seed)
+	head.Varint(0) // reserved: worker count
+	head.Varint(int64(cfg.HistoryCap))
+	head.Varint(hostile)
+	head.Varint(0) // next id
+	head.Varint(0) // orphan rescues
+	head.Varint(0) // walk exhaustion
+	appendTotals(head, &Totals{})
+	head.Uvarint(0) // history
+	head.U64(0)     // RNG draws
+	head.Uvarint(0) // reserved: seeds drawn ahead
+
+	// A real steady state whose stagger flag is flipped on, followed by
+	// an inflation to pNew = hostile and nothing else.
+	data := encodeState(t, mustNew(t, 16, cfg))
+	if data[len(data)-1] != 0 {
+		t.Fatal("a steady engine's state does not end with an absent stagger")
+	}
+	stag := wire.NewEncoder(append([]byte(nil), data[:len(data)-1]...))
+	stag.Bool(true)
+	stag.Uvarint(uint64(inflateDir))
+	stag.Varint(hostile)
+	stag.Uvarint(1) // phase
+	stag.Varint(0)  // frontier
+	stag.Varint(1)  // batch
+
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		wantErr string
+	}{
+		{"p", head.Bytes(), "mapping length"},
+		{"pNew", stag.Bytes(), "new mapping length"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := RestoreNetwork(wire.NewDecoder(tc.data))
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Fatalf("restoring a %d-byte input allocated %d bytes, want < 1 MB", len(tc.data), got)
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("RestoreNetwork error %v, want one containing %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestRestoreRejectsDerivedEdgeToAbsentNode: a restore derives the
+// overlay's edges, never its nodes. Here a rebuild's first ungenerated
+// new vertex is generated by an old vertex marked dropped whose stale
+// owner no slot holds, so the intermediate edge that lands on it would
+// need a new node; the restore must refuse the state instead.
+func TestRestoreRejectsDerivedEdgeToAbsentNode(t *testing.T) {
+	nw := midRebuildEngine(t)
+	s := nw.stag
+	y := slices.Index(s.newSimOf, -1)
+	if y < 1 || s.newSimOf[y-1] < 0 {
+		t.Fatal("want a generated new vertex whose successor is not generated")
+	}
+	x := s.ownerOld(Vertex(y))
+	s.droppedFlag[x] = true
+	nw.simOf[x] = nw.nextID + 1
+	_, err := RestoreNetwork(wire.NewDecoder(encodeState(t, nw)))
+	if err == nil || !strings.Contains(err.Error(), "slot table lacks") {
+		t.Fatalf("RestoreNetwork error %v, want one naming a node the slot table lacks", err)
 	}
 }

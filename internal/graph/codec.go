@@ -7,19 +7,24 @@ import (
 )
 
 // codecVersion is the slot-table snapshot format. Bump when the field
-// sequence below changes; DecodeBinary rejects versions it does not know.
-const codecVersion = 1
+// sequence below changes; DecodeBinary rejects versions it does not
+// know. Version 1 also carried every distinct edge, between the free-slot
+// stack and the epoch; version 2 dropped them, and DecodeBinary still
+// reads both.
+const codecVersion = 2
 
-// AppendBinary serializes the graph — slot table, free-slot stack,
-// epoch, and every distinct edge — onto enc. The encoding is exact, not
-// merely isomorphic: slot numbering, the stale ids parked in dead slots,
-// and the LIFO order of the free-slot stack all round-trip, so a decoded
-// graph assigns future slots identically to the original. That is what
-// lets slot-indexed side tables (the engine's columnar store) resume
-// byte-for-byte after a restore. Arena layout (run offsets, free lists)
-// is deliberately not serialized: adjacency content is rebuilt via
-// AddEdgeMult and the arena repacks itself, since no observable behavior
-// depends on pool offsets.
+// AppendBinary serializes the graph's slot table — each slot's id and
+// live flag, the free-slot stack, and the epoch — onto enc. The encoding
+// is exact, not merely isomorphic: slot numbering, the stale ids parked
+// in dead slots, and the LIFO order of the free-slot stack all
+// round-trip, so a decoded graph assigns future slots identically to the
+// original. That is what lets slot-indexed side tables (the engine's
+// columnar store) resume byte-for-byte after a restore. Edges are not
+// written: the owner of a graph it can derive (the DEX overlay is the
+// contraction of the virtual cycle under the mapping) re-adds them after
+// DecodeBinary and then puts the epoch back with SetEpoch. Arena layout
+// (run offsets, free lists) is not serialized either, since no
+// observable behavior depends on pool offsets.
 func (g *Graph) AppendBinary(enc *wire.Encoder) {
 	enc.Uvarint(codecVersion)
 	enc.Uvarint(uint64(len(g.ids)))
@@ -30,23 +35,6 @@ func (g *Graph) AppendBinary(enc *wire.Encoder) {
 	enc.Uvarint(uint64(len(g.freeSlots)))
 	for _, s := range g.freeSlots {
 		enc.Uvarint(uint64(s))
-	}
-	// Distinct edges, each once with multiplicity, in slot order. Slot
-	// order (not sorted-ID order) keeps encoding O(cells) with no sort.
-	enc.Uvarint(uint64(g.distinctEdges()))
-	for s, id := range g.ids {
-		if !g.liveAt(s) {
-			continue
-		}
-		r := g.recs[s]
-		for i := r.off; i < r.off+r.n; i++ {
-			if g.pool[i].v < id {
-				continue // emitted from the smaller endpoint's run
-			}
-			enc.Varint(int64(id))
-			enc.Varint(int64(g.pool[i].v))
-			enc.Uvarint(uint64(g.pool[i].m))
-		}
 	}
 	enc.U64(g.epoch)
 }
@@ -59,36 +47,26 @@ func (g *Graph) liveAt(s int) bool {
 	return ok && live == int32(s)
 }
 
-// distinctEdges counts distinct {u,v} pairs (self-loops once), in slot
-// order.
-func (g *Graph) distinctEdges() int {
-	n := 0
-	for s, id := range g.ids {
-		if !g.liveAt(s) {
-			continue
-		}
-		r := g.recs[s]
-		for i := r.off; i < r.off+r.n; i++ {
-			if g.pool[i].v >= id {
-				n++
-			}
-		}
-	}
-	return n
-}
+// SetEpoch sets the logical version Epoch reports. A caller that re-adds
+// a decoded graph's edges itself (see AppendBinary) uses it afterwards to
+// restore the epoch the encoded graph had, which those additions
+// advanced.
+func (g *Graph) SetEpoch(e uint64) { g.epoch = e }
 
 // DecodeBinary rebuilds a graph serialized by AppendBinary into g, which
 // must be empty. Slot hooks already registered on g fire for each live
 // slot in ascending slot order — exactly the order a caller's columnar
 // mirror needs to re-grow its columns — and never for dead slots. The
 // decoded graph's slot table, free-slot stack, and epoch equal the
-// original's; Validate holds on success.
+// original's. A version-2 stream leaves every node isolated; a version-1
+// stream also restores the edges it carries. Validate holds on success.
 func (g *Graph) DecodeBinary(dec *wire.Decoder) error {
 	if len(g.ids) != 0 || len(g.index) != 0 {
 		return fmt.Errorf("graph: DecodeBinary target is not empty")
 	}
-	if v := dec.Uvarint(); dec.Err() == nil && v != codecVersion {
-		return fmt.Errorf("graph: unknown snapshot version %d", v)
+	version := dec.Uvarint()
+	if dec.Err() == nil && version != 1 && version != codecVersion {
+		return fmt.Errorf("graph: unknown snapshot version %d", version)
 	}
 	numSlots := dec.Uvarint()
 	// Each slot costs at least 2 encoded bytes; reject corrupt counts
@@ -141,6 +119,21 @@ func (g *Graph) DecodeBinary(dec *wire.Decoder) error {
 		return fmt.Errorf("graph: %d live + %d free slots != %d total",
 			len(g.index), nFree, numSlots)
 	}
+	if version == 1 {
+		if err := g.decodeEdgesV1(dec); err != nil {
+			return err
+		}
+	}
+	g.epoch = dec.U64()
+	if dec.Err() != nil {
+		return dec.Err()
+	}
+	return g.Validate()
+}
+
+// decodeEdgesV1 reads the edge section of a version-1 stream: a count,
+// then each distinct edge once as its endpoints and multiplicity.
+func (g *Graph) decodeEdgesV1(dec *wire.Decoder) error {
 	nEdges := dec.Uvarint()
 	if nEdges > uint64(dec.Remaining()) {
 		return fmt.Errorf("graph: edge count %d exceeds input", nEdges)
@@ -165,9 +158,5 @@ func (g *Graph) DecodeBinary(dec *wire.Decoder) error {
 		}
 		g.AddEdgeMult(u, v, int(mult))
 	}
-	g.epoch = dec.U64()
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-	return g.Validate()
+	return nil
 }

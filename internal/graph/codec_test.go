@@ -3,7 +3,9 @@ package graph
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 
@@ -73,22 +75,21 @@ func TestCodecRoundTrip(t *testing.T) {
 		if got.Epoch() != g.Epoch() {
 			t.Fatalf("seed %d: epoch %d != %d", seed, got.Epoch(), g.Epoch())
 		}
+		if got.NumEdges() != 0 {
+			t.Fatalf("seed %d: decoded %d edges from a slot table", seed, got.NumEdges())
+		}
+		requireSameSlots(t, fmt.Sprintf("seed %d", seed), got, g)
+		// The owner re-adds the edges it derives and restores the epoch;
+		// the result is the original graph.
+		for _, e := range g.Edges() {
+			got.AddEdgeMult(e.U, e.V, e.Mult)
+		}
+		got.SetEpoch(g.Epoch())
+		if err := got.Validate(); err != nil {
+			t.Fatalf("seed %d: refilled graph invalid: %v", seed, err)
+		}
 		if !reflect.DeepEqual(got.Edges(), g.Edges()) {
 			t.Fatalf("seed %d: edge sets differ", seed)
-		}
-		// The slot table must round-trip exactly, not just isomorphically.
-		if got.Slots() != g.Slots() {
-			t.Fatalf("seed %d: slots %d != %d", seed, got.Slots(), g.Slots())
-		}
-		for _, u := range g.Nodes() {
-			ws, _ := g.SlotOf(u)
-			gs, ok := got.SlotOf(u)
-			if !ok || gs != ws {
-				t.Fatalf("seed %d: node %d slot %d, want %d", seed, u, gs, ws)
-			}
-		}
-		if !reflect.DeepEqual(got.freeSlots, g.freeSlots) {
-			t.Fatalf("seed %d: free-slot stacks differ: %v vs %v", seed, got.freeSlots, g.freeSlots)
 		}
 		// Future slot assignment must match: add fresh nodes to both and
 		// compare the slots they land in. Capture the bound up front —
@@ -104,6 +105,29 @@ func TestCodecRoundTrip(t *testing.T) {
 				t.Fatalf("seed %d: fresh node %d landed in slot %d, want %d", seed, u, gs, ws)
 			}
 		}
+	}
+}
+
+// requireSameSlots requires got's slot table to equal want's exactly,
+// not just isomorphically: the same id in every slot, live or stale,
+// and the same free-slot stack.
+func requireSameSlots(t *testing.T, tag string, got, want *Graph) {
+	t.Helper()
+	if got.Slots() != want.Slots() {
+		t.Fatalf("%s: slots %d != %d", tag, got.Slots(), want.Slots())
+	}
+	if !reflect.DeepEqual(got.ids, want.ids) {
+		t.Fatalf("%s: slot ids differ", tag)
+	}
+	for s := int32(0); s < int32(want.Slots()); s++ {
+		wu, wok := want.NodeAt(s)
+		gu, gok := got.NodeAt(s)
+		if wu != gu || wok != gok {
+			t.Fatalf("%s: slot %d holds (%d, live %v), want (%d, live %v)", tag, s, gu, gok, wu, wok)
+		}
+	}
+	if !reflect.DeepEqual(got.freeSlots, want.freeSlots) {
+		t.Fatalf("%s: free-slot stacks differ: %v vs %v", tag, got.freeSlots, want.freeSlots)
 	}
 }
 
@@ -218,13 +242,66 @@ func straddleGraph(t testing.TB, seed int64) *Graph {
 	return g
 }
 
-// TestCodecGoldenHash pins AppendBinary's bytes for graphs whose ids
-// sit both on and off the dense id->slot path. The hashes were measured
-// on the encoder that tested liveness through the authoritative id map
-// and counted edges by ranging over it, so they prove the slot-order
-// encoder writes the same bytes. The engine's golden checkpoint hashes
-// cover only engine-minted ids, which are all dense.
+// straddleCase checks that straddleGraph(seed) covers every id class
+// the golden tests pin: ids on and off the dense path, negative ids, and
+// free slots whose stale id is absent or live again elsewhere.
+func straddleCase(t *testing.T, seed int64) *Graph {
+	t.Helper()
+	g := straddleGraph(t, seed)
+	var small, big, neg, stale, moved int
+	for _, u := range g.Nodes() {
+		switch {
+		case u < 0:
+			neg++
+		case u >= 1<<32:
+			big++
+		case u < 256:
+			small++
+		}
+	}
+	for _, s := range g.freeSlots {
+		if ls, ok := g.SlotOf(g.ids[s]); !ok {
+			stale++
+		} else if ls != s {
+			moved++
+		}
+	}
+	if small == 0 || big == 0 || neg == 0 || stale == 0 || moved == 0 || len(g.dense) == 0 {
+		t.Fatalf("seed %d: graph misses a pinned case: %d small, %d >= 2^32, %d negative live ids, %d free slots with absent and %d with re-added ids, dense len %d",
+			seed, small, big, neg, stale, moved, len(g.dense))
+	}
+	return g
+}
+
+// TestCodecGoldenHash pins AppendBinary's bytes (codec version 2, the
+// slot table without edges) for graphs whose ids sit both on and off
+// the dense id->slot path. The engine's golden checkpoint hashes cover
+// only engine-minted ids, which are all dense.
 func TestCodecGoldenHash(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		want string
+	}{
+		{1, "91009162128fd4415d919cbd11d3362d65cb5636c47c1f7af3b78dbc54ccc025"},
+		{2, "1d5dfeeea4b98d16ef377f8fac90c6f30690a20eb2cf31989f5e68e9b36afd30"},
+	} {
+		g := straddleCase(t, tc.seed)
+		enc := wire.NewEncoder(nil)
+		g.AppendBinary(enc)
+		sum := sha256.Sum256(enc.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("seed %d: AppendBinary SHA-256 %s, want %s: the graph encoding changed", tc.seed, got, tc.want)
+		}
+	}
+}
+
+// TestCodecDecodesV1 decodes the committed version-1 encodings of the
+// straddle graphs, which carry every edge (testdata/codec-v1, written by
+// the last version-1 encoder; gen.sh there regenerates them). Their
+// SHA-256s are the hashes that encoder was pinned to, and each must
+// decode to its graph exactly: slot table, free-slot stack, epoch and
+// edges.
+func TestCodecDecodesV1(t *testing.T) {
 	for _, tc := range []struct {
 		seed int64
 		want string
@@ -232,34 +309,23 @@ func TestCodecGoldenHash(t *testing.T) {
 		{1, "dd2cb039ff94587abd225b93faf89abb39a617b35a38ab073aa9833b7c8dcc60"},
 		{2, "4350bf0f4a64611c6190d8a189f86b15e7e45dcaf24094a65705a0d1a081cde0"},
 	} {
-		g := straddleGraph(t, tc.seed)
-		var small, big, neg, stale, moved int
-		for _, u := range g.Nodes() {
-			switch {
-			case u < 0:
-				neg++
-			case u >= 1<<32:
-				big++
-			case u < 256:
-				small++
-			}
+		data, err := os.ReadFile(fmt.Sprintf("testdata/codec-v1/straddle-%d.graph", tc.seed))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, s := range g.freeSlots {
-			if ls, ok := g.SlotOf(g.ids[s]); !ok {
-				stale++
-			} else if ls != s {
-				moved++
-			}
-		}
-		if small == 0 || big == 0 || neg == 0 || stale == 0 || moved == 0 || len(g.dense) == 0 {
-			t.Fatalf("seed %d: graph misses a pinned case: %d small, %d >= 2^32, %d negative live ids, %d free slots with absent and %d with re-added ids, dense len %d",
-				tc.seed, small, big, neg, stale, moved, len(g.dense))
-		}
-		enc := wire.NewEncoder(nil)
-		g.AppendBinary(enc)
-		sum := sha256.Sum256(enc.Bytes())
+		sum := sha256.Sum256(data)
 		if got := hex.EncodeToString(sum[:]); got != tc.want {
-			t.Errorf("seed %d: AppendBinary SHA-256 %s, want %s: the graph encoding changed", tc.seed, got, tc.want)
+			t.Fatalf("seed %d: fixture SHA-256 %s, want %s", tc.seed, got, tc.want)
+		}
+		g := straddleCase(t, tc.seed)
+		got := decodeInto(t, g, data)
+		tag := fmt.Sprintf("seed %d", tc.seed)
+		requireSameSlots(t, tag, got, g)
+		if got.Epoch() != g.Epoch() {
+			t.Fatalf("%s: epoch %d != %d", tag, got.Epoch(), g.Epoch())
+		}
+		if got.NumEdges() == 0 || !reflect.DeepEqual(got.Edges(), g.Edges()) {
+			t.Fatalf("%s: decoded edges differ from the graph's", tag)
 		}
 	}
 }
