@@ -34,7 +34,7 @@ fmt:
 
 # Static-analysis gate, required in CI: dexvet mechanizes the repo's
 # own invariants (guard discipline, engine determinism, 0-alloc hot
-# paths, slot-native mutators — see cmd/dexvet and internal/analysis);
+# paths — see cmd/dexvet and internal/analysis);
 # staticcheck and govulncheck run at the pinned versions when
 # installed. Zero unannotated findings is the merge bar: fix the code
 # or annotate the site with //dexvet:allow <rule> <reason>.

@@ -1,10 +1,9 @@
 // Command dexvet is the repo's invariant checker: a multichecker over
-// the four analyzers in internal/analysis that mechanize the engine's
+// the three analyzers in internal/analysis that mechanize the engine's
 // correctness contracts — guarddiscipline (enterOp/exitOp and façade
 // locking on dex), determinism (no wall clock, no global math/rand, no
-// map-iteration-order leaks in the engine packages), noalloc (the
-// //dexvet:noalloc hot paths have no escaping allocation sites) and
-// slotmut (slot-native graph mutation inside internal/core).
+// map-iteration-order leaks in the engine packages) and noalloc (the
+// //dexvet:noalloc hot paths have no escaping allocation sites).
 //
 // Usage:
 //
@@ -29,14 +28,12 @@ import (
 	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/guarddiscipline"
 	"repro/internal/analysis/noalloc"
-	"repro/internal/analysis/slotmut"
 )
 
 var all = []*analysis.Analyzer{
 	determinism.Analyzer,
 	guarddiscipline.Analyzer,
 	noalloc.Analyzer,
-	slotmut.Analyzer,
 }
 
 func main() {

@@ -252,8 +252,10 @@ func (nw *Network) afterOp() error {
 // --- churn operations ------------------------------------------------------
 
 // Insert adds node id attached at node attach (the adversary picks
-// both) and runs recovery. It returns ErrDuplicateID or ErrUnknownNode
-// on illegal arguments.
+// both) and runs recovery. Node ids are non-negative: Insert refuses a
+// negative id with an error (InsertBatch refuses a batch holding one),
+// because the engine reserves negative values for "no node". It returns
+// ErrDuplicateID or ErrUnknownNode on other illegal arguments.
 func (nw *Network) Insert(id, attach NodeID) error {
 	if err := nw.enterOp(); err != nil {
 		return err

@@ -2,9 +2,8 @@
 // static-analysis framework plus the repo's analyzers, which mechanize
 // the invariants that previously lived only in comments and reviewer
 // memory — the enterOp/exitOp guard discipline on the dex façade
-// (guarddiscipline), determinism of the engine packages (determinism),
-// the 0-alloc contracts on the hot paths (noalloc), and slot-native
-// graph mutation inside internal/core (slotmut).
+// (guarddiscipline), determinism of the engine packages (determinism)
+// and the 0-alloc contracts on the hot paths (noalloc).
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis
 // vocabulary — Analyzer, Pass, Reportf, `// want` fixtures — but is

@@ -434,7 +434,7 @@ func sortedAfter(pass *analysis.Pass, file *ast.File, rng *ast.RangeStmt, lhs, r
 
 // isSortCall reports whether call invokes a sorting routine: anything
 // from package sort or slices, or a same-package helper whose name
-// starts with "sort" (sortVertices and friends).
+// starts with "sort".
 func isSortCall(pkg *analysis.Package, call *ast.CallExpr) bool {
 	f := callee(pkg, call)
 	if f == nil || f.Pkg() == nil {

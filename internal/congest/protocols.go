@@ -29,9 +29,10 @@ func pickWeighted(g *graph.Graph, cur graph.NodeID, exclude graph.NodeID, r uint
 
 // WalkResult reports the outcome of a token random walk.
 type WalkResult struct {
-	End   graph.NodeID // final node of the token
-	Hit   bool         // whether the stop predicate was satisfied
-	Steps int          // edges traversed (= messages = rounds)
+	End     graph.NodeID // final node of the token
+	EndSlot int32        // End's slot (-1 when the start is absent)
+	Hit     bool         // whether the stop predicate was satisfied
+	Steps   int          // edges traversed (= messages = rounds)
 }
 
 // RandomWalkDirect performs a multiplicity-weighted token walk of at most
@@ -49,7 +50,7 @@ type WalkResult struct {
 func RandomWalkDirect(g *graph.Graph, start graph.NodeID, exclude graph.NodeID, maxLen int, seed uint64, stop func(graph.NodeID, int32) bool) WalkResult {
 	cs, ok := g.SlotOf(start)
 	if !ok {
-		return WalkResult{End: start}
+		return WalkResult{End: start, EndSlot: -1}
 	}
 	return RandomWalkDirectAt(g, start, cs, exclude, maxLen, seed, stop)
 }
@@ -58,7 +59,7 @@ func RandomWalkDirect(g *graph.Graph, start graph.NodeID, exclude graph.NodeID, 
 // resolved; startSlot must be start's live slot.
 func RandomWalkDirectAt(g *graph.Graph, start graph.NodeID, startSlot int32, exclude graph.NodeID, maxLen int, seed uint64, stop func(graph.NodeID, int32) bool) WalkResult {
 	if stop(start, startSlot) {
-		return WalkResult{End: start, Hit: true, Steps: 0}
+		return WalkResult{End: start, EndSlot: startSlot, Hit: true, Steps: 0}
 	}
 	cur, cs := start, startSlot
 	state := seed
@@ -67,14 +68,14 @@ func RandomWalkDirectAt(g *graph.Graph, start graph.NodeID, startSlot int32, exc
 		state, r = splitmix64(state)
 		next, ns, ok := g.RandomNeighborStepAt(cs, exclude, r)
 		if !ok {
-			return WalkResult{End: cur, Hit: false, Steps: s - 1}
+			return WalkResult{End: cur, EndSlot: cs, Hit: false, Steps: s - 1}
 		}
 		cur, cs = next, ns
 		if stop(cur, cs) {
-			return WalkResult{End: cur, Hit: true, Steps: s}
+			return WalkResult{End: cur, EndSlot: cs, Hit: true, Steps: s}
 		}
 	}
-	return WalkResult{End: cur, Hit: false, Steps: maxLen}
+	return WalkResult{End: cur, EndSlot: cs, Hit: false, Steps: maxLen}
 }
 
 // RandomWalkEngine executes the identical walk as a token-forwarding
@@ -129,10 +130,10 @@ func RandomWalkEngine(e *Engine, start graph.NodeID, exclude graph.NodeID, maxLe
 	e.SetUniformProgram(prog)
 	ss, ok := e.topo.SlotOf(start)
 	if !ok {
-		return WalkResult{End: start}
+		return WalkResult{End: start, EndSlot: -1}
 	}
 	if stop(start, ss) {
-		return WalkResult{End: start, Hit: true, Steps: 0}
+		return WalkResult{End: start, EndSlot: ss, Hit: true, Steps: 0}
 	}
 	// Bootstrap: the start node behaves as if it received the token with
 	// step count 0; emulate by a self-delivered round-0 activation.
@@ -158,11 +159,8 @@ func RandomWalkEngine(e *Engine, start graph.NodeID, exclude graph.NodeID, maxLe
 	if res.Steps == 0 && !res.Hit {
 		res.End = start
 	}
-	if res.Hit {
-		return res
-	}
-	// A walk that ran to completion without hitting ends wherever the
-	// token stopped.
+	// Hit or not, the walk ends wherever the token stopped.
+	res.EndSlot = slotOf(res.End)
 	return res
 }
 

@@ -61,7 +61,7 @@ func TestCheckNodeDetectsLoadCorruption(t *testing.T) {
 
 func TestCheckNodeDetectsMappingCorruption(t *testing.T) {
 	nw, u := corruptible(t)
-	sim := nw.st.sim(u)
+	sim := nw.st.setAt(nw.st.slot(u), false)
 	if len(sim) == 0 {
 		t.Fatal("node holds no vertex")
 	}
@@ -237,7 +237,7 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 		{"pending-edge-removed", true, func(t *testing.T, nw *Network) []NodeID {
 			s := nw.stag
 			for _, u := range nw.Nodes() {
-				for _, x := range nw.st.sim(u) {
+				for _, x := range nw.st.setAt(nw.st.slot(u), false) {
 					for _, pe := range s.pending[x] {
 						if w := s.newSimOf[pe.src]; w != u {
 							if !nw.real.RemoveEdge(u, w) {
@@ -252,9 +252,9 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 			return nil
 		}},
 		{"newsim-owner-corrupted", true, func(t *testing.T, nw *Network) []NodeID {
-			u := nodeWith(t, nw, func(u NodeID) bool { return nw.st.newLen(u) > 0 })
+			u := nodeWith(t, nw, func(u NodeID) bool { return nw.st.setLenAt(nw.st.slot(u), true) > 0 })
 			w := nodeWith(t, nw, func(w NodeID) bool { return w != u })
-			nw.stag.newSimOf[nw.st.newSim(u)[0]] = w
+			nw.stag.newSimOf[nw.st.setAt(nw.st.slot(u), true)[0]] = w
 			return []NodeID{u}
 		}},
 		{"missing-from-mirror", false, func(t *testing.T, nw *Network) []NodeID {
@@ -302,7 +302,7 @@ func auditDirty(t *testing.T, nw *Network, dirty ...NodeID) {
 	t.Helper()
 	nw.st.resetDirty()
 	for _, u := range dirty {
-		nw.st.markDirty(u)
+		nw.st.markDirtyAt(u, nw.st.slot(u))
 	}
 	want := nw.CheckNode(dirty[0])
 	got := nw.Audit(AuditSampled)
@@ -318,7 +318,7 @@ func midRebuildEngine(t *testing.T) *Network {
 	t.Helper()
 	nw := compatEngine(t, Staggered, 898)
 	if nw.stag == nil || len(nw.stag.pending) == 0 ||
-		!slices.ContainsFunc(nw.st.nodeList, func(u NodeID) bool { return nw.st.newLen(u) > 0 }) {
+		!slices.ContainsFunc(nw.st.nodeList, func(u NodeID) bool { return nw.st.setLenAt(nw.st.slot(u), true) > 0 }) {
 		t.Fatal("the script no longer pauses a rebuild with pending intermediate edges and NewSim holdings")
 	}
 	return nw

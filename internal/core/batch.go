@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/graph"
-)
+import "fmt"
 
 // This file implements Section 5: handling multiple insertions/deletions
 // per adversarial step (Corollary 2). The adversary may insert or delete
@@ -39,6 +35,9 @@ func (nw *Network) InsertBatch(specs []InsertSpec) error {
 	fanIn := make(map[NodeID]int)
 	seen := make(map[NodeID]bool, len(specs))
 	for _, s := range specs {
+		if s.ID < 0 {
+			return fmt.Errorf("%w: %d", errNegativeID, s.ID)
+		}
 		if seen[s.ID] {
 			return fmt.Errorf("%w: %d repeated in batch", ErrDuplicateID, s.ID)
 		}
@@ -56,28 +55,25 @@ func (nw *Network) InsertBatch(specs []InsertSpec) error {
 	}
 	nw.beginStep(OpBatchInsert, specs[0].ID)
 	for _, s := range specs {
-		nw.insertOneOfBatch(s)
+		nw.insertOneOfBatch(s, nw.st.slot(s.Attach))
 	}
-	nw.afterRecovery(specs[0].Attach)
+	nw.afterRecovery(nw.st.slot(specs[0].Attach))
 	nw.endStep()
 	return nil
 }
 
 // insertOneOfBatch bootstraps one batch member (node + temporary attach
-// edge) and runs its recovery ladder. Both endpoint slots are resolved
-// once here — the newborn's straight off its bootstrap, the attach
-// point's for the whole ladder — so the temporary edge, the load entry,
-// and the steady-state fast-path commit all run slot-native. Slots are
-// stable across everything between the two temp-edge mutations: the
-// ladder moves vertices and may rebuild the virtual graph, but never
-// deletes a node.
-func (nw *Network) insertOneOfBatch(s InsertSpec) {
+// edge) and runs its recovery ladder, with the attach point at slot
+// attachSlot. The newborn's slot comes straight off its bootstrap, so
+// the temporary edge, the load entry, and the steady-state fast-path
+// commit all run by slot. Slots are stable across everything between
+// the two temp-edge mutations: the ladder moves vertices and may
+// rebuild the virtual graph, but never deletes a node.
+func (nw *Network) insertOneOfBatch(s InsertSpec, attachSlot int32) {
 	if s.ID >= nw.nextID {
 		nw.nextID = s.ID + 1
 	}
-	nw.st.addNode(s.ID)
-	idSlot, _ := nw.real.SlotOf(s.ID)
-	attachSlot, _ := nw.real.SlotOf(s.Attach)
+	idSlot := nw.st.addNode(s.ID)
 	nw.setLoadAt(s.ID, idSlot, 0, true)
 	nw.rebuiltReal = false
 	nw.addRealEdgeAt(s.ID, idSlot, s.Attach)
@@ -129,39 +125,42 @@ func (nw *Network) DeleteBatch(ids []NodeID) error {
 	nw.beginStep(OpBatchDelete, ids[0])
 	for _, id := range ids {
 		// Adoption by the smallest surviving non-victim neighbor.
-		var v NodeID = -1
-		for _, nb := range nw.real.Neighbors(id) {
+		sid := nw.st.slot(id)
+		v, sv := NodeID(-1), int32(-1)
+		nw.real.ForEachNeighborAt(sid, func(nb NodeID, ns int32, _ int) bool {
 			if nb != id && !victim[nb] {
-				v = nb
-				break
+				v, sv = nb, ns
+				return false
 			}
-		}
+			return true
+		})
 		if v < 0 {
 			// All direct neighbors were already deleted this batch; the
 			// vertices were adopted along: pick any live node adjacent in
 			// the virtual structure.
 			v = nw.anySurvivor(victim)
+			sv = nw.st.slot(v)
 		}
 		coordLost := nw.simOf[0] == id
-		orphans := nw.vertexHoldings(id)
-		nw.warmAdoption(nw.st.slot(id))
+		orphans := nw.vertexHoldings(sid)
+		nw.warmAdoption(sid)
 		for _, h := range orphans {
-			nw.moveHolding(h, v)
+			nw.moveHolding(h, id, sid, v, sv)
 		}
-		nw.dropLoadEntry(id)
-		nw.st.removeNode(id)
+		nw.dropLoadEntry(sid)
+		nw.st.removeNode(id, sid)
 		if coordLost {
 			nw.step.Messages += 2
 			nw.step.Rounds++
 		}
-		nw.redistributeFrom(v, orphans)
+		nw.redistributeFrom(v, sv, orphans)
 		if nw.rebuiltReal {
 			// A type-2 rebuild re-homed everything; later victims still
 			// need their own adoption, so continue the loop.
 			nw.rebuiltReal = false
 		}
 	}
-	nw.afterRecovery(nw.anySurvivor(nil))
+	nw.afterRecovery(nw.st.slot(nw.anySurvivor(nil)))
 	nw.endStep()
 	return nil
 }
@@ -218,45 +217,4 @@ func (nw *Network) anySurvivor(excl map[NodeID]bool) NodeID {
 		panic("core: no survivor")
 	}
 	return best
-}
-
-// NewWithMapping builds a network directly from an explicit virtual
-// mapping: owner[x] is the node simulating vertex x of Z(p). Used by the
-// Figure 1 reproduction and by tests that need a precise starting state.
-// The mapping must be surjective onto its node set with loads <= 4*zeta.
-func NewWithMapping(p int64, owner []graph.NodeID, cfg Config) (*Network, error) {
-	if int64(len(owner)) != p {
-		return nil, fmt.Errorf("core: owner table has %d entries, want %d", len(owner), p)
-	}
-	z, err := newCycleChecked(p)
-	if err != nil {
-		return nil, err
-	}
-	nw := &Network{
-		cfg:   cfg,
-		rng:   newRng(cfg.Seed),
-		z:     z,
-		simOf: append([]NodeID(nil), owner...),
-	}
-	nw.initTracking()
-	for x := int64(0); x < p; x++ {
-		u := owner[x]
-		if !nw.st.has(u) {
-			nw.st.addNode(u)
-		}
-		nw.st.simAdd(u, x)
-		if u >= nw.nextID {
-			nw.nextID = u + 1
-		}
-	}
-	for _, u := range nw.st.nodeList {
-		l := nw.st.simLen(u)
-		if l > 4*cfg.Zeta {
-			return nil, fmt.Errorf("core: node %d load %d exceeds 4*zeta", u, l)
-		}
-		nw.setLoad(u, l, true)
-	}
-	nw.applyRealDiff(nw.expectedRealGraph())
-	nw.refreshDist0()
-	return nw, nil
 }

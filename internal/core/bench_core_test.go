@@ -159,15 +159,40 @@ func BenchmarkChurnAudit(b *testing.B) {
 	}
 }
 
+// midStaggerEngine grows a network by joinedEngine's single joins to
+// at least n nodes, then keeps joining until a staggered inflation is
+// halfway through its first phase, where its pending intermediate edges
+// are many.
+func midStaggerEngine(tb testing.TB, n int) *Network {
+	nw := joinedEngine(tb, n, 0)
+	rng := rand.New(rand.NewSource(37))
+	for nw.stag == nil || nw.stag.phase != 1 || 2*nw.stag.frontier < nw.P() {
+		if err := nw.Insert(nw.FreshID(), nw.SampleNode(rng)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return nw
+}
+
 // BenchmarkAppendState prices the engine half of a checkpoint on the
 // network the workloads run (joinedEngine, aged by 2*10^4 pairs): one
 // iteration serializes the whole engine state into a buffer grown by an
 // earlier checkpoint, as persist.Checkpoint reuses its own. bytes/state
-// is the encoded size. Run via `make bench-core`.
+// is the encoded size. The report-only mid-stagger row encodes a
+// network caught halfway through a staggered inflation's first phase
+// (midStaggerEngine), whose pending-edge keys the encoder sorts;
+// pending-keys counts them. Run via `make bench-core`.
 func BenchmarkAppendState(b *testing.B) {
-	for _, size := range []int{100000} {
-		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
-			nw := joinedEngine(b, size, size/5)
+	for _, row := range []struct {
+		name  string
+		build func(testing.TB, int) *Network
+	}{
+		{"n=%d", func(tb testing.TB, n int) *Network { return joinedEngine(tb, n, n/5) }},
+		{"mid-stagger/n=%d", midStaggerEngine},
+	} {
+		size := 100000
+		b.Run(fmt.Sprintf(row.name, size), func(b *testing.B) {
+			nw := row.build(b, size)
 			enc := wire.NewEncoder(nil)
 			if err := nw.AppendState(enc); err != nil {
 				b.Fatal(err)
@@ -182,6 +207,9 @@ func BenchmarkAppendState(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(enc.Len()), "bytes/state")
+			if nw.stag != nil {
+				b.ReportMetric(float64(len(nw.stag.pending)), "pending-keys")
+			}
 		})
 	}
 }

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/spectral"
+	"repro/internal/wire"
 )
 
 func mustNew(t testing.TB, n0 int, cfg Config) *Network {
@@ -21,14 +24,54 @@ func mustNew(t testing.TB, n0 int, cfg Config) *Network {
 	return nw
 }
 
+// TestNewValidation: New refuses fewer than 4 nodes, and New,
+// NewWithMapping and RestoreNetwork refuse the same out-of-domain Config
+// fields and accept the default.
 func TestNewValidation(t *testing.T) {
 	if _, err := New(2, DefaultConfig()); err == nil {
 		t.Fatal("accepted n0=2")
 	}
-	bad := DefaultConfig()
-	bad.Theta = 0
-	if _, err := New(16, bad); err == nil {
-		t.Fatal("accepted theta=0")
+	valid := mustNew(t, 16, DefaultConfig())
+	owner := append([]NodeID(nil), valid.simOf...)
+	constructors := []struct {
+		name  string
+		build func(cfg Config) error
+	}{
+		{"New", func(cfg Config) error { _, err := New(16, cfg); return err }},
+		{"NewWithMapping", func(cfg Config) error { _, err := NewWithMapping(valid.P(), owner, cfg); return err }},
+		{"RestoreNetwork", func(cfg Config) error {
+			good := valid.cfg
+			valid.cfg = cfg // AppendState writes the configuration as it finds it
+			defer func() { valid.cfg = good }()
+			_, err := RestoreNetwork(wire.NewDecoder(encodeState(t, valid)))
+			return err
+		}},
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"default", func(*Config) {}},
+		{"zeta=1", func(c *Config) { c.Zeta = 1 }},
+		{"theta=0", func(c *Config) { c.Theta = 0 }},
+		{"theta=0.9", func(c *Config) { c.Theta = 0.9 }},
+		{"walk-factor=0", func(c *Config) { c.WalkFactor = 0 }},
+		{"walk-retry-limit=0", func(c *Config) { c.WalkRetryLimit = 0 }},
+		{"mode=-1", func(c *Config) { c.Mode = -1 }},
+		{"mode=staggered+1", func(c *Config) { c.Mode = Staggered + 1 }},
+		{"history-cap=-5", func(c *Config) { c.HistoryCap = -5 }},
+	} {
+		cfg := DefaultConfig()
+		tc.edit(&cfg)
+		for _, c := range constructors {
+			err := c.build(cfg)
+			if tc.name == "default" && err != nil {
+				t.Errorf("%s refused the default config: %v", c.name, err)
+			}
+			if tc.name != "default" && err == nil {
+				t.Errorf("%s accepted config %s", c.name, tc.name)
+			}
+		}
 	}
 }
 
@@ -86,6 +129,77 @@ func TestInsertErrors(t *testing.T) {
 	}
 	if err := nw.Insert(nw.FreshID(), 999); err == nil {
 		t.Fatal("unknown attach point accepted")
+	}
+}
+
+// TestNegativeIDsRefused: ids below 0 are the engine's "no node"
+// sentinels, so Insert and InsertBatch refuse them without touching
+// the network, NewWithMapping refuses a mapping naming one, and
+// RestoreNetwork a node list holding one. Churn after the refusals
+// keeps every invariant (an inserted -1 once made a later delete find
+// no surviving neighbor).
+func TestNegativeIDsRefused(t *testing.T) {
+	nw := mustNew(t, 16, DefaultConfig())
+	churnQuiet(t, nw, 40)
+	type view struct {
+		totals  Totals
+		history []StepMetrics
+		edges   []graph.Edge
+		epoch   uint64
+	}
+	look := func() view {
+		return view{nw.Totals(), append([]StepMetrics(nil), nw.History()...), nw.Graph().Edges(), nw.Graph().Epoch()}
+	}
+	attach := nw.SampleNode(rand.New(rand.NewSource(2)))
+	for _, tc := range []struct {
+		name string
+		op   func() error
+	}{
+		{"insert", func() error { return nw.Insert(-1, attach) }},
+		{"insert-min", func() error { return nw.Insert(math.MinInt64, attach) }},
+		{"insert-batch", func() error {
+			return nw.InsertBatch([]InsertSpec{{ID: 1000, Attach: attach}, {ID: -2, Attach: attach}})
+		}},
+	} {
+		before := look()
+		if err := tc.op(); !errors.Is(err, errNegativeID) {
+			t.Fatalf("%s: error %v, want a negative-id refusal", tc.name, err)
+		}
+		if after := look(); !reflect.DeepEqual(before, after) {
+			t.Fatalf("%s: the refusal changed the network", tc.name)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		var err error
+		if rng.Float64() < 0.6 {
+			err = nw.Insert(nw.FreshID(), nw.SampleNode(rng))
+		} else {
+			err = nw.Delete(nw.SampleNode(rng))
+		}
+		if err != nil && !errors.Is(err, ErrTooSmall) {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	if err := nw.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	owner := append([]NodeID(nil), nw.simOf...)
+	owner[len(owner)/2] = -3
+	if _, err := NewWithMapping(nw.P(), owner, DefaultConfig()); !errors.Is(err, errNegativeID) {
+		t.Fatalf("NewWithMapping: error %v, want a negative-id refusal", err)
+	}
+
+	// A checkpoint holding node -1, inserted the way Insert did before it
+	// refused negative ids.
+	old := mustNew(t, 16, DefaultConfig())
+	old.beginStep(OpInsert, -1)
+	old.insertOneOfBatch(InsertSpec{ID: -1, Attach: 0}, old.st.slot(0))
+	old.afterRecovery(old.st.slot(0))
+	old.endStep()
+	if _, err := RestoreNetwork(wire.NewDecoder(encodeState(t, old))); !errors.Is(err, errNegativeID) {
+		t.Fatalf("RestoreNetwork: error %v, want a negative-id refusal", err)
 	}
 }
 

@@ -86,11 +86,12 @@ func (nw *Network) checkInvariants(enforceLoadBounds bool) error {
 		maxLoad = 8 * nw.cfg.Zeta
 	}
 	for _, u := range nw.st.nodeList {
-		want := nw.st.simLen(u)
+		su := nw.st.slot(u)
+		want := nw.st.setLenAt(su, false)
 		if nw.stag != nil {
-			want += nw.st.newLen(u)
+			want += nw.st.setLenAt(su, true)
 		}
-		if got := nw.st.loadOf(u); got != want {
+		if got := nw.st.loadAt(su); got != want {
 			return fmt.Errorf("I3: load(%d) = %d, want %d", u, got, want)
 		}
 		if want < 1 {
@@ -115,7 +116,7 @@ func (nw *Network) checkInvariants(enforceLoadBounds bool) error {
 	// (I6) counter recount.
 	spare, low := 0, 0
 	for _, u := range nw.st.nodeList {
-		l := nw.st.loadOf(u)
+		l := nw.st.loadAt(nw.st.slot(u))
 		if l >= 2 {
 			spare++
 		}
@@ -135,19 +136,20 @@ func (nw *Network) checkInvariants(enforceLoadBounds bool) error {
 	// (I8) staggering bookkeeping.
 	if s := nw.stag; s != nil {
 		for _, u := range nw.st.nodeList {
-			unproc, proj := s.unprocessed(nw.st.sim(u))
-			if got := nw.st.unprocOldOf(u); got != unproc {
+			su := nw.st.slot(u)
+			unproc, proj := s.unprocessed(nw.st.setAt(su, false))
+			if got := nw.st.unprocOldAt(su); got != unproc {
 				return fmt.Errorf("I8: unprocOld(%d) = %d, want %d", u, got, unproc)
 			}
-			if got := nw.st.effNewOf(u); got != proj+nw.st.newLen(u) {
-				return fmt.Errorf("I8: effNew(%d) = %d, want %d+%d", u, got, proj, nw.st.newLen(u))
+			if got, n := nw.st.effNewAt(su), nw.st.setLenAt(su, true); got != proj+n {
+				return fmt.Errorf("I8: effNew(%d) = %d, want %d+%d", u, got, proj, n)
 			}
 		}
 		for y, u := range s.newSimOf {
 			if u < 0 {
 				continue
 			}
-			if !nw.st.has(u) || !slices.Contains(nw.st.newSim(u), Vertex(y)) {
+			if su, ok := nw.real.SlotOf(u); !ok || !slices.Contains(nw.st.setAt(su, true), Vertex(y)) {
 				return fmt.Errorf("I8: new vertex %d not in NewSim(%d)", y, u)
 			}
 		}

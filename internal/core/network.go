@@ -225,42 +225,78 @@ type Network struct {
 	flood congest.Flood
 }
 
+// validate reports whether every field of c is in its domain. The
+// constructors and RestoreNetwork all run this one check.
+func (c Config) validate() error {
+	if c.Zeta < 2 || c.Theta <= 0 || c.Theta > 0.5 || c.WalkFactor < 1 || c.WalkRetryLimit < 1 ||
+		c.Mode < Simplified || c.Mode > Staggered || c.HistoryCap < 0 {
+		return fmt.Errorf("core: invalid config %+v", c)
+	}
+	return nil
+}
+
 // New builds an initial DEX network of n0 >= 4 nodes with ids 0..n0-1,
 // mapped onto Z(p0) for the smallest prime p0 in (4*n0, 8*n0), exactly as
-// Section 4's initialization prescribes.
+// Section 4's initialization prescribes: vertex x goes to node
+// x*n0/p0, the balanced mapping.
 func New(n0 int, cfg Config) (*Network, error) {
 	if n0 < 4 {
 		return nil, fmt.Errorf("core: initial size %d < 4", n0)
-	}
-	if cfg.Zeta < 2 || cfg.Theta <= 0 || cfg.Theta > 0.5 || cfg.WalkFactor < 1 || cfg.HistoryCap < 0 {
-		return nil, fmt.Errorf("core: invalid config %+v", cfg)
 	}
 	p0, ok := primes.FirstPrimeIn(int64(4*n0), int64(8*n0))
 	if !ok {
 		return nil, fmt.Errorf("core: no prime in (4*%d, 8*%d)", n0, n0)
 	}
-	z, err := pcycle.New(p0)
+	owner := make([]NodeID, p0)
+	for x := range owner {
+		owner[x] = NodeID(int64(x) * int64(n0) / p0)
+	}
+	return NewWithMapping(p0, owner, cfg)
+}
+
+// NewWithMapping builds a network directly from an explicit virtual
+// mapping: owner[x] is the node simulating vertex x of Z(p). New uses
+// it with the balanced mapping; the Figure 1 reproduction and tests use
+// it for a precise starting state. The mapping must be surjective onto
+// its node set, of non-negative ids, with loads <= 4*zeta.
+func NewWithMapping(p int64, owner []NodeID, cfg Config) (*Network, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if int64(len(owner)) != p {
+		return nil, fmt.Errorf("core: owner table has %d entries, want %d", len(owner), p)
+	}
+	z, err := pcycle.New(p)
 	if err != nil {
 		return nil, err
 	}
 	nw := &Network{
-		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		z:      z,
-		simOf:  make([]NodeID, p0),
-		nextID: NodeID(n0),
+		cfg:   cfg,
+		rng:   newRng(cfg.Seed),
+		z:     z,
+		simOf: append([]NodeID(nil), owner...),
 	}
 	nw.initTracking()
-	for u := 0; u < n0; u++ {
-		nw.st.addNode(NodeID(u))
+	for x, u := range owner {
+		if u < 0 {
+			return nil, fmt.Errorf("%w: vertex %d mapped to %d", errNegativeID, x, u)
+		}
+		s, ok := nw.real.SlotOf(u)
+		if !ok {
+			s = nw.st.addNode(u)
+		}
+		nw.st.setAddAt(s, Vertex(x), false)
+		if u >= nw.nextID {
+			nw.nextID = u + 1
+		}
 	}
-	for x := int64(0); x < p0; x++ {
-		u := NodeID(x * int64(n0) / p0)
-		nw.simOf[x] = u
-		nw.st.simAdd(u, x)
-	}
-	for u := 0; u < n0; u++ {
-		nw.setLoad(NodeID(u), nw.st.simLen(NodeID(u)), true)
+	for _, u := range nw.st.nodeList {
+		s := nw.st.slot(u)
+		l := nw.st.setLenAt(s, false)
+		if l > 4*cfg.Zeta {
+			return nil, fmt.Errorf("core: node %d load %d exceeds 4*zeta", u, l)
+		}
+		nw.setLoadAt(u, s, l, true)
 	}
 	nw.applyRealDiff(nw.expectedRealGraph())
 	nw.refreshDist0()
@@ -514,14 +550,11 @@ func (nw *Network) bumpLoadAt(u NodeID, s int32, delta int) {
 	nw.setLoadAt(u, s, nw.st.loadAt(s)+delta, false)
 }
 
-// setLoad and bumpLoad are the id-keyed forms of the two setters.
-func (nw *Network) setLoad(u NodeID, l int, fresh bool) { nw.setLoadAt(u, nw.st.slot(u), l, fresh) }
-func (nw *Network) bumpLoad(u NodeID, delta int)        { nw.bumpLoadAt(u, nw.st.slot(u), delta) }
-
-// dropLoadEntry removes u's load from the |Spare| / |Low| counters (node
-// deletion; the store zeroes the column when the slot is released).
-func (nw *Network) dropLoadEntry(u NodeID) {
-	l := nw.st.loadOf(u)
+// dropLoadEntry removes the load of the node at slot s from the |Spare|
+// / |Low| counters (node deletion; the store zeroes the column when the
+// slot is released).
+func (nw *Network) dropLoadEntry(s int32) {
+	l := nw.st.loadAt(s)
 	if l >= 2 {
 		nw.nSpare--
 	}
@@ -536,118 +569,66 @@ func (nw *Network) dropLoadEntry(u NodeID) {
 // p-cycle.
 func (nw *Network) slotTargets(x Vertex) [3]Vertex { return nw.z.NeighborSlots(x) }
 
-// rawAddEdgeAt / rawRemoveEdgeAt mutate the live overlay, anchored at
-// endpoint a's live slot sa, and feed the dirty-node set and (when
-// observed) the step's edge log, without charging the paper's
-// topology-change counter. Sampled audits re-verify exactly the dirty
-// nodes, so every mutation a walk or stop predicate can observe marks
-// its nodes: edge rows here and in the Mult forms below, loads through
+// rawAddEdgeAt / rawRemoveEdgeAt change the multiplicity of real edge
+// {a,b} by k >= 1, anchored at endpoint a's live slot sa, and feed the
+// dirty-node set and (when observed) the step's edge log, without
+// charging the paper's topology-change counter. They are the only place
+// the engine changes the overlay's edges, apart from the restore's
+// deriveOverlay. Sampled audits re-verify exactly the dirty nodes, so
+// every mutation a walk or stop predicate can observe marks its nodes:
+// both endpoints of an edge here — b's slot comes back from a's run
+// cell, so neither mark probes the id index — and loads through
 // setLoadAt. The graph treats {a,b} symmetrically, so anchoring on
-// either endpoint is valid; moveVertex resolves its anchor's slot once
-// for the whole three-edge batch.
+// either endpoint is valid.
 //
 //dexvet:noalloc
-func (nw *Network) rawAddEdgeAt(a NodeID, sa int32, b NodeID) {
-	nw.real.AddEdgeAt(sa, a, b)
+func (nw *Network) rawAddEdgeAt(a NodeID, sa int32, b NodeID, k int) {
+	sb := nw.real.AddEdgeMultAt(sa, a, b, k)
 	nw.st.markDirtyAt(a, sa)
-	nw.st.markDirty(b)
-	if nw.edgeObserver != nil {
-		nw.logEdge(a, b, 1)
-	}
-}
-
-//dexvet:noalloc
-func (nw *Network) rawRemoveEdgeAt(a NodeID, sa int32, b NodeID) {
-	if !nw.real.RemoveEdgeAt(sa, a, b) {
-		panic(fmt.Sprintf("core: removing absent real edge {%d,%d}", a, b))
-	}
-	nw.st.markDirtyAt(a, sa)
-	nw.st.markDirty(b)
-	if nw.edgeObserver != nil {
-		nw.logEdge(a, b, -1)
-	}
-}
-
-// rawAddEdgeMult / rawRemoveEdgeMult are the bulk forms used by the
-// rebuild diff replay: one arena operation applies a whole multiplicity
-// delta instead of k single-edge mutations.
-func (nw *Network) rawAddEdgeMult(a, b NodeID, k int) {
-	if k <= 0 {
-		return
-	}
-	nw.real.AddEdgeMult(a, b, k)
-	nw.st.markDirty(a)
-	nw.st.markDirty(b)
+	nw.st.markDirtyAt(b, sb)
 	if nw.edgeObserver != nil {
 		nw.logEdge(a, b, k)
 	}
 }
 
-func (nw *Network) rawRemoveEdgeMult(a, b NodeID, k int) {
-	if k <= 0 {
-		return
-	}
-	if got := nw.real.RemoveEdgeMult(a, b, k); got != k {
+//dexvet:noalloc
+func (nw *Network) rawRemoveEdgeAt(a NodeID, sa int32, b NodeID, k int) {
+	got, sb := nw.real.RemoveEdgeMultAt(sa, a, b, k)
+	if got != k {
 		panic(fmt.Sprintf("core: removing %d of edge {%d,%d}, only %d present", k, a, b, got))
 	}
-	nw.st.markDirty(a)
-	nw.st.markDirty(b)
+	nw.st.markDirtyAt(a, sa)
+	nw.st.markDirtyAt(b, sb)
 	if nw.edgeObserver != nil {
 		nw.logEdge(a, b, -k)
 	}
 }
 
-// addRealEdgeAt / removeRealEdgeAt wrap the raw mutators and count
-// topology changes for the current step; addRealEdge / removeRealEdge
-// are their id-keyed forms.
+// addRealEdgeAt / removeRealEdgeAt change one multiplicity through the
+// raw funnels and count the topology change for the current step.
 //
 //dexvet:noalloc
 func (nw *Network) addRealEdgeAt(a NodeID, sa int32, b NodeID) {
-	nw.rawAddEdgeAt(a, sa, b)
+	nw.rawAddEdgeAt(a, sa, b, 1)
 	nw.step.TopologyChanges++
 }
 
 //dexvet:noalloc
 func (nw *Network) removeRealEdgeAt(a NodeID, sa int32, b NodeID) {
-	nw.rawRemoveEdgeAt(a, sa, b)
+	nw.rawRemoveEdgeAt(a, sa, b, 1)
 	nw.step.TopologyChanges++
 }
 
-func (nw *Network) addRealEdge(a, b NodeID)    { nw.addRealEdgeAt(a, nw.st.slot(a), b) }
-func (nw *Network) removeRealEdge(a, b NodeID) { nw.removeRealEdgeAt(a, nw.st.slot(a), b) }
-
-// moveVertex transfers current-cycle vertex x from its simulator to node
-// w, updating the contraction's real edges slot by slot. During a
-// staggered rebuild the pending intermediate edges anchored at x move
-// with it (they are virtual edges (ySrc, x)).
-func (nw *Network) moveVertex(x Vertex, w NodeID) {
-	u := nw.simOf[x]
+// moveVertexAt transfers current-cycle vertex x from its simulator u, at
+// slot su, to node w at slot sw, updating the contraction's real edges.
+// Every removal is anchored at u and every insertion at w, so the
+// graph edges, the Sim sets and the load counters all mutate by slot.
+// During a staggered rebuild the pending intermediate edges anchored at
+// x move with it (they are virtual edges (ySrc, x)).
+func (nw *Network) moveVertexAt(x Vertex, u NodeID, su int32, w NodeID, sw int32) {
 	if u == w {
 		return
 	}
-	// Pin the anchor slots once: every removal below is incident to u and
-	// every insertion to w, so the whole edge batch runs slot-native (one
-	// map probe per endpoint instead of one per edge; edges are
-	// undirected, so anchoring the stagger pending edges on u/w is the
-	// same mutation). Both lookups are pure reads, so resolving w's slot
-	// up front (rather than mid-move) changes nothing observable.
-	su, ok := nw.real.SlotOf(u)
-	if !ok {
-		panic(fmt.Sprintf("core: moveVertex from absent node %d", u))
-	}
-	sw, ok := nw.real.SlotOf(w)
-	if !ok {
-		panic(fmt.Sprintf("core: moveVertex to absent node %d", w))
-	}
-	nw.moveVertexAt(x, u, w, su, sw)
-}
-
-// moveVertexAt is moveVertex with both endpoints' slots (and x's current
-// simulator u) already resolved: the steady-state insert fast path holds
-// all three and skips every map probe of the move — the graph edges, the
-// Sim sets, and the load counters all mutate slot-native. The mutation
-// sequence is exactly moveVertex's.
-func (nw *Network) moveVertexAt(x Vertex, u, w NodeID, su, sw int32) {
 	for _, t := range nw.slotTargets(x) {
 		if nw.stag != nil && nw.stag.phase == 2 && nw.stag.dropped(t) {
 			continue // edge already removed with the dropped endpoint
@@ -719,7 +700,13 @@ func (nw *Network) SetRebuildObserver(f func(pNew int64)) {
 }
 
 // SomeVertexOf exposes one (the smallest) vertex simulated at u.
-func (nw *Network) SomeVertexOf(u NodeID) (Vertex, bool) { return nw.anyVertexOf(u) }
+func (nw *Network) SomeVertexOf(u NodeID) (Vertex, bool) {
+	s, ok := nw.real.SlotOf(u)
+	if !ok {
+		return 0, false
+	}
+	return nw.anyVertexOf(s)
+}
 
 // endpointOwner resolves the simulating node of slot target t of edge
 // (x, t); when t == x the edge is a self-loop at x's simulator.
@@ -730,47 +717,33 @@ func (nw *Network) endpointOwner(x, t Vertex) NodeID {
 	return nw.simOf[t]
 }
 
-// applyRealDiff mutates the live overlay in place until it equals want,
-// touching only the node pairs whose multiplicity actually differs. The
-// graph pointer is never replaced, so references returned by Graph()
-// stay live across type-2 rebuilds, every net change lands in the
-// dirty-node set, and subscribers see one batched edge diff instead of a
-// wholesale swap. The seed engine rebuilt a fresh graph here; the diff
-// is what lets a rebuild re-emit only the edges that changed.
+// applyRealDiff mutates the live overlay's edges in place until they
+// equal want's, touching only the node pairs whose multiplicity actually
+// differs. want has the live node set (a rebuild keeps it). The graph
+// pointer is never replaced, so references returned by Graph() stay
+// live across type-2 rebuilds, every net change lands in the dirty-node
+// set, and subscribers see one batched edge diff instead of a wholesale
+// swap. The seed engine rebuilt a fresh graph here; the diff is what
+// lets a rebuild re-emit only the edges that changed.
 func (nw *Network) applyRealDiff(want *graph.Graph) {
-	for _, u := range nw.real.Nodes() {
-		if want.HasNode(u) {
-			continue
-		}
-		for _, v := range nw.real.Neighbors(u) {
-			nw.rawRemoveEdgeMult(u, v, nw.real.Multiplicity(u, v))
-		}
-		nw.st.markDirty(u)
-		nw.real.RemoveNode(u)
-	}
 	for _, u := range want.Nodes() {
-		if !nw.real.HasNode(u) {
-			nw.real.AddNode(u)
-			nw.st.markDirty(u)
-		}
-	}
-	for _, u := range want.Nodes() {
+		su := nw.st.slot(u)
 		for _, v := range want.Neighbors(u) {
 			if v < u {
 				continue
 			}
 			d := want.Multiplicity(u, v) - nw.real.Multiplicity(u, v)
 			if d > 0 {
-				nw.rawAddEdgeMult(u, v, d)
+				nw.rawAddEdgeAt(u, su, v, d)
 			} else if d < 0 {
-				nw.rawRemoveEdgeMult(u, v, -d)
+				nw.rawRemoveEdgeAt(u, su, v, -d)
 			}
 		}
 		for _, v := range nw.real.Neighbors(u) {
 			if v < u || want.Multiplicity(u, v) > 0 {
 				continue
 			}
-			nw.rawRemoveEdgeMult(u, v, nw.real.Multiplicity(u, v))
+			nw.rawRemoveEdgeAt(u, su, v, nw.real.Multiplicity(u, v))
 		}
 	}
 }
@@ -784,13 +757,9 @@ func (nw *Network) refreshDist0() {
 // Dist0 returns the virtual hop distance from x to vertex 0.
 func (nw *Network) Dist0(x Vertex) int { return int(nw.dist0[x]) }
 
-// anyVertexOf returns some vertex simulated at u (smallest for
-// determinism).
-func (nw *Network) anyVertexOf(u NodeID) (Vertex, bool) {
-	s, ok := nw.real.SlotOf(u)
-	if !ok {
-		return 0, false
-	}
+// anyVertexOf returns some vertex simulated by the node at slot s
+// (smallest for determinism).
+func (nw *Network) anyVertexOf(s int32) (Vertex, bool) {
 	if r := nw.st.setAt(s, false); len(r) > 0 {
 		return r[0], true
 	}
@@ -803,11 +772,12 @@ func (nw *Network) anyVertexOf(u NodeID) (Vertex, bool) {
 }
 
 // chargeCoordinatorNotify accounts the post-recovery counter update
-// message from v to the coordinator (Algorithm 4.7 lines 5/11): one
-// O(log n)-bit message routed along a shortest virtual path to vertex 0,
-// plus the O(1) neighbor replication of the coordinator state.
-func (nw *Network) chargeCoordinatorNotify(v NodeID) {
-	x, ok := nw.anyVertexOf(v)
+// message from the node at slot sv to the coordinator (Algorithm 4.7
+// lines 5/11): one O(log n)-bit message routed along a shortest virtual
+// path to vertex 0, plus the O(1) neighbor replication of the
+// coordinator state.
+func (nw *Network) chargeCoordinatorNotify(sv int32) {
+	x, ok := nw.anyVertexOf(sv)
 	if !ok {
 		return
 	}
@@ -869,8 +839,10 @@ var (
 	ErrTooSmall    = errors.New("core: refusing to shrink below 4 nodes")
 )
 
-// newCycleChecked and newRng keep batch.go free of direct dependencies.
-func newCycleChecked(p int64) (*pcycle.Cycle, error) { return pcycle.New(p) }
+// errNegativeID refuses a negative node id: the engine reserves -1 and
+// below as "no node" (a walk's exclude, an ungenerated new vertex's
+// owner, a search that found nothing).
+var errNegativeID = errors.New("core: node ids must be non-negative")
 
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/pcycle"
 	"repro/internal/wire"
@@ -19,8 +20,8 @@ import (
 //
 //   - Most per-node state is recomputable from the mapping: load(u) =
 //     |Sim(u)| + |NewSim(u)|, the |Spare|/|Low| counters rebuild through
-//     setLoad, and unprocOld/effNew follow from the stagger flags by the
-//     invariants audits already check.
+//     setLoadAt, and unprocOld/effNew follow from the stagger flags by
+//     the invariants audits already check.
 //
 //   - The overlay is the contraction of the virtual structure under the
 //     mapping (invariant I4), so its edges are not written: a restore
@@ -213,12 +214,12 @@ func (nw *Network) AppendState(enc *wire.Encoder) error {
 	}
 	// Pending intermediate edges, keyed by generating old vertex, in
 	// ascending key order; each key's edge list keeps its append order
-	// (moveVertex replays it in order).
+	// (moveVertexAt replays it in order).
 	keys := make([]Vertex, 0, len(s.pending))
 	for x := range s.pending {
 		keys = append(keys, x)
 	}
-	sortVertices(keys)
+	slices.Sort(keys)
 	enc.Uvarint(uint64(len(keys)))
 	for _, x := range keys {
 		enc.Varint(x)
@@ -280,9 +281,11 @@ func RestoreNetwork(dec *wire.Decoder) (*Network, error) {
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
-	if cfg.Zeta < 2 || cfg.Theta <= 0 || cfg.Theta > 0.5 || cfg.WalkFactor < 1 ||
-		cfg.HistoryCap < 0 || workers < 0 || cfg.Mode > Staggered {
-		return nil, fmt.Errorf("core: invalid restored config %+v (workers %d)", cfg, workers)
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if workers < 0 {
+		return nil, fmt.Errorf("core: invalid restored worker count %d", workers)
 	}
 	if nAhead > rngDraws {
 		return nil, fmt.Errorf("core: %d pending seeds exceed the %d RNG draws", nAhead, rngDraws)
@@ -314,6 +317,9 @@ func RestoreNetwork(dec *wire.Decoder) (*Network, error) {
 	nodeList := make([]NodeID, nNodes)
 	for i := range nodeList {
 		nodeList[i] = NodeID(dec.Varint())
+		if nodeList[i] < 0 {
+			return nil, fmt.Errorf("%w: node %d listed", errNegativeID, nodeList[i])
+		}
 	}
 	if err := dec.Err(); err != nil {
 		return nil, err
@@ -426,41 +432,28 @@ func RestoreNetwork(dec *wire.Decoder) (*Network, error) {
 	// every vertex of the current cycle lives at simOf[x], except those
 	// already dropped by a phase-2 rebuild (dropOldVertex removes the set
 	// entry but deliberately leaves simOf[x] stale).
-	for x, u := range nw.simOf {
-		if stag != nil && stag.droppedFlag[x] {
-			continue
-		}
-		if !nw.st.has(u) {
-			return nil, fmt.Errorf("core: vertex %d mapped to dead node %d", x, u)
-		}
-		nw.st.simAdd(u, Vertex(x))
+	err = nw.restoreSets(nw.simOf, false, func(x int) bool { return stag != nil && stag.droppedFlag[x] })
+	if err != nil {
+		return nil, err
 	}
 	if stag != nil {
-		for y, u := range stag.newSimOf {
-			if u < 0 {
-				continue
-			}
-			if !nw.st.has(u) {
-				return nil, fmt.Errorf("core: new vertex %d mapped to dead node %d", y, u)
-			}
-			nw.st.newAdd(u, Vertex(y))
+		if err := nw.restoreSets(stag.newSimOf, true, func(y int) bool { return stag.newSimOf[y] < 0 }); err != nil {
+			return nil, err
 		}
 		// unprocOld / effNew follow from the flags by the engine's own
 		// invariants: unprocOld(u) counts u's unprocessed holdings, and
 		// effNew(u) = |NewSim(u)| + the projected clouds of those
 		// holdings (what processing them will generate at u).
 		for _, u := range nw.st.nodeList {
-			unproc, proj := stag.unprocessed(nw.st.sim(u))
-			if unproc != 0 {
-				nw.st.addUnprocOld(u, unproc)
-			}
-			if d := proj + nw.st.newLen(u); d != 0 {
-				nw.st.addEffNew(u, d)
-			}
+			su := nw.st.slot(u)
+			unproc, proj := stag.unprocessed(nw.st.setAt(su, false))
+			nw.st.addUnprocOldAt(su, unproc)
+			nw.st.addEffNewAt(su, proj+nw.st.setLenAt(su, true))
 		}
 	}
 	for _, u := range nw.st.nodeList {
-		nw.setLoad(u, nw.st.simLen(u)+nw.st.newLen(u), true)
+		su := nw.st.slot(u)
+		nw.setLoadAt(u, su, nw.st.setLenAt(su, false)+nw.st.setLenAt(su, true), true)
 	}
 	nw.stag = stag
 	if version == 1 {
@@ -498,6 +491,37 @@ func RestoreNetwork(dec *wire.Decoder) (*Network, error) {
 	return nw, nil
 }
 
+// restoreSets rebuilds the selected vertex sets from a mapping: owner[x]
+// simulates x unless skip(x). Each owner is resolved once, and every
+// run is sized before the ascending adds fill it (see sizeRuns).
+func (nw *Network) restoreSets(owner []NodeID, nxt bool, skip func(x int) bool) error {
+	slots := make([]int32, len(owner))
+	count := make([]int32, nw.real.Slots())
+	for x, u := range owner {
+		slots[x] = -1
+		if skip(x) {
+			continue
+		}
+		s, ok := nw.real.SlotOf(u)
+		if !ok {
+			what := "vertex"
+			if nxt {
+				what = "new vertex"
+			}
+			return fmt.Errorf("core: %s %d mapped to dead node %d", what, x, u)
+		}
+		slots[x] = s
+		count[s]++
+	}
+	nw.st.sizeRuns(count, nxt)
+	for x, s := range slots {
+		if s >= 0 {
+			nw.st.setAddAt(s, Vertex(x), nxt)
+		}
+	}
+	return nil
+}
+
 // deriveOverlay adds the contraction's edges to an overlay restored as a
 // bare slot table, each undirected edge once and slot-natively, then
 // restores the stored epoch the additions advanced and validates the
@@ -517,7 +541,7 @@ func (nw *Network) deriveOverlay() error {
 			err = fmt.Errorf("core: derived edge {%d,%d} ends at a node the slot table lacks", a, b)
 			return false
 		}
-		g.AddEdgeAt(sa, a, b)
+		g.AddEdgeMultAt(sa, a, b, 1)
 		return true
 	})
 	if err != nil {

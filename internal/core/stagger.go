@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/pcycle"
 )
@@ -172,9 +172,10 @@ func (nw *Network) startStagger(dir stagDirection) bool {
 	}
 	s.batch = (pOld + steps - 1) / steps
 	for _, u := range nw.st.nodeList {
-		unproc, proj := s.unprocessed(nw.st.sim(u))
-		nw.st.addUnprocOld(u, unproc)
-		nw.st.addEffNew(u, proj)
+		su := nw.st.slot(u)
+		unproc, proj := s.unprocessed(nw.st.setAt(su, false))
+		nw.st.addUnprocOldAt(su, unproc)
+		nw.st.addEffNewAt(su, proj)
 	}
 	nw.stag = s
 	// Coordinator locally computes the new prime and notifies the first
@@ -245,21 +246,22 @@ func (nw *Network) processOldVertex(x Vertex) {
 		return
 	}
 	u := nw.simOf[x]
+	su := nw.st.slot(u)
 	s.processedFlag[x] = true
-	nw.st.addUnprocOld(u, -1)
-	nw.st.markDirty(u) // bookkeeping changed even when x generates nothing
+	nw.st.addUnprocOldAt(su, -1)
+	nw.st.markDirtyAt(u, su) // bookkeeping changed even when x generates nothing
 
 	if s.dir == inflateDir {
 		cloud := s.inf.Cloud(x)
-		nw.st.addEffNew(u, -len(cloud)) // projection becomes actual below
+		nw.st.addEffNewAt(su, -len(cloud)) // projection becomes actual below
 		for _, y := range cloud {
-			nw.assignNew(y, u)
+			nw.assignNew(y, u, su)
 		}
 		nw.resolvePending(x)
 		for _, y := range cloud {
-			nw.createNewEdges(y)
+			nw.createNewEdges(y, u, su)
 		}
-		nw.shedNewOverflow(u)
+		nw.shedNewOverflow(u, su)
 		return
 	}
 
@@ -267,22 +269,22 @@ func (nw *Network) processOldVertex(x Vertex) {
 	// deflation cloud.
 	y := s.def.NewVertexOf(x)
 	if s.def.DominatorOf(y) == x {
-		nw.st.addEffNew(u, -1)
-		nw.assignNew(y, u)
+		nw.st.addEffNewAt(su, -1)
+		nw.assignNew(y, u, su)
 		nw.resolvePending(x)
-		nw.createNewEdges(y)
+		nw.createNewEdges(y, u, su)
 	}
-	if nw.st.unprocOldOf(u) == 0 && nw.st.newLen(u) == 0 {
+	if nw.st.unprocOldAt(su) == 0 && nw.st.setLenAt(su, true) == 0 {
 		s.contenders = append(s.contenders, u)
 	}
 }
 
-// assignNew places new vertex y at node u (no edges yet).
-func (nw *Network) assignNew(y Vertex, u NodeID) {
+// assignNew places new vertex y at node u, at slot su (no edges yet).
+func (nw *Network) assignNew(y Vertex, u NodeID, su int32) {
 	nw.stag.newSimOf[y] = u
-	nw.st.newAdd(u, y)
-	nw.st.addEffNew(u, 1)
-	nw.bumpLoad(u, 1)
+	nw.st.setAddAt(su, y, true)
+	nw.st.addEffNewAt(su, 1)
+	nw.bumpLoadAt(u, su, 1)
 }
 
 // resolvePending converts the intermediate edges anchored at old vertex x
@@ -301,18 +303,18 @@ func (nw *Network) resolvePending(x Vertex) {
 }
 
 // createNewEdges adds the canonically-owned new-cycle edges of freshly
-// generated vertex y: its successor edge, and its chord when y is the
-// smaller endpoint (chord self-loops at 0, 1, p-1 belong to y).
-func (nw *Network) createNewEdges(y Vertex) {
+// generated vertex y, simulated by owner at slot so: its successor edge,
+// and its chord when y is the smaller endpoint (chord self-loops at 0,
+// 1, p-1 belong to y).
+func (nw *Network) createNewEdges(y Vertex, owner NodeID, so int32) {
 	s := nw.stag
-	owner := s.newSimOf[y]
-	nw.linkNewEdge(y, s.zNew.Succ(y), owner, true)
+	nw.linkNewEdge(y, s.zNew.Succ(y), owner, so, true)
 	chord := s.zNew.Inv(y)
 	if chord == y {
-		nw.addRealEdge(owner, owner)
+		nw.addRealEdgeAt(owner, so, owner)
 		nw.step.Messages++
 	} else if y < chord {
-		nw.linkNewEdge(y, chord, owner, false)
+		nw.linkNewEdge(y, chord, owner, so, false)
 	}
 	// The predecessor edge and larger-endpoint chords are created (or
 	// were created as intermediates) by their owners.
@@ -321,13 +323,13 @@ func (nw *Network) createNewEdges(y Vertex) {
 // linkNewEdge wires the undirected new edge {y, t}: directly when t is
 // already generated, else as an intermediate edge to the simulator of the
 // old vertex that will generate t.
-func (nw *Network) linkNewEdge(y, t Vertex, owner NodeID, isCycleEdge bool) {
+func (nw *Network) linkNewEdge(y, t Vertex, owner NodeID, so int32, isCycleEdge bool) {
 	s := nw.stag
 	if s.newSimOf[t] >= 0 {
-		nw.addRealEdge(owner, s.newSimOf[t])
+		nw.addRealEdgeAt(owner, so, s.newSimOf[t])
 	} else {
 		x := s.ownerOld(t)
-		nw.addRealEdge(owner, nw.simOf[x])
+		nw.addRealEdgeAt(owner, so, nw.simOf[x])
 		s.pending[x] = append(s.pending[x], pendEdge{src: y, dst: t})
 	}
 	if isCycleEdge {
@@ -337,20 +339,20 @@ func (nw *Network) linkNewEdge(y, t Vertex, owner NodeID, isCycleEdge bool) {
 	}
 }
 
-// shedNewOverflow rebalances u's new-cycle holdings while its effective
-// new load exceeds 4*zeta (Alg 4.8 line 6): sequential random walks on
-// the live overlay to nodes with effective new load < 4*zeta.
-func (nw *Network) shedNewOverflow(u NodeID) {
+// shedNewOverflow rebalances the new-cycle holdings of u, at slot su,
+// while its effective new load exceeds 4*zeta (Alg 4.8 line 6):
+// sequential random walks on the live overlay to nodes with effective
+// new load < 4*zeta.
+func (nw *Network) shedNewOverflow(u NodeID, su int32) {
 	st := &nw.st
 	zeta4 := 4 * nw.cfg.Zeta
-	nw.shedExcl = u  // parameterizes the prebuilt shedStop
-	su := st.slot(u) // u survives the loop: it moves vertices, never nodes
+	nw.shedExcl = u // parameterizes the prebuilt shedStop
 	for st.effNewAt(su) > zeta4 && st.setLenAt(su, true) > 1 {
 		placed := false
 		for attempt := 0; attempt < nw.cfg.WalkRetryLimit; attempt++ {
 			res := nw.runWalkAt(u, su, -1, nw.shedStop)
 			if res.Hit {
-				nw.moveNewVertex(st.newMax(u), res.End)
+				nw.moveNewVertex(st.setMaxAt(su, true), u, su, res.End, res.EndSlot)
 				placed = true
 				break
 			}
@@ -422,7 +424,7 @@ func (nw *Network) contendWalk(u NodeID, su int32, force bool) bool {
 	for i := 0; i < attempts; i++ {
 		res := nw.runWalkAt(u, su, -1, stop)
 		if res.Hit {
-			nw.moveNewVertex(nw.st.newMax(res.End), u)
+			nw.moveNewVertex(nw.st.setMaxAt(res.EndSlot, true), res.End, res.EndSlot, u, su)
 			return true
 		}
 		nw.step.WalkRetries++
@@ -432,21 +434,21 @@ func (nw *Network) contendWalk(u NodeID, su int32, force bool) bool {
 	}
 	nw.walkExhaustion++
 	for _, w := range nw.real.Nodes() {
-		if w != u && nw.st.newLen(w) >= 2 {
-			nw.moveNewVertex(nw.st.newMax(w), u)
+		if sw := nw.st.slot(w); w != u && nw.st.setLenAt(sw, true) >= 2 {
+			nw.moveNewVertex(nw.st.setMaxAt(sw, true), w, sw, u, su)
 			return true
 		}
 	}
 	return false
 }
 
-// moveNewVertex transfers new-cycle vertex y to node to, moving each of
-// its existing real edges: direct edges where both endpoints are
-// generated, intermediate edges where y is the canonical owner and the
-// target is not yet generated.
-func (nw *Network) moveNewVertex(y Vertex, to NodeID) {
+// moveNewVertex transfers new-cycle vertex y from its simulator from, at
+// slot sf, to node to at slot sto, moving each of its existing real
+// edges: direct edges where both endpoints are generated, intermediate
+// edges where y is the canonical owner and the target is not yet
+// generated.
+func (nw *Network) moveNewVertex(y Vertex, from NodeID, sf int32, to NodeID, sto int32) {
 	s := nw.stag
-	from := s.newSimOf[y]
 	if from == to {
 		return
 	}
@@ -460,7 +462,7 @@ func (nw *Network) moveNewVertex(y Vertex, to NodeID) {
 		{s.zNew.Succ(y), true},
 		{chord, y <= chord},
 	}
-	apply := func(at NodeID, add bool) {
+	apply := func(at NodeID, sat int32, add bool) {
 		for _, se := range slots {
 			var other NodeID
 			switch {
@@ -474,21 +476,21 @@ func (nw *Network) moveNewVertex(y Vertex, to NodeID) {
 				continue // edge not created yet (owner not generated)
 			}
 			if add {
-				nw.addRealEdge(at, other)
+				nw.addRealEdgeAt(at, sat, other)
 			} else {
-				nw.removeRealEdge(at, other)
+				nw.removeRealEdgeAt(at, sat, other)
 			}
 		}
 	}
-	apply(from, false)
-	nw.st.newRemove(from, y)
-	nw.st.addEffNew(from, -1)
-	nw.bumpLoad(from, -1)
+	apply(from, sf, false)
+	nw.st.setRemoveAt(sf, y, true)
+	nw.st.addEffNewAt(sf, -1)
+	nw.bumpLoadAt(from, sf, -1)
 	s.newSimOf[y] = to
-	nw.st.newAdd(to, y)
-	nw.st.addEffNew(to, 1)
-	nw.bumpLoad(to, 1)
-	apply(to, true)
+	nw.st.setAddAt(sto, y, true)
+	nw.st.addEffNewAt(sto, 1)
+	nw.bumpLoadAt(to, sto, 1)
+	apply(to, sto, true)
 }
 
 // dropOldVertex runs Phase-2 work for one old vertex: remove its
@@ -501,29 +503,27 @@ func (nw *Network) dropOldVertex(x Vertex) {
 		return
 	}
 	u := nw.simOf[x]
-	if nw.st.loadOf(u) == 1 {
-		nw.orphanRescue(u)
+	su := nw.st.slot(u)
+	if nw.st.loadAt(su) == 1 {
+		nw.orphanRescue(u, su)
 	}
 	s.droppedFlag[x] = true
 	for _, t := range nw.z.NeighborSlots(x) {
 		if t == x {
-			nw.removeRealEdge(u, u)
+			nw.removeRealEdgeAt(u, su, u)
 		} else if !s.droppedFlag[t] {
-			nw.removeRealEdge(u, nw.simOf[t])
+			nw.removeRealEdgeAt(u, su, nw.simOf[t])
 		}
 	}
-	nw.st.simRemove(u, x)
-	nw.bumpLoad(u, -1)
+	nw.st.setRemoveAt(su, x, false)
+	nw.bumpLoadAt(u, su, -1)
 }
 
-// orphanRescue fetches a spare new-cycle vertex for a node about to lose
-// its last holding. It runs while the node is still connected.
-func (nw *Network) orphanRescue(u NodeID) {
+// orphanRescue fetches a spare new-cycle vertex for a node, at slot su,
+// about to lose its last holding. It runs while the node is still
+// connected.
+func (nw *Network) orphanRescue(u NodeID, su int32) {
 	nw.orphanRescues++
-	su, ok := nw.real.SlotOf(u)
-	if !ok {
-		panic("core: orphan rescue for a node without a slot")
-	}
 	if !nw.contendWalk(u, su, true) {
 		panic("core: orphan rescue found no donor")
 	}
@@ -539,29 +539,26 @@ func (nw *Network) commitStagger() {
 	// disappears so the mapping stays surjective (found by FuzzChurnTrace).
 	var unassigned []NodeID
 	for _, u := range nw.st.nodeList {
-		if nw.st.simLen(u) == 0 && nw.st.newLen(u) == 0 {
+		if su := nw.st.slot(u); nw.st.setLenAt(su, false) == 0 && nw.st.setLenAt(su, true) == 0 {
 			unassigned = append(unassigned, u)
 		}
 	}
-	if len(unassigned) > 0 {
-		sort.Slice(unassigned, func(i, j int) bool { return unassigned[i] < unassigned[j] })
-		for _, u := range unassigned {
-			nw.orphanRescue(u)
-		}
+	slices.Sort(unassigned)
+	for _, u := range unassigned {
+		nw.orphanRescue(u, nw.st.slot(u))
 	}
 	for _, u := range nw.st.nodeList {
-		if nw.st.simLen(u) != 0 {
+		su := nw.st.slot(u)
+		if nw.st.setLenAt(su, false) != 0 {
 			panic(fmt.Sprintf("core: node %d still holds old vertices at commit", u))
 		}
-		if nw.st.newLen(u) == 0 {
+		if nw.st.setLenAt(su, true) == 0 {
 			panic(fmt.Sprintf("core: node %d has no new vertices at commit", u))
 		}
+		nw.st.promoteNew(su)
 	}
 	nw.z = s.zNew
 	nw.simOf = s.newSimOf
-	for _, u := range nw.st.nodeList {
-		nw.st.promoteNew(u)
-	}
 	nw.refreshDist0()
 	nw.stag = nil
 	nw.step.StaggerFinished = true
@@ -576,18 +573,18 @@ func (nw *Network) commitStagger() {
 // nw.stagInsertStop (see initTracking), parameterized by nw.stopExclude
 // and nw.stagPhase2; nw.insertStop selects and arms it.
 
-// donate transfers one vertex from donor to the freshly inserted id,
-// preferring newly generated vertices (Section 4.4.1: "we can simply
-// assign one of the newly inflated vertices").
-func (s *stagger) donate(nw *Network, donor, id NodeID) {
-	if nw.st.newLen(donor) >= 2 {
-		nw.moveNewVertex(nw.st.newMax(donor), id)
+// donate transfers one vertex from donor, at slot ds, to the freshly
+// inserted id at slot idSlot, preferring newly generated vertices (Section
+// 4.4.1: "we can simply assign one of the newly inflated vertices").
+func (s *stagger) donate(nw *Network, donor NodeID, ds int32, id NodeID, idSlot int32) {
+	if nw.st.setLenAt(ds, true) >= 2 {
+		nw.moveNewVertex(nw.st.setMaxAt(ds, true), donor, ds, id, idSlot)
 		return
 	}
 	// Unprocessed old vertex: the recipient will generate its cloud when
 	// the frontier reaches it.
 	var best Vertex = -1
-	for _, x := range nw.st.sim(donor) {
+	for _, x := range nw.st.setAt(ds, false) {
 		if !s.processedFlag[x] {
 			best = x // ascending: the last unprocessed vertex is the largest
 		}
@@ -595,7 +592,7 @@ func (s *stagger) donate(nw *Network, donor, id NodeID) {
 	if best < 0 {
 		panic("core: staggered donor has nothing to give")
 	}
-	nw.moveVertex(best, id)
+	nw.moveVertexAt(best, donor, ds, id, idSlot)
 }
 
 // DebugString summarizes the rebuild state (tests/examples).

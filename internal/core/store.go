@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -23,11 +24,12 @@ import (
 // cells to the arena when it commits. The dirty set is a generation
 // stamp plus an append list: resetting it is a counter bump.
 //
-// Every store operation has one slot-keyed body (the *At forms); the
-// id-keyed forms resolve the node's slot once and delegate. The
-// reference for all of it is storeModel in store_model_test.go, a
-// map-keyed model that FuzzStoreOps and TestStoreMatchesModel compare
-// every observable against after every operation.
+// Every store operation takes the node's slot: the engine resolves a
+// node id once, where it enters (see network.go), and hands the slot
+// down. The reference for all of it is storeModel in
+// store_model_test.go, a map-keyed model that FuzzStoreOps and
+// TestStoreMatchesModel compare every observable against after every
+// operation.
 
 // vset references one node's vertex run inside the vertex arena:
 // arena.buf[off:off+n] is the set, sorted ascending, with cap cells
@@ -188,13 +190,14 @@ func growCol[T any](col []T, n int) []T {
 }
 
 // slotAssigned (graph hook) makes the slot's cells exist and zero. The
-// columns grow to reach s itself, not by one row: a checkpoint decode
-// fires the hook for live slots only, so the slot table can skip freed
-// slots. The hook fires for slot reuse too, which is what keeps
-// generation stamps from leaking a dead node's dirty membership to its
-// successor.
+// columns grow to cover the whole slot table, not by one row: a
+// checkpoint decode reads the table before it fires the hook for each
+// live slot, so the first hook grows every column to its decoded size
+// in one step and the freed slots the hook skips are covered too. The
+// hook fires for slot reuse as well, which is what keeps generation
+// stamps from leaking a dead node's dirty membership to its successor.
 func (st *state) slotAssigned(_ NodeID, s int32) {
-	if n := int(s) + 1; n > len(st.load) {
+	if n := st.g.Slots(); n > len(st.load) {
 		st.load = growCol(st.load, n)
 		st.pos = growCol(st.pos, n)
 		st.dirtyAt = growCol(st.dirtyAt, n)
@@ -270,8 +273,8 @@ func (st *state) has(u NodeID) bool {
 	return ok
 }
 
-// slot resolves live node u's slot: the one id->slot probe in front of
-// every id-keyed accessor below.
+// slot resolves live node u's slot: the id->slot probe an id pays once,
+// where it enters the engine.
 func (st *state) slot(u NodeID) int32 {
 	s, ok := st.g.SlotOf(u)
 	if !ok {
@@ -280,20 +283,21 @@ func (st *state) slot(u NodeID) int32 {
 	return s
 }
 
-// addNode registers a fresh node: graph slot (zeroed cells via the
-// hook) and sampling-mirror entry. The load stays 0 until the caller's
-// setLoadAt.
-func (st *state) addNode(u NodeID) {
-	st.g.AddNode(u)
-	st.pos[st.slot(u)] = int32(len(st.nodeList))
+// addNode registers a fresh node and returns its slot: graph slot
+// (zeroed cells via the hook) and sampling-mirror entry. The load stays
+// 0 until the caller's setLoadAt.
+func (st *state) addNode(u NodeID) int32 {
+	s := st.g.AddNode(u)
+	st.pos[s] = int32(len(st.nodeList))
 	st.nodeList = append(st.nodeList, u)
+	return s
 }
 
-// removeNode drops u from the sampling mirror and removes its graph
-// node (the slot hook recycles the cells). The caller has already
-// moved every vertex away and settled the load counters.
-func (st *state) removeNode(u NodeID) {
-	p, last := st.pos[st.slot(u)], len(st.nodeList)-1
+// removeNode drops node u at slot s from the sampling mirror and
+// removes its graph node (the slot hook recycles the cells). The caller
+// has already moved every vertex away and settled the load counters.
+func (st *state) removeNode(u NodeID, s int32) {
+	p, last := st.pos[s], len(st.nodeList)-1
 	moved := st.nodeList[last]
 	st.nodeList[p] = moved
 	st.nodeList = st.nodeList[:last]
@@ -361,16 +365,8 @@ func (st *state) putLoadDirtyAt(u NodeID, s int32, l int) {
 
 // --- dirty set --------------------------------------------------------------
 
-// markDirty records that u's real-edge row or load changed this step.
-// Nodes already deleted are skipped — no audit can observe them.
-func (st *state) markDirty(u NodeID) {
-	if s, ok := st.g.SlotOf(u); ok {
-		st.markDirtyAt(u, s)
-	}
-}
-
-// markDirtyAt is markDirty with u's live slot s already in hand (the
-// slot-native edge mutators hand it down, skipping the map probe).
+// markDirtyAt records that the real-edge row or load of node u at live
+// slot s changed this step.
 func (st *state) markDirtyAt(u NodeID, s int32) {
 	if st.dirtyAt[s] != st.dirtyGen {
 		st.dirtyAt[s] = st.dirtyGen
@@ -487,18 +483,8 @@ func (st *state) setRemoveAt(s int32, x Vertex, nxt bool) {
 	}
 }
 
-// Id-keyed forms for callers without the slot in hand.
-func (st *state) sim(u NodeID) []Vertex        { return st.setAt(st.slot(u), false) }
-func (st *state) newSim(u NodeID) []Vertex     { return st.setAt(st.slot(u), true) }
-func (st *state) simLen(u NodeID) int          { return st.setLenAt(st.slot(u), false) }
-func (st *state) newLen(u NodeID) int          { return st.setLenAt(st.slot(u), true) }
-func (st *state) simAdd(u NodeID, x Vertex)    { st.setAddAt(st.slot(u), x, false) }
-func (st *state) simRemove(u NodeID, x Vertex) { st.setRemoveAt(st.slot(u), x, false) }
-func (st *state) newAdd(u NodeID, y Vertex)    { st.setAddAt(st.slot(u), y, true) }
-func (st *state) newRemove(u NodeID, y Vertex) { st.setRemoveAt(st.slot(u), y, true) }
-
 // setMaxAt returns the largest vertex of the selected set at live slot
-// s, which must be non-empty; simMax / newMax are its id-keyed forms.
+// s, which must be non-empty.
 //
 //dexvet:noalloc
 func (st *state) setMaxAt(s int32, nxt bool) Vertex {
@@ -509,17 +495,34 @@ func (st *state) setMaxAt(s int32, nxt bool) Vertex {
 	return r[len(r)-1]
 }
 
-func (st *state) simMax(u NodeID) Vertex { return st.setMaxAt(st.slot(u), false) }
-func (st *state) newMax(u NodeID) Vertex { return st.setMaxAt(st.slot(u), true) }
+// sizeRuns gives the empty selected run of every slot s with n[s] > 0
+// the capacity class of n[s] vertices, carving all of them from one
+// reservation of the arena. A restore sizes every run this way before
+// it adds the vertices in ascending order, so the adds never move a
+// run and the arena is not grown run by run.
+func (st *state) sizeRuns(n []int32, nxt bool) {
+	a := &st.arena
+	total := 0
+	for _, c := range n {
+		total += int(a.runCap(c))
+	}
+	a.buf = slices.Grow(a.buf, total)
+	col := st.col(nxt)
+	for s, c := range n {
+		if c > 0 {
+			col[s].off, col[s].cap = a.alloc(a.runCap(c))
+		}
+	}
+}
 
-// simReset replaces u's current-cycle set with vs (one-step rebuild
-// commit). vs is sorted in place; the caller's provisional assignment
-// is dead after the commit.
-func (st *state) simReset(u NodeID, vs []Vertex) {
-	sortVertices(vs)
+// simReset replaces the current-cycle set of the node at slot s with vs
+// (one-step rebuild commit). vs is sorted in place; the caller's
+// provisional assignment is dead after the commit.
+func (st *state) simReset(s int32, vs []Vertex) {
+	slices.Sort(vs)
 	st.maybeCompact()
 	a := &st.arena
-	v := &st.simRuns[st.slot(u)]
+	v := &st.simRuns[s]
 	if newCap := a.runCap(int32(len(vs))); v.cap < newCap {
 		a.release(v.off, v.cap)
 		v.off, v.cap = a.alloc(newCap)
@@ -528,10 +531,10 @@ func (st *state) simReset(u NodeID, vs []Vertex) {
 	copy(a.buf[v.off:v.off+v.n], vs)
 }
 
-// promoteNew installs u's new-cycle set as its current set (staggered
-// rebuild commit) and zeroes u's staggering counters.
-func (st *state) promoteNew(u NodeID) {
-	s := st.slot(u)
+// promoteNew installs the new-cycle set of the node at slot s as its
+// current set (staggered rebuild commit) and zeroes its staggering
+// counters.
+func (st *state) promoteNew(s int32) {
 	st.arena.release(st.simRuns[s].off, st.simRuns[s].cap)
 	st.simRuns[s], st.newRuns[s] = st.newRuns[s], vset{}
 	st.effNew[s], st.unprocOld[s] = 0, 0
@@ -540,15 +543,9 @@ func (st *state) promoteNew(u NodeID) {
 // --- staggering counters ----------------------------------------------------
 //
 // effNew (generated plus projected new vertices) and unprocOld
-// (unprocessed old vertices) of the node at live slot s, then the
-// id-keyed forms.
+// (unprocessed old vertices) of the node at live slot s.
 
 func (st *state) effNewAt(s int32) int          { return int(st.effNew[s]) }
 func (st *state) unprocOldAt(s int32) int       { return int(st.unprocOld[s]) }
 func (st *state) addEffNewAt(s int32, d int)    { st.effNew[s] += int32(d) }
 func (st *state) addUnprocOldAt(s int32, d int) { st.unprocOld[s] += int32(d) }
-
-func (st *state) effNewOf(u NodeID) int        { return st.effNewAt(st.slot(u)) }
-func (st *state) unprocOldOf(u NodeID) int     { return st.unprocOldAt(st.slot(u)) }
-func (st *state) addEffNew(u NodeID, d int)    { st.addEffNewAt(st.slot(u), d) }
-func (st *state) addUnprocOld(u NodeID, d int) { st.addUnprocOldAt(st.slot(u), d) }

@@ -183,7 +183,9 @@ func applyStoreOp(st *state, m *storeModel, op byte, a, b int) {
 		}
 		return
 	case opMarkDirty:
-		st.markDirty(NodeID(a))
+		if s, ok := st.g.SlotOf(NodeID(a)); ok {
+			st.markDirtyAt(NodeID(a), s)
+		}
 		m.markDirty(NodeID(a))
 		return
 	case opResetDirty:
@@ -206,7 +208,7 @@ func applyStoreOp(st *state, m *storeModel, op byte, a, b int) {
 	nxt := k == opNewAdd || k == opNewRemove || k == opNewGrow
 	switch k {
 	case opRemoveNode:
-		st.removeNode(u)
+		st.removeNode(u, s)
 		m.removeNode(u)
 	case opSimAdd, opNewAdd:
 		if x := Vertex(b); setInsert(n.set(nxt), x) {
@@ -236,9 +238,9 @@ func applyStoreOp(st *state, m *storeModel, op byte, a, b int) {
 			vs[j] = Vertex((j*37 + b) % 512)
 		}
 		n.sim = slices.Sorted(slices.Values(vs))
-		st.simReset(u, vs)
+		st.simReset(s, vs)
 	case opPromote:
-		st.promoteNew(u)
+		st.promoteNew(s)
 		n.sim, n.nxt = n.nxt, nil
 		n.effNew, n.unprocOld = 0, 0
 	case opPutLoad:

@@ -24,7 +24,7 @@ func (st *state) loadSnapshot() map[NodeID]int {
 func (st *state) simSnapshot() map[NodeID][]Vertex {
 	out := make(map[NodeID][]Vertex, st.size())
 	for _, u := range st.nodeList {
-		out[u] = append([]Vertex(nil), st.sim(u)...)
+		out[u] = append([]Vertex(nil), st.setAt(st.slot(u), false)...)
 	}
 	return out
 }

@@ -6,22 +6,28 @@ import "fmt"
 // creates node id and attaches it to the existing node attach. DEX then
 // finds a spare virtual vertex via random walks (type-1) or rebuilds the
 // virtual graph (type-2) and assigns the new node at least one vertex.
+// Node ids are non-negative.
 //
 //dexvet:mutator
 func (nw *Network) Insert(id, attach NodeID) error {
+	if id < 0 {
+		return fmt.Errorf("%w: %d", errNegativeID, id)
+	}
 	if nw.st.has(id) {
 		return fmt.Errorf("%w: %d", ErrDuplicateID, id)
 	}
-	if !nw.st.has(attach) {
+	as, ok := nw.real.SlotOf(attach)
+	if !ok {
 		return fmt.Errorf("%w: attach point %d", ErrUnknownNode, attach)
 	}
 	nw.beginStep(OpInsert, id)
 	// The adversary wires u to v; insertOneOfBatch bootstraps the node
 	// with that temporary edge (dropped later unless required by the
 	// virtual graph, Alg 4.2 line 3) and runs the recovery ladder — the
-	// identical sequence a batch member goes through.
-	nw.insertOneOfBatch(InsertSpec{ID: id, Attach: attach})
-	nw.afterRecovery(attach)
+	// identical sequence a batch member goes through. Insertion deletes
+	// no node, so attach's slot holds to the end of the step.
+	nw.insertOneOfBatch(InsertSpec{ID: id, Attach: attach}, as)
+	nw.afterRecovery(as)
 	nw.endStep()
 	return nil
 }
@@ -48,21 +54,21 @@ func (nw *Network) recoverInsert(id, attach NodeID, idSlot, attachSlot int32) {
 		nw.stopExclude = id // keep the predicate state exactly as insertStop leaves it
 		_ = nw.walkSeed()   // 0-step walks draw nothing from the seed
 		nw.fastInserts++
-		nw.moveVertexAt(nw.st.setMaxAt(attachSlot, false), attach, id, attachSlot, idSlot)
+		nw.moveVertexAt(nw.st.setMaxAt(attachSlot, false), attach, attachSlot, id, idSlot)
 		return
 	}
 	stop := nw.insertStop(id)
 	for attempt := 0; attempt < nw.cfg.WalkRetryLimit; attempt++ {
 		res := nw.runWalkAt(attach, attachSlot, id, stop)
 		if res.Hit {
-			nw.donateVertexTo(res.End, id)
+			nw.donateVertexTo(res.End, res.EndSlot, id, idSlot)
 			return
 		}
 		nw.step.WalkRetries++
 		if nw.cfg.Mode == Staggered {
 			// Ask the coordinator (Alg 4.7 line 8): one round trip of
 			// shortest-path control messages.
-			nw.chargeCoordinatorNotify(attach)
+			nw.chargeCoordinatorNotify(attachSlot)
 			if nw.stag == nil && float64(nw.nSpare) < 3*nw.cfg.Theta*float64(nw.Size()) {
 				if nw.startStagger(inflateDir) {
 					nw.step.Recovery = RecoveryInflate
@@ -107,15 +113,16 @@ func (nw *Network) insertStop(id NodeID) func(NodeID, int32) bool {
 	return nw.steadyInsertStop
 }
 
-// donateVertexTo moves one virtual vertex from donor to the new node id.
-// In steady state any current-cycle vertex works (we pick the largest, so
-// vertex 0 - the coordinator anchor - moves as rarely as possible).
-func (nw *Network) donateVertexTo(donor, id NodeID) {
+// donateVertexTo moves one virtual vertex from donor, at slot ds, to the
+// new node id at slot idSlot. In steady state any current-cycle vertex works
+// (we pick the largest, so vertex 0 - the coordinator anchor - moves as
+// rarely as possible).
+func (nw *Network) donateVertexTo(donor NodeID, ds int32, id NodeID, idSlot int32) {
 	if nw.stag != nil {
-		nw.stag.donate(nw, donor, id)
+		nw.stag.donate(nw, donor, ds, id, idSlot)
 		return
 	}
-	nw.moveVertex(nw.st.simMax(donor), id)
+	nw.moveVertexAt(nw.st.setMaxAt(ds, false), donor, ds, id, idSlot)
 }
 
 // Delete handles an adversarial deletion (Algorithm 4.3): node id leaves;
@@ -124,7 +131,8 @@ func (nw *Network) donateVertexTo(donor, id NodeID) {
 //
 //dexvet:mutator
 func (nw *Network) Delete(id NodeID) error {
-	if !nw.st.has(id) {
+	sid, ok := nw.real.SlotOf(id)
+	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, id)
 	}
 	if nw.Size() <= 4 {
@@ -132,21 +140,23 @@ func (nw *Network) Delete(id NodeID) error {
 	}
 	nw.beginStep(OpDelete, id)
 
-	v := nw.survivingNeighbor(id)
+	// The survivor's slot holds to the end of the step: recovery moves
+	// vertices and may rebuild the cycle, but deletes no other node.
+	v, sv := nw.survivingNeighbor(sid)
 	coordLost := nw.simOf[0] == id
 
 	// v attaches all of u's edges to itself: move every vertex u simulated
 	// to v (Alg 4.3 line 1).
-	orphans := nw.vertexHoldings(id)
-	nw.warmAdoption(nw.st.slot(id))
+	orphans := nw.vertexHoldings(sid)
+	nw.warmAdoption(sid)
 	for _, h := range orphans {
-		nw.moveHolding(h, v)
+		nw.moveHolding(h, id, sid, v, sv)
 	}
 	if nw.real.Degree(id) != 0 {
 		panic("core: deleted node still has edges after adoption")
 	}
-	nw.dropLoadEntry(id)
-	nw.st.removeNode(id)
+	nw.dropLoadEntry(sid)
+	nw.st.removeNode(id, sid)
 	if coordLost {
 		// Neighbors transfer the replicated coordinator state to the new
 		// simulator of vertex 0 (Alg 4.7 line 2): O(1) messages.
@@ -154,8 +164,8 @@ func (nw *Network) Delete(id NodeID) error {
 		nw.step.Rounds++
 	}
 
-	nw.redistributeFrom(v, orphans)
-	nw.afterRecovery(v)
+	nw.redistributeFrom(v, sv, orphans)
+	nw.afterRecovery(sv)
 	nw.endStep()
 	return nil
 }
@@ -187,14 +197,14 @@ func (nw *Network) warmAdoption(s int32) {
 	nw.warmSink = sink
 }
 
-// survivingNeighbor picks the smallest distinct neighbor of id. It scans
-// the node's arena run in place (ascending order) rather than snapshotting
-// a neighbor slice.
-func (nw *Network) survivingNeighbor(id NodeID) NodeID {
-	found := NodeID(-1)
-	nw.real.ForEachNeighbor(id, func(v NodeID, _ int) bool {
-		if v != id {
-			found = v
+// survivingNeighbor picks the smallest distinct neighbor of the node at
+// slot s and returns it with its slot. It scans the node's arena run in
+// place (ascending order) rather than snapshotting a neighbor slice.
+func (nw *Network) survivingNeighbor(s int32) (NodeID, int32) {
+	found, fs := NodeID(-1), int32(-1)
+	nw.real.ForEachNeighborAt(s, func(v NodeID, vs int32, _ int) bool {
+		if vs != s {
+			found, fs = v, vs
 			return false
 		}
 		return true
@@ -202,7 +212,7 @@ func (nw *Network) survivingNeighbor(id NodeID) NodeID {
 	if found < 0 {
 		panic("core: node has no surviving neighbor")
 	}
-	return found
+	return found, fs
 }
 
 // holding identifies one virtual vertex a node simulates, in either the
@@ -212,18 +222,18 @@ type holding struct {
 	isNew bool
 }
 
-// vertexHoldings lists everything id simulates, deterministically
-// (ascending per cycle; the store hands both runs back sorted). The
-// returned slice aliases a per-network scratch buffer — it is valid
-// until the next vertexHoldings call, which the strictly sequential
-// delete/redistribute flow guarantees is after its last use.
-func (nw *Network) vertexHoldings(id NodeID) []holding {
+// vertexHoldings lists everything the node at slot s simulates,
+// deterministically (ascending per cycle; the store hands both runs back
+// sorted). The returned slice aliases a per-network scratch buffer — it
+// is valid until the next vertexHoldings call, which the strictly
+// sequential delete/redistribute flow guarantees is after its last use.
+func (nw *Network) vertexHoldings(s int32) []holding {
 	hs := nw.holdScratch[:0]
-	for _, x := range nw.st.sim(id) {
+	for _, x := range nw.st.setAt(s, false) {
 		hs = append(hs, holding{x: x})
 	}
 	if nw.stag != nil {
-		for _, y := range nw.st.newSim(id) {
+		for _, y := range nw.st.setAt(s, true) {
 			hs = append(hs, holding{x: y, isNew: true})
 		}
 	}
@@ -231,45 +241,46 @@ func (nw *Network) vertexHoldings(id NodeID) []holding {
 	return hs
 }
 
-func (nw *Network) moveHolding(h holding, to NodeID) {
+// moveHolding moves holding h from its simulator from, at slot sf, to
+// node to at slot sto.
+func (nw *Network) moveHolding(h holding, from NodeID, sf int32, to NodeID, sto int32) {
 	if h.isNew {
-		nw.moveNewVertex(h.x, to)
+		nw.moveNewVertex(h.x, from, sf, to, sto)
 	} else {
-		nw.moveVertex(h.x, to)
+		nw.moveVertexAt(h.x, from, sf, to, sto)
 	}
 }
 
-// redistributeFrom walks each adopted vertex from v to a node in Low
-// (Alg 4.3 lines 2-5), falling back to type-2 deflation per the paper.
-func (nw *Network) redistributeFrom(v NodeID, orphans []holding) {
+// redistributeFrom walks each vertex v (at slot sv) adopted from a
+// deleted node to a node in Low (Alg 4.3 lines 2-5), falling back to
+// type-2 deflation per the paper.
+func (nw *Network) redistributeFrom(v NodeID, sv int32, orphans []holding) {
 	for _, h := range orphans {
-		if nw.redistributeOne(v, h) {
+		if nw.redistributeOne(v, sv, h) {
 			return
 		}
 	}
 }
 
 // redistributeOne runs the full walk/retry/type-2 ladder for a single
-// adopted holding. It reports true when a one-step type-2 rebuild fired
-// (the rebuild re-homes every remaining orphan, so the caller stops).
-func (nw *Network) redistributeOne(v NodeID, h holding) bool {
+// holding adopted by v at slot sv. It reports true when a one-step
+// type-2 rebuild fired (the rebuild re-homes every remaining orphan, so
+// the caller stops).
+func (nw *Network) redistributeOne(v NodeID, sv int32, h holding) bool {
 	stop := nw.holdingStop(h)
-	// v's slot survives the ladder (redistribution moves vertices, never
-	// deletes nodes), so one resolution covers every retry.
-	vSlot, _ := nw.real.SlotOf(v)
 	placed := false
 	for attempt := 0; attempt < nw.cfg.WalkRetryLimit; attempt++ {
-		res := nw.runWalkAt(v, vSlot, -1, stop)
+		res := nw.runWalkAt(v, sv, -1, stop)
 		if res.Hit {
 			if res.End != v {
-				nw.moveHolding(h, res.End)
+				nw.moveHolding(h, v, sv, res.End, res.EndSlot)
 			}
 			placed = true
 			break
 		}
 		nw.step.WalkRetries++
 		if nw.cfg.Mode == Staggered {
-			nw.chargeCoordinatorNotify(v)
+			nw.chargeCoordinatorNotify(sv)
 			if nw.stag == nil && float64(nw.nLow) < 3*nw.cfg.Theta*float64(nw.Size()) {
 				if nw.startStagger(deflateDir) {
 					nw.step.Recovery = RecoveryDeflate
@@ -281,7 +292,7 @@ func (nw *Network) redistributeOne(v NodeID, h holding) bool {
 		}
 		// Simplified mode: flood computeLow (Alg 4.4), whose count,
 		// load(u) <= 2*zeta, is steadyLowStop.
-		agg := nw.flood.AggregateAt(nw.real, v, vSlot, nw.steadyLowStop)
+		agg := nw.flood.AggregateAt(nw.real, v, sv, nw.steadyLowStop)
 		nw.step.Rounds += agg.Rounds
 		nw.step.Messages += agg.Messages
 		nw.step.Floods++
@@ -320,7 +331,7 @@ func (nw *Network) holdingStop(h holding) func(NodeID, int32) bool {
 		return nw.steadyLowStop // load(u) <= 2*zeta
 	}
 	if h.isNew {
-		return nw.holdNewStop // newLen(u) < 4*zeta && load(u) < 8*zeta-1
+		return nw.holdNewStop // |NewSim(u)| < 4*zeta && load(u) < 8*zeta-1
 	}
 	if s.dir == inflateDir {
 		if s.phase == 1 {
@@ -338,10 +349,11 @@ func (nw *Network) holdingStop(h holding) func(NodeID, int32) bool {
 }
 
 // afterRecovery performs the end-of-step bookkeeping shared by insert and
-// delete: coordinator counter notification, proactive threshold checks
-// and one batch of staggered rebuild progress.
-func (nw *Network) afterRecovery(reporter NodeID) {
-	nw.chargeCoordinatorNotify(reporter)
+// delete: the coordinator counter notification from the reporting node
+// at slot rs, proactive threshold checks and one batch of staggered
+// rebuild progress.
+func (nw *Network) afterRecovery(rs int32) {
+	nw.chargeCoordinatorNotify(rs)
 	if nw.cfg.Mode == Staggered && nw.stag == nil {
 		n := float64(nw.Size())
 		if float64(nw.nSpare) < 3*nw.cfg.Theta*n {
@@ -358,13 +370,5 @@ func (nw *Network) afterRecovery(reporter NodeID) {
 	}
 	if nw.stag != nil {
 		nw.advanceStagger()
-	}
-}
-
-func sortVertices(vs []Vertex) {
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && vs[j] < vs[j-1]; j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
-		}
 	}
 }

@@ -224,7 +224,7 @@ func (nw *Network) simplifiedDeflate(initiator NodeID) {
 // contenderStart picks the new-cycle vertex that absorbed one of u's old
 // vertices, the natural walk origin for a contending node.
 func (nw *Network) contenderStart(def pcycle.Deflation, u NodeID) Vertex {
-	if r := nw.st.sim(u); len(r) > 0 {
+	if r := nw.st.setAt(nw.st.slot(u), false); len(r) > 0 {
 		return def.NewVertexOf(r[0])
 	}
 	return 0
@@ -328,8 +328,9 @@ func (nw *Network) commitRebuild(pv *provisional) {
 		if len(vs) == 0 {
 			panic(fmt.Sprintf("core: rebuild left node %d without vertices", u))
 		}
-		nw.st.simReset(u, vs)
-		nw.setLoad(u, len(vs), false)
+		s := nw.st.slot(u)
+		nw.st.simReset(s, vs)
+		nw.setLoadAt(u, s, len(vs), false)
 	}
 	// Apply the new contraction as an in-place diff: only node pairs whose
 	// multiplicity actually changed are touched, the graph pointer stays

@@ -205,13 +205,14 @@ func (g *Graph) HasNode(u NodeID) bool {
 	return ok
 }
 
-// AddNode inserts u as an isolated node if not present.
-func (g *Graph) AddNode(u NodeID) {
-	if _, ok := g.lookup(u); ok {
-		return
+// AddNode inserts u as an isolated node if not present, and returns
+// u's slot.
+func (g *Graph) AddNode(u NodeID) int32 {
+	if s, ok := g.lookup(u); ok {
+		return s
 	}
 	g.epoch++
-	g.slotOf(u)
+	return g.bind(u)
 }
 
 // Epoch returns the graph's logical version: a counter incremented by
@@ -324,6 +325,11 @@ func (g *Graph) slotOf(u NodeID) int32 {
 	if s, ok := g.lookup(u); ok {
 		return s
 	}
+	return g.bind(u)
+}
+
+// bind gives the absent node u a slot, recycled when one is free.
+func (g *Graph) bind(u NodeID) int32 {
 	var s int32
 	if n := len(g.freeSlots); n > 0 {
 		s = g.freeSlots[n-1]
@@ -633,11 +639,10 @@ func (g *Graph) removeHalf(s int32, v NodeID, k int32) {
 func (g *Graph) AddEdge(u, v NodeID) { g.AddEdgeMult(u, v, 1) }
 
 // AddEdgeMult adds k parallel {u,v} edges in one step, creating the
-// endpoints if needed. Quotient and the rebuild diff replay use this to
-// apply a multiplicity change in O(log deg) instead of O(k) single-edge
-// inserts. k <= 0 is a no-op. Multiplicities are stored as int32 (a
-// contraction never exceeds 3 per pair); a k beyond that domain panics
-// rather than silently truncating.
+// endpoints if needed. Quotient uses this to apply a multiplicity in
+// O(log deg) instead of O(k) single-edge inserts. k <= 0 is a no-op.
+// Multiplicities are stored as int32 (a contraction never exceeds 3 per
+// pair); a k beyond that domain panics rather than silently truncating.
 func (g *Graph) AddEdgeMult(u, v NodeID, k int) {
 	if k <= 0 {
 		return
@@ -645,21 +650,15 @@ func (g *Graph) AddEdgeMult(u, v NodeID, k int) {
 	g.AddEdgeMultAt(g.slotOf(u), u, v, k)
 }
 
-// AddEdgeAt is the slot-native form of AddEdge: su must be u's live slot
-// (as handed out by SlotOf, ForEachNeighborAt, or a slot-assign hook).
-// Callers that already hold the slot skip the id->slot map probe — the
-// churn hot path resolves each endpoint's slot exactly once per operation
-// instead of once per edge.
-func (g *Graph) AddEdgeAt(su int32, u, v NodeID) { g.AddEdgeMultAt(su, u, v, 1) }
-
 // AddEdgeMultAt is the slot-native form of AddEdgeMult: su must be u's
-// live slot. v is created if absent. Unlike the historical one-entry
-// mutation cache this replaces, the slot is caller-owned state, so
-// concurrent mutation batches that are otherwise disjoint share no
-// hidden write.
-func (g *Graph) AddEdgeMultAt(su int32, u, v NodeID, k int) {
+// live slot (as handed out by SlotOf, ForEachNeighborAt, or a
+// slot-assign hook), so the caller's id->slot probe for u is its only
+// one. v is created if absent. It returns v's slot, read from u's run
+// cell when the pair exists, so a caller that keeps slot-indexed state
+// for v needs no probe either (-1 when k <= 0, a no-op).
+func (g *Graph) AddEdgeMultAt(su int32, u, v NodeID, k int) int32 {
 	if k <= 0 {
-		return
+		return -1
 	}
 	if k > 1<<30 {
 		panic(fmt.Sprintf("graph: multiplicity %d exceeds the int32 arena domain", k))
@@ -688,7 +687,7 @@ func (g *Graph) AddEdgeMultAt(su int32, u, v NodeID, k int) {
 			rv.deg += k32
 		}
 		g.edges += k
-		return
+		return g.pool[r.off+pos].s
 	}
 	// New pair: v's slot may not exist yet. slotOf only touches the slot
 	// table, so pos (u's insertion point) stays valid across it.
@@ -699,6 +698,7 @@ func (g *Graph) AddEdgeMultAt(su int32, u, v NodeID, k int) {
 		g.insertEntry(sv, back, u, su, k32)
 	}
 	g.edges += k
+	return sv
 }
 
 // RemoveEdge removes one multiplicity of edge {u,v}. It reports whether an
@@ -713,25 +713,22 @@ func (g *Graph) RemoveEdgeMult(u, v NodeID, k int) int {
 	if !ok {
 		return 0
 	}
-	return g.RemoveEdgeMultAt(su, u, v, k)
-}
-
-// RemoveEdgeAt is the slot-native form of RemoveEdge: su must be u's live
-// slot. It reports whether an edge was removed.
-func (g *Graph) RemoveEdgeAt(su int32, u, v NodeID) bool {
-	return g.RemoveEdgeMultAt(su, u, v, 1) == 1
+	removed, _ := g.RemoveEdgeMultAt(su, u, v, k)
+	return removed
 }
 
 // RemoveEdgeMultAt is the slot-native form of RemoveEdgeMult: su must be
-// u's live slot. Returns the number of multiplicities actually removed.
-func (g *Graph) RemoveEdgeMultAt(su int32, u, v NodeID, k int) int {
+// u's live slot. It returns the number of multiplicities actually
+// removed and v's slot, read from u's run cell (-1 when nothing was
+// removed).
+func (g *Graph) RemoveEdgeMultAt(su int32, u, v NodeID, k int) (int, int32) {
 	if k <= 0 {
-		return 0
+		return 0, -1
 	}
 	g.maybeCompact()
 	pos, ok := g.findNbr(su, v)
 	if !ok {
-		return 0
+		return 0, -1
 	}
 	r := &g.recs[su]
 	if have := int(g.pool[r.off+pos].m); have < k {
@@ -751,7 +748,7 @@ func (g *Graph) RemoveEdgeMultAt(su int32, u, v NodeID, k int) int {
 		g.removeHalf(sv, u, int32(k))
 	}
 	g.edges -= k
-	return k
+	return k, sv
 }
 
 // RemoveNode deletes u and all incident edges. It is a no-op if u is absent.

@@ -7,12 +7,13 @@ import (
 	"testing"
 )
 
-// TestSlotMutatorsMatchIDForms: the slot-native mutators (AddEdgeAt /
-// AddEdgeMultAt / RemoveEdgeAt / RemoveEdgeMultAt) are exact drop-ins
-// for the id-keyed forms — same structure, same return values, same
-// epoch discipline — across a randomized churn script that exercises
-// in-place multiplicity bumps, run growth, entry removal, node
-// removal, and arena compaction.
+// TestSlotMutatorsMatchIDForms: the slot-native mutators (AddEdgeMultAt
+// / RemoveEdgeMultAt) are exact drop-ins for the id-keyed forms — same
+// structure, same removal counts, same epoch discipline — and the far
+// endpoint's slot they return is the one SlotOf reports (-1 when a
+// removal finds no edge), across a randomized churn script that
+// exercises in-place multiplicity bumps, run growth, entry removal,
+// node removal, and arena compaction.
 func TestSlotMutatorsMatchIDForms(t *testing.T) {
 	a, b := New(), New()
 	const n = 48
@@ -29,27 +30,24 @@ func TestSlotMutatorsMatchIDForms(t *testing.T) {
 		if !ok {
 			t.Fatalf("step %d: node %d has no slot", step, u)
 		}
+		sv, _ := b.SlotOf(v)
 		if rng.Float64() < 0.55 {
-			if k == 1 {
-				a.AddEdge(u, v)
-				b.AddEdgeAt(su, u, v)
-			} else {
-				a.AddEdgeMult(u, v, k)
-				b.AddEdgeMultAt(su, u, v, k)
+			a.AddEdgeMult(u, v, k)
+			if got := b.AddEdgeMultAt(su, u, v, k); got != sv {
+				t.Fatalf("step %d: AddEdgeMultAt(%d,%d,%d) returned slot %d, SlotOf says %d", step, u, v, k, got, sv)
 			}
 		} else {
-			if k == 1 {
-				ra := a.RemoveEdge(u, v)
-				rb := b.RemoveEdgeAt(su, u, v)
-				if ra != rb {
-					t.Fatalf("step %d: RemoveEdge(%d,%d)=%v, RemoveEdgeAt=%v", step, u, v, ra, rb)
-				}
-			} else {
-				ra := a.RemoveEdgeMult(u, v, k)
-				rb := b.RemoveEdgeMultAt(su, u, v, k)
-				if ra != rb {
-					t.Fatalf("step %d: RemoveEdgeMult(%d,%d,%d)=%d, RemoveEdgeMultAt=%d", step, u, v, k, ra, rb)
-				}
+			ra := a.RemoveEdgeMult(u, v, k)
+			rb, got := b.RemoveEdgeMultAt(su, u, v, k)
+			if ra != rb {
+				t.Fatalf("step %d: RemoveEdgeMult(%d,%d,%d)=%d, RemoveEdgeMultAt=%d", step, u, v, k, ra, rb)
+			}
+			want := int32(-1)
+			if rb > 0 {
+				want = sv
+			}
+			if got != want {
+				t.Fatalf("step %d: RemoveEdgeMultAt(%d,%d,%d) returned slot %d, want %d", step, u, v, k, got, want)
 			}
 		}
 	}
