@@ -338,11 +338,10 @@ func BenchmarkChurnSampledAudit(b *testing.B) {
 //
 // Neither the engine's recovery path nor the sampled audit allocates
 // (TestRecoveryOpZeroAllocsSteadyState, TestAuditSampledZeroAllocs),
-// so every allocation here is made above the engine. A
-// -memprofilerate 1 profile of the c=1 row attributes both allocations
-// of a pair to boxing VertexTransferred events into the Event
-// interface, which happens because the façade's forwarder is always
-// subscribed.
+// and a façade without subscribers builds no event
+// (TestConcurrentChurnAllocsWithoutSubscribers), so a pair allocates
+// nothing: the B/op left is the occasional growth of the network's
+// tables and scratch (History among them), amortized over the run.
 
 const concBenchN0 = 4096
 

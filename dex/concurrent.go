@@ -47,6 +47,9 @@ type Concurrent struct {
 	subs     []subscriber
 	subsSnap []subscriber
 	nextSub  int
+	// nsubs is len(subs), written under subMu and read without it by the
+	// wrapped Network's event guard (forwardIdle), which runs under mu.
+	nsubs atomic.Int32
 
 	closed    bool
 	closeDone chan struct{} // closed once the first Close has fully torn down
@@ -76,7 +79,12 @@ func NewConcurrent(opts ...Option) (*Concurrent, error) {
 		rng:       rand.New(rand.NewSource(o.cfg.Seed ^ 0x5a3c_f00d)),
 		closeDone: make(chan struct{}),
 	}
+	// The forwarder stays subscribed for the façade's lifetime, but the
+	// engine builds no event while the façade itself has no subscriber:
+	// an event published before a Subscribe is not a future event, and
+	// dropping it saves boxing every migrated vertex into Event.
 	nw.Subscribe(c.forward)
+	nw.forwardIdle = func() bool { return c.nsubs.Load() == 0 }
 	if o.asyncBuf >= 0 {
 		c.evq = newEventQueue(o.asyncBuf)
 		c.done = make(chan struct{})
@@ -224,6 +232,7 @@ func (c *Concurrent) Subscribe(fn func(Event)) (cancel func()) {
 	c.nextSub++
 	c.subs = append(c.subs, subscriber{id: id, fn: fn})
 	c.subsSnap = nil
+	c.nsubs.Add(1)
 	return func() {
 		c.subMu.Lock()
 		defer c.subMu.Unlock()
@@ -231,6 +240,7 @@ func (c *Concurrent) Subscribe(fn func(Event)) (cancel func()) {
 			if s.id == id {
 				c.subs = append(c.subs[:i], c.subs[i+1:]...)
 				c.subsSnap = nil
+				c.nsubs.Add(-1)
 				return
 			}
 		}

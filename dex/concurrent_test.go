@@ -265,3 +265,46 @@ func TestAsyncEventsRequiresConcurrent(t *testing.T) {
 		t.Fatal("negative async buffer accepted")
 	}
 }
+
+// TestConcurrentChurnAllocsWithoutSubscribers: a Concurrent façade with
+// no subscriber builds no event, so subscriber-free churn (insert and
+// delete pairs with the sampled audit on, as BenchmarkConcurrentChurn
+// runs them) allocates nothing. A subscription receives the next pair's
+// vertex transfers, and cancelling it restores the zero.
+func TestConcurrentChurnAllocsWithoutSubscribers(t *testing.T) {
+	c, err := dex.NewConcurrent(dex.WithInitialSize(1024), dex.WithSeed(29), dex.WithAuditMode(dex.AuditSampled))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	id := dex.NodeID(1_000_000)
+	pair := func() {
+		if err := c.Insert(id, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		id++
+	}
+	for i := 0; i < 256; i++ {
+		pair()
+	}
+	if a := testing.AllocsPerRun(400, pair); a != 0 {
+		t.Fatalf("subscriber-free churn allocates %.2f per pair, want 0", a)
+	}
+	transfers := 0
+	cancel := c.Subscribe(func(ev dex.Event) {
+		if _, ok := ev.(dex.VertexTransferred); ok {
+			transfers++
+		}
+	})
+	pair()
+	if transfers == 0 {
+		t.Fatal("the subscriber saw no vertex transfer of an insert and a delete")
+	}
+	cancel()
+	if a := testing.AllocsPerRun(400, pair); a != 0 {
+		t.Fatalf("churn after the last cancel allocates %.2f per pair, want 0", a)
+	}
+}

@@ -136,6 +136,11 @@ type Network struct {
 	nextSub  int
 	inOp     bool // a mutating operation (and its event deliveries) is in flight
 
+	// forwardIdle is set by NewConcurrent, whose forwarder is the first
+	// subscriber and never cancelled: it reports that the façade has no
+	// subscriber of its own, so the forwarder would drop every event.
+	forwardIdle func() bool
+
 	// Durability (WithPersistence); nil/empty otherwise. seedBuf
 	// captures the walk seeds each operation consumes, rec is the
 	// reused WAL record — both so steady-state commits allocate
@@ -211,20 +216,20 @@ func wrapEngine(eng *core.Network, o options) *Network {
 		// interface allocates at this call site even when publish would
 		// drop it, and this observer fires once per migrated vertex on
 		// the steady-state recovery path.
-		if len(nw.subs) == 0 {
+		if !nw.listened() {
 			return
 		}
 		nw.publish(VertexTransferred{Vertex: x, From: from, To: to})
 	})
 	eng.SetRebuildObserver(func(pNew int64) {
-		if len(nw.subs) > 0 {
+		if nw.listened() {
 			nw.publish(GraphRebuilt{OldP: nw.lastP, NewP: pNew})
 		}
 		nw.lastP = pNew
 	})
 	if o.edgeEvents {
 		eng.SetEdgeObserver(func(step int, deltas []graph.EdgeDelta) {
-			if len(nw.subs) == 0 {
+			if !nw.listened() {
 				return
 			}
 			nw.publish(EdgesChanged{Step: step, Deltas: deltas})

@@ -116,6 +116,20 @@ func (nw *Network) Subscribe(fn func(Event)) (cancel func()) {
 // Subscribers returns the number of live subscriptions.
 func (nw *Network) Subscribers() int { return len(nw.subs) }
 
+// listened reports whether an event published now would reach a
+// callback: a subscriber other than an idle Concurrent forwarder (see
+// forwardIdle). The engine observers ask before they build an event,
+// since boxing one into Event allocates even when nobody receives it.
+func (nw *Network) listened() bool {
+	switch len(nw.subs) {
+	case 0:
+		return false
+	case 1:
+		return nw.forwardIdle == nil || !nw.forwardIdle()
+	}
+	return true
+}
+
 // publish delivers ev to every subscriber in registration order. It
 // pins the active round's snapshot in a local before iterating: a
 // callback that subscribes or cancels mid-delivery nils/replaces the
@@ -126,7 +140,7 @@ func (nw *Network) Subscribers() int { return len(nw.subs) }
 // rebuilt after Subscribe/cancel, keeping the per-event hot path (one
 // event per migrated vertex) allocation-free.
 func (nw *Network) publish(ev Event) {
-	if len(nw.subs) == 0 {
+	if !nw.listened() {
 		return
 	}
 	if nw.subsSnap == nil {

@@ -16,7 +16,10 @@
 //     state that outlives the loop, non-commutative accumulation
 //     (floats, strings, shifts), storing at a slice position that does
 //     not itself derive from the loop variables, sending on a channel,
-//     or returning a loop-derived value.
+//     returning a loop-derived value, or calling a method with an
+//     argument that mentions the range key or value — the body's own
+//     statements may store nothing while the method appends, allocates
+//     or marks in map order.
 //
 // Four shapes are order-independent and pass without annotation:
 //
@@ -140,13 +143,14 @@ func checkMapRange(pass *analysis.Pass, file *ast.File, rng *ast.RangeStmt) {
 	// is "loop-derived"; values mentioning none of these are the same on
 	// every iteration order.
 	inside := map[types.Object]bool{}
+	keyVal := map[types.Object]bool{}
 	for _, e := range []ast.Expr{rng.Key, rng.Value} {
 		if id, ok := e.(*ast.Ident); ok && id != nil {
 			if obj := pkg.Info.Defs[id]; obj != nil {
-				inside[obj] = true
+				inside[obj], keyVal[obj] = true, true
 			}
 			if obj := pkg.Info.Uses[id]; obj != nil {
-				inside[obj] = true // `for k = range m` with an outer k
+				inside[obj], keyVal[obj] = true, true // `for k = range m` with an outer k
 			}
 		}
 	}
@@ -210,6 +214,7 @@ func checkMapRange(pass *analysis.Pass, file *ast.File, rng *ast.RangeStmt) {
 		switch st := n.(type) {
 		case *ast.CallExpr:
 			checkRangeCall(pass, pkg, st)
+			checkMethodArgs(pass, pkg, st, keyVal)
 		case *ast.AssignStmt:
 			if st.Tok == token.DEFINE {
 				return true
@@ -275,6 +280,37 @@ func checkRangeCall(pass *analysis.Pass, pkg *analysis.Package, call *ast.CallEx
 				pass.Reportf(call.Pos(),
 					"calls the stored callback %s inside map iteration — observers see map order", v.Name())
 			}
+		}
+	}
+}
+
+// checkMethodArgs flags a method call inside a map-range body that
+// receives the range key or value in an argument: whatever the method
+// does with it — append it to a list, carve an arena run, mark it dirty
+// — happens in map order, and none of it shows in the body's own
+// statements. A pure query (a lookup, a predicate) is order-independent
+// and carries //dexvet:allow determinism with that reason.
+func checkMethodArgs(pass *analysis.Pass, pkg *analysis.Package, call *ast.CallExpr, keyVal map[types.Object]bool) {
+	fun, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	sel := pkg.Info.Selections[fun]
+	if sel == nil || sel.Kind() != types.MethodVal || isRandRand(sel.Recv()) {
+		return
+	}
+	for _, arg := range call.Args {
+		found := false
+		ast.Inspect(arg, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && keyVal[pkg.Info.Uses[id]] {
+				found = true
+			}
+			return !found
+		})
+		if found {
+			pass.Reportf(call.Pos(),
+				"passes the map-range key or value to method %s — its effects follow map iteration order", sel.Obj().Name())
+			return
 		}
 	}
 }

@@ -155,3 +155,33 @@ func allowed(m map[int]int) int {
 	}
 	return pick
 }
+
+// store stands in for the engine's per-node store: its methods append
+// what they receive.
+type store struct {
+	runs  [][]int
+	dirty []int
+}
+
+func (st *store) slot(u int) int { return u }
+
+func (st *store) reset(s int, vs []int) { st.runs = append(st.runs, vs) }
+
+func (st *store) markDirty(u int) { st.dirty = append(st.dirty, u) }
+
+func (st *store) tick() {}
+
+// commitRebuild reconstructs the engine's one-step rebuild commit as it
+// once was: no statement of the body stores anything outside the loop,
+// yet each method it hands the loop variables to appends in map order
+// (the arena layout, the dirty list).
+func commitRebuild(st *store, verts map[int][]int) {
+	for u, vs := range verts {
+		s := st.slot(u) // want "passes the map-range key or value to method slot"
+		st.reset(s, vs) // want "passes the map-range key or value to method reset"
+		st.markDirty(u) // want "passes the map-range key or value to method markDirty"
+		st.tick()       // receives nothing from the loop: ok
+		keyed(nil, nil) // a function, not a method: ok
+		_ = len(vs) + s
+	}
+}

@@ -413,6 +413,7 @@ func BroadcastCost(topo *graph.Graph, initiator graph.NodeID) (rounds, messages 
 		if d > rounds {
 			rounds = d
 		}
+		//dexvet:allow determinism DistinctDegree is a pure read; the loop folds a max and integer sums, which commute
 		fan := topo.DistinctDegree(id)
 		if id == initiator {
 			messages += fan

@@ -170,45 +170,53 @@ func TestHistoryCapCore(t *testing.T) {
 // TestCheckNodeCorruptionTable corrupts one fact of a healthy network
 // per case and requires CheckNode to fail at every live node the
 // corruption touches: both endpoints of a corrupted edge, the holder of
-// a corrupted vertex. The cases aim at the merge pass's branches: a
-// cell whose multiplicity alone is wrong, foreign cells before and
-// after the expected row, an expected neighbor missing after the run's
-// last cell, the self-loop bookkeeping kept apart from the row, a node
-// missing from the sampling mirror, and, mid-rebuild, the pending
-// intermediate edges and NewSim ownership.
+// a corrupted vertex. The cases aim at each condition of the row match
+// and at the messages its failing path reports: a cell whose
+// multiplicity alone is wrong, one unit of multiplicity moved between
+// two neighbors (u's degree and distinct count unchanged), foreign
+// cells below and above the expected row, an expected neighbor missing
+// above the run's last cell, the self-loop bookkeeping kept apart from
+// the row (a spurious self-loop, one unit of an expected one, the whole
+// self cell), a node missing from the sampling mirror or listed there
+// with another live node's slot or a free one, and, mid-rebuild, the
+// pending intermediate edges and NewSim ownership.
 //
 // Every case also runs through the sampled audit, whose warm pass reads
 // the same cells ahead of the checks: with one corrupted node marked
 // dirty, Audit must return exactly CheckNode's error (and not panic in
 // the warm pass); with all of them marked, in either order, it must
-// name the one first in dirtyList.
+// name the one first in dirtyList. Warming every mirror entry, as if
+// all were sampled, must not panic; checked through its mirror entry,
+// as a sample is, each node must fail with CheckNode's error too; and
+// the full audit must fail.
 func TestCheckNodeCorruptionTable(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		stagger bool
+		want    string // in the error of every node corrupt returns
 		// corrupt tampers with nw behind the engine's back and returns
 		// the nodes whose check must now fail.
 		corrupt func(t *testing.T, nw *Network) []NodeID
 	}{
-		{"extra-multiplicity", false, func(t *testing.T, nw *Network) []NodeID {
+		{"extra-multiplicity", false, "multiplicity", func(t *testing.T, nw *Network) []NodeID {
 			u, v := edgeWith(t, nw, func(u, v NodeID) bool { return u != v })
 			nw.real.AddEdge(u, v)
 			return []NodeID{u, v}
 		}},
-		{"foreign-edge-below-run", false, func(t *testing.T, nw *Network) []NodeID {
+		{"foreign-edge-below-run", false, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
 			w := nw.Nodes()[0] // sorts below every neighbor of any other node
 			u := nonNeighbor(t, nw, w)
 			nw.real.AddEdge(u, w)
 			return []NodeID{u, w}
 		}},
-		{"foreign-edge-above-run", false, func(t *testing.T, nw *Network) []NodeID {
+		{"foreign-edge-above-run", false, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
 			nodes := nw.Nodes()
 			w := nodes[len(nodes)-1] // sorts above every neighbor of any other node
 			u := nonNeighbor(t, nw, w)
 			nw.real.AddEdge(u, w)
 			return []NodeID{u, w}
 		}},
-		{"missing-edge-above-run", false, func(t *testing.T, nw *Network) []NodeID {
+		{"missing-edge-above-run", false, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
 			// v is u's largest neighbor, so u's expected row outlasts its run.
 			u, v := edgeWith(t, nw, func(u, v NodeID) bool {
 				if v == u {
@@ -224,17 +232,17 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 			nw.real.RemoveEdgeMult(u, v, nw.real.Multiplicity(u, v))
 			return []NodeID{u, v}
 		}},
-		{"unexpected-self-loop", false, func(t *testing.T, nw *Network) []NodeID {
+		{"unexpected-self-loop", false, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
 			u := nodeWith(t, nw, func(u NodeID) bool { return nw.real.Multiplicity(u, u) == 0 })
 			nw.real.AddEdge(u, u)
 			return []NodeID{u}
 		}},
-		{"expected-self-loop-removed", false, func(t *testing.T, nw *Network) []NodeID {
+		{"expected-self-loop-removed", false, "multiplicity", func(t *testing.T, nw *Network) []NodeID {
 			u := nodeWith(t, nw, func(u NodeID) bool { return nw.real.Multiplicity(u, u) > 0 })
 			nw.real.RemoveEdge(u, u)
 			return []NodeID{u}
 		}},
-		{"pending-edge-removed", true, func(t *testing.T, nw *Network) []NodeID {
+		{"pending-edge-removed", true, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
 			s := nw.stag
 			for _, u := range nw.Nodes() {
 				for _, x := range nw.st.setAt(nw.st.slot(u), false) {
@@ -251,18 +259,67 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 			t.Fatal("no pending intermediate edge between two nodes")
 			return nil
 		}},
-		{"newsim-owner-corrupted", true, func(t *testing.T, nw *Network) []NodeID {
+		{"newsim-owner-corrupted", true, "NewSim(", func(t *testing.T, nw *Network) []NodeID {
 			u := nodeWith(t, nw, func(u NodeID) bool { return nw.st.setLenAt(nw.st.slot(u), true) > 0 })
 			w := nodeWith(t, nw, func(w NodeID) bool { return w != u })
 			nw.stag.newSimOf[nw.st.setAt(nw.st.slot(u), true)[0]] = w
 			return []NodeID{u}
 		}},
-		{"missing-from-mirror", false, func(t *testing.T, nw *Network) []NodeID {
+		{"missing-from-mirror", false, "missing from sampling mirror", func(t *testing.T, nw *Network) []NodeID {
 			u := nw.Nodes()[1]
-			nw.st.pos[nw.st.slot(u)] = -1
+			nw.st.rows[nw.st.slot(u)].pos = -1
 			return []NodeID{u}
 		}},
-		{"two-corrupted-dirty-nodes", false, func(t *testing.T, nw *Network) []NodeID {
+		{"multiplicity-moved", false, "multiplicity", func(t *testing.T, nw *Network) []NodeID {
+			// One unit moves from {u,v} to an existing {u,w}: u keeps its
+			// total degree and its distinct neighbors, and only the
+			// per-neighbor multiplicities tell.
+			var w NodeID
+			u, v := edgeWith(t, nw, func(u, v NodeID) bool {
+				if v == u || nw.real.Multiplicity(u, v) < 2 {
+					return false
+				}
+				for _, x := range nw.real.Neighbors(u) {
+					if x != u && x != v {
+						w = x
+						return true
+					}
+				}
+				return false
+			})
+			nw.real.RemoveEdge(u, v)
+			nw.real.AddEdge(u, w)
+			return []NodeID{u, v, w}
+		}},
+		{"self-loop-cell-removed", false, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
+			// The whole self cell goes, not one unit of it: the non-self
+			// cells still account for the whole expected row.
+			u := nodeWith(t, nw, func(u NodeID) bool { return nw.real.Multiplicity(u, u) >= 2 })
+			nw.real.RemoveEdgeMult(u, u, nw.real.Multiplicity(u, u))
+			return []NodeID{u}
+		}},
+		{"mirror-slot-of-another-node", false, "missing from sampling mirror", func(t *testing.T, nw *Network) []NodeID {
+			nodes := nw.Nodes()
+			u, v := nodes[1], nodes[2]
+			nw.st.nodeList[nw.st.mirrorPosAt(nw.st.slot(u))].slot = nw.st.slot(v)
+			return []NodeID{u}
+		}},
+		{"mirror-slot-free", false, "missing from sampling mirror", func(t *testing.T, nw *Network) []NodeID {
+			free := int32(-1)
+			for s := int32(0); s < int32(nw.real.Slots()); s++ {
+				if _, ok := nw.real.NodeAt(s); !ok {
+					free = s
+					break
+				}
+			}
+			if free < 0 {
+				t.Fatal("churn left no free slot")
+			}
+			u := nw.Nodes()[1]
+			nw.st.nodeList[nw.st.mirrorPosAt(nw.st.slot(u))].slot = free
+			return []NodeID{u}
+		}},
+		{"two-corrupted-dirty-nodes", false, "load(", func(t *testing.T, nw *Network) []NodeID {
 			nodes := nw.Nodes()
 			a, b := nodes[len(nodes)-1], nodes[0] // dirtyList order against id order
 			nw.st.corruptLoad(a, 1)
@@ -282,15 +339,70 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 				t.Fatalf("healthy network fails the node check: %v", err)
 			}
 			bad := tc.corrupt(t, nw)
+			// The warm pass reads every entry's cells behind the checks'
+			// guards, corrupted entries included, and must not panic.
+			nw.warmAudit(nw.st.nodeList)
 			for _, u := range bad {
-				if err := nw.CheckNode(u); err == nil {
+				err := nw.CheckNode(u)
+				if err == nil {
 					t.Errorf("CheckNode(%d) missed the corruption", u)
+					continue
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("CheckNode(%d) = %v, want an error about %q", u, err, tc.want)
+				}
+				// A sampled check takes u's slot from its mirror entry
+				// instead of the slot table; it must report the same.
+				for _, e := range nw.st.nodeList {
+					if e.id == u {
+						if got := nw.checkNodeAt(e.id, e.slot); got == nil || got.Error() != err.Error() {
+							t.Errorf("check of mirror entry %v = %v, want CheckNode's %v", e, got, err)
+						}
+					}
 				}
 				auditDirty(t, nw, u)
+			}
+			if err := nw.Audit(AuditFull); err == nil {
+				t.Error("the full audit missed the corruption")
 			}
 			auditDirty(t, nw, bad...)
 			slices.Reverse(bad)
 			auditDirty(t, nw, bad...)
+		})
+	}
+}
+
+// TestRowMatchTakesFastPath runs wantRow and the sort-free row match
+// on every live node of three healthy networks: a churned Staggered
+// one, one paused mid-rebuild (NewSim holdings and pending intermediate
+// edges in the rows), and a Simplified one just past a one-step
+// rebuild. Every node must match, so no check of a healthy network
+// reaches rowMismatch, the sorting path.
+func TestRowMatchTakesFastPath(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		nw   func(t *testing.T) *Network
+	}{
+		{"staggered-churned", func(t *testing.T) *Network {
+			nw := mustNew(t, 64, DefaultConfig())
+			churnQuiet(t, nw, 100)
+			return nw
+		}},
+		{"mid-rebuild", midRebuildEngine},
+		{"simplified-past-rebuild", pastOneStepRebuild},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := tc.nw(t)
+			for _, e := range nw.st.nodeList {
+				row, loops, same := nw.wantRow(e.id, e.slot)
+				if same%2 != 0 {
+					t.Fatalf("node %d: odd self-incidence count %d", e.id, same)
+				}
+				loops += same / 2
+				if !nw.rowMatches(e.id, e.slot, row, loops) {
+					t.Errorf("node %d: the row match fails on a healthy network: %v", e.id, nw.rowMismatch(e.id, e.slot, row, loops))
+				}
+			}
 		})
 	}
 }
@@ -318,7 +430,7 @@ func midRebuildEngine(t *testing.T) *Network {
 	t.Helper()
 	nw := compatEngine(t, Staggered, 898)
 	if nw.stag == nil || len(nw.stag.pending) == 0 ||
-		!slices.ContainsFunc(nw.st.nodeList, func(u NodeID) bool { return nw.st.setLenAt(nw.st.slot(u), true) > 0 }) {
+		!slices.ContainsFunc(nw.st.nodeList, func(e mirrorEntry) bool { return nw.st.setLenAt(e.slot, true) > 0 }) {
 		t.Fatal("the script no longer pauses a rebuild with pending intermediate edges and NewSim holdings")
 	}
 	return nw

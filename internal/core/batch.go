@@ -76,7 +76,7 @@ func (nw *Network) insertOneOfBatch(s InsertSpec, attachSlot int32) {
 	idSlot := nw.st.addNode(s.ID)
 	nw.setLoadAt(s.ID, idSlot, 0, true)
 	nw.rebuiltReal = false
-	nw.addRealEdgeAt(s.ID, idSlot, s.Attach)
+	nw.addRealEdgeAt(s.ID, idSlot, s.Attach, attachSlot)
 	nw.recoverInsert(s.ID, s.Attach, idSlot, attachSlot)
 	if !nw.rebuiltReal {
 		nw.removeRealEdgeAt(s.ID, idSlot, s.Attach)
@@ -181,11 +181,10 @@ func (nw *Network) remainderConnected(ids []NodeID, victim map[NodeID]bool) bool
 		seen[nw.st.slot(id)] = true
 	}
 	queue := nw.bfsQueue[:0]
-	for _, u := range nw.st.nodeList {
-		if !victim[u] {
-			su := nw.st.slot(u)
-			seen[su] = true
-			queue = append(queue, su)
+	for _, e := range nw.st.nodeList {
+		if !victim[e.id] {
+			seen[e.slot] = true
+			queue = append(queue, e.slot)
 			break
 		}
 	}
@@ -205,12 +204,12 @@ func (nw *Network) remainderConnected(ids []NodeID, victim map[NodeID]bool) bool
 // anySurvivor returns the smallest live node not in the exclusion set.
 func (nw *Network) anySurvivor(excl map[NodeID]bool) NodeID {
 	best := NodeID(-1)
-	for _, u := range nw.st.nodeList {
-		if excl != nil && excl[u] {
+	for _, e := range nw.st.nodeList {
+		if excl != nil && excl[e.id] {
 			continue
 		}
-		if best < 0 || u < best {
-			best = u
+		if best < 0 || e.id < best {
+			best = e.id
 		}
 	}
 	if best < 0 {

@@ -274,9 +274,9 @@ func TestRecoveryOpZeroAllocsSteadyState(t *testing.T) {
 }
 
 // TestAuditSampledZeroAllocs is the alloc gate on the sampled audit:
-// the node check merges wantRow's sorted expected row, built in a
-// network-owned buffer, against the arena run, so auditing every step
-// costs no allocation. The steady case audits after each delete+insert
+// the node check counts the arena run's cells in wantRow's unsorted
+// expected row, built in a network-owned buffer, so auditing every
+// step costs no allocation. The steady case audits after each delete+insert
 // pair; the staggered case audits a network paused mid-rebuild, whose
 // rows also carry NewSim holdings and pending intermediate edges.
 func TestAuditSampledZeroAllocs(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -495,4 +496,44 @@ func TestEdgeLogDropsSpikeCapacity(t *testing.T) {
 	if c := cap(nw.edgeLog); c > edgeLogRetainCap {
 		t.Fatalf("edge log keeps capacity %d after the spike, bound %d", c, edgeLogRetainCap)
 	}
+}
+
+// TestOneStepRebuildCommitDeterministic runs one Simplified network
+// (seed 3) to just past its first one-step inflation several times. The
+// commit must leave the same dirty list, whose order picks the dirty
+// nodes the next sampled audit checks, and the same vertex arena every
+// time: neither may follow Go's randomized map order.
+func TestOneStepRebuildCommitDeterministic(t *testing.T) {
+	run := func() ([]NodeID, []Vertex) {
+		nw := pastOneStepRebuild(t)
+		return slices.Clone(nw.st.dirtyList), slices.Clone(nw.st.arena.buf)
+	}
+	dirty, arena := run()
+	for i := 1; i < 4; i++ {
+		d, a := run()
+		if !slices.Equal(d, dirty) {
+			t.Fatalf("run %d: dirty list after the rebuild differs from run 0's", i)
+		}
+		if !slices.Equal(a, arena) {
+			t.Fatalf("run %d: vertex arena after the rebuild differs from run 0's", i)
+		}
+	}
+}
+
+// pastOneStepRebuild returns New(64) in Simplified mode with seed 3,
+// grown by inserts at uniformly sampled nodes until its first one-step
+// inflation has committed: the step just run is the rebuild.
+func pastOneStepRebuild(t *testing.T) *Network {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Mode = Simplified
+	cfg.Seed = 3
+	nw := mustNew(t, 64, cfg)
+	rng := rand.New(rand.NewSource(3))
+	for p0 := nw.P(); nw.P() == p0; {
+		if err := nw.Insert(nw.FreshID(), nw.SampleNode(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return nw
 }

@@ -64,9 +64,9 @@ func relaxedCrashCheck(nw *Network) error {
 	if !nw.real.Connected() {
 		return fmt.Errorf("overlay disconnected at n=%d", nw.Size())
 	}
-	for _, u := range nw.st.nodeList {
-		if nw.st.loadOf(u) < 1 {
-			return fmt.Errorf("node %d simulates nothing", u)
+	for _, e := range nw.st.nodeList {
+		if nw.st.loadOf(e.id) < 1 {
+			return fmt.Errorf("node %d simulates nothing", e.id)
 		}
 	}
 	return nil

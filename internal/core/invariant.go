@@ -63,15 +63,18 @@ func (nw *Network) checkInvariants(enforceLoadBounds bool) error {
 			return fmt.Errorf("I2: vertex %d not in Sim(%d)", x, u)
 		}
 	}
+	// Each mirror entry must name a live node at its own slot, and that
+	// slot's row must point back at the entry; the loops below then read
+	// every node's state through its entry's slot.
 	counted := 0
-	for i, u := range nw.st.nodeList {
-		s, ok := nw.real.SlotOf(u)
-		if !ok || nw.st.mirrorPosAt(s) != i {
-			return fmt.Errorf("I2: sampling mirror entry %d holds stale node %d", i, u)
+	for i, e := range nw.st.nodeList {
+		s, ok := nw.real.SlotOf(e.id)
+		if !ok || s != e.slot || nw.st.mirrorPosAt(s) != i {
+			return fmt.Errorf("I2: sampling mirror entry %d holds stale node %d", i, e.id)
 		}
 		for _, x := range nw.st.setAt(s, false) {
-			if nw.simOf[x] != u {
-				return fmt.Errorf("I2: Sim(%d) contains %d owned by %d", u, x, nw.simOf[x])
+			if nw.simOf[x] != e.id {
+				return fmt.Errorf("I2: Sim(%d) contains %d owned by %d", e.id, x, nw.simOf[x])
 			}
 		}
 		counted += nw.st.setLenAt(s, false)
@@ -85,8 +88,8 @@ func (nw *Network) checkInvariants(enforceLoadBounds bool) error {
 	if nw.stag != nil {
 		maxLoad = 8 * nw.cfg.Zeta
 	}
-	for _, u := range nw.st.nodeList {
-		su := nw.st.slot(u)
+	for _, e := range nw.st.nodeList {
+		u, su := e.id, e.slot
 		want := nw.st.setLenAt(su, false)
 		if nw.stag != nil {
 			want += nw.st.setLenAt(su, true)
@@ -115,8 +118,8 @@ func (nw *Network) checkInvariants(enforceLoadBounds bool) error {
 
 	// (I6) counter recount.
 	spare, low := 0, 0
-	for _, u := range nw.st.nodeList {
-		l := nw.st.loadAt(nw.st.slot(u))
+	for _, e := range nw.st.nodeList {
+		l := nw.st.loadAt(e.slot)
 		if l >= 2 {
 			spare++
 		}
@@ -135,8 +138,8 @@ func (nw *Network) checkInvariants(enforceLoadBounds bool) error {
 
 	// (I8) staggering bookkeeping.
 	if s := nw.stag; s != nil {
-		for _, u := range nw.st.nodeList {
-			su := nw.st.slot(u)
+		for _, e := range nw.st.nodeList {
+			u, su := e.id, e.slot
 			unproc, proj := s.unprocessed(nw.st.setAt(su, false))
 			if got := nw.st.unprocOldAt(su); got != unproc {
 				return fmt.Errorf("I8: unprocOld(%d) = %d, want %d", u, got, unproc)
@@ -214,14 +217,15 @@ const (
 // recovery algorithm's coin flips are untouched.
 //
 // A sampled audit first gathers its whole check list — the live dirty
-// nodes in dirtyList order, then every sample — so that warmAudit can
-// take the list's cache misses together, level by level, before the
-// checks run in list order. Each check alone is a chain of dependent
-// misses (mirror cell, store columns, Sim run, simOf, the arena run);
-// walked one node at a time, no two of them overlap. Every sample is
-// drawn before the first check, so a failing audit leaves auditRng
-// past all auditSampleSize draws; the source is not checkpointed and
-// decides nothing but which nodes are sampled.
+// nodes in dirtyList order, then every sampled mirror entry, which
+// carries its node's slot — so that warmAudit can take the list's cache
+// misses together, level by level, before the checks run in list order.
+// Each check alone is a chain of dependent misses (the slot's row, the
+// mirror cell, the Sim run, simOf, the arena run); walked one node at a
+// time, no two of them overlap. Every sample is drawn before the first
+// check, so a failing audit leaves auditRng past all auditSampleSize
+// draws; the source is not checkpointed and decides nothing but which
+// nodes are sampled.
 func (nw *Network) Audit(mode AuditMode) error {
 	switch mode {
 	case AuditOff:
@@ -235,81 +239,75 @@ func (nw *Network) Audit(mode AuditMode) error {
 	if int64(nw.Size()) > nw.z.P() {
 		return fmt.Errorf("audit: n=%d exceeds p=%d", nw.Size(), nw.z.P())
 	}
-	ids, slots := nw.auditIDs[:0], nw.auditSlots[:0]
+	list := nw.auditList[:0]
 	for _, u := range nw.st.dirtyList {
 		su, ok := nw.real.SlotOf(u)
 		if !ok {
 			continue // deleted this step
 		}
-		ids, slots = append(ids, u), append(slots, su)
-		if len(ids) == auditDirtyCap {
+		list = append(list, mirrorEntry{u, su})
+		if len(list) == auditDirtyCap {
 			break
 		}
 	}
 	for i := 0; i < auditSampleSize && len(nw.st.nodeList) > 0; i++ {
-		u := nw.SampleNode(nw.auditRng)
-		su, ok := nw.real.SlotOf(u)
-		if !ok {
-			su = -1 // CheckNode's unknown-node error, raised in list order
-		}
-		ids, slots = append(ids, u), append(slots, su)
+		list = append(list, nw.st.sample(nw.auditRng))
 	}
-	nw.auditIDs, nw.auditSlots = ids, slots
-	nw.warmAudit(slots)
-	for i, u := range ids {
-		if slots[i] < 0 {
-			return fmt.Errorf("audit: unknown node %d", u)
-		}
-		if err := nw.checkNodeAt(u, slots[i]); err != nil {
+	nw.auditList = list
+	nw.warmAudit(list)
+	for _, e := range list {
+		if err := nw.checkNodeAt(e.id, e.slot); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// warmAudit touches the cells the node checks of slots will read, one
+// warmAudit touches the cells the node checks of list will read, one
 // level of the checks' dependency chains at a time across the whole
 // list, so the misses of different nodes overlap instead of queuing:
 //
-//  1. each node's pos, load and simRuns cells, and its graph record;
-//  2. its mirror cell nodeList[pos], its Sim run, simOf[x] and inv[x]
-//     for each vertex x, and the head of its arena run;
-//  3. simOf[inv[x]], the far end of each chord wantRow follows.
+//  1. each node's row, its mirror cell nodeList[pos], its Sim run,
+//     simOf[x] and inv[x] for each vertex x, and the head of its arena
+//     run;
+//  2. simOf[inv[x]], the far end of each chord wantRow follows.
 //
-// It reads only cells checkNodeAt reads, behind the same guards (a
-// negative slot is a node the check reports unknown; a mirror position
-// out of range is one it reports missing), writes nothing but
-// warmSink, and never fails: the checks that follow decide.
+// Touching only the rows and graph records, as a level of its own,
+// does not pay now that one row holds all of a node's hot fields:
+// without it durable-full's insert p50 read 10.03 against 10.01 µs
+// (medians of 4 alternating pairs on a 2-CPU Xeon VM), while dropping
+// either level above raised it by 0.6–1.1 µs in every pair.
+//
+// It reads only cells checkNodeAt reads, behind the same guards (a slot
+// out of range, taken from a corrupted mirror entry, is one the check
+// reports without reading its row; a mirror position out of range is
+// one it reports missing), writes nothing but warmSink, and never
+// fails: the checks that follow decide.
 //
 //dexvet:noalloc
-func (nw *Network) warmAudit(slots []int32) {
+func (nw *Network) warmAudit(list []mirrorEntry) {
 	st, sink := &nw.st, 0
-	for _, s := range slots {
-		if s >= 0 {
-			sink += int(st.pos[s]) + int(st.load[s]) + int(st.simRuns[s].n) + nw.real.DistinctDegreeAt(s)
-		}
-	}
-	for _, s := range slots {
-		if s < 0 {
+	for _, e := range list {
+		if uint(e.slot) >= uint(len(st.rows)) {
 			continue
 		}
-		if i := st.pos[s]; i >= 0 && int(i) < len(st.nodeList) {
-			sink += int(st.nodeList[i])
+		if i := st.rows[e.slot].pos; i >= 0 && int(i) < len(st.nodeList) {
+			sink += int(st.nodeList[i].slot)
 		}
-		for _, x := range st.setAt(s, false) {
+		for _, x := range st.setAt(e.slot, false) {
 			sink += int(nw.simOf[x]) + int(nw.z.Inv(x))
 		}
-		nw.real.ForEachNeighborAt(s, func(v NodeID, _ int32, _ int) bool {
+		nw.real.ForEachNeighborAt(e.slot, func(v NodeID, _ int32, _ int) bool {
 			sink += int(v)
 			return false
 		})
 	}
 	stag := nw.stag
-	for _, s := range slots {
-		if s < 0 {
+	for _, e := range list {
+		if uint(e.slot) >= uint(len(st.rows)) {
 			continue
 		}
-		for _, x := range st.setAt(s, false) {
+		for _, x := range st.setAt(e.slot, false) {
 			if t := nw.z.Inv(x); t != x && (stag == nil || !stag.droppedFlag[t]) {
 				sink += int(nw.simOf[t])
 			}
@@ -331,16 +329,20 @@ func (nw *Network) CheckNode(u NodeID) error {
 	return nw.checkNodeAt(u, su)
 }
 
-// checkNodeAt is CheckNode for node u at live slot su. The contraction
-// row is checked by one merge pass: wantRow's sorted expected
-// incidences against u's arena run, which is sorted by id too. A row
-// mismatch reports a distinct-neighbor count mismatch first, else the
-// smallest neighbor whose multiplicity differs.
+// checkNodeAt is CheckNode for node u at slot su, which comes either
+// from the slot table or from a sampling-mirror entry: the mirror must
+// list exactly (u, su), or the check fails before it reads su's row.
+// The contraction row is checked without sorting: every cell of u's
+// arena run must occur in wantRow's unsorted expected row exactly its
+// multiplicity times, the non-self multiplicities must add up to the
+// row's length, and the self cell must carry exactly the expected
+// loops. Together these are multiset equality. Only a failing match
+// sorts, in rowMismatch, to name the mismatch.
 //
 //dexvet:noalloc
 func (nw *Network) checkNodeAt(u NodeID, su int32) error {
-	if i := nw.st.mirrorPosAt(su); i < 0 || nw.st.nodeList[i] != u {
-		return auditErrorf("audit: node %d missing from sampling mirror", int64(u))
+	if !nw.st.mirrorHolds(u, su) {
+		return nw.mirrorError(u)
 	}
 	sim := nw.st.setAt(su, false)
 	for _, x := range sim {
@@ -384,53 +386,89 @@ func (nw *Network) checkNodeAt(u NodeID, su int32) error {
 		return auditErrorf("audit: node %d has odd self-incidence count %d", int64(u), int64(same))
 	}
 	loops += same / 2
-	// i walks row; each run of equal ids in it is one expected neighbor,
-	// and distinct counts them (plus u itself when a loop is expected).
-	i, cells, distinct := 0, 0, 0
+	if !nw.rowMatches(u, su, row, loops) {
+		return nw.rowMismatch(u, su, row, loops)
+	}
+	return nil
+}
+
+// rowMatches reports whether the arena run of node u at slot su is the
+// multiset row plus loops self-loops, in one pass over the run: each
+// non-self cell's id must occur in row exactly its multiplicity times,
+// those multiplicities must add up to len(row) (so row holds no id
+// without a cell), and the self cell, or 0 without one, must equal
+// loops.
+//
+//dexvet:noalloc
+func (nw *Network) rowMatches(u NodeID, su int32, row []NodeID, loops int) bool {
+	ok, sum, self := true, 0, 0
+	nw.real.ForEachNeighborAt(su, func(v NodeID, _ int32, m int) bool {
+		if v == u {
+			self = m
+			return true
+		}
+		c := 0
+		for _, w := range row {
+			if w == v {
+				c++
+			}
+		}
+		sum += m
+		ok = c == m
+		return ok
+	})
+	return ok && sum == len(row) && self == loops
+}
+
+// rowMismatch explains a failed rowMatches the way a sorted comparison
+// of the run against the expected row would: a distinct-neighbor count
+// mismatch first (u itself counts once when a loop is expected), else
+// the smallest neighbor whose multiplicity differs. It runs on the
+// failing path only, so sorting the row here costs the passing checks
+// nothing.
+func (nw *Network) rowMismatch(u NodeID, su int32, row []NodeID, loops int) error {
+	slices.Sort(row)
+	cells, distinct := 0, 0
 	if loops > 0 {
 		distinct = 1
+	}
+	for i := range row {
+		if i == 0 || row[i] != row[i-1] {
+			distinct++
+		}
 	}
 	bad, badGot, badWant := NodeID(0), 0, -1
 	nw.real.ForEachNeighborAt(su, func(v NodeID, _ int32, m int) bool {
 		cells++
 		exp := loops
 		if v != u {
-			for i < len(row) && row[i] < v { // expected, absent from the run
-				i = runEnd(row, i)
-				distinct++
+			lo, _ := slices.BinarySearch(row, v)
+			hi := lo
+			for hi < len(row) && row[hi] == v {
+				hi++
 			}
-			exp = 0
-			if i < len(row) && row[i] == v {
-				j := runEnd(row, i)
-				exp, i = j-i, j
-				distinct++
-			}
+			exp = hi - lo
 		}
 		if m != exp && badWant < 0 {
 			bad, badGot, badWant = v, m, exp
 		}
 		return true
 	})
-	for i < len(row) { // expected neighbors above the run's last cell
-		i = runEnd(row, i)
-		distinct++
-	}
 	if cells != distinct {
 		return auditErrorf("audit: node %d has %d distinct real neighbors, contraction wants %d", int64(u), int64(cells), int64(distinct))
 	}
-	if badWant >= 0 {
-		return auditErrorf("audit: edge {%d,%d} multiplicity %d, contraction wants %d", int64(u), int64(bad), int64(badGot), int64(badWant))
-	}
-	return nil
+	return auditErrorf("audit: edge {%d,%d} multiplicity %d, contraction wants %d", int64(u), int64(bad), int64(badGot), int64(badWant))
 }
 
-// runEnd returns the end of the run of equal ids that starts at row[i].
-func runEnd(row []NodeID, i int) int {
-	j := i + 1
-	for j < len(row) && row[j] == row[i] {
-		j++
+// mirrorError explains a node check that found no mirror entry (u, s)
+// for the slot it was given. u is re-resolved here, on the failing path
+// only: an id the slot table does not hold is unknown, a live one is
+// missing from the mirror.
+func (nw *Network) mirrorError(u NodeID) error {
+	if !nw.st.has(u) {
+		return fmt.Errorf("audit: unknown node %d", u)
 	}
-	return j
+	return auditErrorf("audit: node %d missing from sampling mirror", int64(u))
 }
 
 // auditErrorf formats a node-check failure. The checks are
@@ -449,20 +487,27 @@ func auditErrorf(format string, args ...int64) error {
 // incident to u — in O(load(u)) time by enumerating the edge slots of
 // u's own vertices (old cycle, and, mid-rebuild, generated new vertices
 // plus the intermediate edges anchored at u's unprocessed old
-// vertices). row holds the far node of every incidence, sorted, so a
-// neighbor appears once per unit of multiplicity; it lives in the
-// network's audit scratch and is valid until the next call. Incidences
-// with both ends at u are counted apart: loops are virtual self-loops,
-// enumerated once, and same are the non-loop virtual edges with both
-// endpoints at u, which are enumerated from both sides (so same is even
-// on a coherent mapping, and each pair is one real self-loop). The
-// rules mirror contractionEdges exactly, which the differential tests
-// enforce.
+// vertices). row holds the far node of every incidence that leaves u,
+// unsorted, so a neighbor appears once per unit of multiplicity; it
+// lives in the network's audit scratch and is valid until the next
+// call. Incidences with both ends at u are counted apart: loops are
+// virtual self-loops, enumerated once, and same are the non-loop
+// virtual edges with both endpoints at u, which are enumerated from
+// both sides (so same is even on a coherent mapping, and each pair is
+// one real self-loop). The rules mirror contractionEdges exactly, which
+// the differential tests enforce.
 //
 //dexvet:noalloc
 func (nw *Network) wantRow(u NodeID, su int32) (row []NodeID, loops, same int) {
 	s := nw.stag
 	row = nw.auditRow[:0]
+	far := func(v NodeID) {
+		if v == u {
+			same++
+		} else {
+			row = append(row, v)
+		}
+	}
 	for _, x := range nw.st.setAt(su, false) {
 		for _, t := range nw.z.NeighborSlots(x) {
 			if t == x {
@@ -472,39 +517,31 @@ func (nw *Network) wantRow(u NodeID, su int32) (row []NodeID, loops, same int) {
 			if s != nil && s.droppedFlag[t] {
 				continue
 			}
-			row = append(row, nw.simOf[t])
+			far(nw.simOf[t])
 		}
 	}
 	if s != nil {
 		for _, y := range nw.st.setAt(su, true) {
-			row = append(row, nw.newEdgeEnd(s.zNew.Succ(y))) // successor edge, owned by y
+			far(nw.newEdgeEnd(s.zNew.Succ(y))) // successor edge, owned by y
 			if yp := s.zNew.Pred(y); s.newSimOf[yp] >= 0 {
-				row = append(row, s.newSimOf[yp]) // predecessor's successor edge
+				far(s.newSimOf[yp]) // predecessor's successor edge
 			}
 			c := s.zNew.Inv(y)
 			switch {
 			case c == y:
 				loops++ // chord self-loop, owned by y
 			case y < c:
-				row = append(row, nw.newEdgeEnd(c)) // chord owned by the smaller endpoint y
+				far(nw.newEdgeEnd(c)) // chord owned by the smaller endpoint y
 			case s.newSimOf[c] >= 0:
-				row = append(row, s.newSimOf[c]) // chord owned by generated c
+				far(s.newSimOf[c]) // chord owned by generated c
 			}
 		}
 		for _, x := range nw.st.setAt(su, false) {
 			for _, pe := range s.pending[x] {
-				row = append(row, s.newSimOf[pe.src]) // intermediate edges anchored at u
+				far(s.newSimOf[pe.src]) // intermediate edges anchored at u
 			}
 		}
 	}
-	slices.Sort(row)
-	lo, _ := slices.BinarySearch(row, u)
-	hi := lo
-	for hi < len(row) && row[hi] == u {
-		hi++
-	}
-	same = hi - lo
-	row = slices.Delete(row, lo, hi)
 	nw.auditRow = row
 	return row, loops, same
 }
@@ -530,8 +567,8 @@ func (nw *Network) RecomputeGraph() *graph.Graph { return nw.expectedRealGraph()
 // structure from scratch (ground truth for I4).
 func (nw *Network) expectedRealGraph() *graph.Graph {
 	g := graph.New()
-	for _, u := range nw.st.nodeList {
-		g.AddNode(u)
+	for _, e := range nw.st.nodeList {
+		g.AddNode(e.id)
 	}
 	nw.contractionEdges(func(a, b NodeID) bool {
 		g.AddEdge(a, b)

@@ -26,9 +26,9 @@
 // to the CONGEST model.
 //
 // Per-node engine state (loads, vertex sets, dirty tracking, staggering
-// bookkeeping) lives in flat slot-indexed columns layered on the overlay
-// graph's dense slot table, with every node's vertex sets held in one
-// shared arena — see store.go for the layout, and store_model_test.go
+// bookkeeping) lives in flat slot-indexed 32-byte rows layered on the
+// overlay graph's dense slot table, with every node's vertex sets held
+// in one shared arena — see store.go for the layout, and store_model_test.go
 // for the map-keyed model it is fuzzed against.
 package core
 
@@ -121,7 +121,7 @@ type Network struct {
 
 	// st holds every per-node table — loads, Sim/NewSim vertex sets,
 	// dirty tracking, the O(1) sampling mirror, and the staggering
-	// counters — in slot-indexed columns over nw.real's slot table.
+	// counters — in slot-indexed rows over nw.real's slot table.
 	st state
 
 	dist0 []int32 // cached BFS distances from vertex 0 (coordinator routing)
@@ -146,16 +146,15 @@ type Network struct {
 
 	// auditRng drives sampled audits; it is separate from rng so auditing
 	// never perturbs the recovery algorithm's random choices. auditRow is
-	// wantRow's reused expected-row buffer; auditIDs and auditSlots hold
-	// a sampled audit's check list, gathered before warmAudit runs.
-	// warmSink is the one field the warm passes (warmAudit,
+	// wantRow's reused expected-row buffer; auditList holds a sampled
+	// audit's check list of (node, slot) pairs, gathered before warmAudit
+	// runs. warmSink is the one field the warm passes (warmAudit,
 	// warmAdoption) write: it keeps the compiler from dropping their
 	// loads, and nothing reads it.
-	auditRng   *rand.Rand
-	auditRow   []NodeID
-	auditIDs   []NodeID
-	auditSlots []int32
-	warmSink   int
+	auditRng  *rand.Rand
+	auditRow  []NodeID
+	auditList []mirrorEntry
+	warmSink  int
 
 	// bfsSeen and bfsQueue are DeleteBatch's slot-indexed scratch for
 	// its in-place connectivity check (remainderConnected).
@@ -185,7 +184,7 @@ type Network struct {
 	// (stopExclude, contendU, shedExcl, stagPhase2), so the recovery path
 	// allocates no closure per operation — every predicate the engine ever
 	// hands a walk is one of these. They take (id, slot) pairs straight
-	// from the arena's run cells and read only slot-indexed columns, so
+	// from the arena's run cells and read only slot-indexed store rows, so
 	// predicate evaluation performs no id→slot map probe. The scratch
 	// buffer for vertexHoldings lives here for the same reason.
 	steadyInsertStop  func(NodeID, int32) bool
@@ -290,13 +289,12 @@ func NewWithMapping(p int64, owner []NodeID, cfg Config) (*Network, error) {
 			nw.nextID = u + 1
 		}
 	}
-	for _, u := range nw.st.nodeList {
-		s := nw.st.slot(u)
-		l := nw.st.setLenAt(s, false)
+	for _, e := range nw.st.nodeList {
+		l := nw.st.setLenAt(e.slot, false)
 		if l > 4*cfg.Zeta {
-			return nil, fmt.Errorf("core: node %d load %d exceeds 4*zeta", u, l)
+			return nil, fmt.Errorf("core: node %d load %d exceeds 4*zeta", e.id, l)
 		}
-		nw.setLoadAt(u, s, l, true)
+		nw.setLoadAt(e.id, e.slot, l, true)
 	}
 	nw.applyRealDiff(nw.expectedRealGraph())
 	nw.refreshDist0()
@@ -308,7 +306,7 @@ func NewWithMapping(p int64, owner []NodeID, cfg Config) (*Network, error) {
 // tracking, vertex sets) and the audit random source. nw.real is
 // assigned once here (and never replaced afterwards: rebuilds mutate it
 // in place via applyRealDiff, so references stay live) and the store's
-// columns grow and recycle with its slot table from here on.
+// rows grow and recycle with its slot table from here on.
 func (nw *Network) initTracking() {
 	nw.real = graph.New()
 	nw.st.init(nw.real, nw.cfg.Zeta)
@@ -423,9 +421,7 @@ func (nw *Network) FreshID() NodeID {
 // from r. Unlike Nodes() it performs no sorting or allocation, so
 // adversaries can churn million-node networks without a per-step O(n)
 // scan.
-func (nw *Network) SampleNode(r *rand.Rand) NodeID {
-	return nw.st.nodeList[r.Intn(len(nw.st.nodeList))]
-}
+func (nw *Network) SampleNode(r *rand.Rand) NodeID { return nw.st.sample(r).id }
 
 // SetEdgeObserver registers a callback receiving, once per step, the
 // step's net real-edge changes as a batched, deterministically sorted
@@ -462,16 +458,35 @@ func (nw *Network) resetEdgeLog() {
 	nw.edgeLog = nw.edgeLog[:0]
 }
 
+// shortEdgeLog is the longest edge log flushEdgeDeltas insertion-sorts.
+// A steady-state step logs about 16 entries; slices.SortFunc's
+// comparator calls cost more than the few shifts such a log needs, and
+// the rare long logs (rebuild steps, O(n) entries) keep the O(n log n)
+// sort.
+const shortEdgeLog = 32
+
 // flushEdgeDeltas delivers the step's edge diff: the log sorted by
-// (U, V), each pair's changes summed, zero sums dropped.
+// (U, V), each pair's changes summed, zero sums dropped. Entries of
+// one pair are summed, so the order among them is immaterial and the
+// diff does not depend on which sort ran.
 func (nw *Network) flushEdgeDeltas() {
 	log := nw.edgeLog
 	if nw.edgeObserver == nil || len(log) == 0 {
 		return
 	}
-	slices.SortFunc(log, func(a, b graph.EdgeDelta) int {
-		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
-	})
+	if len(log) <= shortEdgeLog {
+		for i := 1; i < len(log); i++ {
+			d, j := log[i], i
+			for ; j > 0 && (log[j-1].U > d.U || log[j-1].U == d.U && log[j-1].V > d.V); j-- {
+				log[j] = log[j-1]
+			}
+			log[j] = d
+		}
+	} else {
+		slices.SortFunc(log, func(a, b graph.EdgeDelta) int {
+			return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+		})
+	}
 	n := 0
 	for i := 0; i < len(log); {
 		d := log[i]
@@ -494,8 +509,8 @@ func (nw *Network) flushEdgeDeltas() {
 // MaxLoad returns the maximum total load over all nodes.
 func (nw *Network) MaxLoad() int {
 	m := 0
-	for _, u := range nw.st.nodeList {
-		if l := nw.st.loadOf(u); l > m {
+	for _, e := range nw.st.nodeList {
+		if l := nw.st.loadAt(e.slot); l > m {
 			m = l
 		}
 	}
@@ -576,14 +591,16 @@ func (nw *Network) slotTargets(x Vertex) [3]Vertex { return nw.z.NeighborSlots(x
 // the engine changes the overlay's edges, apart from the restore's
 // deriveOverlay. Sampled audits re-verify exactly the dirty nodes, so
 // every mutation a walk or stop predicate can observe marks its nodes:
-// both endpoints of an edge here — b's slot comes back from a's run
-// cell, so neither mark probes the id index — and loads through
-// setLoadAt. The graph treats {a,b} symmetrically, so anchoring on
+// both endpoints of an edge here — b's slot is the caller's sb when it
+// holds one (-1 otherwise) or comes back from a's run cell, so neither
+// mark probes the id index — and loads through setLoadAt. A removal
+// returns b's slot, which the matching addition of a vertex move passes
+// on as sb. The graph treats {a,b} symmetrically, so anchoring on
 // either endpoint is valid.
 //
 //dexvet:noalloc
-func (nw *Network) rawAddEdgeAt(a NodeID, sa int32, b NodeID, k int) {
-	sb := nw.real.AddEdgeMultAt(sa, a, b, k)
+func (nw *Network) rawAddEdgeAt(a NodeID, sa int32, b NodeID, sb int32, k int) {
+	sb = nw.real.AddEdgeMultAt(sa, a, b, sb, k)
 	nw.st.markDirtyAt(a, sa)
 	nw.st.markDirtyAt(b, sb)
 	if nw.edgeObserver != nil {
@@ -592,7 +609,7 @@ func (nw *Network) rawAddEdgeAt(a NodeID, sa int32, b NodeID, k int) {
 }
 
 //dexvet:noalloc
-func (nw *Network) rawRemoveEdgeAt(a NodeID, sa int32, b NodeID, k int) {
+func (nw *Network) rawRemoveEdgeAt(a NodeID, sa int32, b NodeID, k int) int32 {
 	got, sb := nw.real.RemoveEdgeMultAt(sa, a, b, k)
 	if got != k {
 		panic(fmt.Sprintf("core: removing %d of edge {%d,%d}, only %d present", k, a, b, got))
@@ -602,38 +619,45 @@ func (nw *Network) rawRemoveEdgeAt(a NodeID, sa int32, b NodeID, k int) {
 	if nw.edgeObserver != nil {
 		nw.logEdge(a, b, -k)
 	}
+	return sb
 }
 
 // addRealEdgeAt / removeRealEdgeAt change one multiplicity through the
 // raw funnels and count the topology change for the current step.
 //
 //dexvet:noalloc
-func (nw *Network) addRealEdgeAt(a NodeID, sa int32, b NodeID) {
-	nw.rawAddEdgeAt(a, sa, b, 1)
+func (nw *Network) addRealEdgeAt(a NodeID, sa int32, b NodeID, sb int32) {
+	nw.rawAddEdgeAt(a, sa, b, sb, 1)
 	nw.step.TopologyChanges++
 }
 
 //dexvet:noalloc
-func (nw *Network) removeRealEdgeAt(a NodeID, sa int32, b NodeID) {
-	nw.rawRemoveEdgeAt(a, sa, b, 1)
+func (nw *Network) removeRealEdgeAt(a NodeID, sa int32, b NodeID) int32 {
+	sb := nw.rawRemoveEdgeAt(a, sa, b, 1)
 	nw.step.TopologyChanges++
+	return sb
 }
 
 // moveVertexAt transfers current-cycle vertex x from its simulator u, at
 // slot su, to node w at slot sw, updating the contraction's real edges.
 // Every removal is anchored at u and every insertion at w, so the
 // graph edges, the Sim sets and the load counters all mutate by slot.
-// During a staggered rebuild the pending intermediate edges anchored at
-// x move with it (they are virtual edges (ySrc, x)).
+// Each edge's far endpoint stays put, except x's own chord self-loop,
+// whose far end moves with x: the addition reuses the far slot its
+// removal returned, or sw for the loop, and resolves no id. During a
+// staggered rebuild the pending intermediate edges anchored at x move
+// with it (they are virtual edges (ySrc, x)), and their far ends are
+// resolved by the graph.
 func (nw *Network) moveVertexAt(x Vertex, u NodeID, su int32, w NodeID, sw int32) {
 	if u == w {
 		return
 	}
-	for _, t := range nw.slotTargets(x) {
+	var far [3]int32
+	for i, t := range nw.slotTargets(x) {
 		if nw.stag != nil && nw.stag.phase == 2 && nw.stag.dropped(t) {
 			continue // edge already removed with the dropped endpoint
 		}
-		nw.removeRealEdgeAt(u, su, nw.endpointOwner(x, t))
+		far[i] = nw.removeRealEdgeAt(u, su, nw.endpointOwner(x, t))
 	}
 	if nw.stag != nil {
 		for _, pe := range nw.stag.pending[x] {
@@ -645,15 +669,18 @@ func (nw *Network) moveVertexAt(x Vertex, u NodeID, su int32, w NodeID, sw int32
 	nw.simOf[x] = w
 	nw.st.setAddAt(sw, x, false)
 	nw.bumpLoadAt(w, sw, 1)
-	for _, t := range nw.slotTargets(x) {
+	for i, t := range nw.slotTargets(x) {
 		if nw.stag != nil && nw.stag.phase == 2 && nw.stag.dropped(t) {
 			continue
 		}
-		nw.addRealEdgeAt(w, sw, nw.endpointOwner(x, t))
+		if t == x {
+			far[i] = sw
+		}
+		nw.addRealEdgeAt(w, sw, nw.endpointOwner(x, t), far[i])
 	}
 	if nw.stag != nil {
 		for _, pe := range nw.stag.pending[x] {
-			nw.addRealEdgeAt(w, sw, nw.stag.newSimOf[pe.src])
+			nw.addRealEdgeAt(w, sw, nw.stag.newSimOf[pe.src], -1)
 		}
 		// An unprocessed vertex carries its projected cloud load and its
 		// pending-work accounting with it.
@@ -734,7 +761,7 @@ func (nw *Network) applyRealDiff(want *graph.Graph) {
 			}
 			d := want.Multiplicity(u, v) - nw.real.Multiplicity(u, v)
 			if d > 0 {
-				nw.rawAddEdgeAt(u, su, v, d)
+				nw.rawAddEdgeAt(u, su, v, -1, d)
 			} else if d < 0 {
 				nw.rawRemoveEdgeAt(u, su, v, -d)
 			}

@@ -191,8 +191,8 @@ func (nw *Network) AppendState(enc *wire.Encoder) error {
 	enc.Uvarint(0) // reserved: seeds drawn ahead
 	nw.real.AppendBinary(enc)
 	enc.Uvarint(uint64(len(nw.st.nodeList)))
-	for _, u := range nw.st.nodeList {
-		enc.Varint(int64(u))
+	for _, e := range nw.st.nodeList {
+		enc.Varint(int64(e.id))
 	}
 	for _, u := range nw.simOf {
 		enc.Varint(int64(u))
@@ -444,16 +444,14 @@ func RestoreNetwork(dec *wire.Decoder) (*Network, error) {
 		// invariants: unprocOld(u) counts u's unprocessed holdings, and
 		// effNew(u) = |NewSim(u)| + the projected clouds of those
 		// holdings (what processing them will generate at u).
-		for _, u := range nw.st.nodeList {
-			su := nw.st.slot(u)
-			unproc, proj := stag.unprocessed(nw.st.setAt(su, false))
-			nw.st.addUnprocOldAt(su, unproc)
-			nw.st.addEffNewAt(su, proj+nw.st.setLenAt(su, true))
+		for _, e := range nw.st.nodeList {
+			unproc, proj := stag.unprocessed(nw.st.setAt(e.slot, false))
+			nw.st.addUnprocOldAt(e.slot, unproc)
+			nw.st.addEffNewAt(e.slot, proj+nw.st.setLenAt(e.slot, true))
 		}
 	}
-	for _, u := range nw.st.nodeList {
-		su := nw.st.slot(u)
-		nw.setLoadAt(u, su, nw.st.setLenAt(su, false)+nw.st.setLenAt(su, true), true)
+	for _, e := range nw.st.nodeList {
+		nw.setLoadAt(e.id, e.slot, nw.st.setLenAt(e.slot, false)+nw.st.setLenAt(e.slot, true), true)
 	}
 	nw.stag = stag
 	if version == 1 {
@@ -537,11 +535,12 @@ func (nw *Network) deriveOverlay() error {
 	var err error
 	nw.contractionEdges(func(a, b NodeID) bool {
 		sa, okA := g.SlotOf(a)
-		if _, okB := g.SlotOf(b); !okA || !okB {
+		sb, okB := g.SlotOf(b)
+		if !okA || !okB {
 			err = fmt.Errorf("core: derived edge {%d,%d} ends at a node the slot table lacks", a, b)
 			return false
 		}
-		g.AddEdgeMultAt(sa, a, b, 1)
+		g.AddEdgeMultAt(sa, a, b, sb, 1)
 		return true
 	})
 	if err != nil {

@@ -31,7 +31,7 @@ import (
 // the spectral gap constant (Lemma 9(b), via Cheeger both ways).
 //
 // Per-node rebuild state (NewSim sets, effNew, unprocOld) lives in the
-// engine's slot-indexed store next to the steady-state columns (see
+// engine's slot-indexed store next to the steady-state fields (see
 // store.go); this struct keeps only the schedule — frontier, flags,
 // pending intermediate edges, and the contender queue.
 //
@@ -171,11 +171,10 @@ func (nw *Network) startStagger(dir stagDirection) bool {
 		steps = 1
 	}
 	s.batch = (pOld + steps - 1) / steps
-	for _, u := range nw.st.nodeList {
-		su := nw.st.slot(u)
-		unproc, proj := s.unprocessed(nw.st.setAt(su, false))
-		nw.st.addUnprocOldAt(su, unproc)
-		nw.st.addEffNewAt(su, proj)
+	for _, e := range nw.st.nodeList {
+		unproc, proj := s.unprocessed(nw.st.setAt(e.slot, false))
+		nw.st.addUnprocOldAt(e.slot, unproc)
+		nw.st.addEffNewAt(e.slot, proj)
 	}
 	nw.stag = s
 	// Coordinator locally computes the new prime and notifies the first
@@ -311,7 +310,7 @@ func (nw *Network) createNewEdges(y Vertex, owner NodeID, so int32) {
 	nw.linkNewEdge(y, s.zNew.Succ(y), owner, so, true)
 	chord := s.zNew.Inv(y)
 	if chord == y {
-		nw.addRealEdgeAt(owner, so, owner)
+		nw.addRealEdgeAt(owner, so, owner, so)
 		nw.step.Messages++
 	} else if y < chord {
 		nw.linkNewEdge(y, chord, owner, so, false)
@@ -326,10 +325,10 @@ func (nw *Network) createNewEdges(y Vertex, owner NodeID, so int32) {
 func (nw *Network) linkNewEdge(y, t Vertex, owner NodeID, so int32, isCycleEdge bool) {
 	s := nw.stag
 	if s.newSimOf[t] >= 0 {
-		nw.addRealEdgeAt(owner, so, s.newSimOf[t])
+		nw.addRealEdgeAt(owner, so, s.newSimOf[t], -1)
 	} else {
 		x := s.ownerOld(t)
-		nw.addRealEdgeAt(owner, so, nw.simOf[x])
+		nw.addRealEdgeAt(owner, so, nw.simOf[x], -1)
 		s.pending[x] = append(s.pending[x], pendEdge{src: y, dst: t})
 	}
 	if isCycleEdge {
@@ -476,7 +475,7 @@ func (nw *Network) moveNewVertex(y Vertex, from NodeID, sf int32, to NodeID, sto
 				continue // edge not created yet (owner not generated)
 			}
 			if add {
-				nw.addRealEdgeAt(at, sat, other)
+				nw.addRealEdgeAt(at, sat, other, -1)
 			} else {
 				nw.removeRealEdgeAt(at, sat, other)
 			}
@@ -538,24 +537,23 @@ func (nw *Network) commitStagger() {
 	// rebuild). Re-home such nodes from donors before the old cycle
 	// disappears so the mapping stays surjective (found by FuzzChurnTrace).
 	var unassigned []NodeID
-	for _, u := range nw.st.nodeList {
-		if su := nw.st.slot(u); nw.st.setLenAt(su, false) == 0 && nw.st.setLenAt(su, true) == 0 {
-			unassigned = append(unassigned, u)
+	for _, e := range nw.st.nodeList {
+		if nw.st.setLenAt(e.slot, false) == 0 && nw.st.setLenAt(e.slot, true) == 0 {
+			unassigned = append(unassigned, e.id)
 		}
 	}
 	slices.Sort(unassigned)
 	for _, u := range unassigned {
 		nw.orphanRescue(u, nw.st.slot(u))
 	}
-	for _, u := range nw.st.nodeList {
-		su := nw.st.slot(u)
-		if nw.st.setLenAt(su, false) != 0 {
-			panic(fmt.Sprintf("core: node %d still holds old vertices at commit", u))
+	for _, e := range nw.st.nodeList {
+		if nw.st.setLenAt(e.slot, false) != 0 {
+			panic(fmt.Sprintf("core: node %d still holds old vertices at commit", e.id))
 		}
-		if nw.st.setLenAt(su, true) == 0 {
-			panic(fmt.Sprintf("core: node %d has no new vertices at commit", u))
+		if nw.st.setLenAt(e.slot, true) == 0 {
+			panic(fmt.Sprintf("core: node %d has no new vertices at commit", e.id))
 		}
-		nw.st.promoteNew(su)
+		nw.st.promoteNew(e.slot)
 	}
 	nw.z = s.zNew
 	nw.simOf = s.newSimOf

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 
 	"repro/internal/graph"
@@ -11,12 +12,14 @@ import (
 // per-node bookkeeping the recovery algorithms read or write — the load
 // table, the Sim(u) vertex sets, the dirty-node set, the O(1) sampling
 // mirror, and the per-node staggering state (NewSim(u), effNew,
-// unprocOld) — lives here, in slot-indexed columns layered on the
-// overlay graph's own slot table (graph.SlotOf / NodeAt /
-// SetSlotHooks): state is addressed by the node's dense slot, not by
-// hashing its id. Each column is one flat slice that the slot hook
-// grows to cover every slot the graph hands out, so a walk stop
-// predicate reads one cell per hop and touches no engine-level map.
+// unprocOld) — lives here, in slot-indexed rows layered on the overlay
+// graph's own slot table (graph.SlotOf / NodeAt / SetSlotHooks): state
+// is addressed by the node's dense slot, not by hashing its id. A
+// slot's hot state is one 32-byte row (slotRow) in one flat slice that
+// the slot hook grows to cover every slot the graph hands out, so a
+// walk stop predicate reads one row per hop, a vertex move or a node
+// check reads one line where separate columns cost one per field, and
+// nothing touches an engine-level map.
 // Vertex sets are small sorted runs inside one vertex arena that
 // recycles through multiple-of-4 size-class free lists — the same
 // discipline as the graph arena — so steady-state churn allocates
@@ -144,28 +147,47 @@ func (a *vertexArena) resize(v *vset, capn int32) {
 	v.off, v.cap = newOff, got
 }
 
+// slotRow is one slot's hot state. Its 32 bytes never straddle a
+// 64-byte cache line once misses matter: past 1,024 slots (32 KB) the
+// rows slice is a page-aligned allocation, so two rows share each line,
+// and a stop predicate, a vertex move or a node check reads all of a
+// row with one miss. NewSim run
+// headers are not in the row: they are live only while a staggered
+// rebuild is in flight, so they keep their own column (newRuns).
+type slotRow struct {
+	load      int32  // total load incl. staggering new vertices
+	pos       int32  // position in the sampling mirror (-1 when absent)
+	dirtyAt   uint32 // dirty-set generation stamp
+	sim       vset   // Sim(u): current-cycle vertices
+	effNew    int32  // generated + projected new vertices (staggering)
+	unprocOld int32  // unprocessed old vertices (staggering)
+}
+
+// mirrorEntry is one sampling-mirror cell: a live node and its slot, so
+// a sample, removeNode's swap and the audit's sample gather reach the
+// node's row without an id->slot probe.
+type mirrorEntry struct {
+	id   NodeID
+	slot int32
+}
+
 // state is the store façade the engine talks to.
 type state struct {
 	g *graph.Graph
 
-	// Slot-indexed columns. slotAssigned grows every column to cover
-	// each slot the graph binds and zeroes that slot's cells. A slot
-	// without a live node holds empty runs (growth adds zero cells and
-	// slotReleased clears them), so compaction skips it; nothing reads
-	// its other cells.
-	load      []int32  // total load incl. staggering new vertices
-	pos       []int32  // position in the sampling mirror (-1 when absent)
-	dirtyAt   []uint32 // dirty-set generation stamp
-	simRuns   []vset   // Sim(u): current-cycle vertices
-	newRuns   []vset   // NewSim(u): next-cycle vertices while staggering
-	effNew    []int32  // generated + projected new vertices (staggering)
-	unprocOld []int32  // unprocessed old vertices (staggering)
+	// Slot-indexed rows and the NewSim run column. slotAssigned grows
+	// both to cover each slot the graph binds and zeroes that slot's
+	// row. A slot without a live node holds empty runs (growth adds zero
+	// rows and slotReleased clears them), so compaction skips it;
+	// nothing reads its other fields.
+	rows    []slotRow
+	newRuns []vset // NewSim(u): next-cycle vertices while staggering
 
-	arena vertexArena // the runs behind simRuns and newRuns
+	arena vertexArena // the runs behind every row's sim and newRuns
 
 	// nodeList mirrors the live node set in insertion order for O(1)
-	// uniform sampling; pos is each node's position in it.
-	nodeList []NodeID
+	// uniform sampling; a row's pos is its node's position in it.
+	nodeList []mirrorEntry
 
 	// dirtyList holds the nodes marked since the last resetDirty (it may
 	// retain ids deleted later in the step; audits skip them).
@@ -174,7 +196,7 @@ type state struct {
 }
 
 // init binds the store to the engine's live overlay graph and registers
-// the slot hooks that grow, reset, and recycle its columns in lockstep
+// the slot hooks that grow, reset, and recycle its rows in lockstep
 // with the graph's slot table; zeta sizes the heavy-node run class
 // (loads are bounded by 4*zeta outside adoption spikes).
 func (st *state) init(g *graph.Graph, zeta int) {
@@ -189,40 +211,34 @@ func growCol[T any](col []T, n int) []T {
 	return append(col, make([]T, n-len(col))...)
 }
 
-// slotAssigned (graph hook) makes the slot's cells exist and zero. The
-// columns grow to cover the whole slot table, not by one row: a
-// checkpoint decode reads the table before it fires the hook for each
-// live slot, so the first hook grows every column to its decoded size
-// in one step and the freed slots the hook skips are covered too. The
-// hook fires for slot reuse as well, which is what keeps generation
-// stamps from leaking a dead node's dirty membership to its successor.
+// slotAssigned (graph hook) makes the slot's row exist and zero. The
+// rows grow to cover the whole slot table, not by one: a checkpoint
+// decode reads the table before it fires the hook for each live slot,
+// so the first hook grows the rows to their decoded size in one step
+// and the freed slots the hook skips are covered too. The hook fires
+// for slot reuse as well, which is what keeps generation stamps from
+// leaking a dead node's dirty membership to its successor.
 func (st *state) slotAssigned(_ NodeID, s int32) {
-	if n := st.g.Slots(); n > len(st.load) {
-		st.load = growCol(st.load, n)
-		st.pos = growCol(st.pos, n)
-		st.dirtyAt = growCol(st.dirtyAt, n)
-		st.simRuns = growCol(st.simRuns, n)
+	if n := st.g.Slots(); n > len(st.rows) {
+		st.rows = growCol(st.rows, n)
 		st.newRuns = growCol(st.newRuns, n)
-		st.effNew = growCol(st.effNew, n)
-		st.unprocOld = growCol(st.unprocOld, n)
 	}
 	st.zero(s)
 }
 
 // slotReleased (graph hook) recycles the slot's vertex runs and zeroes
-// its cells the moment the graph frees the slot, so compaction skips
-// the released runs.
+// its row the moment the graph frees the slot, so compaction skips the
+// released runs.
 func (st *state) slotReleased(_ NodeID, s int32) {
-	st.arena.release(st.simRuns[s].off, st.simRuns[s].cap)
+	st.arena.release(st.rows[s].sim.off, st.rows[s].sim.cap)
 	st.arena.release(st.newRuns[s].off, st.newRuns[s].cap)
 	st.zero(s)
 }
 
-// zero resets slot s's cells to those of a node with no state.
+// zero resets slot s's row to that of a node with no state.
 func (st *state) zero(s int32) {
-	st.load[s], st.pos[s], st.dirtyAt[s] = 0, -1, 0
-	st.simRuns[s], st.newRuns[s] = vset{}, vset{}
-	st.effNew[s], st.unprocOld[s] = 0, 0
+	st.rows[s] = slotRow{pos: -1}
+	st.newRuns[s] = vset{}
 }
 
 // maybeCompact repacks the vertex arena when over half its cells sit on
@@ -238,8 +254,8 @@ func (st *state) maybeCompact() {
 		return
 	}
 	total := int32(0)
-	for s := range st.simRuns {
-		total += st.simRuns[s].cap + st.newRuns[s].cap
+	for s := range st.rows {
+		total += st.rows[s].sim.cap + st.newRuns[s].cap
 	}
 	newBuf := make([]Vertex, total, int(total)+int(total)/8+16)
 	off := int32(0)
@@ -251,8 +267,8 @@ func (st *state) maybeCompact() {
 		v.off = off
 		off += v.cap
 	}
-	for s := range st.simRuns {
-		repack(&st.simRuns[s])
+	for s := range st.rows {
+		repack(&st.rows[s].sim)
 		repack(&st.newRuns[s])
 	}
 	a.buf = newBuf[:off]
@@ -284,25 +300,27 @@ func (st *state) slot(u NodeID) int32 {
 }
 
 // addNode registers a fresh node and returns its slot: graph slot
-// (zeroed cells via the hook) and sampling-mirror entry. The load stays
+// (zeroed row via the hook) and sampling-mirror entry. The load stays
 // 0 until the caller's setLoadAt.
 func (st *state) addNode(u NodeID) int32 {
 	s := st.g.AddNode(u)
-	st.pos[s] = int32(len(st.nodeList))
-	st.nodeList = append(st.nodeList, u)
+	st.rows[s].pos = int32(len(st.nodeList))
+	st.nodeList = append(st.nodeList, mirrorEntry{u, s})
 	return s
 }
 
 // removeNode drops node u at slot s from the sampling mirror and
-// removes its graph node (the slot hook recycles the cells). The caller
+// removes its graph node (the slot hook recycles the row). The caller
 // has already moved every vertex away and settled the load counters.
+// The entry swapped into u's position carries its own slot, so the
+// swap probes nothing.
 func (st *state) removeNode(u NodeID, s int32) {
-	p, last := st.pos[s], len(st.nodeList)-1
+	p, last := st.rows[s].pos, len(st.nodeList)-1
 	moved := st.nodeList[last]
 	st.nodeList[p] = moved
 	st.nodeList = st.nodeList[:last]
 	if int(p) != last {
-		st.pos[st.slot(moved)] = p
+		st.rows[moved.slot].pos = p
 	}
 	st.g.RemoveNode(u)
 }
@@ -312,23 +330,44 @@ func (st *state) removeNode(u NodeID, s int32) {
 // depend on it). The graph slots must already exist (DecodeBinary fired
 // the assign hooks).
 func (st *state) restoreMirror(list []NodeID) error {
-	st.nodeList = append(st.nodeList[:0], list...)
+	st.nodeList = st.nodeList[:0]
 	for i, u := range list {
 		s, ok := st.g.SlotOf(u)
 		if !ok {
 			return fmt.Errorf("store: mirror node %d has no graph slot", u)
 		}
-		if st.pos[s] >= 0 {
+		if st.rows[s].pos >= 0 {
 			return fmt.Errorf("store: mirror node %d listed twice", u)
 		}
-		st.pos[s] = int32(i)
+		st.rows[s].pos = int32(i)
+		st.nodeList = append(st.nodeList, mirrorEntry{u, s})
 	}
 	return nil
 }
 
+// sample draws a uniformly random sampling-mirror entry from r: one
+// r.Intn, whose result SampleNode and the sampled audit both depend on.
+func (st *state) sample(r *rand.Rand) mirrorEntry {
+	return st.nodeList[r.Intn(len(st.nodeList))]
+}
+
 // mirrorPosAt returns the sampling-mirror position of the node at slot
 // s (-1 when it is missing from the mirror), for audits.
-func (st *state) mirrorPosAt(s int32) int { return int(st.pos[s]) }
+func (st *state) mirrorPosAt(s int32) int { return int(st.rows[s].pos) }
+
+// mirrorHolds reports whether the sampling mirror lists node u at slot
+// s: s is in range and its row's position names exactly the entry
+// (u, s). A slot taken from a mirror entry is checked this way instead
+// of being re-resolved from u.
+//
+//dexvet:noalloc
+func (st *state) mirrorHolds(u NodeID, s int32) bool {
+	if uint(s) >= uint(len(st.rows)) {
+		return false
+	}
+	p := st.rows[s].pos
+	return uint(p) < uint(len(st.nodeList)) && st.nodeList[p] == mirrorEntry{u, s}
+}
 
 // checkCoherence verifies that the slot table and the sampling mirror
 // hold the same number of nodes (audits check each node's position).
@@ -351,15 +390,15 @@ func (st *state) loadOf(u NodeID) int {
 
 // loadAt returns the load of the node at live slot s. Walk stop
 // predicates receive (id, slot) pairs straight from the arena's run
-// cells, so the read costs one column index and zero map probes.
-func (st *state) loadAt(s int32) int { return int(st.load[s]) }
+// cells, so the read costs one row index and zero map probes.
+func (st *state) loadAt(s int32) int { return int(st.rows[s].load) }
 
 // putLoadDirtyAt writes the load of node u at live slot s and marks u
 // dirty (the caller has decided the write is a real change).
 //
 //dexvet:noalloc
 func (st *state) putLoadDirtyAt(u NodeID, s int32, l int) {
-	st.load[s] = int32(l)
+	st.rows[s].load = int32(l)
 	st.markDirtyAt(u, s)
 }
 
@@ -368,8 +407,8 @@ func (st *state) putLoadDirtyAt(u NodeID, s int32, l int) {
 // markDirtyAt records that the real-edge row or load of node u at live
 // slot s changed this step.
 func (st *state) markDirtyAt(u NodeID, s int32) {
-	if st.dirtyAt[s] != st.dirtyGen {
-		st.dirtyAt[s] = st.dirtyGen
+	if r := &st.rows[s]; r.dirtyAt != st.dirtyGen {
+		r.dirtyAt = st.dirtyGen
 		st.dirtyList = append(st.dirtyList, u)
 	}
 }
@@ -379,23 +418,25 @@ func (st *state) resetDirty() {
 	st.dirtyList = st.dirtyList[:0]
 	st.dirtyGen++
 	if st.dirtyGen == 0 { // wrapped: stale stamps could alias, wipe them
-		clear(st.dirtyAt)
+		for s := range st.rows {
+			st.rows[s].dirtyAt = 0
+		}
 		st.dirtyGen = 1
 	}
 }
 
 // --- vertex sets: Sim(u) current-cycle, NewSim(u) next-cycle ----------------
 //
-// One implementation serves both families: nxt selects the column
-// (simRuns vs newRuns), so a fix in one family cannot silently miss its
-// twin.
+// One implementation serves both families: nxt selects the run header
+// (the row's sim vs the newRuns column), so a fix in one family cannot
+// silently miss its twin.
 
-// col returns the selected column.
-func (st *state) col(nxt bool) []vset {
+// run returns the selected run header of slot s.
+func (st *state) run(s int32, nxt bool) *vset {
 	if nxt {
-		return st.newRuns
+		return &st.newRuns[s]
 	}
-	return st.simRuns
+	return &st.rows[s].sim
 }
 
 // setAt returns the selected set of the node at live slot s: a sorted,
@@ -407,12 +448,12 @@ func (st *state) col(nxt bool) []vset {
 //
 //dexvet:noalloc
 func (st *state) setAt(s int32, nxt bool) []Vertex {
-	v := st.col(nxt)[s]
+	v := st.run(s, nxt)
 	return st.arena.buf[v.off : v.off+v.n]
 }
 
 // setLenAt is len(setAt(s, nxt)), read from the run header alone.
-func (st *state) setLenAt(s int32, nxt bool) int { return int(st.col(nxt)[s].n) }
+func (st *state) setLenAt(s int32, nxt bool) int { return int(st.run(s, nxt).n) }
 
 // setAddAt inserts x into the selected sorted run, growing through the
 // free lists when full. Duplicate insertion is an engine bug and
@@ -422,7 +463,7 @@ func (st *state) setLenAt(s int32, nxt bool) int { return int(st.col(nxt)[s].n) 
 func (st *state) setAddAt(s int32, x Vertex, nxt bool) {
 	st.maybeCompact()
 	a := &st.arena
-	v := &st.col(nxt)[s]
+	v := st.run(s, nxt)
 	if v.n == v.cap {
 		a.resize(v, a.runCap(v.n+1))
 	}
@@ -454,7 +495,7 @@ func (st *state) setAddAt(s int32, x Vertex, nxt bool) {
 //dexvet:noalloc
 func (st *state) setRemoveAt(s int32, x Vertex, nxt bool) {
 	a := &st.arena
-	v := &st.col(nxt)[s]
+	v := st.run(s, nxt)
 	run := a.buf[v.off : v.off+v.n]
 	j := int32(0)
 	for j < v.n && run[j] != x {
@@ -507,10 +548,10 @@ func (st *state) sizeRuns(n []int32, nxt bool) {
 		total += int(a.runCap(c))
 	}
 	a.buf = slices.Grow(a.buf, total)
-	col := st.col(nxt)
 	for s, c := range n {
 		if c > 0 {
-			col[s].off, col[s].cap = a.alloc(a.runCap(c))
+			v := st.run(int32(s), nxt)
+			v.off, v.cap = a.alloc(a.runCap(c))
 		}
 	}
 }
@@ -522,7 +563,7 @@ func (st *state) simReset(s int32, vs []Vertex) {
 	slices.Sort(vs)
 	st.maybeCompact()
 	a := &st.arena
-	v := &st.simRuns[s]
+	v := &st.rows[s].sim
 	if newCap := a.runCap(int32(len(vs))); v.cap < newCap {
 		a.release(v.off, v.cap)
 		v.off, v.cap = a.alloc(newCap)
@@ -535,9 +576,10 @@ func (st *state) simReset(s int32, vs []Vertex) {
 // current set (staggered rebuild commit) and zeroes its staggering
 // counters.
 func (st *state) promoteNew(s int32) {
-	st.arena.release(st.simRuns[s].off, st.simRuns[s].cap)
-	st.simRuns[s], st.newRuns[s] = st.newRuns[s], vset{}
-	st.effNew[s], st.unprocOld[s] = 0, 0
+	r := &st.rows[s]
+	st.arena.release(r.sim.off, r.sim.cap)
+	r.sim, st.newRuns[s] = st.newRuns[s], vset{}
+	r.effNew, r.unprocOld = 0, 0
 }
 
 // --- staggering counters ----------------------------------------------------
@@ -545,7 +587,7 @@ func (st *state) promoteNew(s int32) {
 // effNew (generated plus projected new vertices) and unprocOld
 // (unprocessed old vertices) of the node at live slot s.
 
-func (st *state) effNewAt(s int32) int          { return int(st.effNew[s]) }
-func (st *state) unprocOldAt(s int32) int       { return int(st.unprocOld[s]) }
-func (st *state) addEffNewAt(s int32, d int)    { st.effNew[s] += int32(d) }
-func (st *state) addUnprocOldAt(s int32, d int) { st.unprocOld[s] += int32(d) }
+func (st *state) effNewAt(s int32) int          { return int(st.rows[s].effNew) }
+func (st *state) unprocOldAt(s int32) int       { return int(st.rows[s].unprocOld) }
+func (st *state) addEffNewAt(s int32, d int)    { st.rows[s].effNew += int32(d) }
+func (st *state) addUnprocOldAt(s int32, d int) { st.rows[s].unprocOld += int32(d) }

@@ -96,8 +96,13 @@ func compareStore(st *state, m *storeModel, ids int) error {
 	if err := st.checkCoherence(); err != nil {
 		return err
 	}
-	if st.size() != len(m.nodes) || !slices.Equal(st.nodeList, m.list) {
+	if st.size() != len(m.nodes) || len(st.nodeList) != len(m.list) {
 		return fmt.Errorf("sampling mirror %v, model %v", st.nodeList, m.list)
+	}
+	for i, e := range st.nodeList {
+		if s, ok := st.g.SlotOf(e.id); e.id != m.list[i] || !ok || e.slot != s {
+			return fmt.Errorf("sampling mirror entry %d is %v, model node %d at slot %d", i, e, m.list[i], s)
+		}
 	}
 	if !slices.Equal(st.dirtyList, m.dirtyList) {
 		return fmt.Errorf("dirty list %v, model %v", st.dirtyList, m.dirtyList)
@@ -126,8 +131,8 @@ func compareStore(st *state, m *storeModel, ids int) error {
 		if st.effNewAt(s) != n.effNew || st.unprocOldAt(s) != n.unprocOld {
 			return fmt.Errorf("node %d: effNew %d unprocOld %d, model %d %d", u, st.effNewAt(s), st.unprocOldAt(s), n.effNew, n.unprocOld)
 		}
-		if (st.dirtyAt[s] == st.dirtyGen) != n.dirty {
-			return fmt.Errorf("node %d: dirty stamp %d at generation %d, model dirty=%v", u, st.dirtyAt[s], st.dirtyGen, n.dirty)
+		if (st.rows[s].dirtyAt == st.dirtyGen) != n.dirty {
+			return fmt.Errorf("node %d: dirty stamp %d at generation %d, model dirty=%v", u, st.rows[s].dirtyAt, st.dirtyGen, n.dirty)
 		}
 	}
 	for u := NodeID(0); u < NodeID(ids); u++ {
@@ -353,8 +358,8 @@ func TestStoreMatchesModel(t *testing.T) {
 
 // runsFrom reports whether any slot at or above from holds a vertex run.
 func runsFrom(st *state, from int) bool {
-	for s := from; s < len(st.simRuns); s++ {
-		if st.simRuns[s].cap+st.newRuns[s].cap > 0 {
+	for s := from; s < len(st.rows); s++ {
+		if st.rows[s].sim.cap+st.newRuns[s].cap > 0 {
 			return true
 		}
 	}
@@ -368,8 +373,8 @@ func runsFrom(st *state, from int) bool {
 // from the mapping, so the projection copies them from the store.
 func modelOf(nw *Network) (*storeModel, error) {
 	m := newStoreModel()
-	for _, u := range nw.st.nodeList {
-		m.addNode(u)
+	for _, e := range nw.st.nodeList {
+		m.addNode(e.id)
 	}
 	s := nw.stag
 	for x, u := range nw.simOf {
@@ -404,7 +409,7 @@ func modelOf(nw *Network) (*storeModel, error) {
 				}
 			}
 		}
-		n.dirty = nw.st.dirtyAt[nw.st.slot(u)] == nw.st.dirtyGen
+		n.dirty = nw.st.rows[nw.st.slot(u)].dirtyAt == nw.st.dirtyGen
 	}
 	m.dirtyList = append(m.dirtyList, nw.st.dirtyList...)
 	return m, nil

@@ -3,19 +3,20 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // corruptLoad bumps u's stored load behind the engine's back — without
 // touching counters, sets, or dirty marks — for audit-detection tests.
 func (st *state) corruptLoad(u NodeID, d int) {
-	st.load[st.slot(u)] += int32(d)
+	st.rows[st.slot(u)].load += int32(d)
 }
 
 // loadSnapshot materializes the load table for state comparisons.
 func (st *state) loadSnapshot() map[NodeID]int {
 	out := make(map[NodeID]int, st.size())
-	for _, u := range st.nodeList {
-		out[u] = st.loadOf(u)
+	for _, e := range st.nodeList {
+		out[e.id] = st.loadOf(e.id)
 	}
 	return out
 }
@@ -23,10 +24,20 @@ func (st *state) loadSnapshot() map[NodeID]int {
 // simSnapshot materializes every Sim set for state comparisons.
 func (st *state) simSnapshot() map[NodeID][]Vertex {
 	out := make(map[NodeID][]Vertex, st.size())
-	for _, u := range st.nodeList {
-		out[u] = append([]Vertex(nil), st.setAt(st.slot(u), false)...)
+	for _, e := range st.nodeList {
+		out[e.id] = append([]Vertex(nil), st.setAt(st.slot(e.id), false)...)
 	}
 	return out
+}
+
+// TestSlotRowIs32Bytes pins the store row's size: at 32 bytes two rows
+// share each 64-byte cache line of a page-aligned rows slice and none
+// straddles one, so every field a stop predicate, a vertex move or a
+// node check reads comes with one miss.
+func TestSlotRowIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(slotRow{}); n != 32 {
+		t.Fatalf("slotRow is %d bytes, want 32", n)
+	}
 }
 
 // TestStoreVertexArenaRecycles checks the store's size-class free
@@ -52,8 +63,8 @@ func TestStoreVertexArenaRecycles(t *testing.T) {
 	churn(600) // crosses several rebuilds
 	poolCells, freeCells := cap(nw.st.arena.buf), nw.st.arena.freeCells
 	liveCells := 0
-	for s := range nw.st.simRuns {
-		liveCells += int(nw.st.simRuns[s].n + nw.st.newRuns[s].n)
+	for s := range nw.st.rows {
+		liveCells += int(nw.st.rows[s].sim.n + nw.st.newRuns[s].n)
 	}
 	if liveCells == 0 {
 		t.Fatal("no live vertex cells after churn")

@@ -102,8 +102,8 @@ func (nw *Network) recoverInsert(id, attach NodeID, idSlot, attachSlot int32) {
 // newly inserted node. Every variant is prebuilt (no per-op closure):
 // the excluded newborn flows through nw.stopExclude, and the rebuild
 // phase through nw.stagPhase2 — both stable for the ladder's duration.
-// Predicates read only slot-indexed columns via the (id, slot) pairs the
-// walk hands them, so evaluating one probes no id→slot map.
+// Predicates read only slot-indexed store rows via the (id, slot) pairs
+// the walk hands them, so evaluating one probes no id→slot map.
 func (nw *Network) insertStop(id NodeID) func(NodeID, int32) bool {
 	nw.stopExclude = id
 	if nw.stag != nil {
@@ -323,7 +323,7 @@ func (nw *Network) redistributeOne(v NodeID, sv int32, h holding) bool {
 // and - crucially - new-cycle holdings only land where the *new* count
 // stays below 4*zeta, so the bound holds again the moment the rebuild
 // commits (Lemma 9(a) -> Lemma 3(a) handover). Every variant is prebuilt
-// in initTracking and reads only slot-indexed columns (loads, new
+// in initTracking and reads only slot-indexed store state (loads, new
 // counts, effNew) through the walk's (id, slot) pairs.
 func (nw *Network) holdingStop(h holding) func(NodeID, int32) bool {
 	s := nw.stag

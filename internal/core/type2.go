@@ -113,8 +113,8 @@ func (nw *Network) simplifiedInflate(initiator, newborn NodeID) {
 		owner: make([]NodeID, inf.PNew),
 		verts: make(map[NodeID][]Vertex, nw.Size()),
 	}
-	for _, u := range nw.st.nodeList {
-		pv.verts[u] = nil
+	for _, e := range nw.st.nodeList {
+		pv.verts[e.id] = nil
 	}
 	pOld := nw.z.P()
 	for x := int64(0); x < pOld; x++ {
@@ -166,8 +166,8 @@ func (nw *Network) simplifiedDeflate(initiator NodeID) {
 		owner: make([]NodeID, def.PNew),
 		verts: make(map[NodeID][]Vertex, nw.Size()),
 	}
-	for _, u := range nw.st.nodeList {
-		pv.verts[u] = nil
+	for _, e := range nw.st.nodeList {
+		pv.verts[e.id] = nil
 	}
 	for y := int64(0); y < def.PNew; y++ {
 		pv.assign(y, nw.simOf[def.DominatorOf(y)])
@@ -177,9 +177,9 @@ func (nw *Network) simplifiedDeflate(initiator NodeID) {
 	// walks Z(p_s) for a non-taken vertex; owners keep one reserved
 	// vertex each (their first), so donors need >= 2 vertices.
 	var contenders []NodeID
-	for _, u := range nw.st.nodeList {
-		if len(pv.verts[u]) == 0 {
-			contenders = append(contenders, u)
+	for _, e := range nw.st.nodeList {
+		if len(pv.verts[e.id]) == 0 {
+			contenders = append(contenders, e.id)
 		}
 	}
 	sort.Slice(contenders, func(i, j int) bool { return contenders[i] < contenders[j] })
@@ -324,13 +324,20 @@ func (nw *Network) commitRebuild(pv *provisional) {
 	nw.z = pv.zNew
 	p := pv.zNew.P()
 	nw.simOf = pv.owner
-	for u, vs := range pv.verts {
+	// Walk the sampling mirror, not the pv.verts map: both rebuild paths
+	// key pv.verts by exactly the live nodes, and the mirror's order makes
+	// the vertex arena's layout and the dirty list's order (which picks
+	// the dirty nodes the next sampled audit checks) the same every run.
+	if len(pv.verts) != nw.Size() {
+		panic(fmt.Sprintf("core: rebuild assigns %d nodes, the network holds %d", len(pv.verts), nw.Size()))
+	}
+	for _, e := range nw.st.nodeList {
+		vs := pv.verts[e.id]
 		if len(vs) == 0 {
-			panic(fmt.Sprintf("core: rebuild left node %d without vertices", u))
+			panic(fmt.Sprintf("core: rebuild left node %d without vertices", e.id))
 		}
-		s := nw.st.slot(u)
-		nw.st.simReset(s, vs)
-		nw.setLoadAt(u, s, len(vs), false)
+		nw.st.simReset(e.slot, vs)
+		nw.setLoadAt(e.id, e.slot, len(vs), false)
 	}
 	// Apply the new contraction as an in-place diff: only node pairs whose
 	// multiplicity actually changed are touched, the graph pointer stays

@@ -647,16 +647,19 @@ func (g *Graph) AddEdgeMult(u, v NodeID, k int) {
 	if k <= 0 {
 		return
 	}
-	g.AddEdgeMultAt(g.slotOf(u), u, v, k)
+	g.AddEdgeMultAt(g.slotOf(u), u, v, -1, k)
 }
 
 // AddEdgeMultAt is the slot-native form of AddEdgeMult: su must be u's
 // live slot (as handed out by SlotOf, ForEachNeighborAt, or a
 // slot-assign hook), so the caller's id->slot probe for u is its only
-// one. v is created if absent. It returns v's slot, read from u's run
-// cell when the pair exists, so a caller that keeps slot-indexed state
-// for v needs no probe either (-1 when k <= 0, a no-op).
-func (g *Graph) AddEdgeMultAt(su int32, u, v NodeID, k int) int32 {
+// one. sv is v's live slot when the caller holds it — say, from the
+// removal that just detached the same far endpoint elsewhere — or -1,
+// in which case a new pair resolves v, creating it if absent. It
+// returns v's slot, read from u's run cell when the pair exists, so a
+// caller that keeps slot-indexed state for v needs no probe either (-1
+// when k <= 0, a no-op).
+func (g *Graph) AddEdgeMultAt(su int32, u, v NodeID, sv int32, k int) int32 {
 	if k <= 0 {
 		return -1
 	}
@@ -689,9 +692,12 @@ func (g *Graph) AddEdgeMultAt(su int32, u, v NodeID, k int) int32 {
 		g.edges += k
 		return g.pool[r.off+pos].s
 	}
-	// New pair: v's slot may not exist yet. slotOf only touches the slot
-	// table, so pos (u's insertion point) stays valid across it.
-	sv := g.slotOf(v)
+	// New pair: unless the caller passed it, v's slot may not exist yet.
+	// slotOf only touches the slot table, so pos (u's insertion point)
+	// stays valid across it.
+	if sv < 0 {
+		sv = g.slotOf(v)
+	}
 	g.insertEntry(su, pos, v, sv, k32)
 	if u != v {
 		back, _ := g.findNbr(sv, u)
@@ -1100,6 +1106,7 @@ func (g *Graph) Diameter() int {
 	}
 	diam := 0
 	for u := range g.index {
+		//dexvet:allow determinism BFSDistances is a pure query; the loop folds a max and returns only the constant -1
 		dist := g.BFSDistances(u)
 		if len(dist) != len(g.index) {
 			return -1

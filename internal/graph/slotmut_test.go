@@ -32,8 +32,14 @@ func TestSlotMutatorsMatchIDForms(t *testing.T) {
 		}
 		sv, _ := b.SlotOf(v)
 		if rng.Float64() < 0.55 {
+			// Every other addition passes v's slot, the rest let the graph
+			// resolve it: both forms must land the same edge.
+			hint := int32(-1)
+			if step%2 == 0 {
+				hint = sv
+			}
 			a.AddEdgeMult(u, v, k)
-			if got := b.AddEdgeMultAt(su, u, v, k); got != sv {
+			if got := b.AddEdgeMultAt(su, u, v, hint, k); got != sv {
 				t.Fatalf("step %d: AddEdgeMultAt(%d,%d,%d) returned slot %d, SlotOf says %d", step, u, v, k, got, sv)
 			}
 		} else {
