@@ -149,22 +149,24 @@ bench-diff:
 	$(GO) run ./cmd/benchdiff -baseline BENCH_graph.json -fresh /tmp/bench_graph_fresh.json \
 		-gate 'BenchmarkWalkHop,BenchmarkGraphChurn'
 
-# Churn-trace profiling: a CPU + allocation pprof pair for the engine's
-# steady-state churn hot path — the profile that motivated PR 10's
-# findNbr fence and insert fast path. Artifacts land in profiles/
-# (the directory is committed, its contents are git-ignored); inspect
-# with `go tool pprof profiles/churn_cpu.pprof`. CI runs this with
+# Churn-window profiling: a CPU profile of the engine's steady-state
+# churn on the network the workloads run — BenchmarkChurnAudit's off
+# row on joinedEngine, 10^5 nodes grown by single joins — taken by the
+# test-only -churnprofile flag around the timed loop alone, so set-up
+# is not in it. The artifact lands in profiles/ (the directory is
+# committed, its contents are git-ignored); inspect with
+# `go tool pprof profiles/churn_cpu.pprof`. CI runs this with
 # PROFILE_BENCHTIME=20x and PROFILE_FLAGS=-short purely as a
 # does-the-target-still-build-and-run smoke, so the profiling recipe
 # cannot rot.
-PROFILE_BENCHTIME ?= 200x
+PROFILE_BENCHTIME ?= 200000x
 PROFILE_FLAGS ?=
 
 profile-churn:
 	@mkdir -p profiles
-	$(GO) test ./internal/core -run '^$$' -bench 'RecoveryOp/dense/n=100000' \
+	$(GO) test ./internal/core -run '^$$' -bench 'ChurnAudit/off/n=100000' \
 		-benchtime $(PROFILE_BENCHTIME) -timeout 20m $(PROFILE_FLAGS) \
-		-cpuprofile profiles/churn_cpu.pprof -memprofile profiles/churn_alloc.pprof
+		-churnprofile $(CURDIR)/profiles/churn_cpu.pprof
 
 # Differential fuzzing, one target per oracle tier: FuzzChurnTrace
 # replays decoded operation traces under the incremental-vs-full-rebuild

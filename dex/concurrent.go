@@ -352,7 +352,9 @@ func (c *Concurrent) History() []StepMetrics {
 // was taken at: a consistent point-in-time view that can be read
 // lock-free forever, no matter how the live network churns on. This is
 // how subscriber mirrors, spectral probes, and debuggers read a
-// concurrently maintained overlay.
+// concurrently maintained overlay. The first call materializes the
+// engine's overlay view (see Network.Graph), which the engine then
+// keeps current with every edge change.
 func (c *Concurrent) Snapshot() (*Graph, uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -341,7 +341,13 @@ func (nw *Network) P() int64 { return nw.eng.P() }
 // Cycle returns the current virtual graph Z(p). Treat as read-only.
 func (nw *Network) Cycle() *Cycle { return nw.eng.Cycle() }
 
-// Graph returns the live overlay graph G_t. Treat as read-only.
+// Graph returns the live overlay graph G_t. Treat as read-only. The
+// engine derives the overlay from its virtual mapping and keeps a
+// graph of it only while something observes it (or while its own walks
+// find one cheaper than deriving rows): the first call materializes
+// that view, and from then on the same graph is kept and edited with
+// every edge change, so it is current between operations and also when
+// read inside a mid-operation event such as VertexTransferred.
 func (nw *Network) Graph() *Graph { return nw.eng.Graph() }
 
 // Nodes returns the current node ids in ascending order.

@@ -52,12 +52,35 @@ func RandomWalkDirect(g *graph.Graph, start graph.NodeID, exclude graph.NodeID, 
 	if !ok {
 		return WalkResult{End: start, EndSlot: -1}
 	}
-	return RandomWalkDirectAt(g, start, cs, exclude, maxLen, seed, stop)
+	return RandomWalkDirectAt(graphRows{g}, start, cs, exclude, maxLen, seed, stop)
 }
 
-// RandomWalkDirectAt is RandomWalkDirect with the start's slot already
-// resolved; startSlot must be start's live slot.
-func RandomWalkDirectAt(g *graph.Graph, start graph.NodeID, startSlot int32, exclude graph.NodeID, maxLen int, seed uint64, stop func(graph.NodeID, int32) bool) WalkResult {
+// Rows is the adjacency a token walk hops over. Step makes one hop from
+// node u at slot s with the random word r, and must choose exactly as
+// (*graph.Graph).RandomNeighborStepAt chooses on u's arena run: the
+// distinct neighbors in ascending id, each weighted by its multiplicity
+// (u's own cell by its self-loops), exclude skipped, and the pick
+// r % total. It returns the chosen node, its slot, and false when u has
+// no neighbor but exclude.
+type Rows interface {
+	Step(u graph.NodeID, s int32, exclude graph.NodeID, r uint64) (graph.NodeID, int32, bool)
+}
+
+// graphRows walks a graph's arena runs.
+type graphRows struct{ g *graph.Graph }
+
+// Step is (*graph.Graph).RandomNeighborStepAt.
+//
+//dexvet:noalloc
+func (g graphRows) Step(_ graph.NodeID, s int32, exclude graph.NodeID, r uint64) (graph.NodeID, int32, bool) {
+	return g.g.RandomNeighborStepAt(s, exclude, r)
+}
+
+// RandomWalkDirectAt is RandomWalkDirect over any row source, with the
+// start's slot already resolved; startSlot must be start's live slot.
+// The DEX engine walks rows it derives from its virtual mapping, which
+// make the arena's exact pick (see Rows).
+func RandomWalkDirectAt(g Rows, start graph.NodeID, startSlot int32, exclude graph.NodeID, maxLen int, seed uint64, stop func(graph.NodeID, int32) bool) WalkResult {
 	if stop(start, startSlot) {
 		return WalkResult{End: start, EndSlot: startSlot, Hit: true, Steps: 0}
 	}
@@ -66,7 +89,7 @@ func RandomWalkDirectAt(g *graph.Graph, start graph.NodeID, startSlot int32, exc
 	for s := 1; s <= maxLen; s++ {
 		var r uint64
 		state, r = splitmix64(state)
-		next, ns, ok := g.RandomNeighborStepAt(cs, exclude, r)
+		next, ns, ok := g.Step(cur, cs, exclude, r)
 		if !ok {
 			return WalkResult{End: cur, EndSlot: cs, Hit: false, Steps: s - 1}
 		}

@@ -14,7 +14,7 @@ func corruptible(t *testing.T) (*Network, NodeID) {
 	nw := mustNew(t, 16, DefaultConfig())
 	churnQuiet(t, nw, 50)
 	for _, u := range nw.Nodes() {
-		if nw.real.DistinctDegree(u) > 0 {
+		if nw.Graph().DistinctDegree(u) > 0 {
 			return nw, u
 		}
 	}
@@ -25,7 +25,7 @@ func corruptible(t *testing.T) (*Network, NodeID) {
 func TestCheckNodeDetectsMissingEdge(t *testing.T) {
 	nw, u := corruptible(t)
 	var v NodeID = -1
-	for _, w := range nw.real.Neighbors(u) {
+	for _, w := range nw.Graph().Neighbors(u) {
 		if w != u {
 			v = w
 			break
@@ -34,7 +34,7 @@ func TestCheckNodeDetectsMissingEdge(t *testing.T) {
 	if v < 0 {
 		t.Fatal("no distinct neighbor")
 	}
-	nw.real.RemoveEdge(u, v) // corruption behind the engine's back
+	nw.Graph().RemoveEdge(u, v) // corruption behind the engine's back
 	if err := nw.CheckNode(u); err == nil {
 		t.Fatal("node-local audit missed a missing edge")
 	}
@@ -45,7 +45,7 @@ func TestCheckNodeDetectsMissingEdge(t *testing.T) {
 
 func TestCheckNodeDetectsForeignEdge(t *testing.T) {
 	nw, u := corruptible(t)
-	nw.real.AddEdge(u, u) // spurious self-loop
+	nw.Graph().AddEdge(u, u) // spurious self-loop
 	if err := nw.CheckNode(u); err == nil {
 		t.Fatal("node-local audit missed a spurious edge")
 	}
@@ -200,20 +200,20 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 	}{
 		{"extra-multiplicity", false, "multiplicity", func(t *testing.T, nw *Network) []NodeID {
 			u, v := edgeWith(t, nw, func(u, v NodeID) bool { return u != v })
-			nw.real.AddEdge(u, v)
+			nw.Graph().AddEdge(u, v)
 			return []NodeID{u, v}
 		}},
 		{"foreign-edge-below-run", false, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
 			w := nw.Nodes()[0] // sorts below every neighbor of any other node
 			u := nonNeighbor(t, nw, w)
-			nw.real.AddEdge(u, w)
+			nw.Graph().AddEdge(u, w)
 			return []NodeID{u, w}
 		}},
 		{"foreign-edge-above-run", false, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
 			nodes := nw.Nodes()
 			w := nodes[len(nodes)-1] // sorts above every neighbor of any other node
 			u := nonNeighbor(t, nw, w)
-			nw.real.AddEdge(u, w)
+			nw.Graph().AddEdge(u, w)
 			return []NodeID{u, w}
 		}},
 		{"missing-edge-above-run", false, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
@@ -222,24 +222,24 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 				if v == u {
 					return false
 				}
-				for _, w := range nw.real.Neighbors(u) {
+				for _, w := range nw.Graph().Neighbors(u) {
 					if w > v && w != u {
 						return false
 					}
 				}
 				return true
 			})
-			nw.real.RemoveEdgeMult(u, v, nw.real.Multiplicity(u, v))
+			nw.Graph().RemoveEdgeMult(u, v, nw.Graph().Multiplicity(u, v))
 			return []NodeID{u, v}
 		}},
 		{"unexpected-self-loop", false, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
-			u := nodeWith(t, nw, func(u NodeID) bool { return nw.real.Multiplicity(u, u) == 0 })
-			nw.real.AddEdge(u, u)
+			u := nodeWith(t, nw, func(u NodeID) bool { return nw.Graph().Multiplicity(u, u) == 0 })
+			nw.Graph().AddEdge(u, u)
 			return []NodeID{u}
 		}},
 		{"expected-self-loop-removed", false, "multiplicity", func(t *testing.T, nw *Network) []NodeID {
-			u := nodeWith(t, nw, func(u NodeID) bool { return nw.real.Multiplicity(u, u) > 0 })
-			nw.real.RemoveEdge(u, u)
+			u := nodeWith(t, nw, func(u NodeID) bool { return nw.Graph().Multiplicity(u, u) > 0 })
+			nw.Graph().RemoveEdge(u, u)
 			return []NodeID{u}
 		}},
 		{"pending-edge-removed", true, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
@@ -248,7 +248,7 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 				for _, x := range nw.st.setAt(nw.st.slot(u), false) {
 					for _, pe := range s.pending[x] {
 						if w := s.newSimOf[pe.src]; w != u {
-							if !nw.real.RemoveEdge(u, w) {
+							if !nw.Graph().RemoveEdge(u, w) {
 								t.Fatalf("pending edge {%d,%d} is not a real edge", u, w)
 							}
 							return []NodeID{u, w}
@@ -276,10 +276,10 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 			// per-neighbor multiplicities tell.
 			var w NodeID
 			u, v := edgeWith(t, nw, func(u, v NodeID) bool {
-				if v == u || nw.real.Multiplicity(u, v) < 2 {
+				if v == u || nw.Graph().Multiplicity(u, v) < 2 {
 					return false
 				}
-				for _, x := range nw.real.Neighbors(u) {
+				for _, x := range nw.Graph().Neighbors(u) {
 					if x != u && x != v {
 						w = x
 						return true
@@ -287,15 +287,15 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 				}
 				return false
 			})
-			nw.real.RemoveEdge(u, v)
-			nw.real.AddEdge(u, w)
+			nw.Graph().RemoveEdge(u, v)
+			nw.Graph().AddEdge(u, w)
 			return []NodeID{u, v, w}
 		}},
 		{"self-loop-cell-removed", false, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
 			// The whole self cell goes, not one unit of it: the non-self
 			// cells still account for the whole expected row.
-			u := nodeWith(t, nw, func(u NodeID) bool { return nw.real.Multiplicity(u, u) >= 2 })
-			nw.real.RemoveEdgeMult(u, u, nw.real.Multiplicity(u, u))
+			u := nodeWith(t, nw, func(u NodeID) bool { return nw.Graph().Multiplicity(u, u) >= 2 })
+			nw.Graph().RemoveEdgeMult(u, u, nw.Graph().Multiplicity(u, u))
 			return []NodeID{u}
 		}},
 		{"mirror-slot-of-another-node", false, "missing from sampling mirror", func(t *testing.T, nw *Network) []NodeID {
@@ -306,8 +306,8 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 		}},
 		{"mirror-slot-free", false, "missing from sampling mirror", func(t *testing.T, nw *Network) []NodeID {
 			free := int32(-1)
-			for s := int32(0); s < int32(nw.real.Slots()); s++ {
-				if _, ok := nw.real.NodeAt(s); !ok {
+			for s := int32(0); s < int32(nw.Graph().Slots()); s++ {
+				if _, ok := nw.Graph().NodeAt(s); !ok {
 					free = s
 					break
 				}
@@ -335,6 +335,7 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 				nw = mustNew(t, 64, DefaultConfig())
 				churnQuiet(t, nw, 100)
 			}
+			nw.Graph() // a kept view holds the rows the node checks compare
 			if err := checkEveryNode(nw); err != nil {
 				t.Fatalf("healthy network fails the node check: %v", err)
 			}
@@ -373,11 +374,12 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 }
 
 // TestRowMatchTakesFastPath runs wantRow and the sort-free row match
-// on every live node of three healthy networks: a churned Staggered
-// one, one paused mid-rebuild (NewSim holdings and pending intermediate
-// edges in the rows), and a Simplified one just past a one-step
-// rebuild. Every node must match, so no check of a healthy network
-// reaches rowMismatch, the sorting path.
+// on every live node of three healthy networks, their views
+// materialized: a churned Staggered one, one paused mid-rebuild (NewSim
+// holdings and pending intermediate edges in the rows), and a
+// Simplified one just past a one-step rebuild. Every node must match,
+// so no check of a healthy network reaches rowMismatch, the sorting
+// path.
 func TestRowMatchTakesFastPath(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -393,6 +395,7 @@ func TestRowMatchTakesFastPath(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nw := tc.nw(t)
+			nw.Graph()
 			for _, e := range nw.st.nodeList {
 				row, loops, same := nw.wantRow(e.id, e.slot)
 				if same%2 != 0 {
@@ -453,7 +456,7 @@ func nodeWith(t *testing.T, nw *Network, ok func(u NodeID) bool) NodeID {
 func edgeWith(t *testing.T, nw *Network, ok func(u, v NodeID) bool) (NodeID, NodeID) {
 	t.Helper()
 	for _, u := range nw.Nodes() {
-		for _, v := range nw.real.Neighbors(u) {
+		for _, v := range nw.Graph().Neighbors(u) {
 			if ok(u, v) {
 				return u, v
 			}
@@ -467,5 +470,5 @@ func edgeWith(t *testing.T, nw *Network, ok func(u, v NodeID) bool) (NodeID, Nod
 // to w.
 func nonNeighbor(t *testing.T, nw *Network, w NodeID) NodeID {
 	t.Helper()
-	return nodeWith(t, nw, func(u NodeID) bool { return u != w && nw.real.Multiplicity(u, w) == 0 })
+	return nodeWith(t, nw, func(u NodeID) bool { return u != w && nw.Graph().Multiplicity(u, w) == 0 })
 }

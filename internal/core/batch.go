@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/graph"
+)
 
 // This file implements Section 5: handling multiple insertions/deletions
 // per adversarial step (Corollary 2). The adversary may insert or delete
@@ -77,10 +81,12 @@ func (nw *Network) insertOneOfBatch(s InsertSpec, attachSlot int32) {
 	nw.setLoadAt(s.ID, idSlot, 0, true)
 	nw.rebuiltReal = false
 	nw.addRealEdgeAt(s.ID, idSlot, s.Attach, attachSlot)
+	nw.tmp = tempEdge{a: s.ID, b: s.Attach, sa: idSlot, sb: attachSlot, on: true}
 	nw.recoverInsert(s.ID, s.Attach, idSlot, attachSlot)
 	if !nw.rebuiltReal {
-		nw.removeRealEdgeAt(s.ID, idSlot, s.Attach)
+		nw.removeRealEdgeAt(s.ID, idSlot, s.Attach, attachSlot)
 	}
+	nw.tmp.on = false // a one-step rebuild's rewire dropped it already
 }
 
 // DeleteBatch performs one adversarial step deleting all ids at once,
@@ -105,13 +111,15 @@ func (nw *Network) DeleteBatch(ids []NodeID) error {
 		return ErrTooSmall
 	}
 	// The adversary may only delete node sets whose removal leaves the
-	// graph connected with a surviving neighbor per victim.
-	if !nw.remainderConnected(ids, victim) {
+	// graph connected with a surviving neighbor per victim. Both checks
+	// read the overlay view.
+	g := nw.view()
+	if !nw.remainderConnected(g, ids, victim) {
 		return fmt.Errorf("core: batch deletion would disconnect the network")
 	}
 	for _, id := range ids {
 		hasSurvivor := false
-		for _, v := range nw.real.Neighbors(id) {
+		for _, v := range g.Neighbors(id) {
 			if v != id && !victim[v] {
 				hasSurvivor = true
 				break
@@ -126,14 +134,7 @@ func (nw *Network) DeleteBatch(ids []NodeID) error {
 	for _, id := range ids {
 		// Adoption by the smallest surviving non-victim neighbor.
 		sid := nw.st.slot(id)
-		v, sv := NodeID(-1), int32(-1)
-		nw.real.ForEachNeighborAt(sid, func(nb NodeID, ns int32, _ int) bool {
-			if nb != id && !victim[nb] {
-				v, sv = nb, ns
-				return false
-			}
-			return true
-		})
+		v, sv := nw.smallestNeighbor(id, sid, victim)
 		if v < 0 {
 			// All direct neighbors were already deleted this batch; the
 			// vertices were adopted along: pick any live node adjacent in
@@ -148,6 +149,7 @@ func (nw *Network) DeleteBatch(ids []NodeID) error {
 			nw.moveHolding(h, id, sid, v, sv)
 		}
 		nw.dropLoadEntry(sid)
+		nw.dropCached(sid)
 		nw.st.removeNode(id, sid)
 		if coordLost {
 			nw.step.Messages += 2
@@ -165,13 +167,13 @@ func (nw *Network) DeleteBatch(ids []NodeID) error {
 	return nil
 }
 
-// remainderConnected reports whether the overlay stays connected once
+// remainderConnected reports whether the overlay g stays connected once
 // the distinct live nodes ids (the set victim) are removed. It runs a
-// BFS in place over the live overlay from a surviving node, never
-// entering a victim, on slot-indexed scratch the network keeps; the
-// remainder is connected iff the BFS reaches every survivor.
-func (nw *Network) remainderConnected(ids []NodeID, victim map[NodeID]bool) bool {
-	n := nw.real.Slots()
+// BFS in place over g from a surviving node, never entering a victim,
+// on slot-indexed scratch the network keeps; the remainder is connected
+// iff the BFS reaches every survivor.
+func (nw *Network) remainderConnected(g *graph.Graph, ids []NodeID, victim map[NodeID]bool) bool {
+	n := g.Slots()
 	if len(nw.bfsSeen) < n {
 		nw.bfsSeen = make([]bool, n)
 	}
@@ -189,7 +191,7 @@ func (nw *Network) remainderConnected(ids []NodeID, victim map[NodeID]bool) bool
 		}
 	}
 	for i := 0; i < len(queue); i++ {
-		nw.real.ForEachNeighborAt(queue[i], func(_ NodeID, vs int32, _ int) bool {
+		g.ForEachNeighborAt(queue[i], func(_ NodeID, vs int32, _ int) bool {
 			if !seen[vs] {
 				seen[vs] = true
 				queue = append(queue, vs)

@@ -1,13 +1,43 @@
 package core
 
 import (
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
+	"runtime/pprof"
 	"testing"
 
 	"repro/internal/wire"
 )
+
+// churnProfile names the file BenchmarkChurnAudit writes a CPU profile
+// of its timed loop to (make profile-churn): pprof starts after the
+// network is built and stops when the loop ends, so the profile shows
+// the churn window only, where -cpuprofile would include set-up.
+var churnProfile = flag.String("churnprofile", "", "write a CPU profile of BenchmarkChurnAudit's timed loop to this file")
+
+// profileWindow starts the -churnprofile CPU profile, when one is asked
+// for, and returns the function that stops it.
+func profileWindow(b *testing.B) func() {
+	if *churnProfile == "" {
+		return func() {}
+	}
+	f, err := os.Create(*churnProfile)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		b.Fatal(err)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // This file is the bench-core tier: the engine-state benchmark and
 // allocation-regression gates for the slot-indexed store, the per-op
@@ -123,7 +153,8 @@ func joinedEngine(tb testing.TB, n, pairs int) *Network {
 // the engine's random source, so both rows run the same operations on
 // the same network, and the gap between off and sampled is the audit's
 // cost per pair. Neither row allocates per op (the ZeroAllocs gates
-// below pin both paths). Run via `make bench-core`.
+// below pin both paths). Run via `make bench-core`; `make profile-churn`
+// profiles the off row's timed loop through -churnprofile.
 func BenchmarkChurnAudit(b *testing.B) {
 	for _, mode := range []AuditMode{AuditOff, AuditSampled} {
 		for _, size := range []int{100000} {
@@ -151,9 +182,11 @@ func BenchmarkChurnAudit(b *testing.B) {
 				runtime.GC()
 				b.ReportAllocs()
 				b.ResetTimer()
+				stop := profileWindow(b)
 				for i := 0; i < b.N; i++ {
 					pair()
 				}
+				stop()
 			})
 		}
 	}
@@ -242,7 +275,7 @@ func BenchmarkRestoreNetwork(b *testing.B) {
 // the recovery path: at steady state (no type-2 rebuild in the
 // window), a delete+insert pair must not allocate — walks, vertex-set
 // moves, load updates, dirty tracking, and capped-history append all
-// run in recycled storage. The window is placed between rebuilds by
+// run in recycled storage, without a view and then with one kept. The window is placed between rebuilds by
 // construction: theta*n steps separate triggers at this size, far
 // more than the samples consumed.
 func TestRecoveryOpZeroAllocsSteadyState(t *testing.T) {
@@ -260,16 +293,25 @@ func TestRecoveryOpZeroAllocsSteadyState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	allocs := testing.AllocsPerRun(400, func() {
+	pair := func() {
 		if err := nw.Delete(nw.SampleNode(rng)); err != nil {
 			t.Fatal(err)
 		}
 		if err := nw.Insert(nw.FreshID(), nw.SampleNode(rng)); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
+	}
+	if allocs := testing.AllocsPerRun(400, pair); allocs != 0 {
 		t.Fatalf("steady-state delete+insert allocates %.2f per pair, want 0", allocs)
+	}
+	// Once observed, the view is kept: each step's netted log is applied
+	// to it, in recycled storage too.
+	nw.Graph()
+	for i := 0; i < 256; i++ {
+		pair()
+	}
+	if allocs := testing.AllocsPerRun(400, pair); allocs != 0 {
+		t.Fatalf("steady-state delete+insert with a kept view allocates %.2f per pair, want 0", allocs)
 	}
 }
 
@@ -285,6 +327,7 @@ func TestAuditSampledZeroAllocs(t *testing.T) {
 	}
 	t.Run("steady", func(t *testing.T) {
 		nw := steadyEngine(t, 4096)
+		nw.Graph() // the row checks run against a kept view
 		rng := rand.New(rand.NewSource(29))
 		triple := func() {
 			if err := nw.Delete(nw.SampleNode(rng)); err != nil {
@@ -306,6 +349,7 @@ func TestAuditSampledZeroAllocs(t *testing.T) {
 	})
 	t.Run("staggered-mid-rebuild", func(t *testing.T) {
 		nw := midRebuildEngine(t)
+		nw.Graph()
 		audit := func() {
 			if err := nw.Audit(AuditSampled); err != nil {
 				t.Fatal(err)

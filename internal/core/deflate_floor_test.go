@@ -55,13 +55,13 @@ func deepCrash(t *testing.T, nw *Network, seed int64, check func(*Network) error
 // relaxedCrashCheck is the zeta=2 gate: structural exactness without
 // the 4*zeta steady-state load bound (see the file comment).
 func relaxedCrashCheck(nw *Network) error {
-	if err := nw.real.Validate(); err != nil {
+	if err := nw.Graph().Validate(); err != nil {
 		return err
 	}
 	if err := graphsEqual(nw.real, nw.expectedRealGraph()); err != nil {
 		return fmt.Errorf("contraction diverged: %w", err)
 	}
-	if !nw.real.Connected() {
+	if !nw.Graph().Connected() {
 		return fmt.Errorf("overlay disconnected at n=%d", nw.Size())
 	}
 	for _, e := range nw.st.nodeList {

@@ -15,19 +15,29 @@ import (
 // in README.md: the direct token walk the maintainer uses for type-1
 // recovery behaves identically - same endpoint, same hit flag, same step
 // count (= messages = rounds) - to the goroutine message-passing
-// execution on the live DEX overlay graph.
+// execution on the DEX overlay graph. The maintainer's walks hop over
+// rows derived from the mapping (hopRows); they are taken here before
+// anything observes the overlay, so every hop is derived, and the
+// message-passing walk then runs over the materialized view.
 func TestWalkFastPathMatchesEngineOnOverlay(t *testing.T) {
 	nw := mustNew(t, 24, DefaultConfig())
 	churnQuiet(t, nw, 60)
-	g := nw.Graph()
 	stop := func(u graph.NodeID, _ int32) bool { return nw.Load(u) >= 2 }
 	start := nw.Nodes()[0]
+	derived := make([]congest.WalkResult, 31)
+	for seed := uint64(1); seed <= 30; seed++ {
+		derived[seed] = congest.RandomWalkDirectAt(hopRows{nw}, start, nw.st.slot(start), -1, nw.walkLen(), seed, stop)
+	}
+	if nw.viewKept {
+		t.Fatal("the derived walks materialized the view")
+	}
+	g := nw.Graph()
 	for seed := uint64(1); seed <= 30; seed++ {
 		d := congest.RandomWalkDirect(g, start, -1, nw.walkLen(), seed, stop)
 		e := congest.NewEngine(g)
 		w := congest.RandomWalkEngine(e, start, -1, nw.walkLen(), seed, stop)
-		if d != w {
-			t.Fatalf("seed %d: direct %+v vs engine %+v", seed, d, w)
+		if d != w || derived[seed] != w {
+			t.Fatalf("seed %d: direct %+v, derived %+v vs engine %+v", seed, d, derived[seed], w)
 		}
 	}
 }
@@ -91,7 +101,7 @@ func TestFloodMatchesCounters(t *testing.T) {
 	}
 	zeta := sn.cfg.Zeta
 	for _, u := range sn.Nodes() {
-		s, _ := sn.real.SlotOf(u)
+		s, _ := sn.Graph().SlotOf(u)
 		for _, fl := range []struct {
 			name  string
 			count func(NodeID, int32) bool
@@ -101,8 +111,8 @@ func TestFloodMatchesCounters(t *testing.T) {
 			{"computeSpare", spare, func(v NodeID) int64 { return b2i(v != newborn && sn.Load(v) >= 2) }, wantSpare},
 			{"computeLow", sn.steadyLowStop, func(v NodeID) int64 { return b2i(sn.Load(v) <= 2*zeta) }, sn.LowCount()},
 		} {
-			direct := sn.flood.AggregateAt(sn.real, u, s, fl.count)
-			engine := congest.FloodAggregateEngine(congest.NewEngine(sn.real), u, fl.value)
+			direct := sn.flood.AggregateAt(sn.Graph(), u, s, fl.count)
+			engine := congest.FloodAggregateEngine(congest.NewEngine(sn.Graph()), u, fl.value)
 			if direct != engine {
 				t.Fatalf("%s from %d: direct %+v != engine %+v", fl.name, u, direct, engine)
 			}
@@ -144,13 +154,20 @@ func churnQuiet(t testing.TB, nw *Network, steps int) {
 // helpers below are the reusable oracle: the fuzz target, the randomized
 // trace tests, and the scale tests all drive churn through them.
 
-// checkDifferentialState compares the incrementally maintained real
-// graph against the full-rebuild oracle and runs the sampled audit (the
-// o(n) tier must agree with the ground truth whenever the state is
-// healthy).
+// checkDifferentialState compares the overlay against the full-rebuild
+// oracle and runs the sampled audit (the o(n) tier must agree with the
+// ground truth whenever the state is healthy). A kept view must equal
+// the rebuild; without one, every node's derived reads must read the
+// rebuild's runs (checkDerivedReads, two hop words per exclusion).
+// Neither materializes the view.
 func checkDifferentialState(nw *Network) error {
-	if err := graphsEqual(nw.real, nw.expectedRealGraph()); err != nil {
-		return fmt.Errorf("incremental real graph diverged from full rebuild: %w", err)
+	want := nw.expectedRealGraph()
+	if nw.viewKept {
+		if err := graphsEqual(nw.real, want); err != nil {
+			return fmt.Errorf("incremental real graph diverged from full rebuild: %w", err)
+		}
+	} else if err := checkDerivedReads(nw, want, 2); err != nil {
+		return fmt.Errorf("derived reads diverged from full rebuild: %w", err)
 	}
 	if err := nw.Audit(AuditSampled); err != nil {
 		return fmt.Errorf("sampled audit disagrees with healthy state: %w", err)
@@ -215,32 +232,48 @@ func TestDifferentialChurnTraces(t *testing.T) {
 	for _, mode := range []RecoveryMode{Staggered, Simplified} {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%v/seed=%d", mode, seed), func(t *testing.T) {
-				cfg := DefaultConfig()
-				cfg.Mode = mode
-				cfg.Seed = seed
-				nw := mustNew(t, 12, cfg)
-				rng := rand.New(rand.NewSource(seed * 101))
-				for i := 0; i < 300; i++ {
-					if err := traceStep(nw, rng); err != nil {
-						t.Fatalf("op %d: %v", i, err)
-					}
-					if err := checkDifferentialState(nw); err != nil {
-						t.Fatalf("op %d (%s): %v", i, nw.RebuildDebug(), err)
-					}
-					if i%10 == 0 {
-						if err := checkEveryNode(nw); err != nil {
-							t.Fatalf("op %d (%s): %v", i, nw.RebuildDebug(), err)
-						}
-						if err := nw.CheckInvariants(); err != nil {
-							t.Fatalf("op %d: %v", i, err)
-						}
-					}
-				}
-				if err := nw.CheckInvariants(); err != nil {
-					t.Fatal(err)
+				// Observed: the view is kept from construction. Halfway:
+				// nothing observes the first half (derived reads are
+				// checked there), then the view is materialized.
+				for _, observeAt := range []int{0, 150} {
+					differentialTrace(t, mode, seed, observeAt)
 				}
 			})
 		}
+	}
+}
+
+// differentialTrace runs TestDifferentialChurnTraces' 300-op trace
+// under the differential oracle, materializing the view before op
+// observeAt.
+func differentialTrace(t *testing.T, mode RecoveryMode, seed int64, observeAt int) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Mode = mode
+	cfg.Seed = seed
+	nw := mustNew(t, 12, cfg)
+	rng := rand.New(rand.NewSource(seed * 101))
+	for i := 0; i < 300; i++ {
+		if i == observeAt {
+			nw.Graph()
+		}
+		if err := traceStep(nw, rng); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+		if err := checkDifferentialState(nw); err != nil {
+			t.Fatalf("op %d (%s): %v", i, nw.RebuildDebug(), err)
+		}
+		if i%10 == 0 {
+			if err := checkEveryNode(nw); err != nil {
+				t.Fatalf("op %d (%s): %v", i, nw.RebuildDebug(), err)
+			}
+			if err := nw.CheckInvariants(); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+		}
+	}
+	if err := nw.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -318,7 +351,7 @@ func equalEngineState(t *testing.T, tag string, a, b *Network) {
 	if !reflect.DeepEqual(a.st.simSnapshot(), b.st.simSnapshot()) {
 		t.Fatalf("%s: vertex sets diverged", tag)
 	}
-	if !reflect.DeepEqual(a.real.Edges(), b.real.Edges()) {
+	if !reflect.DeepEqual(a.Graph().Edges(), b.Graph().Edges()) {
 		t.Fatalf("%s: overlay edge multisets diverged", tag)
 	}
 	if !reflect.DeepEqual(a.History(), b.History()) {

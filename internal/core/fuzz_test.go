@@ -66,8 +66,12 @@ func (b *biasedSource) Seed(int64)   {}
 // audit must stay silent, and the exhaustive CheckInvariants must
 // hold. Setting bit 1 of the second header byte swaps the engine's
 // random source for the biasedSource above, so the fuzzer also steers
-// the walk seeds themselves (the ROADMAP's adversarial-RNG tier). Run
-// it with `make fuzz` or
+// the walk seeds themselves (the ROADMAP's adversarial-RNG tier). Bit 7
+// of the first header byte chooses when the overlay view is observed:
+// set, from construction; clear, only halfway through the trace, so the
+// first half runs on derived reads (until a Simplified flood or a
+// DeleteBatch observes it earlier), which the oracle checks against the
+// rebuild instead. Run it with `make fuzz` or
 //
 //	go test ./internal/core -run '^$' -fuzz FuzzChurnTrace
 //
@@ -181,7 +185,14 @@ func FuzzChurnTrace(f *testing.F) {
 		if data[1]&2 != 0 && len(ops) > 280 {
 			ops = ops[:280] // adversarial ops are far more expensive each
 		}
+		observeAt := len(ops) / 2
+		if data[0]&0x80 != 0 {
+			observeAt = 0
+		}
 		for i := 0; i+1 < len(ops); i += 2 {
+			if i == observeAt&^1 {
+				nw.Graph()
+			}
 			applyTraceOp(t, nw, ops[i], ops[i+1])
 			// The exhaustive oracle is O(p) per check; checking every
 			// operation is affordable while the network is small (where

@@ -11,9 +11,11 @@ import (
 // guarantees. It is O(p + E) and intended for tests and the harness's
 // audit mode, not for per-step production use.
 //
-// Checked invariants:
+// Checked invariants (the view is the overlay's kept adjacency, see
+// Graph; checking never materializes it):
 //
-//	(I1) the real graph's internal adjacency is consistent;
+//	(I1) the overlay's slot table and, when a view is kept, its
+//	     adjacency are internally consistent;
 //	(I2) Phi is a function onto the node set: simOf and the per-node Sim
 //	     sets agree, and every node simulates >= 1 vertex (Definition 2);
 //	(I3) loads: load(u) = |Sim(u)| (+ new holdings during staggering),
@@ -21,8 +23,10 @@ import (
 //	     staggered rebuild (Lemma 9(a));
 //	(I4) the real graph is exactly the contraction of the current virtual
 //	     structure under Phi - including, mid-rebuild, the partial new
-//	     cycle and its intermediate edges;
-//	(I5) the real graph is connected;
+//	     cycle and its intermediate edges: the view equals it when kept,
+//	     and the edge count equals its edge count either way;
+//	(I5) the real graph is connected (the view when kept, else the
+//	     contraction it is derived from);
 //	(I6) the coordinator's |Spare| and |Low| counters match a recount;
 //	(I7) p is prime and p >= n (surjectivity requires it);
 //	(I8) staggering bookkeeping (effNew, unprocOld, pending) is coherent.
@@ -107,12 +111,19 @@ func (nw *Network) checkInvariants(enforceLoadBounds bool) error {
 
 	// (I4) real graph = contraction of the virtual structure.
 	want := nw.expectedRealGraph()
-	if err := graphsEqual(nw.real, want); err != nil {
-		return fmt.Errorf("I4: %w", err)
+	if nw.edges != want.NumEdges() {
+		return fmt.Errorf("I4: edge count %d, contraction has %d", nw.edges, want.NumEdges())
+	}
+	overlay := want
+	if nw.viewKept {
+		if err := graphsEqual(nw.real, want); err != nil {
+			return fmt.Errorf("I4: %w", err)
+		}
+		overlay = nw.real
 	}
 
 	// (I5) connectivity.
-	if !nw.real.Connected() {
+	if !overlay.Connected() {
 		return fmt.Errorf("I5: real graph disconnected (n=%d)", nw.Size())
 	}
 
@@ -214,7 +225,10 @@ const (
 // mode. AuditFull is CheckInvariants; AuditSampled checks the nodes
 // dirtied by the most recent operation (up to auditDirtyCap of them)
 // plus auditSampleSize random nodes, using its own random source so the
-// recovery algorithm's coin flips are untouched.
+// recovery algorithm's coin flips are untouched. A node check compares
+// the node's view row with its contraction row only while a view is
+// kept; without one there is no stored row to compare, and the check
+// keeps its mapping-side part (see checkNodeAt).
 //
 // A sampled audit first gathers its whole check list — the live dirty
 // nodes in dirtyList order, then every sampled mirror entry, which
@@ -272,6 +286,10 @@ func (nw *Network) Audit(mode AuditMode) error {
 //     run;
 //  2. simOf[inv[x]], the far end of each chord wantRow follows.
 //
+// Without a view the checks read neither the arena nor wantRow's chord
+// ends, so only level 1's row, mirror cell, Sim run and simOf[x] are
+// touched.
+//
 // Touching only the rows and graph records, as a level of its own,
 // does not pay now that one row holds all of a node's hot fields:
 // without it durable-full's insert p50 read 10.03 against 10.01 µs
@@ -286,13 +304,19 @@ func (nw *Network) Audit(mode AuditMode) error {
 //
 //dexvet:noalloc
 func (nw *Network) warmAudit(list []mirrorEntry) {
-	st, sink := &nw.st, 0
+	st, sink, rows := &nw.st, 0, nw.viewKept
 	for _, e := range list {
 		if uint(e.slot) >= uint(len(st.rows)) {
 			continue
 		}
 		if i := st.rows[e.slot].pos; i >= 0 && int(i) < len(st.nodeList) {
 			sink += int(st.nodeList[i].slot)
+		}
+		if !rows {
+			for _, x := range st.setAt(e.slot, false) {
+				sink += int(nw.simOf[x])
+			}
+			continue
 		}
 		for _, x := range st.setAt(e.slot, false) {
 			sink += int(nw.simOf[x]) + int(nw.z.Inv(x))
@@ -301,6 +325,10 @@ func (nw *Network) warmAudit(list []mirrorEntry) {
 			sink += int(v)
 			return false
 		})
+	}
+	if !rows {
+		nw.warmSink = sink
+		return
 	}
 	stag := nw.stag
 	for _, e := range list {
@@ -319,8 +347,10 @@ func (nw *Network) warmAudit(list []mirrorEntry) {
 // CheckNode verifies every node-local invariant at u: mapping coherence
 // (I2), load accounting and bounds (I3), the contraction row — u's real
 // edges must equal the contraction of the virtual structure restricted
-// to u (I4, node-locally), stagger bookkeeping (I8), and the sampling
-// mirror. It costs O(load(u)) = O(zeta), independent of n and p.
+// to u (I4, node-locally; checked while a view is kept, since otherwise
+// the overlay is that contraction by construction and has no stored row),
+// stagger bookkeeping (I8), and the sampling mirror. It costs
+// O(load(u)) = O(zeta), independent of n and p.
 func (nw *Network) CheckNode(u NodeID) error {
 	su, ok := nw.real.SlotOf(u)
 	if !ok {
@@ -380,6 +410,9 @@ func (nw *Network) checkNodeAt(u NodeID, su int32) error {
 	}
 	if want > maxLoad {
 		return auditErrorf("audit: load(%d) = %d exceeds bound %d", int64(u), int64(want), int64(maxLoad))
+	}
+	if !nw.viewKept {
+		return nil
 	}
 	row, loops, same := nw.wantRow(u, su)
 	if same%2 != 0 {
@@ -499,15 +532,18 @@ func auditErrorf(format string, args ...int64) error {
 //
 //dexvet:noalloc
 func (nw *Network) wantRow(u NodeID, su int32) (row []NodeID, loops, same int) {
+	return nw.gatherRow(u, su, false)
+}
+
+// gatherRow is wantRow, and with slots set it also fills nw.rowSlots in
+// step with row: the far node's slot where the mapping holds it
+// (simSlot, for the current cycle's edges), -1 where it does not (the
+// new cycle's, mid-rebuild).
+//
+//dexvet:noalloc
+func (nw *Network) gatherRow(u NodeID, su int32, slots bool) (row []NodeID, loops, same int) {
 	s := nw.stag
-	row = nw.auditRow[:0]
-	far := func(v NodeID) {
-		if v == u {
-			same++
-		} else {
-			row = append(row, v)
-		}
-	}
+	row, rs := nw.auditRow[:0], nw.rowSlots[:0]
 	for _, x := range nw.st.setAt(su, false) {
 		for _, t := range nw.z.NeighborSlots(x) {
 			if t == x {
@@ -517,10 +553,24 @@ func (nw *Network) wantRow(u NodeID, su int32) (row []NodeID, loops, same int) {
 			if s != nil && s.droppedFlag[t] {
 				continue
 			}
-			far(nw.simOf[t])
+			if v := nw.simOf[t]; v == u {
+				same++
+			} else {
+				row = append(row, v)
+				if slots {
+					rs = append(rs, nw.simSlot[t])
+				}
+			}
 		}
 	}
 	if s != nil {
+		far := func(v NodeID) {
+			if v == u {
+				same++
+			} else {
+				row = append(row, v)
+			}
+		}
 		for _, y := range nw.st.setAt(su, true) {
 			far(nw.newEdgeEnd(s.zNew.Succ(y))) // successor edge, owned by y
 			if yp := s.zNew.Pred(y); s.newSimOf[yp] >= 0 {
@@ -537,12 +587,18 @@ func (nw *Network) wantRow(u NodeID, su int32) (row []NodeID, loops, same int) {
 			}
 		}
 		for _, x := range nw.st.setAt(su, false) {
+			if s.processedFlag[x] {
+				continue // pending edges are keyed by unprocessed vertices (I8)
+			}
 			for _, pe := range s.pending[x] {
 				far(s.newSimOf[pe.src]) // intermediate edges anchored at u
 			}
 		}
+		for slots && len(rs) < len(row) {
+			rs = append(rs, -1) // a new-cycle end: its slot is not in simSlot
+		}
 	}
-	nw.auditRow = row
+	nw.auditRow, nw.rowSlots = row, rs
 	return row, loops, same
 }
 

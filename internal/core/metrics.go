@@ -136,9 +136,14 @@ func (nw *Network) beginStep(op OpKind, target NodeID) {
 	nw.step = StepMetrics{Step: nw.totals.Steps + 1, Op: op, Target: target}
 	nw.rebuiltReal = false
 	// Both per-step scratch sets reset in O(1): dirty tracking by a
-	// generation bump, the edge log by truncation.
+	// generation bump, the edge log by truncation. The coordinator's
+	// cached degree is stamped with a generation, so it goes when the
+	// generations wrap.
 	nw.st.resetDirty()
-	nw.resetEdgeLog()
+	if nw.st.dirtyGen == 1 {
+		nw.coord = coordCache{}
+	}
+	nw.edgeLog = resetLog(nw.edgeLog)
 }
 
 func (nw *Network) endStep() StepMetrics {
@@ -147,6 +152,7 @@ func (nw *Network) endStep() StepMetrics {
 	nw.step.StaggerActive = nw.stag != nil || nw.step.StaggerFinished
 	nw.totals.absorb(nw.step)
 	nw.appendHistory(nw.step)
+	nw.steerView()
 	nw.flushEdgeDeltas()
 	return nw.step
 }

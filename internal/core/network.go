@@ -33,10 +33,9 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -117,7 +116,31 @@ type Network struct {
 
 	z     *pcycle.Cycle // current virtual graph Z(p)
 	simOf []NodeID      // Phi: vertex -> simulating node
-	real  *graph.Graph  // the overlay graph G_t (contraction of Z under Phi)
+	// simSlot[x] is the slot of simOf[x] for every vertex a phase-2
+	// rebuild has not dropped, so derived rows and vertex moves reach a
+	// far node's slot without resolving its id. Only reads without a
+	// view need it: a view's materialization releases it, and dropping
+	// the view resolves it again.
+	simSlot []int32
+
+	// real is the overlay G_t: its slot table always, its adjacency a
+	// view of the contraction kept while observed or while derived rows
+	// are long (see view.go). viewKept says the view is kept, observed
+	// that something has observed it. edges counts the overlay's edges
+	// (a self-loop once) whether or not a view is kept, and tmp is the
+	// insert's temporary attach edge while it exists.
+	real       *graph.Graph
+	viewKept   bool
+	viewEdited bool // edited since Graph last compacted it
+	observed   bool
+	edges      int
+	tmp        tempEdge
+	coord      coordCache // the coordinator's distinct degree (coordDegree)
+	// cached holds two nodes' rows as cells (rowCache): the adopter a
+	// delete's redistribution walks all leave from (pinned, -1 outside
+	// that loop) and one other node.
+	cached [2]rowCache
+	pinned int32
 
 	// st holds every per-node table — loads, Sim/NewSim vertex sets,
 	// dirty tracking, the O(1) sampling mirror, and the staggering
@@ -138,21 +161,21 @@ type Network struct {
 	totals      Totals
 	rebuiltReal bool // set when a one-step type-2 rebuild rewired nw.real
 
-	// edgeLog records the step's real-edge changes, one entry per raw
-	// mutation, while an edge observer is registered; flushEdgeDeltas
-	// nets it into the step's diff at the end of each step.
-	edgeLog      []graph.EdgeDelta
+	// edgeLog records the step's overlay changes, one entry per change,
+	// while an edge observer is registered; flushEdgeDeltas nets it into
+	// the step's diff at the end of each step.
+	edgeLog      []graph.EdgeChange
 	edgeObserver func(step int, deltas []graph.EdgeDelta)
 
 	// auditRng drives sampled audits; it is separate from rng so auditing
 	// never perturbs the recovery algorithm's random choices. auditRow is
-	// wantRow's reused expected-row buffer; auditList holds a sampled
-	// audit's check list of (node, slot) pairs, gathered before warmAudit
-	// runs. warmSink is the one field the warm passes (warmAudit,
-	// warmAdoption) write: it keeps the compiler from dropping their
-	// loads, and nothing reads it.
+	// the reused row buffer of wantRow and rowAt; auditList holds a
+	// sampled audit's check list of (node, slot) pairs, gathered before
+	// warmAudit runs. warmSink is the one field warmAudit writes: it keeps
+	// the compiler from dropping its loads, and nothing reads it.
 	auditRng  *rand.Rand
 	auditRow  []NodeID
+	rowSlots  []int32
 	auditList []mirrorEntry
 	warmSink  int
 
@@ -276,6 +299,7 @@ func NewWithMapping(p int64, owner []NodeID, cfg Config) (*Network, error) {
 		simOf: append([]NodeID(nil), owner...),
 	}
 	nw.initTracking()
+	nw.simSlot = make([]int32, p)
 	for x, u := range owner {
 		if u < 0 {
 			return nil, fmt.Errorf("%w: vertex %d mapped to %d", errNegativeID, x, u)
@@ -284,6 +308,7 @@ func NewWithMapping(p int64, owner []NodeID, cfg Config) (*Network, error) {
 		if !ok {
 			s = nw.st.addNode(u)
 		}
+		nw.simSlot[x] = s
 		nw.st.setAddAt(s, Vertex(x), false)
 		if u >= nw.nextID {
 			nw.nextID = u + 1
@@ -296,7 +321,12 @@ func NewWithMapping(p int64, owner []NodeID, cfg Config) (*Network, error) {
 		}
 		nw.setLoadAt(e.id, e.slot, l, true)
 	}
-	nw.applyRealDiff(nw.expectedRealGraph())
+	// No view yet: the overlay is counted, and its epoch advanced by one
+	// per distinct pair, as adding each pair in one call would advance it.
+	if err := nw.countOverlay(); err != nil {
+		return nil, err
+	}
+	nw.real.SetEpoch(nw.real.Epoch() + uint64(len(nw.overlayDeltas())))
 	nw.refreshDist0()
 	return nw, nil
 }
@@ -304,12 +334,14 @@ func NewWithMapping(p int64, owner []NodeID, cfg Config) (*Network, error) {
 // initTracking allocates the bookkeeping shared by both constructors:
 // the slot-indexed state store (O(1) node sampling, dirty-node
 // tracking, vertex sets) and the audit random source. nw.real is
-// assigned once here (and never replaced afterwards: rebuilds mutate it
-// in place via applyRealDiff, so references stay live) and the store's
-// rows grow and recycle with its slot table from here on.
+// assigned once here (and never replaced afterwards: its view is edited
+// in place, so references stay live) and the store's rows grow and
+// recycle with its slot table from here on.
 func (nw *Network) initTracking() {
 	nw.real = graph.New()
 	nw.st.init(nw.real, nw.cfg.Zeta)
+	nw.dropCached(-1)
+	nw.pinned = -1
 	nw.auditRng = rand.New(rand.NewSource(nw.cfg.Seed ^ 0x5eed_a0d1))
 	st := &nw.st
 	zeta := nw.cfg.Zeta
@@ -350,8 +382,21 @@ func (nw *Network) P() int64 { return nw.z.P() }
 // Cycle returns the current virtual graph (read-only).
 func (nw *Network) Cycle() *pcycle.Cycle { return nw.z }
 
-// Graph returns the live overlay graph. Treat as read-only.
-func (nw *Network) Graph() *graph.Graph { return nw.real }
+// Graph returns the overlay graph. Treat as read-only. The first call
+// materializes it from the mapping when no view is kept yet; from then
+// on it is kept, stays the same pointer, and changes with every edge
+// change, so it is current between steps and inside mid-step callbacks
+// alike. Each call returns the arena compacted (graph.Compact) when it
+// changed since, so its layout, and its Stats, do not depend on when it
+// was first observed.
+func (nw *Network) Graph() *graph.Graph {
+	g := nw.view()
+	if nw.viewEdited {
+		g.Compact()
+		nw.viewEdited = false
+	}
+	return g
+}
 
 // Nodes returns the current node ids in ascending order.
 func (nw *Network) Nodes() []NodeID { return nw.real.Nodes() }
@@ -426,84 +471,15 @@ func (nw *Network) SampleNode(r *rand.Rand) NodeID { return nw.st.sample(r).id }
 // SetEdgeObserver registers a callback receiving, once per step, the
 // step's net real-edge changes as a batched, deterministically sorted
 // diff (nil to clear). Only net changes are reported: an edge added and
-// removed within one step cancels out.
+// removed within one step cancels out. An observer also keeps the
+// overlay view (see Graph).
 //
 //dexvet:mutator
 func (nw *Network) SetEdgeObserver(f func(step int, deltas []graph.EdgeDelta)) {
 	nw.edgeObserver = f
-}
-
-// edgeLogRetainCap bounds the capacity the edge log keeps between
-// steps. A staggered step logs O(batch) entries, under a thousand in a
-// 4096-to-24096-node staggered run; a one-step rebuild logs O(n), and
-// keeping that spike's backing array would pin megabytes for the rest
-// of the run.
-const edgeLogRetainCap = 1 << 14
-
-// logEdge records a change of k in the multiplicity of edge {a,b}.
-func (nw *Network) logEdge(a, b NodeID, k int) {
-	if a > b {
-		a, b = b, a
+	if f != nil {
+		nw.view()
 	}
-	nw.edgeLog = append(nw.edgeLog, graph.EdgeDelta{U: a, V: b, Delta: k})
-}
-
-// resetEdgeLog empties the edge log, dropping a spike's capacity (see
-// edgeLogRetainCap).
-func (nw *Network) resetEdgeLog() {
-	if cap(nw.edgeLog) > edgeLogRetainCap {
-		nw.edgeLog = nil
-		return
-	}
-	nw.edgeLog = nw.edgeLog[:0]
-}
-
-// shortEdgeLog is the longest edge log flushEdgeDeltas insertion-sorts.
-// A steady-state step logs about 16 entries; slices.SortFunc's
-// comparator calls cost more than the few shifts such a log needs, and
-// the rare long logs (rebuild steps, O(n) entries) keep the O(n log n)
-// sort.
-const shortEdgeLog = 32
-
-// flushEdgeDeltas delivers the step's edge diff: the log sorted by
-// (U, V), each pair's changes summed, zero sums dropped. Entries of
-// one pair are summed, so the order among them is immaterial and the
-// diff does not depend on which sort ran.
-func (nw *Network) flushEdgeDeltas() {
-	log := nw.edgeLog
-	if nw.edgeObserver == nil || len(log) == 0 {
-		return
-	}
-	if len(log) <= shortEdgeLog {
-		for i := 1; i < len(log); i++ {
-			d, j := log[i], i
-			for ; j > 0 && (log[j-1].U > d.U || log[j-1].U == d.U && log[j-1].V > d.V); j-- {
-				log[j] = log[j-1]
-			}
-			log[j] = d
-		}
-	} else {
-		slices.SortFunc(log, func(a, b graph.EdgeDelta) int {
-			return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
-		})
-	}
-	n := 0
-	for i := 0; i < len(log); {
-		d := log[i]
-		for i++; i < len(log) && log[i].U == d.U && log[i].V == d.V; i++ {
-			d.Delta += log[i].Delta
-		}
-		if d.Delta != 0 {
-			log[n] = d
-			n++
-		}
-	}
-	nw.resetEdgeLog()
-	if n == 0 {
-		return
-	}
-	// Subscribers may keep the batch, so it must not alias the log.
-	nw.edgeObserver(nw.step.Step, slices.Clone(log[:n]))
 }
 
 // MaxLoad returns the maximum total load over all nodes.
@@ -523,8 +499,11 @@ func (nw *Network) walkLen() int {
 	if n < 2 {
 		return 1
 	}
-	return nw.cfg.WalkFactor * int(math.Ceil(math.Log2(float64(n))))
+	return nw.cfg.WalkFactor * ceilLog2(n)
 }
+
+// ceilLog2 returns ceil(log2 n) for n >= 1, exactly, in integers.
+func ceilLog2(n int) int { return bits.Len(uint(n - 1)) }
 
 // --- load & set-size tracking ----------------------------------------------
 
@@ -584,99 +563,57 @@ func (nw *Network) dropLoadEntry(s int32) {
 // p-cycle.
 func (nw *Network) slotTargets(x Vertex) [3]Vertex { return nw.z.NeighborSlots(x) }
 
-// rawAddEdgeAt / rawRemoveEdgeAt change the multiplicity of real edge
-// {a,b} by k >= 1, anchored at endpoint a's live slot sa, and feed the
-// dirty-node set and (when observed) the step's edge log, without
-// charging the paper's topology-change counter. They are the only place
-// the engine changes the overlay's edges, apart from the restore's
-// deriveOverlay. Sampled audits re-verify exactly the dirty nodes, so
-// every mutation a walk or stop predicate can observe marks its nodes:
-// both endpoints of an edge here — b's slot is the caller's sb when it
-// holds one (-1 otherwise) or comes back from a's run cell, so neither
-// mark probes the id index — and loads through setLoadAt. A removal
-// returns b's slot, which the matching addition of a vertex move passes
-// on as sb. The graph treats {a,b} symmetrically, so anchoring on
-// either endpoint is valid.
-//
-//dexvet:noalloc
-func (nw *Network) rawAddEdgeAt(a NodeID, sa int32, b NodeID, sb int32, k int) {
-	sb = nw.real.AddEdgeMultAt(sa, a, b, sb, k)
-	nw.st.markDirtyAt(a, sa)
-	nw.st.markDirtyAt(b, sb)
-	if nw.edgeObserver != nil {
-		nw.logEdge(a, b, k)
-	}
-}
-
-//dexvet:noalloc
-func (nw *Network) rawRemoveEdgeAt(a NodeID, sa int32, b NodeID, k int) int32 {
-	got, sb := nw.real.RemoveEdgeMultAt(sa, a, b, k)
-	if got != k {
-		panic(fmt.Sprintf("core: removing %d of edge {%d,%d}, only %d present", k, a, b, got))
-	}
-	nw.st.markDirtyAt(a, sa)
-	nw.st.markDirtyAt(b, sb)
-	if nw.edgeObserver != nil {
-		nw.logEdge(a, b, -k)
-	}
-	return sb
-}
-
-// addRealEdgeAt / removeRealEdgeAt change one multiplicity through the
-// raw funnels and count the topology change for the current step.
-//
-//dexvet:noalloc
-func (nw *Network) addRealEdgeAt(a NodeID, sa int32, b NodeID, sb int32) {
-	nw.rawAddEdgeAt(a, sa, b, sb, 1)
-	nw.step.TopologyChanges++
-}
-
-//dexvet:noalloc
-func (nw *Network) removeRealEdgeAt(a NodeID, sa int32, b NodeID) int32 {
-	sb := nw.rawRemoveEdgeAt(a, sa, b, 1)
-	nw.step.TopologyChanges++
-	return sb
-}
-
 // moveVertexAt transfers current-cycle vertex x from its simulator u, at
 // slot su, to node w at slot sw, updating the contraction's real edges.
-// Every removal is anchored at u and every insertion at w, so the
-// graph edges, the Sim sets and the load counters all mutate by slot.
-// Each edge's far endpoint stays put, except x's own chord self-loop,
-// whose far end moves with x: the addition reuses the far slot its
-// removal returned, or sw for the loop, and resolves no id. During a
-// staggered rebuild the pending intermediate edges anchored at x move
-// with it (they are virtual edges (ySrc, x)), and their far ends are
-// resolved by the graph.
+// Every removal is anchored at u and every insertion at w, so the Sim
+// sets and the load counters all mutate by slot. Each edge's far end
+// stays put, so its slot serves the removal and the addition: read from
+// simSlot without a view, and handed back by the removal from u's run
+// cell with one. x's own chord self-loop's far end moves with x. During
+// a staggered rebuild the pending intermediate edges anchored at x move
+// with it (they are virtual edges (ySrc, x)).
 func (nw *Network) moveVertexAt(x Vertex, u NodeID, su int32, w NodeID, sw int32) {
 	if u == w {
 		return
 	}
 	var far [3]int32
-	for i, t := range nw.slotTargets(x) {
+	targets := nw.slotTargets(x)
+	for i, t := range targets {
 		if nw.stag != nil && nw.stag.phase == 2 && nw.stag.dropped(t) {
 			continue // edge already removed with the dropped endpoint
 		}
-		far[i] = nw.removeRealEdgeAt(u, su, nw.endpointOwner(x, t))
+		if t == x {
+			nw.removeRealEdgeAt(u, su, u, su)
+			continue
+		}
+		far[i] = -1
+		if nw.simSlot != nil {
+			far[i] = nw.simSlot[t]
+		}
+		far[i] = nw.removeRealEdgeAt(u, su, nw.simOf[t], far[i])
 	}
 	if nw.stag != nil {
 		for _, pe := range nw.stag.pending[x] {
-			nw.removeRealEdgeAt(u, su, nw.stag.newSimOf[pe.src])
+			nw.removeRealEdgeAt(u, su, nw.stag.newSimOf[pe.src], -1)
 		}
 	}
 	nw.st.setRemoveAt(su, x, false)
 	nw.bumpLoadAt(u, su, -1)
 	nw.simOf[x] = w
+	if nw.simSlot != nil {
+		nw.simSlot[x] = sw
+	}
 	nw.st.setAddAt(sw, x, false)
 	nw.bumpLoadAt(w, sw, 1)
-	for i, t := range nw.slotTargets(x) {
+	for i, t := range targets {
 		if nw.stag != nil && nw.stag.phase == 2 && nw.stag.dropped(t) {
 			continue
 		}
 		if t == x {
-			far[i] = sw
+			nw.addRealEdgeAt(w, sw, w, sw)
+			continue
 		}
-		nw.addRealEdgeAt(w, sw, nw.endpointOwner(x, t), far[i])
+		nw.addRealEdgeAt(w, sw, nw.simOf[t], far[i])
 	}
 	if nw.stag != nil {
 		for _, pe := range nw.stag.pending[x] {
@@ -735,50 +672,27 @@ func (nw *Network) SomeVertexOf(u NodeID) (Vertex, bool) {
 	return nw.anyVertexOf(s)
 }
 
-// endpointOwner resolves the simulating node of slot target t of edge
-// (x, t); when t == x the edge is a self-loop at x's simulator.
-func (nw *Network) endpointOwner(x, t Vertex) NodeID {
-	if t == x {
-		return nw.simOf[x]
-	}
-	return nw.simOf[t]
-}
-
-// applyRealDiff mutates the live overlay's edges in place until they
-// equal want's, touching only the node pairs whose multiplicity actually
-// differs. want has the live node set (a rebuild keeps it). The graph
-// pointer is never replaced, so references returned by Graph() stay
-// live across type-2 rebuilds, every net change lands in the dirty-node
-// set, and subscribers see one batched edge diff instead of a wholesale
-// swap. The seed engine rebuilt a fresh graph here; the diff is what
-// lets a rebuild re-emit only the edges that changed.
-func (nw *Network) applyRealDiff(want *graph.Graph) {
-	for _, u := range want.Nodes() {
-		su := nw.st.slot(u)
-		for _, v := range want.Neighbors(u) {
-			if v < u {
-				continue
-			}
-			d := want.Multiplicity(u, v) - nw.real.Multiplicity(u, v)
-			if d > 0 {
-				nw.rawAddEdgeAt(u, su, v, -1, d)
-			} else if d < 0 {
-				nw.rawRemoveEdgeAt(u, su, v, -d)
-			}
-		}
-		for _, v := range nw.real.Neighbors(u) {
-			if v < u || want.Multiplicity(u, v) > 0 {
-				continue
-			}
-			nw.rawRemoveEdgeAt(u, su, v, nw.real.Multiplicity(u, v))
-		}
-	}
-}
-
 // refreshDist0 recomputes the cached BFS tree of vertex 0 on the current
 // p-cycle (used for coordinator routing charges and the DHT router).
 func (nw *Network) refreshDist0() {
 	nw.dist0 = nw.z.DistancesFrom(0)
+}
+
+// resolveSimSlots recomputes simSlot from simOf after the mapping is
+// replaced wholesale (a rebuild's commit) or a view is dropped, skipping
+// dropped vertices; while a view is kept there is no simSlot to keep.
+func (nw *Network) resolveSimSlots() {
+	if nw.viewKept {
+		return
+	}
+	nw.simSlot = slices.Grow(nw.simSlot[:0], len(nw.simOf))[:len(nw.simOf)]
+	for x, u := range nw.simOf {
+		if s, ok := nw.real.SlotOf(u); ok {
+			nw.simSlot[x] = s
+		} else {
+			nw.simSlot[x] = -1
+		}
+	}
 }
 
 // Dist0 returns the virtual hop distance from x to vertex 0.
@@ -814,8 +728,7 @@ func (nw *Network) chargeCoordinatorNotify(sv int32) {
 	}
 	nw.step.Rounds += d
 	nw.step.Messages += d
-	coordDeg := nw.real.DistinctDegree(nw.simOf[0])
-	nw.step.Messages += coordDeg // state replication to neighbors
+	nw.step.Messages += nw.coordDegree() // state replication to neighbors
 	nw.step.Rounds++
 }
 
@@ -847,13 +760,13 @@ func (nw *Network) SetSeedObserver(f func(seed uint64)) {
 	nw.seedObserver = f
 }
 
-// runWalkAt performs one type-1 token walk on the live overlay from
-// start at its live slot startSlot and charges its cost: the whole walk
-// — stepping, stop predicate, cost charge — touches no id→slot map.
+// runWalkAt performs one type-1 token walk on the overlay from start at
+// its live slot startSlot and charges its cost. Its hops read the rows
+// hopRows derives, which make the arena's exact pick.
 //
 //dexvet:noalloc
 func (nw *Network) runWalkAt(start NodeID, startSlot int32, exclude NodeID, stop func(NodeID, int32) bool) congest.WalkResult {
-	res := congest.RandomWalkDirectAt(nw.real, start, startSlot, exclude, nw.walkLen(), nw.walkSeed(), stop)
+	res := congest.RandomWalkDirectAt(hopRows{nw}, start, startSlot, exclude, nw.walkLen(), nw.walkSeed(), stop)
 	nw.step.Rounds += res.Steps
 	nw.step.Messages += res.Steps
 	return res

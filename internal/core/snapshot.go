@@ -24,13 +24,16 @@ import (
 //     the invariants audits already check.
 //
 //   - The overlay is the contraction of the virtual structure under the
-//     mapping (invariant I4), so its edges are not written: a restore
-//     re-derives them from Z(p), the mapping and the stagger state
-//     through contractionEdges. Only the overlay's slot table is
-//     serialized (graph.AppendBinary): slot numbering, the free-slot
-//     stack and the epoch, which the mapping does not determine and
-//     which decide how the columnar store addresses state, so they must
-//     survive a restore bit-for-bit.
+//     mapping (invariant I4), so its edges are not written, and a restore
+//     derives no overlay: like a fresh network, the restored one
+//     materializes its view from Z(p), the mapping and the stagger state
+//     only when something observes it (see Graph). The restore counts
+//     the contraction's edges through contractionEdges and refuses a
+//     mapping whose edges end at a node the slot table lacks. Only the
+//     overlay's slot table is serialized (graph.AppendBinary): slot
+//     numbering, the free-slot stack and the epoch, which the mapping
+//     does not determine and which decide how the columnar store
+//     addresses state, so they must survive a restore bit-for-bit.
 //
 // Not serialized (and provably unobservable between steps): the
 // in-flight step scratch (nw.step, dirty set), the audit RNG (audits
@@ -50,8 +53,9 @@ import (
 //
 // Version 1 of the format also stored every distinct overlay edge. It
 // still loads: the stored edges are decoded and must equal the
-// contraction the mapping derives, or the restore fails. The restored
-// engine writes version 2 from its next checkpoint on.
+// contraction the mapping derives, or the restore fails; they are kept
+// as the view. The restored engine writes version 2 from its next
+// checkpoint on.
 
 // stateVersion is the engine snapshot format version AppendState
 // writes. RestoreNetwork reads it and version 1.
@@ -432,12 +436,12 @@ func RestoreNetwork(dec *wire.Decoder) (*Network, error) {
 	// every vertex of the current cycle lives at simOf[x], except those
 	// already dropped by a phase-2 rebuild (dropOldVertex removes the set
 	// entry but deliberately leaves simOf[x] stale).
-	err = nw.restoreSets(nw.simOf, false, func(x int) bool { return stag != nil && stag.droppedFlag[x] })
+	nw.simSlot, err = nw.restoreSets(nw.simOf, false, func(x int) bool { return stag != nil && stag.droppedFlag[x] })
 	if err != nil {
 		return nil, err
 	}
 	if stag != nil {
-		if err := nw.restoreSets(stag.newSimOf, true, func(y int) bool { return stag.newSimOf[y] < 0 }); err != nil {
+		if _, err := nw.restoreSets(stag.newSimOf, true, func(y int) bool { return stag.newSimOf[y] < 0 }); err != nil {
 			return nil, err
 		}
 		// unprocOld / effNew follow from the flags by the engine's own
@@ -454,12 +458,15 @@ func RestoreNetwork(dec *wire.Decoder) (*Network, error) {
 		nw.setLoadAt(e.id, e.slot, nw.st.setLenAt(e.slot, false)+nw.st.setLenAt(e.slot, true), true)
 	}
 	nw.stag = stag
+	if err := nw.countOverlay(); err != nil {
+		return nil, err
+	}
 	if version == 1 {
 		if err := graphsEqual(nw.real, nw.expectedRealGraph()); err != nil {
 			return nil, fmt.Errorf("core: stored overlay is not the contraction of the mapping: %w", err)
 		}
-	} else if err := nw.deriveOverlay(); err != nil {
-		return nil, err
+		nw.viewKept = true
+		nw.simSlot = nil
 	}
 	nw.refreshDist0()
 
@@ -491,8 +498,9 @@ func RestoreNetwork(dec *wire.Decoder) (*Network, error) {
 
 // restoreSets rebuilds the selected vertex sets from a mapping: owner[x]
 // simulates x unless skip(x). Each owner is resolved once, and every
-// run is sized before the ascending adds fill it (see sizeRuns).
-func (nw *Network) restoreSets(owner []NodeID, nxt bool, skip func(x int) bool) error {
+// run is sized before the ascending adds fill it (see sizeRuns). It
+// returns each vertex's owner slot (-1 where skipped).
+func (nw *Network) restoreSets(owner []NodeID, nxt bool, skip func(x int) bool) ([]int32, error) {
 	slots := make([]int32, len(owner))
 	count := make([]int32, nw.real.Slots())
 	for x, u := range owner {
@@ -506,7 +514,7 @@ func (nw *Network) restoreSets(owner []NodeID, nxt bool, skip func(x int) bool) 
 			if nxt {
 				what = "new vertex"
 			}
-			return fmt.Errorf("core: %s %d mapped to dead node %d", what, x, u)
+			return nil, fmt.Errorf("core: %s %d mapped to dead node %d", what, x, u)
 		}
 		slots[x] = s
 		count[s]++
@@ -517,38 +525,5 @@ func (nw *Network) restoreSets(owner []NodeID, nxt bool, skip func(x int) bool) 
 			nw.st.setAddAt(s, Vertex(x), nxt)
 		}
 	}
-	return nil
-}
-
-// deriveOverlay adds the contraction's edges to an overlay restored as a
-// bare slot table, each undirected edge once and slot-natively, then
-// restores the stored epoch the additions advanced and validates the
-// result. Every endpoint must already be a node of the slot table: a
-// mapping that names any other node is a restore error, never a new
-// node.
-func (nw *Network) deriveOverlay() error {
-	g := nw.real
-	if g.NumEdges() != 0 {
-		return fmt.Errorf("core: version-%d state carries overlay edges", stateVersion)
-	}
-	epoch := g.Epoch()
-	var err error
-	nw.contractionEdges(func(a, b NodeID) bool {
-		sa, okA := g.SlotOf(a)
-		sb, okB := g.SlotOf(b)
-		if !okA || !okB {
-			err = fmt.Errorf("core: derived edge {%d,%d} ends at a node the slot table lacks", a, b)
-			return false
-		}
-		g.AddEdgeMultAt(sa, a, b, sb, 1)
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	g.SetEpoch(epoch)
-	if err := g.Validate(); err != nil {
-		return fmt.Errorf("core: derived overlay: %w", err)
-	}
-	return nil
+	return slots, nil
 }

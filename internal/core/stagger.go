@@ -477,7 +477,7 @@ func (nw *Network) moveNewVertex(y Vertex, from NodeID, sf int32, to NodeID, sto
 			if add {
 				nw.addRealEdgeAt(at, sat, other, -1)
 			} else {
-				nw.removeRealEdgeAt(at, sat, other)
+				nw.removeRealEdgeAt(at, sat, other, -1)
 			}
 		}
 	}
@@ -509,9 +509,9 @@ func (nw *Network) dropOldVertex(x Vertex) {
 	s.droppedFlag[x] = true
 	for _, t := range nw.z.NeighborSlots(x) {
 		if t == x {
-			nw.removeRealEdgeAt(u, su, u)
+			nw.removeRealEdgeAt(u, su, u, su)
 		} else if !s.droppedFlag[t] {
-			nw.removeRealEdgeAt(u, su, nw.simOf[t])
+			nw.removeRealEdgeAt(u, su, nw.simOf[t], -1)
 		}
 	}
 	nw.st.setRemoveAt(su, x, false)
@@ -557,6 +557,7 @@ func (nw *Network) commitStagger() {
 	}
 	nw.z = s.zNew
 	nw.simOf = s.newSimOf
+	nw.resolveSimSlots()
 	nw.refreshDist0()
 	nw.stag = nil
 	nw.step.StaggerFinished = true

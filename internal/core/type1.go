@@ -48,9 +48,12 @@ func (nw *Network) recoverInsert(id, attach NodeID, idSlot, attachSlot int32) {
 	// skipping predicate setup, walk-length computation, the walk call,
 	// and the exhaustion ladder. History and mapping are byte-identical
 	// to the generic path by construction; engine_equiv_test and
-	// FuzzChurnTrace enforce it.
-	if nw.stag == nil && nw.st.loadAt(attachSlot) >= 2 &&
-		nw.real.DistinctDegreeAt(attachSlot) <= 8*nw.cfg.Zeta {
+	// FuzzChurnTrace enforce it. The degree counts the temporary edge to
+	// id. Outside a stagger every vertex of Sim(attach) contributes at
+	// most three far ends, so a load of l bounds the degree by 3l+1 and
+	// decides the cap without deriving the row whenever 3l+1 <= 8*zeta.
+	if l := nw.st.loadAt(attachSlot); nw.stag == nil && l >= 2 &&
+		(3*l+1 <= 8*nw.cfg.Zeta || nw.distinctDegreeAt(attach, attachSlot) <= 8*nw.cfg.Zeta) {
 		nw.stopExclude = id // keep the predicate state exactly as insertStop leaves it
 		_ = nw.walkSeed()   // 0-step walks draw nothing from the seed
 		nw.fastInserts++
@@ -81,7 +84,7 @@ func (nw *Network) recoverInsert(id, attach NodeID, idSlot, attachSlot int32) {
 		// Simplified mode: flood computeSpare (Alg 4.4), then decide.
 		// Its count, u != id && load(u) >= 2, is steadyInsertStop with
 		// stopExclude = id, as insertStop armed it for this ladder.
-		agg := nw.flood.AggregateAt(nw.real, attach, attachSlot, nw.steadyInsertStop)
+		agg := nw.flood.AggregateAt(nw.view(), attach, attachSlot, nw.steadyInsertStop)
 		nw.step.Rounds += agg.Rounds
 		nw.step.Messages += agg.Messages
 		nw.step.Floods++
@@ -142,7 +145,7 @@ func (nw *Network) Delete(id NodeID) error {
 
 	// The survivor's slot holds to the end of the step: recovery moves
 	// vertices and may rebuild the cycle, but deletes no other node.
-	v, sv := nw.survivingNeighbor(sid)
+	v, sv := nw.survivingNeighbor(id, sid)
 	coordLost := nw.simOf[0] == id
 
 	// v attaches all of u's edges to itself: move every vertex u simulated
@@ -152,10 +155,11 @@ func (nw *Network) Delete(id NodeID) error {
 	for _, h := range orphans {
 		nw.moveHolding(h, id, sid, v, sv)
 	}
-	if nw.real.Degree(id) != 0 {
+	if nw.degreeAt(id, sid) != 0 {
 		panic("core: deleted node still has edges after adoption")
 	}
 	nw.dropLoadEntry(sid)
+	nw.dropCached(sid)
 	nw.st.removeNode(id, sid)
 	if coordLost {
 		// Neighbors transfer the replicated coordinator state to the new
@@ -170,18 +174,22 @@ func (nw *Network) Delete(id NodeID) error {
 	return nil
 }
 
-// warmAdoption touches, ahead of an adoption, the cells its edge
-// mutations land in. Each mutation joins two of the victim at slot s,
-// the survivor and the victim's other neighbors, and the survivor is a
-// neighbor too, so every one of them reads and writes the graph records
-// and runs of the victim's neighbors. The first pass over the victim's
-// run touches each neighbor's record, the second each neighbor's run
-// head, so the misses of different neighbors overlap instead of queuing
-// one move at a time. It reads nothing the moves do not read and writes
-// only warmSink.
+// warmAdoption touches, ahead of an adoption, the view cells its edge
+// edits land in, while a view is kept (without one an adoption edits no
+// adjacency). Each edit joins two of the victim at slot s, the survivor
+// and the victim's other neighbors, and the survivor is a neighbor too,
+// so every one of them reads and writes the graph records and runs of
+// the victim's neighbors. The first pass over the victim's run touches
+// each neighbor's record, the second each neighbor's run head, so the
+// misses of different neighbors overlap instead of queuing one move at
+// a time. It reads nothing the moves do not read and writes only
+// warmSink.
 //
 //dexvet:noalloc
 func (nw *Network) warmAdoption(s int32) {
+	if !nw.viewKept {
+		return
+	}
 	sink := 0
 	nw.real.ForEachNeighborAt(s, func(_ NodeID, vs int32, _ int) bool {
 		sink += nw.real.DistinctDegreeAt(vs)
@@ -197,18 +205,10 @@ func (nw *Network) warmAdoption(s int32) {
 	nw.warmSink = sink
 }
 
-// survivingNeighbor picks the smallest distinct neighbor of the node at
-// slot s and returns it with its slot. It scans the node's arena run in
-// place (ascending order) rather than snapshotting a neighbor slice.
-func (nw *Network) survivingNeighbor(s int32) (NodeID, int32) {
-	found, fs := NodeID(-1), int32(-1)
-	nw.real.ForEachNeighborAt(s, func(v NodeID, vs int32, _ int) bool {
-		if vs != s {
-			found, fs = v, vs
-			return false
-		}
-		return true
-	})
+// survivingNeighbor picks the smallest distinct neighbor of node u at
+// slot s and returns it with its slot.
+func (nw *Network) survivingNeighbor(u NodeID, s int32) (NodeID, int32) {
+	found, fs := nw.smallestNeighbor(u, s, nil)
 	if found < 0 {
 		panic("core: node has no surviving neighbor")
 	}
@@ -255,11 +255,13 @@ func (nw *Network) moveHolding(h holding, from NodeID, sf int32, to NodeID, sto 
 // deleted node to a node in Low (Alg 4.3 lines 2-5), falling back to
 // type-2 deflation per the paper.
 func (nw *Network) redistributeFrom(v NodeID, sv int32, orphans []holding) {
+	nw.pinned = sv // every walk below leaves from v (see rowCache)
 	for _, h := range orphans {
 		if nw.redistributeOne(v, sv, h) {
-			return
+			break
 		}
 	}
+	nw.pinned = -1
 }
 
 // redistributeOne runs the full walk/retry/type-2 ladder for a single
@@ -292,7 +294,7 @@ func (nw *Network) redistributeOne(v NodeID, sv int32, h holding) bool {
 		}
 		// Simplified mode: flood computeLow (Alg 4.4), whose count,
 		// load(u) <= 2*zeta, is steadyLowStop.
-		agg := nw.flood.AggregateAt(nw.real, v, sv, nw.steadyLowStop)
+		agg := nw.flood.AggregateAt(nw.view(), v, sv, nw.steadyLowStop)
 		nw.step.Rounds += agg.Rounds
 		nw.step.Messages += agg.Messages
 		nw.step.Floods++

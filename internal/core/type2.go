@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/congest"
@@ -95,7 +94,7 @@ func (nw *Network) simplifiedInflate(initiator, newborn NodeID) {
 	if nw.stag != nil {
 		nw.finishStaggerNow()
 	}
-	r, m := congest.BroadcastCost(nw.real, initiator)
+	r, m := congest.BroadcastCost(nw.view(), initiator)
 	nw.step.Rounds += r + 1
 	nw.step.Messages += m
 	nw.step.Floods++
@@ -148,7 +147,7 @@ func (nw *Network) simplifiedDeflate(initiator NodeID) {
 	if nw.stag != nil {
 		nw.finishStaggerNow()
 	}
-	r, m := congest.BroadcastCost(nw.real, initiator)
+	r, m := congest.BroadcastCost(nw.view(), initiator)
 	nw.step.Rounds += r + 1
 	nw.step.Messages += m
 	nw.step.Floods++
@@ -189,7 +188,7 @@ func (nw *Network) simplifiedDeflate(initiator NodeID) {
 			reserved[u] = vs[0]
 		}
 	}
-	T := nw.cfg.WalkFactor * int(math.Ceil(math.Log2(float64(def.PNew))))
+	T := nw.cfg.WalkFactor * ceilLog2(int(def.PNew))
 	epochCap := 4*T + 64
 	for epoch := 0; len(contenders) > 0; epoch++ {
 		if epoch > epochCap {
@@ -234,7 +233,7 @@ func (nw *Network) contenderStart(def pcycle.Deflation, u NodeID) Vertex {
 // with positive excess keeps walking one token per surplus vertex per
 // epoch until placed at an accepting node.
 func (nw *Network) rebalanceWalks(pv *provisional, excess func(NodeID) int, accepts func(NodeID) bool) {
-	T := nw.cfg.WalkFactor * int(math.Ceil(math.Log2(float64(pv.zNew.P()))))
+	T := nw.cfg.WalkFactor * ceilLog2(int(pv.zNew.P()))
 	epochCap := 4*T + 64
 	for epoch := 0; ; epoch++ {
 		var heavy []NodeID
@@ -319,11 +318,12 @@ func (nw *Network) fallbackAssign(pv *provisional, u NodeID, reserved map[NodeID
 // commitRebuild swaps in the new virtual graph and mapping, rebuilds the
 // real overlay and charges the construction costs.
 func (nw *Network) commitRebuild(pv *provisional) {
-	oldEdges := nw.real.NumEdges()
+	oldEdges := nw.edges
 
 	nw.z = pv.zNew
 	p := pv.zNew.P()
 	nw.simOf = pv.owner
+	nw.resolveSimSlots()
 	// Walk the sampling mirror, not the pv.verts map: both rebuild paths
 	// key pv.verts by exactly the live nodes, and the mirror's order makes
 	// the vertex arena's layout and the dirty list's order (which picks
@@ -339,13 +339,14 @@ func (nw *Network) commitRebuild(pv *provisional) {
 		nw.st.simReset(e.slot, vs)
 		nw.setLoadAt(e.id, e.slot, len(vs), false)
 	}
-	// Apply the new contraction as an in-place diff: only node pairs whose
-	// multiplicity actually changed are touched, the graph pointer stays
-	// stable, and subscribers receive the net edge changes as one batch.
-	// The counted topology-change cost below stays the paper's (tear down
-	// + rebuild), independent of how small the diff happens to be.
+	// Apply the new contraction as an in-place diff (rewire): only node
+	// pairs whose multiplicity actually changed are touched, the graph
+	// pointer stays stable, and subscribers receive the net edge changes
+	// as one batch. The counted topology-change cost below stays the
+	// paper's (tear down + rebuild), independent of how small the diff
+	// happens to be.
 	nw.stag = nil
-	nw.applyRealDiff(nw.expectedRealGraph())
+	nw.rewire()
 	nw.refreshDist0()
 	nw.rebuiltReal = true
 
@@ -354,10 +355,10 @@ func (nw *Network) commitRebuild(pv *provisional) {
 	// routing on a bounded-degree expander, allowed O~(log n) rounds and
 	// one routed path of O(log n) hops per vertex (validated empirically
 	// by experiment FIG-R).
-	L := int(math.Ceil(math.Log2(float64(p))))
+	L := ceilLog2(int(p))
 	nw.step.Rounds += 2 + L*L
 	nw.step.Messages += int(p) + int(p)*nw.z.DiameterUpperBound()
-	nw.step.TopologyChanges += oldEdges + nw.real.NumEdges()
+	nw.step.TopologyChanges += oldEdges + nw.edges
 	if nw.rebuildObserver != nil {
 		nw.rebuildObserver(p)
 	}

@@ -162,6 +162,12 @@ type Graph struct {
 	// Clone/Snapshot never copy them — a copy belongs to someone else.
 	onSlotAssign  func(u NodeID, slot int32)
 	onSlotRelease func(u NodeID, slot int32)
+
+	// ApplyDeltas' and ApplyChanges' scratch: a batch with its slots, and
+	// its halves. Neither outlives a call's content, and Clone/Snapshot
+	// do not copy them.
+	changes []EdgeChange
+	halves  []halfDelta
 }
 
 // New returns an empty graph.
@@ -562,7 +568,7 @@ func (g *Graph) insertEntry(s int32, pos int32, v NodeID, vs int32, k int32) {
 	g.pool[lo+pos] = cell{v: v, m: k, s: vs}
 	r.n++
 	r.deg += k
-	if v != g.ids[s] {
+	if vs != s { // a self cell holds its owner's slot (Validate)
 		r.dist++
 	}
 	if r.n > fenceStride {
@@ -575,7 +581,7 @@ func (g *Graph) insertEntry(s int32, pos int32, v NodeID, vs int32, k int32) {
 func (g *Graph) removeEntry(s int32, pos int32) {
 	r := &g.recs[s]
 	lo, hi := r.off, r.off+r.n
-	if g.pool[lo+pos].v != g.ids[s] {
+	if g.pool[lo+pos].s != s { // the self cell holds s (Validate)
 		r.dist--
 	}
 	if hi-(lo+pos) <= 16 {

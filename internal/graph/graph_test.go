@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -510,6 +511,46 @@ func TestFindNbrEveryPosition(t *testing.T) {
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("deg %d: %v", deg, err)
+		}
+	}
+}
+
+// TestSelfCellEveryPosition puts a node's self cell at every position
+// of runs of 1..100 cells (the TestFindNbrEveryPosition shape: node 2p+1
+// sorts between neighbors 2p and 2p+2) and requires DistinctDegree and
+// Validate to stay exact while neighbors are added and removed around
+// it, through the per-edge mutators and through ApplyDeltas. insertEntry,
+// removeEntry and the batch merge tell the self cell apart by its slot.
+func TestSelfCellEveryPosition(t *testing.T) {
+	check := func(g *Graph, u NodeID, want int, what string) {
+		t.Helper()
+		if got := g.DistinctDegree(u); got != want {
+			t.Fatalf("%s: DistinctDegree(%d) = %d, want %d", what, u, got, want)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	for deg := 1; deg <= 100; deg++ {
+		for p := 0; p <= deg; p++ {
+			g := New()
+			u := NodeID(2*p + 1)
+			for i := 1; i <= deg; i++ {
+				g.AddEdge(u, NodeID(2*i))
+			}
+			what := fmt.Sprintf("deg %d, self at %d", deg, p)
+			g.AddEdge(u, u)
+			check(g, u, deg, what+": loop added")
+			g.AddEdge(u, NodeID(2*deg+2)) // a cell past the end
+			check(g, u, deg+1, what+": neighbor appended")
+			g.RemoveEdge(u, NodeID(2)) // the first cell
+			check(g, u, deg, what+": first neighbor removed")
+			g.ApplyDeltas([]EdgeDelta{{U: 0, V: u, Delta: 1}, {U: u, V: u, Delta: 1}, {U: u, V: NodeID(2*deg + 2), Delta: -1}})
+			check(g, u, deg, what+": batch around the loop")
+			g.RemoveEdgeMult(u, u, 2)
+			check(g, u, deg, what+": loop removed")
+			g.ApplyDeltas([]EdgeDelta{{U: u, V: u, Delta: 3}})
+			check(g, u, deg, what+": loop re-added by a batch")
 		}
 	}
 }
