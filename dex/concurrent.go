@@ -352,9 +352,11 @@ func (c *Concurrent) History() []StepMetrics {
 // was taken at: a consistent point-in-time view that can be read
 // lock-free forever, no matter how the live network churns on. This is
 // how subscriber mirrors, spectral probes, and debuggers read a
-// concurrently maintained overlay. The first call materializes the
-// engine's overlay view (see Network.Graph), which the engine then
-// keeps current with every edge change.
+// concurrently maintained overlay. It reads the engine's overlay
+// through Network.Graph (the first call materializes the view, which
+// the engine then keeps current with every edge change, and a call
+// after an edge change compacts it) and copies it: both cost time
+// linear in the overlay's size, and both run under the façade's lock.
 func (c *Concurrent) Snapshot() (*Graph, uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -342,12 +342,16 @@ func (nw *Network) P() int64 { return nw.eng.P() }
 func (nw *Network) Cycle() *Cycle { return nw.eng.Cycle() }
 
 // Graph returns the live overlay graph G_t. Treat as read-only. The
-// engine derives the overlay from its virtual mapping and keeps a
-// graph of it only while something observes it (or while its own walks
-// find one cheaper than deriving rows): the first call materializes
-// that view, and from then on the same graph is kept and edited with
+// engine derives the overlay from its virtual mapping and keeps a graph
+// of it only once something observes it (or while its own walks find
+// one cheaper than deriving rows): the first call materializes that
+// view, and from then on the same graph is kept and edited with
 // every edge change, so it is current between operations and also when
-// read inside a mid-operation event such as VertexTransferred.
+// read inside a mid-operation event such as VertexTransferred. The
+// first call, and any call after an edge change (which compacts the
+// view's storage so its layout does not depend on when it was first
+// observed), cost time linear in the overlay's size; a call with no
+// edge change since the last costs O(1).
 func (nw *Network) Graph() *Graph { return nw.eng.Graph() }
 
 // Nodes returns the current node ids in ascending order.

@@ -275,14 +275,15 @@ func BenchmarkRestoreNetwork(b *testing.B) {
 // the recovery path: at steady state (no type-2 rebuild in the
 // window), a delete+insert pair must not allocate — walks, vertex-set
 // moves, load updates, dirty tracking, and capped-history append all
-// run in recycled storage, without a view and then with one kept. The window is placed between rebuilds by
-// construction: theta*n steps separate triggers at this size, far
-// more than the samples consumed.
+// run in recycled storage, first on derived rows (the network grown by
+// single joins, which nothing has observed) and then with a view kept.
+// The window is placed between rebuilds by construction: theta*n steps
+// separate triggers at this size, far more than the samples consumed.
 func TestRecoveryOpZeroAllocsSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state warmup is a few thousand ops")
 	}
-	nw := steadyEngine(t, 4096)
+	nw := joinedEngine(t, 4096, 2*4096/100+200)
 	rng := rand.New(rand.NewSource(29))
 	// One more warm lap so FreshID growth and scratch slices are sized.
 	for i := 0; i < 256; i++ {
@@ -301,11 +302,13 @@ func TestRecoveryOpZeroAllocsSteadyState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if nw.viewKept {
+		t.Fatal("the unobserved network keeps a view: the first gate would not price derived reads")
+	}
 	if allocs := testing.AllocsPerRun(400, pair); allocs != 0 {
 		t.Fatalf("steady-state delete+insert allocates %.2f per pair, want 0", allocs)
 	}
-	// Once observed, the view is kept: each step's netted log is applied
-	// to it, in recycled storage too.
+	// Once observed, the view is kept and edited with every change.
 	nw.Graph()
 	for i := 0; i < 256; i++ {
 		pair()

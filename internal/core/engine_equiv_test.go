@@ -223,6 +223,19 @@ func traceStep(nw *Network, rng *rand.Rand) error {
 	}
 }
 
+// singleStep is traceStep without batches: one insert or one delete.
+// DeleteBatch's checks read the overlay view, and a batch may rebuild
+// in one step, which reads it too; a Staggered network that only takes
+// single operations is observed by nothing (a Simplified one floods,
+// and so materializes its view, when a walk fails).
+func singleStep(nw *Network, rng *rand.Rand) error {
+	nodes := nw.Nodes()
+	if rng.Float64() < 0.55 || nw.Size() <= 6 {
+		return nw.Insert(nw.FreshID(), nodes[rng.Intn(len(nodes))])
+	}
+	return nw.Delete(nodes[rng.Intn(len(nodes))])
+}
+
 // TestDifferentialChurnTraces replays randomized churn traces -
 // single ops, batches, staggered and simplified rebuilds - asserting
 // after every operation that the incremental real graph is identical to
@@ -233,8 +246,10 @@ func TestDifferentialChurnTraces(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%v/seed=%d", mode, seed), func(t *testing.T) {
 				// Observed: the view is kept from construction. Halfway:
-				// nothing observes the first half (derived reads are
-				// checked there), then the view is materialized.
+				// the first half runs single operations only (singleStep),
+				// which observe nothing in Staggered mode, so derived reads
+				// and simSlot are checked there across rebuild commits;
+				// then the view is materialized.
 				for _, observeAt := range []int{0, 150} {
 					differentialTrace(t, mode, seed, observeAt)
 				}
@@ -245,7 +260,7 @@ func TestDifferentialChurnTraces(t *testing.T) {
 
 // differentialTrace runs TestDifferentialChurnTraces' 300-op trace
 // under the differential oracle, materializing the view before op
-// observeAt.
+// observeAt; the ops before it are singleStep's.
 func differentialTrace(t *testing.T, mode RecoveryMode, seed int64, observeAt int) {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -254,10 +269,14 @@ func differentialTrace(t *testing.T, mode RecoveryMode, seed int64, observeAt in
 	nw := mustNew(t, 12, cfg)
 	rng := rand.New(rand.NewSource(seed * 101))
 	for i := 0; i < 300; i++ {
+		step := traceStep
+		if i < observeAt {
+			step = singleStep
+		}
 		if i == observeAt {
 			nw.Graph()
 		}
-		if err := traceStep(nw, rng); err != nil {
+		if err := step(nw, rng); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 		if err := checkDifferentialState(nw); err != nil {

@@ -18,6 +18,7 @@ import (
 //	     adjacency are internally consistent;
 //	(I2) Phi is a function onto the node set: simOf and the per-node Sim
 //	     sets agree, and every node simulates >= 1 vertex (Definition 2);
+//	     without a view, simSlot holds each vertex's simulator's slot;
 //	(I3) loads: load(u) = |Sim(u)| (+ new holdings during staggering),
 //	     bounded by 4*zeta steady-state (Lemma 3/5) and 8*zeta during a
 //	     staggered rebuild (Lemma 9(a));
@@ -54,6 +55,9 @@ func (nw *Network) checkInvariants(enforceLoadBounds bool) error {
 	if int64(len(nw.simOf)) != p {
 		return fmt.Errorf("I2: simOf length %d != p %d", len(nw.simOf), p)
 	}
+	if !nw.viewKept && int64(len(nw.simSlot)) != p {
+		return fmt.Errorf("I2: simSlot length %d != p %d", len(nw.simSlot), p)
+	}
 	for x := int64(0); x < p; x++ {
 		if nw.stag != nil && nw.stag.phase == 2 && nw.stag.dropped(x) {
 			continue
@@ -62,6 +66,9 @@ func (nw *Network) checkInvariants(enforceLoadBounds bool) error {
 		s, ok := nw.real.SlotOf(u)
 		if !ok {
 			return fmt.Errorf("I2: vertex %d mapped to unknown node %d", x, u)
+		}
+		if !nw.viewKept && nw.simSlot[x] != s {
+			return fmt.Errorf("I2: simSlot[%d] = %d, but its simulator %d is at slot %d", x, nw.simSlot[x], u, s)
 		}
 		if _, ok := slices.BinarySearch(nw.st.setAt(s, false), x); !ok {
 			return fmt.Errorf("I2: vertex %d not in Sim(%d)", x, u)

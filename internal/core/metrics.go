@@ -143,7 +143,7 @@ func (nw *Network) beginStep(op OpKind, target NodeID) {
 	if nw.st.dirtyGen == 1 {
 		nw.coord = coordCache{}
 	}
-	nw.edgeLog = resetLog(nw.edgeLog)
+	nw.resetEdgeLog()
 }
 
 func (nw *Network) endStep() StepMetrics {

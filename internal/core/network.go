@@ -164,7 +164,7 @@ type Network struct {
 	// edgeLog records the step's overlay changes, one entry per change,
 	// while an edge observer is registered; flushEdgeDeltas nets it into
 	// the step's diff at the end of each step.
-	edgeLog      []graph.EdgeChange
+	edgeLog      []graph.EdgeDelta
 	edgeObserver func(step int, deltas []graph.EdgeDelta)
 
 	// auditRng drives sampled audits; it is separate from rng so auditing
@@ -383,12 +383,13 @@ func (nw *Network) P() int64 { return nw.z.P() }
 func (nw *Network) Cycle() *pcycle.Cycle { return nw.z }
 
 // Graph returns the overlay graph. Treat as read-only. The first call
-// materializes it from the mapping when no view is kept yet; from then
-// on it is kept, stays the same pointer, and changes with every edge
-// change, so it is current between steps and inside mid-step callbacks
-// alike. Each call returns the arena compacted (graph.Compact) when it
-// changed since, so its layout, and its Stats, do not depend on when it
-// was first observed.
+// materializes it from the mapping when no view is kept yet, in O(p);
+// from then on it is kept, stays the same pointer, and changes with
+// every edge change, so it is current between steps and inside mid-step
+// callbacks alike. A call after an edge change first compacts the view
+// (graph.Compact, a copy of its cells as long as a Clone), so its
+// layout, and its Stats, do not depend on when it was first observed; a
+// call with no edge change since the last one costs O(1).
 func (nw *Network) Graph() *graph.Graph {
 	g := nw.view()
 	if nw.viewEdited {

@@ -103,11 +103,10 @@ func (nw *Network) edgeChanged(a NodeID, sa int32, b NodeID, sb int32, k int) in
 	nw.st.markDirtyAt(b, sb)
 	nw.edges += k
 	if nw.edgeObserver != nil {
-		c := graph.EdgeChange{U: a, V: b, SU: sa, SV: sb, Delta: int32(k)}
 		if a > b {
-			c = graph.EdgeChange{U: b, V: a, SU: sb, SV: sa, Delta: int32(k)}
+			a, b = b, a
 		}
-		nw.edgeLog = append(nw.edgeLog, c)
+		nw.edgeLog = append(nw.edgeLog, graph.EdgeDelta{U: a, V: b, Delta: k})
 	}
 	return sb
 }
@@ -131,48 +130,43 @@ func (nw *Network) removeRealEdgeAt(a NodeID, sa int32, b NodeID, sb int32) int3
 }
 
 // edgeLogRetainCap bounds the capacity the edge log keeps between
-// steps. A staggered step logs O(batch) entries, about a thousand at
-// 10^5 nodes; a one-step rebuild logs O(n), and keeping that spike's
-// backing array would pin megabytes for the rest of the run.
-const edgeLogRetainCap = 1 << 12
+// steps. A staggered step logs O(batch) entries, under a thousand in a
+// 4096-to-24096-node staggered run; a one-step rebuild logs O(n), and
+// keeping that spike's backing array would pin megabytes for the rest
+// of the run.
+const edgeLogRetainCap = 1 << 14
 
-// resetLog empties a log, dropping a spike's capacity (see
+// resetEdgeLog empties the edge log, dropping a spike's capacity (see
 // edgeLogRetainCap).
-func resetLog(log []graph.EdgeChange) []graph.EdgeChange {
-	if cap(log) > edgeLogRetainCap {
-		return nil
+func (nw *Network) resetEdgeLog() {
+	if cap(nw.edgeLog) > edgeLogRetainCap {
+		nw.edgeLog = nil
+		return
 	}
-	return log[:0]
+	nw.edgeLog = nw.edgeLog[:0]
 }
 
-// shellGaps are Ciura's Shell sort gaps, and shortEdgeLog the longest
-// log netLog Shell-sorts. A step logs from a dozen entries (steady
-// state, where the last gap's insertion sort alone runs) to a few
-// thousand (a staggered step's batch, a Simplified delete of a heavy
-// node); the sort's inlined comparisons cost less there than
-// slices.SortFunc's comparator calls, and the O(p) batches of
-// construction and one-step rebuilds keep the O(n log n) sort.
-var shellGaps = [...]int{1750, 701, 301, 132, 57, 23, 10, 4, 1}
-
-const shortEdgeLog = 4096
+// shortEdgeLog is the longest edge log netLog insertion-sorts. A
+// steady-state step logs about 16 entries; slices.SortFunc's comparator
+// calls cost more than the few shifts such a log needs, and the rare
+// long logs (rebuild steps, O(n) entries) keep the O(n log n) sort.
+const shortEdgeLog = 32
 
 // netLog sorts log by (U, V) in place, sums each pair's changes, drops
 // zero sums and returns the netted prefix. Entries of one pair are
 // summed, so the order among them is immaterial and the result does not
 // depend on which sort ran.
-func netLog(log []graph.EdgeChange) []graph.EdgeChange {
+func netLog(log []graph.EdgeDelta) []graph.EdgeDelta {
 	if len(log) <= shortEdgeLog {
-		for _, gap := range shellGaps {
-			for i := gap; i < len(log); i++ {
-				d, j := log[i], i
-				for ; j >= gap && (log[j-gap].U > d.U || log[j-gap].U == d.U && log[j-gap].V > d.V); j -= gap {
-					log[j] = log[j-gap]
-				}
-				log[j] = d
+		for i := 1; i < len(log); i++ {
+			d, j := log[i], i
+			for ; j > 0 && (log[j-1].U > d.U || log[j-1].U == d.U && log[j-1].V > d.V); j-- {
+				log[j] = log[j-1]
 			}
+			log[j] = d
 		}
 	} else {
-		slices.SortFunc(log, func(a, b graph.EdgeChange) int {
+		slices.SortFunc(log, func(a, b graph.EdgeDelta) int {
 			return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 		})
 	}
@@ -191,34 +185,31 @@ func netLog(log []graph.EdgeChange) []graph.EdgeChange {
 }
 
 // flushEdgeDeltas delivers the step's edge diff to the edge observer:
-// the edge log netted (netLog), as EdgeDeltas the subscriber may keep.
+// the edge log netted (netLog).
 func (nw *Network) flushEdgeDeltas() {
 	if nw.edgeObserver == nil || len(nw.edgeLog) == 0 {
 		return
 	}
 	d := netLog(nw.edgeLog)
-	var batch []graph.EdgeDelta
-	if len(d) > 0 {
-		batch = make([]graph.EdgeDelta, len(d))
-		for i, c := range d {
-			batch[i] = graph.EdgeDelta{U: c.U, V: c.V, Delta: int(c.Delta)}
-		}
+	nw.resetEdgeLog()
+	if len(d) == 0 {
+		return
 	}
-	nw.edgeLog = resetLog(nw.edgeLog)
-	if batch != nil {
-		nw.edgeObserver(nw.step.Step, batch)
-	}
+	// Subscribers may keep the batch, so it must not alias the log.
+	nw.edgeObserver(nw.step.Step, slices.Clone(d))
 }
 
 // --- the view ----------------------------------------------------------------
 
 // viewOnLoad and viewOffLoad bound the mean load p/n between which the
 // engine keeps a view for its own walks (see the file comment): on
-// above viewOnLoad, off again below viewOffLoad, so a network whose
-// load swings across one bound does not derive and drop the view every
-// step. Derived rows hold about 3 p/n entries; on the steady networks
-// the benchmarks grow by single joins p/n is about 2.6, and a wave's
-// high-load phases, where walks retry most, reach 16.
+// above viewOnLoad, off again below viewOffLoad. Derived rows hold about
+// 3 p/n entries; per delete+insert pair they measured cheaper than a
+// kept view up to p/n = 6 and dearer from 8 on (CHANGES.md). On the
+// steady networks the benchmarks grow by single joins p/n is about 2.6,
+// and a wave's high-load phases, where walks retry most, reach 16. The
+// gap between the bounds keeps a network whose load wanders across one
+// bound from deriving the whole view, O(p), at every crossing.
 const (
 	viewOnLoad  = 8
 	viewOffLoad = 4
@@ -267,16 +258,16 @@ func (nw *Network) materialize() {
 }
 
 // overlayDeltas returns the contraction of the virtual structure as a
-// netted batch, each distinct pair once with its multiplicity and both
-// ends' slots. Construction and one-step rebuilds call it, O(p) entries
-// each time, so it allocates instead of pinning scratch of that size.
-func (nw *Network) overlayDeltas() []graph.EdgeChange {
-	var log []graph.EdgeChange
+// netted batch, each distinct pair once with its multiplicity.
+// Construction and one-step rebuilds call it, O(p) entries each time,
+// so it allocates instead of pinning scratch of that size.
+func (nw *Network) overlayDeltas() []graph.EdgeDelta {
+	var log []graph.EdgeDelta
 	nw.contractionEdges(func(a, b NodeID) bool {
 		if a > b {
 			a, b = b, a
 		}
-		log = append(log, graph.EdgeChange{U: a, V: b, SU: nw.st.slot(a), SV: nw.st.slot(b), Delta: 1})
+		log = append(log, graph.EdgeDelta{U: a, V: b, Delta: 1})
 		return true
 	})
 	return netLog(log)
@@ -503,7 +494,7 @@ func (nw *Network) rowCells(u NodeID, su int32) *rowCache {
 //
 //dexvet:noalloc
 func sortCells(cells []graph.RunCell) {
-	for _, gap := range shellGaps {
+	for _, gap := range [...]int{1750, 701, 301, 132, 57, 23, 10, 4, 1} {
 		for i := gap; i < len(cells); i++ {
 			e, j := cells[i], i
 			for ; j >= gap && cells[j-gap].V > e.V; j -= gap {
@@ -610,24 +601,19 @@ func (nw *Network) coordDegree() int {
 
 // rewire replaces the overlay's edges with the contraction of the
 // mapping a one-step rebuild has just installed, as a diff: only pairs
-// whose multiplicity changes are touched (each marks its ends dirty,
-// advances the epoch by one and reaches the edge observer), so
-// subscribers receive one batched diff and the graph pointer stays
-// stable. The temporary attach edge, if any, is not part of the new
-// overlay. Pairs are visited by ascending first end and, for each, the
-// new overlay's pairs before the dropped ones — the order in which the
-// per-pair diff this replaces marked them.
+// whose multiplicity changes are touched, each through edgeChanged (so
+// it marks its ends dirty, advances the epoch by one and reaches the
+// edge observer), so subscribers receive one batched diff and the graph
+// pointer stays stable. The temporary attach edge, if any, is not part
+// of the new overlay. Pairs are visited by ascending first end and, for
+// each, the new overlay's pairs before the dropped ones.
 func (nw *Network) rewire() {
 	g := nw.view()
 	old := g.Edges()
 	nw.tmp.on = false
-	want := slices.Clone(nw.overlayDeltas())
-	var diff []graph.EdgeChange
-	note := func(u, v NodeID, d int) {
-		su, sv := nw.st.slot(u), nw.st.slot(v)
-		nw.st.markDirtyAt(u, su)
-		nw.st.markDirtyAt(v, sv)
-		diff = append(diff, graph.EdgeChange{U: u, V: v, SU: su, SV: sv, Delta: int32(d)})
+	want := nw.overlayDeltas()
+	change := func(u, v NodeID, d int) {
+		nw.edgeChanged(u, nw.st.slot(u), v, nw.st.slot(v), d)
 	}
 	i, j := 0, 0
 	for i < len(old) || j < len(want) {
@@ -656,8 +642,8 @@ func (nw *Network) rewire() {
 			if k < len(ogrp) && ogrp[k].V == w.V {
 				m = ogrp[k].Mult
 			}
-			if d := int(w.Delta) - m; d != 0 {
-				note(u, w.V, d)
+			if d := w.Delta - m; d != 0 {
+				change(u, w.V, d)
 			}
 		}
 		k = 0
@@ -666,19 +652,10 @@ func (nw *Network) rewire() {
 				k++
 			}
 			if k == len(wgrp) || wgrp[k].V != o.V {
-				note(u, o.V, -o.Mult)
+				change(u, o.V, -o.Mult)
 			}
 		}
 	}
-	netted := netLog(slices.Clone(diff))
-	for _, d := range diff {
-		nw.edges += int(d.Delta)
-		if nw.edgeObserver != nil {
-			nw.edgeLog = append(nw.edgeLog, d)
-		}
-	}
-	g.ApplyChanges(netted) // one epoch step per pair, as the per-pair calls took
-	nw.viewEdited = true
 }
 
 // --- construction and restore -------------------------------------------------

@@ -17,18 +17,19 @@ import (
 // hopRows' hops against g.RandomNeighborStepAt for words random words
 // under every exclusion in {-1, each neighbor}, including the slot a hop
 // hands back. The reads are forced onto the derived path even while a
-// view is kept (re-resolving simSlot, which vertex moves leave behind
-// then), and nothing here materializes one.
+// view is kept, over simSlot resolved into a fresh slice (a kept view
+// releases it) that is dropped again afterwards; without a view they run
+// on the engine's own simSlot, which this leaves untouched, and nothing
+// here materializes a view.
 func checkDerivedReads(nw *Network, g *graph.Graph, words int) error {
-	kept, slots := nw.viewKept, nw.simSlot
-	nw.viewKept = false
-	nw.resolveSimSlots() // a kept view releases simSlot
-	defer func() {
-		nw.viewKept, nw.simSlot = kept, slots
-		if kept {
+	if nw.viewKept {
+		nw.viewKept = false
+		nw.resolveSimSlots()
+		defer func() {
+			nw.viewKept, nw.simSlot = true, nil
 			nw.dropCached(-1) // rows a kept view does not keep current
-		}
-	}()
+		}()
+	}
 	rng := rand.New(rand.NewSource(int64(nw.Size())))
 	for _, e := range nw.st.nodeList {
 		u, su := e.id, e.slot

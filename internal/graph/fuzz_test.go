@@ -1,9 +1,7 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"testing"
 )
 
@@ -17,7 +15,7 @@ const idSpace = 32
 func applyGraphOp(t *testing.T, g *Graph, r *Ref, op, a, b byte) {
 	t.Helper()
 	u, v := NodeID(a%idSpace), NodeID(b%idSpace)
-	switch op % 9 { // 8 is applyBatchOp's, decoded by the fuzz loop
+	switch op % 8 {
 	case 0, 1: // AddEdge, twice as likely so graphs grow
 		g.AddEdge(u, v)
 		r.AddEdge(u, v)
@@ -46,40 +44,6 @@ func applyGraphOp(t *testing.T, g *Graph, r *Ref, op, a, b byte) {
 		rn, rok := r.RandomNeighborStep(u, -1, seed)
 		if gn != rn || gok != rok {
 			t.Fatalf("RandomNeighborStep(%d, r=%d): arena (%d,%v), ref (%d,%v)", u, seed, gn, gok, rn, rok)
-		}
-	}
-}
-
-// applyBatchOp decodes each (a, b, c) byte triple of data into a change
-// of c%9-4 in edge {a, b}, nets the changes per pair against the Ref's
-// multiplicities (a removal stops at zero), and applies the netted batch,
-// sorted by (U, V), to the arena in one ApplyDeltas call and to the Ref
-// one delta at a time.
-func applyBatchOp(g *Graph, r *Ref, data []byte) {
-	sum := map[[2]NodeID]int{}
-	for i := 0; i+2 < len(data); i += 3 {
-		u, v := NodeID(data[i]%idSpace), NodeID(data[i+1]%idSpace)
-		if u > v {
-			u, v = v, u
-		}
-		sum[[2]NodeID{u, v}] += int(data[i+2]%9) - 4
-	}
-	var batch []EdgeDelta
-	for e, d := range sum {
-		if m := r.Multiplicity(e[0], e[1]); d < -m {
-			d = -m
-		}
-		if d != 0 {
-			batch = append(batch, EdgeDelta{U: e[0], V: e[1], Delta: d})
-		}
-	}
-	slices.SortFunc(batch, func(a, b EdgeDelta) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
-	g.ApplyDeltas(batch)
-	for _, d := range batch {
-		if d.Delta > 0 {
-			r.AddEdgeMult(d.U, d.V, d.Delta)
-		} else {
-			r.RemoveEdgeMult(d.U, d.V, -d.Delta)
 		}
 	}
 }
@@ -172,10 +136,8 @@ func diffGraphs(g *Graph, r *Ref) error {
 
 // FuzzGraphOps is the swap-safety differential fuzzer for the adjacency
 // arena: arbitrary byte strings decode into Add/Remove node/edge
-// sequences and netted edge-delta batches (the arena takes a batch in
-// one ApplyDeltas call, the Ref one delta at a time) applied to the
-// arena and the map-of-maps Ref oracle in lockstep, asserting identical
-// observable state after every operation.
+// sequences applied to the arena and the map-of-maps Ref oracle in
+// lockstep, asserting identical observable state after every operation.
 // This is what lets the graph representation be replaced fearlessly (the
 // FuzzChurnTrace of the substrate layer). Run it with `make fuzz` or
 //
@@ -242,20 +204,10 @@ func FuzzGraphOps(f *testing.F) {
 		if n > 900 {
 			n = 900 // bound trace length so each input stays fast
 		}
-		for i := 0; i+2 < n; {
-			op, a, b := data[i], data[i+1], data[i+2]
-			at := i
-			i += 3
-			if op%9 == 8 {
-				// A batch: its 1 + b%24 changes are the triples that follow.
-				end := min(n, i+3*(1+int(b)%24))
-				applyBatchOp(g, r, data[i:end])
-				i = end
-			} else {
-				applyGraphOp(t, g, r, op, a, b)
-			}
+		for i := 0; i+2 < n; i += 3 {
+			applyGraphOp(t, g, r, data[i], data[i+1], data[i+2])
 			if err := diffGraphs(g, r); err != nil {
-				t.Fatalf("op at byte %d (%d %d %d): %v", at, op, a, b, err)
+				t.Fatalf("op %d (%d %d %d): %v", i/3, data[i], data[i+1], data[i+2], err)
 			}
 		}
 		// A clone must be a detached but identical arena.

@@ -162,12 +162,6 @@ type Graph struct {
 	// Clone/Snapshot never copy them — a copy belongs to someone else.
 	onSlotAssign  func(u NodeID, slot int32)
 	onSlotRelease func(u NodeID, slot int32)
-
-	// ApplyDeltas' and ApplyChanges' scratch: a batch with its slots, and
-	// its halves. Neither outlives a call's content, and Clone/Snapshot
-	// do not copy them.
-	changes []EdgeChange
-	halves  []halfDelta
 }
 
 // New returns an empty graph.
@@ -791,6 +785,80 @@ func (g *Graph) RemoveNode(u NodeID) {
 		g.onSlotRelease(u, su)
 	}
 }
+
+// RunCell is one cell of a node's run as BuildRunAt takes it: the
+// neighbor (the node itself for its self cell), the neighbor's slot and
+// the edge's multiplicity.
+type RunCell struct {
+	V NodeID
+	S int32
+	M int32
+}
+
+// BuildRunAt writes the whole run of the node at slot s, which must hold
+// no edge: cells sorted strictly by neighbor, each with a positive
+// multiplicity. It is for an owner that derives a whole overlay node by
+// node, writing every node's run once — a pair of distinct nodes from
+// both ends with equal multiplicities, a self-loop once — with no probe
+// and no sort; the edge count takes each pair from its smaller end. The
+// epoch does not move: the owner derives edges it already counted.
+//
+//dexvet:noalloc
+func (g *Graph) BuildRunAt(s int32, cells []RunCell) {
+	r := &g.recs[s]
+	if r.n != 0 {
+		panic(fmt.Sprintf("graph: BuildRunAt on node %d, which has edges", g.ids[s]))
+	}
+	if len(cells) == 0 {
+		return
+	}
+	n := int32(len(cells))
+	newCap := (n + 3) &^ 3
+	off := g.allocRun(newCap)
+	g.freeRun(r.off, r.cap)
+	r = &g.recs[s]
+	r.off, r.cap, r.n = off, newCap, n
+	u := g.ids[s]
+	for i, c := range cells {
+		if c.M <= 0 || i > 0 && cells[i-1].V >= c.V {
+			panic(fmt.Sprintf("graph: BuildRunAt cell %d (%+v) of node %d out of order or empty", i, c, u))
+		}
+		g.pool[off+int32(i)] = cell{v: c.V, m: c.M, s: c.S}
+		r.deg += c.M
+		if c.S != s {
+			r.dist++
+		}
+		if c.V >= u {
+			g.edges += int(c.M)
+		}
+	}
+	if n > fenceStride {
+		g.refreshFence(r)
+	}
+}
+
+// ClearEdges removes every edge and releases the whole pool, keeping
+// the slot table and the epoch: for an owner that keeps the edges
+// elsewhere and drops this copy of them (the DEX engine's overlay view,
+// which it can derive again from its mapping).
+func (g *Graph) ClearEdges() {
+	for s := range g.recs {
+		g.recs[s] = nodeRec{}
+	}
+	g.pool = nil
+	for i := range g.freeRuns {
+		g.freeRuns[i] = nil
+	}
+	g.freeCells = 0
+	g.edges = 0
+}
+
+// Compact repacks the pool now, as maybeCompact does once half of it
+// sits on free lists: every run snug at its length rounded up to 4
+// cells, in slot order, with nothing left on the free lists. The pool's
+// length is then a function of the runs' lengths alone, whatever edits
+// produced them.
+func (g *Graph) Compact() { g.compact() }
 
 // Multiplicity returns the number of parallel {u,v} edges.
 func (g *Graph) Multiplicity(u, v NodeID) int {

@@ -519,8 +519,7 @@ func TestFindNbrEveryPosition(t *testing.T) {
 // of runs of 1..100 cells (the TestFindNbrEveryPosition shape: node 2p+1
 // sorts between neighbors 2p and 2p+2) and requires DistinctDegree and
 // Validate to stay exact while neighbors are added and removed around
-// it, through the per-edge mutators and through ApplyDeltas. insertEntry,
-// removeEntry and the batch merge tell the self cell apart by its slot.
+// it. insertEntry and removeEntry tell the self cell apart by its slot.
 func TestSelfCellEveryPosition(t *testing.T) {
 	check := func(g *Graph, u NodeID, want int, what string) {
 		t.Helper()
@@ -545,12 +544,15 @@ func TestSelfCellEveryPosition(t *testing.T) {
 			check(g, u, deg+1, what+": neighbor appended")
 			g.RemoveEdge(u, NodeID(2)) // the first cell
 			check(g, u, deg, what+": first neighbor removed")
-			g.ApplyDeltas([]EdgeDelta{{U: 0, V: u, Delta: 1}, {U: u, V: u, Delta: 1}, {U: u, V: NodeID(2*deg + 2), Delta: -1}})
-			check(g, u, deg, what+": batch around the loop")
+			g.AddEdge(0, u) // a cell at the front
+			check(g, u, deg+1, what+": front neighbor added")
+			g.AddEdge(u, u)
+			g.RemoveEdge(u, NodeID(2*deg+2))
+			check(g, u, deg, what+": loop doubled, last neighbor removed")
 			g.RemoveEdgeMult(u, u, 2)
 			check(g, u, deg, what+": loop removed")
-			g.ApplyDeltas([]EdgeDelta{{U: u, V: u, Delta: 3}})
-			check(g, u, deg, what+": loop re-added by a batch")
+			g.AddEdgeMult(u, u, 3)
+			check(g, u, deg, what+": loop re-added")
 		}
 	}
 }
