@@ -8,7 +8,7 @@ FUZZTIME ?= 30s
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test test-race vet fmt lint check bench bench-graph bench-core bench-json bench-diff profile-churn fuzz fuzz-churn fuzz-graph fuzz-store fuzz-crash fuzz-flood sim sim-scale dht experiments
+.PHONY: all build test test-race vet fmt lint check bench bench-graph bench-core bench-json bench-diff profile-churn fuzz fuzz-churn fuzz-derived fuzz-graph fuzz-store fuzz-crash fuzz-flood sim sim-scale dht experiments
 
 all: check
 
@@ -170,7 +170,10 @@ profile-churn:
 
 # Differential fuzzing, one target per oracle tier: FuzzChurnTrace
 # replays decoded operation traces under the incremental-vs-full-rebuild
-# oracle plus the exhaustive invariant check; FuzzGraphOps replays graph
+# oracle plus the exhaustive invariant check; FuzzDerivedChurn replays
+# single inserts and deletes on a Staggered network observed only by an
+# edge observer, the derived-read regime a durable evented façade runs,
+# checking the edge events against the rebuild; FuzzGraphOps replays graph
 # mutation sequences against the map-of-maps Ref oracle (swap-safety for
 # the flat adjacency arena); FuzzStoreOps replays engine-store operation
 # sequences against the map-keyed storeModel (the same for the
@@ -181,10 +184,13 @@ profile-churn:
 # multi-edges, recycled slots, several components) and demands the
 # direct size-count flood report the message-passing PIF execution's
 # Sum, Count, Rounds and Messages exactly.
-fuzz: fuzz-churn fuzz-graph fuzz-store fuzz-crash fuzz-flood
+fuzz: fuzz-churn fuzz-derived fuzz-graph fuzz-store fuzz-crash fuzz-flood
 
 fuzz-churn:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzChurnTrace -fuzztime $(FUZZTIME)
+
+fuzz-derived:
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDerivedChurn -fuzztime $(FUZZTIME)
 
 fuzz-graph:
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzGraphOps -fuzztime $(FUZZTIME)

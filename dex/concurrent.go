@@ -288,7 +288,10 @@ func (c *Concurrent) DeleteBatch(ids []NodeID) error {
 // hatch for multi-call atomic sections (inspect-then-mutate, invariant
 // probes around an operation) that must not interleave with other
 // callers. f must not retain the *Network, and in sync-events mode it
-// inherits the callback restrictions of any mutation it performs.
+// inherits the callback restrictions of any mutation it performs. An f
+// that reads nw.Graph() gets the live overlay, and from then on the
+// engine keeps that view and edits it with every edge change, so later
+// Snapshots clone it instead of deriving their copies.
 func (c *Concurrent) Do(f func(*Network) error) error { return c.op(f) }
 
 // Size returns the current number of real nodes n.
@@ -352,21 +355,26 @@ func (c *Concurrent) History() []StepMetrics {
 // was taken at: a consistent point-in-time view that can be read
 // lock-free forever, no matter how the live network churns on. This is
 // how subscriber mirrors, spectral probes, and debuggers read a
-// concurrently maintained overlay. It reads the engine's overlay
-// through Network.Graph (the first call materializes the view, which
-// the engine then keeps current with every edge change, and a call
-// after an edge change compacts it) and copies it: both cost time
-// linear in the overlay's size, and both run under the façade's lock.
+// concurrently maintained overlay. Snapshot keeps no overlay view. With
+// none kept, it derives the copy from the virtual mapping: about 90 ms
+// at 10^5 nodes. With one kept, it clones that view once: about 12 ms.
+// A view is kept once a Do caller has read Network.Graph, or while the
+// engine's own steps keep one (see Network.Graph). Either cost is
+// linear in the overlay's size and is paid under the façade's lock. A
+// caller that snapshots repeatedly can keep a view through Do, reading
+// nw.Graph() once, so that each later snapshot costs one clone; the
+// engine then edits that view with every edge change.
 func (c *Concurrent) Snapshot() (*Graph, uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.nw.Graph().Snapshot()
+	return c.nw.eng.Snapshot()
 }
 
 // Graph returns a point-in-time snapshot of the overlay (satisfying
-// the Maintainer contract). The live graph is never exposed — it may
-// be mid-mutation on another goroutine; use Snapshot to also learn the
-// epoch, or Do for an exclusive look at the live structure.
+// the Maintainer contract), at Snapshot's cost. The live graph is never
+// exposed — it may be mid-mutation on another goroutine; use Snapshot
+// to also learn the epoch, or Do for an exclusive look at the live
+// structure.
 func (c *Concurrent) Graph() *Graph {
 	g, _ := c.Snapshot()
 	return g

@@ -2,6 +2,7 @@ package dex_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -269,42 +270,128 @@ func TestAsyncEventsRequiresConcurrent(t *testing.T) {
 // TestConcurrentChurnAllocsWithoutSubscribers: a Concurrent façade with
 // no subscriber builds no event, so subscriber-free churn (insert and
 // delete pairs with the sampled audit on, as BenchmarkConcurrentChurn
-// runs them) allocates nothing. A subscription receives the next pair's
-// vertex transfers, and cancelling it restores the zero.
+// runs them) allocates nothing, with edge events off and on: the engine
+// nets and copies no edge diff that nobody receives. A subscription
+// receives the next pair's vertex transfers and, with edge events on,
+// both steps' diffs, and cancelling it restores the zero.
 func TestConcurrentChurnAllocsWithoutSubscribers(t *testing.T) {
-	c, err := dex.NewConcurrent(dex.WithInitialSize(1024), dex.WithSeed(29), dex.WithAuditMode(dex.AuditSampled))
+	for _, edges := range []bool{false, true} {
+		t.Run(fmt.Sprintf("edge-events=%v", edges), func(t *testing.T) {
+			c, err := dex.NewConcurrent(dex.WithInitialSize(1024), dex.WithSeed(29), dex.WithAuditMode(dex.AuditSampled), dex.WithEdgeEvents(edges))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			id := dex.NodeID(1_000_000)
+			pair := func() {
+				if err := c.Insert(id, 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+				id++
+			}
+			for i := 0; i < 256; i++ {
+				pair()
+			}
+			if a := testing.AllocsPerRun(400, pair); a != 0 {
+				t.Fatalf("subscriber-free churn allocates %.2f per pair, want 0", a)
+			}
+			transfers, diffs := 0, 0
+			cancel := c.Subscribe(func(ev dex.Event) {
+				switch ev.(type) {
+				case dex.VertexTransferred:
+					transfers++
+				case dex.EdgesChanged:
+					diffs++
+				}
+			})
+			pair()
+			if transfers == 0 {
+				t.Fatal("the subscriber saw no vertex transfer of an insert and a delete")
+			}
+			want := 0
+			if edges {
+				want = 2
+			}
+			if diffs != want {
+				t.Fatalf("the subscriber saw %d edge diffs of an insert and a delete, want %d", diffs, want)
+			}
+			cancel()
+			if a := testing.AllocsPerRun(400, pair); a != 0 {
+				t.Fatalf("churn after the last cancel allocates %.2f per pair, want 0", a)
+			}
+		})
+	}
+}
+
+// TestConcurrentEdgeEventsMirrorSnapshots drives a Staggered
+// Concurrent façade with edge events on through growth that inflates
+// and shrinkage that deflates, mirroring the overlay from a Snapshot
+// plus the EdgesChanged diffs, as the benchmark's subscriber does. A
+// façade keeps no view for its events or its snapshots, so this runs
+// on derived reads throughout. After every operation the mirror must
+// equal a fresh Snapshot, and the Snapshot's epoch must equal that of
+// a plain Network driven through the same operations, whose view is
+// kept.
+func TestConcurrentEdgeEventsMirrorSnapshots(t *testing.T) {
+	opts := []dex.Option{dex.WithInitialSize(16), dex.WithSeed(43), dex.WithMode(dex.Staggered), dex.WithEdgeEvents(true)}
+	plain, err := dex.New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := dex.NewConcurrent(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	id := dex.NodeID(1_000_000)
-	pair := func() {
-		if err := c.Insert(id, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-		id++
-	}
-	for i := 0; i < 256; i++ {
-		pair()
-	}
-	if a := testing.AllocsPerRun(400, pair); a != 0 {
-		t.Fatalf("subscriber-free churn allocates %.2f per pair, want 0", a)
-	}
-	transfers := 0
-	cancel := c.Subscribe(func(ev dex.Event) {
-		if _, ok := ev.(dex.VertexTransferred); ok {
-			transfers++
+	mirror := newMirror(c.Graph())
+	c.Subscribe(func(ev dex.Event) {
+		if e, ok := ev.(dex.EdgesChanged); ok {
+			mirror.apply(t, e.Deltas)
 		}
 	})
-	pair()
-	if transfers == 0 {
-		t.Fatal("the subscriber saw no vertex transfer of an insert and a delete")
+	rng := rand.New(rand.NewSource(43))
+	step := func(i int, insert bool) {
+		nodes := c.Nodes()
+		if insert {
+			id, at := c.FreshID(), nodes[rng.Intn(len(nodes))]
+			if err := c.Insert(id, at); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+			if err := plain.Insert(plain.FreshID(), at); err != nil {
+				t.Fatalf("op %d, plain: %v", i, err)
+			}
+		} else {
+			victim := nodes[rng.Intn(len(nodes))]
+			if err := c.Delete(victim); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+			if err := plain.Delete(victim); err != nil {
+				t.Fatalf("op %d, plain: %v", i, err)
+			}
+		}
+		snap, epoch := c.Snapshot()
+		sameEdgeMultiset(t, snap, mirror.g, i)
+		if want := plain.Graph().Epoch(); epoch != want {
+			t.Fatalf("op %d: snapshot epoch %d, plain network's %d", i, epoch, want)
+		}
 	}
-	cancel()
-	if a := testing.AllocsPerRun(400, pair); a != 0 {
-		t.Fatalf("churn after the last cancel allocates %.2f per pair, want 0", a)
+	i := 0
+	for ; c.Totals().InflateEvents == 0; i++ {
+		if i == 2000 {
+			t.Fatal("no inflation committed in 2000 inserts")
+		}
+		step(i, true)
+	}
+	for ; c.Totals().DeflateEvents == 0; i++ {
+		if c.Size() <= 8 {
+			t.Fatal("shrank to 8 nodes without a deflation")
+		}
+		step(i, false)
+	}
+	if !reflect.DeepEqual(plain.History(), c.History()) {
+		t.Fatal("histories diverged between plain and concurrent façade")
 	}
 }

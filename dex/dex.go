@@ -228,12 +228,12 @@ func wrapEngine(eng *core.Network, o options) *Network {
 		nw.lastP = pNew
 	})
 	if o.edgeEvents {
+		// The engine nets and copies a step's diff only when listened
+		// says an EdgesChanged event would reach a subscriber.
 		eng.SetEdgeObserver(func(step int, deltas []graph.EdgeDelta) {
-			if !nw.listened() {
-				return
-			}
 			nw.publish(EdgesChanged{Step: step, Deltas: deltas})
 		})
+		eng.SetEdgeDemand(nw.listened)
 	}
 	return nw
 }
@@ -351,7 +351,9 @@ func (nw *Network) Cycle() *Cycle { return nw.eng.Cycle() }
 // first call, and any call after an edge change (which compacts the
 // view's storage so its layout does not depend on when it was first
 // observed), cost time linear in the overlay's size; a call with no
-// edge change since the last costs O(1).
+// edge change since the last costs O(1). EdgesChanged events and a
+// Concurrent's Snapshot read the overlay without keeping a view, so a
+// network that only they observe keeps running on derived reads.
 func (nw *Network) Graph() *Graph { return nw.eng.Graph() }
 
 // Nodes returns the current node ids in ascending order.

@@ -177,7 +177,10 @@ func WithAsyncEvents(buffer int) Option {
 // overlay without rescanning it — a type-2 rebuild shows up as exactly
 // the edges that changed, not a wholesale graph swap. Off by default
 // (the diff costs one log entry per raw edge mutation, sorted and netted
-// per node pair when the step ends).
+// per node pair when the step ends, and the sort, the netting and the
+// batch's copy are skipped for a step no subscriber receives). Edge
+// events keep no overlay view: the engine goes on reading the overlay
+// from its virtual mapping (see Network.Graph).
 func WithEdgeEvents(on bool) Option {
 	return func(o *options) { o.edgeEvents = on }
 }

@@ -178,8 +178,9 @@ func TestHistoryCapCore(t *testing.T) {
 // above the run's last cell, the self-loop bookkeeping kept apart from
 // the row (a spurious self-loop, one unit of an expected one, the whole
 // self cell), a node missing from the sampling mirror or listed there
-// with another live node's slot or a free one, and, mid-rebuild, the
-// pending intermediate edges and NewSim ownership.
+// with another live node's slot or a free one, mid-rebuild, the
+// pending intermediate edges and NewSim ownership, and, on a network
+// that keeps no view, a vertex whose simSlot names another node's slot.
 //
 // Every case also runs through the sampled audit, whose warm pass reads
 // the same cells ahead of the checks: with one corrupted node marked
@@ -193,30 +194,31 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		stagger bool
+		derived bool   // run without a view, as an unobserved network does
 		want    string // in the error of every node corrupt returns
 		// corrupt tampers with nw behind the engine's back and returns
 		// the nodes whose check must now fail.
 		corrupt func(t *testing.T, nw *Network) []NodeID
 	}{
-		{"extra-multiplicity", false, "multiplicity", func(t *testing.T, nw *Network) []NodeID {
+		{"extra-multiplicity", false, false, "multiplicity", func(t *testing.T, nw *Network) []NodeID {
 			u, v := edgeWith(t, nw, func(u, v NodeID) bool { return u != v })
 			nw.Graph().AddEdge(u, v)
 			return []NodeID{u, v}
 		}},
-		{"foreign-edge-below-run", false, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
+		{"foreign-edge-below-run", false, false, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
 			w := nw.Nodes()[0] // sorts below every neighbor of any other node
 			u := nonNeighbor(t, nw, w)
 			nw.Graph().AddEdge(u, w)
 			return []NodeID{u, w}
 		}},
-		{"foreign-edge-above-run", false, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
+		{"foreign-edge-above-run", false, false, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
 			nodes := nw.Nodes()
 			w := nodes[len(nodes)-1] // sorts above every neighbor of any other node
 			u := nonNeighbor(t, nw, w)
 			nw.Graph().AddEdge(u, w)
 			return []NodeID{u, w}
 		}},
-		{"missing-edge-above-run", false, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
+		{"missing-edge-above-run", false, false, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
 			// v is u's largest neighbor, so u's expected row outlasts its run.
 			u, v := edgeWith(t, nw, func(u, v NodeID) bool {
 				if v == u {
@@ -232,17 +234,17 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 			nw.Graph().RemoveEdgeMult(u, v, nw.Graph().Multiplicity(u, v))
 			return []NodeID{u, v}
 		}},
-		{"unexpected-self-loop", false, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
+		{"unexpected-self-loop", false, false, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
 			u := nodeWith(t, nw, func(u NodeID) bool { return nw.Graph().Multiplicity(u, u) == 0 })
 			nw.Graph().AddEdge(u, u)
 			return []NodeID{u}
 		}},
-		{"expected-self-loop-removed", false, "multiplicity", func(t *testing.T, nw *Network) []NodeID {
+		{"expected-self-loop-removed", false, false, "multiplicity", func(t *testing.T, nw *Network) []NodeID {
 			u := nodeWith(t, nw, func(u NodeID) bool { return nw.Graph().Multiplicity(u, u) > 0 })
 			nw.Graph().RemoveEdge(u, u)
 			return []NodeID{u}
 		}},
-		{"pending-edge-removed", true, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
+		{"pending-edge-removed", true, false, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
 			s := nw.stag
 			for _, u := range nw.Nodes() {
 				for _, x := range nw.st.setAt(nw.st.slot(u), false) {
@@ -259,18 +261,18 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 			t.Fatal("no pending intermediate edge between two nodes")
 			return nil
 		}},
-		{"newsim-owner-corrupted", true, "NewSim(", func(t *testing.T, nw *Network) []NodeID {
+		{"newsim-owner-corrupted", true, false, "NewSim(", func(t *testing.T, nw *Network) []NodeID {
 			u := nodeWith(t, nw, func(u NodeID) bool { return nw.st.setLenAt(nw.st.slot(u), true) > 0 })
 			w := nodeWith(t, nw, func(w NodeID) bool { return w != u })
 			nw.stag.newSimOf[nw.st.setAt(nw.st.slot(u), true)[0]] = w
 			return []NodeID{u}
 		}},
-		{"missing-from-mirror", false, "missing from sampling mirror", func(t *testing.T, nw *Network) []NodeID {
+		{"missing-from-mirror", false, false, "missing from sampling mirror", func(t *testing.T, nw *Network) []NodeID {
 			u := nw.Nodes()[1]
 			nw.st.rows[nw.st.slot(u)].pos = -1
 			return []NodeID{u}
 		}},
-		{"multiplicity-moved", false, "multiplicity", func(t *testing.T, nw *Network) []NodeID {
+		{"multiplicity-moved", false, false, "multiplicity", func(t *testing.T, nw *Network) []NodeID {
 			// One unit moves from {u,v} to an existing {u,w}: u keeps its
 			// total degree and its distinct neighbors, and only the
 			// per-neighbor multiplicities tell.
@@ -291,20 +293,20 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 			nw.Graph().AddEdge(u, w)
 			return []NodeID{u, v, w}
 		}},
-		{"self-loop-cell-removed", false, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
+		{"self-loop-cell-removed", false, false, "distinct real neighbors", func(t *testing.T, nw *Network) []NodeID {
 			// The whole self cell goes, not one unit of it: the non-self
 			// cells still account for the whole expected row.
 			u := nodeWith(t, nw, func(u NodeID) bool { return nw.Graph().Multiplicity(u, u) >= 2 })
 			nw.Graph().RemoveEdgeMult(u, u, nw.Graph().Multiplicity(u, u))
 			return []NodeID{u}
 		}},
-		{"mirror-slot-of-another-node", false, "missing from sampling mirror", func(t *testing.T, nw *Network) []NodeID {
+		{"mirror-slot-of-another-node", false, false, "missing from sampling mirror", func(t *testing.T, nw *Network) []NodeID {
 			nodes := nw.Nodes()
 			u, v := nodes[1], nodes[2]
 			nw.st.nodeList[nw.st.mirrorPosAt(nw.st.slot(u))].slot = nw.st.slot(v)
 			return []NodeID{u}
 		}},
-		{"mirror-slot-free", false, "missing from sampling mirror", func(t *testing.T, nw *Network) []NodeID {
+		{"mirror-slot-free", false, false, "missing from sampling mirror", func(t *testing.T, nw *Network) []NodeID {
 			free := int32(-1)
 			for s := int32(0); s < int32(nw.Graph().Slots()); s++ {
 				if _, ok := nw.Graph().NodeAt(s); !ok {
@@ -319,7 +321,14 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 			nw.st.nodeList[nw.st.mirrorPosAt(nw.st.slot(u))].slot = free
 			return []NodeID{u}
 		}},
-		{"two-corrupted-dirty-nodes", false, "load(", func(t *testing.T, nw *Network) []NodeID {
+		{"stale-sim-slot", false, true, "simSlot[", func(t *testing.T, nw *Network) []NodeID {
+			// One vertex of u names v's slot: derived rows would hand v's
+			// slot out as u's, and moves would mark v dirty for u.
+			u, v := nw.st.nodeList[1], nw.st.nodeList[2]
+			nw.simSlot[nw.st.setAt(u.slot, false)[0]] = v.slot
+			return []NodeID{u.id}
+		}},
+		{"two-corrupted-dirty-nodes", false, false, "load(", func(t *testing.T, nw *Network) []NodeID {
 			nodes := nw.Nodes()
 			a, b := nodes[len(nodes)-1], nodes[0] // dirtyList order against id order
 			nw.st.corruptLoad(a, 1)
@@ -335,7 +344,11 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 				nw = mustNew(t, 64, DefaultConfig())
 				churnQuiet(t, nw, 100)
 			}
-			nw.Graph() // a kept view holds the rows the node checks compare
+			if !tc.derived {
+				nw.Graph() // a kept view holds the rows the node checks compare
+			} else if nw.viewKept {
+				t.Fatal("the churned network keeps a view: the case would not run on derived reads")
+			}
 			if err := checkEveryNode(nw); err != nil {
 				t.Fatalf("healthy network fails the node check: %v", err)
 			}

@@ -9,6 +9,7 @@ import (
 	"runtime/pprof"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/wire"
 )
 
@@ -150,16 +151,33 @@ func joinedEngine(tb testing.TB, n, pairs int) *Network {
 // workloads run: one iteration is a delete plus an insert on a
 // joinedEngine aged by 2*10^4 pairs, each op followed by Audit(mode) as
 // the dex façade does after every operation. Audit draws nothing from
-// the engine's random source, so both rows run the same operations on
+// the engine's random source, so every row runs the same operations on
 // the same network, and the gap between off and sampled is the audit's
-// cost per pair. Neither row allocates per op (the ZeroAllocs gates
-// below pin both paths). Run via `make bench-core`; `make profile-churn`
-// profiles the off row's timed loop through -churnprofile.
+// cost per pair. The sampled+edges row adds an edge observer that
+// drops its batch, registered after the aging: durable-full's engine
+// path without persistence. The off and sampled rows allocate nothing
+// per op (the ZeroAllocs gates below pin both paths); the sampled+edges
+// row allocates the two batches its observer is handed, copies a
+// subscriber may keep. Run via `make bench-core`;
+// `make profile-churn` profiles the off row's timed loop through
+// -churnprofile.
 func BenchmarkChurnAudit(b *testing.B) {
-	for _, mode := range []AuditMode{AuditOff, AuditSampled} {
+	for _, row := range []struct {
+		name  string
+		mode  AuditMode
+		edges bool
+	}{
+		{"off", AuditOff, false},
+		{"sampled", AuditSampled, false},
+		{"sampled+edges", AuditSampled, true},
+	} {
+		mode := row.mode
 		for _, size := range []int{100000} {
-			b.Run(fmt.Sprintf("%s/n=%d", mode, size), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/n=%d", row.name, size), func(b *testing.B) {
 				nw := joinedEngine(b, size, size/5)
+				if row.edges {
+					nw.SetEdgeObserver(func(int, []graph.EdgeDelta) {})
+				}
 				rng := rand.New(rand.NewSource(23))
 				pair := func() {
 					if err := nw.Delete(nw.SampleNode(rng)); err != nil {
@@ -319,15 +337,42 @@ func TestRecoveryOpZeroAllocsSteadyState(t *testing.T) {
 }
 
 // TestAuditSampledZeroAllocs is the alloc gate on the sampled audit:
-// the node check counts the arena run's cells in wantRow's unsorted
-// expected row, built in a network-owned buffer, so auditing every
-// step costs no allocation. The steady case audits after each delete+insert
-// pair; the staggered case audits a network paused mid-rebuild, whose
-// rows also carry NewSim holdings and pending intermediate edges.
+// with a view kept, the node check counts the arena run's cells in
+// wantRow's unsorted expected row, built in a network-owned buffer, and
+// without one it checks the mapping side, simSlot included, so
+// auditing every step costs no allocation. The steady case audits
+// after each delete+insert pair; the staggered case audits a network
+// paused mid-rebuild, whose rows also carry NewSim holdings and pending
+// intermediate edges; the derived case audits after each pair on the
+// network the workloads run, with no view kept.
 func TestAuditSampledZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state warmup is a few thousand ops")
 	}
+	t.Run("derived", func(t *testing.T) {
+		nw := joinedEngine(t, 4096, 2*4096/100+200)
+		rng := rand.New(rand.NewSource(29))
+		triple := func() {
+			if err := nw.Delete(nw.SampleNode(rng)); err != nil {
+				t.Fatal(err)
+			}
+			if err := nw.Insert(nw.FreshID(), nw.SampleNode(rng)); err != nil {
+				t.Fatal(err)
+			}
+			if err := nw.Audit(AuditSampled); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 256; i++ {
+			triple()
+		}
+		if nw.viewKept {
+			t.Fatal("the unobserved network keeps a view: the gate would not price the derived audit")
+		}
+		if allocs := testing.AllocsPerRun(400, triple); allocs != 0 {
+			t.Fatalf("delete+insert+sampled audit without a view allocates %.2f per triple, want 0", allocs)
+		}
+	})
 	t.Run("steady", func(t *testing.T) {
 		nw := steadyEngine(t, 4096)
 		nw.Graph() // the row checks run against a kept view

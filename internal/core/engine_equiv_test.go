@@ -240,16 +240,21 @@ func singleStep(nw *Network, rng *rand.Rand) error {
 // single ops, batches, staggered and simplified rebuilds - asserting
 // after every operation that the incremental real graph is identical to
 // a shadow full rebuild, and periodically that every node-local audit
-// and the exhaustive invariant check agree.
+// and the exhaustive invariant check agree. Every trace registers an
+// edge observer from construction, which keeps no view, and replays its
+// batches onto a mirror that must equal the rebuild after every
+// operation, so the edge events are checked on derived reads and on a
+// kept view alike.
 func TestDifferentialChurnTraces(t *testing.T) {
 	for _, mode := range []RecoveryMode{Staggered, Simplified} {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%v/seed=%d", mode, seed), func(t *testing.T) {
 				// Observed: the view is kept from construction. Halfway:
 				// the first half runs single operations only (singleStep),
-				// which observe nothing in Staggered mode, so derived reads
-				// and simSlot are checked there across rebuild commits;
-				// then the view is materialized.
+				// which observe nothing in Staggered mode (the test asserts
+				// so), so derived reads, simSlot and the edge events are
+				// checked there across rebuild commits; then the view is
+				// materialized.
 				for _, observeAt := range []int{0, 150} {
 					differentialTrace(t, mode, seed, observeAt)
 				}
@@ -267,6 +272,7 @@ func differentialTrace(t *testing.T, mode RecoveryMode, seed int64, observeAt in
 	cfg.Mode = mode
 	cfg.Seed = seed
 	nw := mustNew(t, 12, cfg)
+	mirror := mirrorEdges(nw)
 	rng := rand.New(rand.NewSource(seed * 101))
 	for i := 0; i < 300; i++ {
 		step := traceStep
@@ -279,8 +285,14 @@ func differentialTrace(t *testing.T, mode RecoveryMode, seed int64, observeAt in
 		if err := step(nw, rng); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
+		if i < observeAt && mode == Staggered && nw.observed {
+			t.Fatalf("op %d: a single operation observed the overlay", i)
+		}
 		if err := checkDifferentialState(nw); err != nil {
 			t.Fatalf("op %d (%s): %v", i, nw.RebuildDebug(), err)
+		}
+		if err := mirror.matches(nw.RecomputeGraph()); err != nil {
+			t.Fatalf("op %d (%s): edge events: %v", i, nw.RebuildDebug(), err)
 		}
 		if i%10 == 0 {
 			if err := checkEveryNode(nw); err != nil {

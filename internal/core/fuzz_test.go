@@ -71,7 +71,9 @@ func (b *biasedSource) Seed(int64)   {}
 // set, from construction; clear, only halfway through the trace, so the
 // first half runs on derived reads (until a Simplified flood or a
 // DeleteBatch observes it earlier), which the oracle checks against the
-// rebuild instead. Run it with `make fuzz` or
+// rebuild instead. An edge observer, registered from construction,
+// feeds a mirror that must equal the rebuild at every check. Run it
+// with `make fuzz` or
 //
 //	go test ./internal/core -run '^$' -fuzz FuzzChurnTrace
 //
@@ -158,13 +160,17 @@ func FuzzChurnTrace(f *testing.F) {
 			}
 			nw.SetRNG(rand.New(newBiasedSource(data)))
 		}
+		mirror := mirrorEdges(nw)
 		// Under a fuzzer-chosen random source the paper's load bounds are
 		// only whp guarantees and the engine's tolerated walk-exhaustion
 		// paths can overshoot them; the oracle then drops to structural
 		// exactness (checkInvariants without bounds). Everything else —
 		// contraction equality, surjectivity, counters, stagger
-		// bookkeeping — must hold unconditionally.
+		// bookkeeping, the edge events — must hold unconditionally.
 		check := func(tag string) {
+			if err := mirror.matches(nw.RecomputeGraph()); err != nil {
+				t.Fatalf("%s (%s): edge events: %v", tag, nw.RebuildDebug(), err)
+			}
 			if data[1]&2 != 0 && nw.walkExhaustion > 0 {
 				if err := nw.checkInvariants(false); err != nil {
 					t.Fatalf("%s (%s, adversarial rng): %v", tag, nw.RebuildDebug(), err)
@@ -207,6 +213,73 @@ func FuzzChurnTrace(f *testing.F) {
 		if data[1]&2 == 0 || nw.walkExhaustion == 0 {
 			if err := checkEveryNode(nw); err != nil {
 				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// FuzzDerivedChurn fuzzes the regime a durable, evented façade runs: a
+// Staggered network at the default zeta whose only observer is an edge
+// observer registered from construction, so every read is derived from
+// the mapping and no view is ever kept. The header picks the seed
+// (first byte) and the initial size, 8 + second byte % 32; each
+// following (op, arg) byte pair is a single insert (op even) or delete
+// (op odd) decoded by applyTraceOp. After every operation the
+// differential oracle (checkDifferentialState, whose sampled audit
+// checks simSlot on this path) must hold, the mirror the edge events
+// feed must equal the full rebuild, CheckInvariants must pass, and
+// nothing may have observed the overlay. (The engine still keeps a view
+// for its own walks while the mean load exceeds viewOnLoad, which a
+// shrinking network passes before it deflates; see steerView.) Run it
+// with `make fuzz` or
+//
+//	go test ./internal/core -run '^$' -fuzz FuzzDerivedChurn
+//
+// The seeds grow a network through a staggered inflation and shrink one
+// through a staggered deflation.
+func FuzzDerivedChurn(f *testing.F) {
+	grow := []byte{0, 0} // n0 = 8
+	for i := 0; i < 150; i++ {
+		grow = append(grow, 0, byte(i*13))
+	}
+	f.Add(grow)
+	shrink := []byte{1, 24} // n0 = 32
+	for i := 0; i < 60; i++ {
+		shrink = append(shrink, 0, byte(i*7))
+	}
+	for i := 0; i < 140; i++ {
+		shrink = append(shrink, 1, byte(i*11))
+	}
+	f.Add(shrink)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			t.Skip()
+		}
+		cfg := DefaultConfig()
+		cfg.Seed = int64(data[0]) + 1
+		nw, err := New(8+int(data[1]%32), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mirror := mirrorEdges(nw)
+		ops := data[2:]
+		if len(ops) > 400 {
+			ops = ops[:400] // bound trace length so each input stays fast
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			applyTraceOp(t, nw, ops[i]&1, ops[i+1])
+			if nw.observed {
+				t.Fatalf("op %d: the overlay was observed", i/2)
+			}
+			if err := checkDifferentialState(nw); err != nil {
+				t.Fatalf("op %d (%s): %v", i/2, nw.RebuildDebug(), err)
+			}
+			if err := mirror.matches(nw.RecomputeGraph()); err != nil {
+				t.Fatalf("op %d (%s): edge events: %v", i/2, nw.RebuildDebug(), err)
+			}
+			if err := nw.CheckInvariants(); err != nil {
+				t.Fatalf("op %d (%s): %v", i/2, nw.RebuildDebug(), err)
 			}
 		}
 	})

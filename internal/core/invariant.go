@@ -235,7 +235,7 @@ const (
 // recovery algorithm's coin flips are untouched. A node check compares
 // the node's view row with its contraction row only while a view is
 // kept; without one there is no stored row to compare, and the check
-// keeps its mapping-side part (see checkNodeAt).
+// keeps its mapping-side part, simSlot included (see checkNodeAt).
 //
 // A sampled audit first gathers its whole check list — the live dirty
 // nodes in dirtyList order, then every sampled mirror entry, which
@@ -294,8 +294,8 @@ func (nw *Network) Audit(mode AuditMode) error {
 //  2. simOf[inv[x]], the far end of each chord wantRow follows.
 //
 // Without a view the checks read neither the arena nor wantRow's chord
-// ends, so only level 1's row, mirror cell, Sim run and simOf[x] are
-// touched.
+// ends, so only level 1's row, mirror cell and Sim run are touched, and
+// simOf[x] and simSlot[x] for each vertex x.
 //
 // Touching only the rows and graph records, as a level of its own,
 // does not pay now that one row holds all of a node's hot fields:
@@ -321,7 +321,7 @@ func (nw *Network) warmAudit(list []mirrorEntry) {
 		}
 		if !rows {
 			for _, x := range st.setAt(e.slot, false) {
-				sink += int(nw.simOf[x])
+				sink += int(nw.simOf[x]) + int(nw.simSlot[x])
 			}
 			continue
 		}
@@ -352,12 +352,14 @@ func (nw *Network) warmAudit(list []mirrorEntry) {
 }
 
 // CheckNode verifies every node-local invariant at u: mapping coherence
-// (I2), load accounting and bounds (I3), the contraction row — u's real
-// edges must equal the contraction of the virtual structure restricted
-// to u (I4, node-locally; checked while a view is kept, since otherwise
-// the overlay is that contraction by construction and has no stored row),
-// stagger bookkeeping (I8), and the sampling mirror. It costs
-// O(load(u)) = O(zeta), independent of n and p.
+// (I2; without a view also simSlot, which derived rows and vertex moves
+// read each vertex's simulator's slot from), load accounting and bounds
+// (I3), the contraction row — u's real edges must equal the contraction
+// of the virtual structure restricted to u (I4, node-locally; checked
+// while a view is kept, since otherwise the overlay is that contraction
+// by construction and has no stored row), stagger bookkeeping (I8), and
+// the sampling mirror. It costs O(load(u)) = O(zeta), independent of n
+// and p.
 func (nw *Network) CheckNode(u NodeID) error {
 	su, ok := nw.real.SlotOf(u)
 	if !ok {
@@ -382,9 +384,13 @@ func (nw *Network) checkNodeAt(u NodeID, su int32) error {
 		return nw.mirrorError(u)
 	}
 	sim := nw.st.setAt(su, false)
+	derived := !nw.viewKept
 	for _, x := range sim {
 		if nw.simOf[x] != u {
 			return auditErrorf("audit: Sim(%d) contains %d owned by %d", int64(u), x, int64(nw.simOf[x]))
+		}
+		if derived && nw.simSlot[x] != su {
+			return auditErrorf("audit: simSlot[%d] = %d, but its simulator %d is at slot %d", x, int64(nw.simSlot[x]), int64(u), int64(su))
 		}
 	}
 	want := len(sim)
@@ -418,7 +424,7 @@ func (nw *Network) checkNodeAt(u NodeID, su int32) error {
 	if want > maxLoad {
 		return auditErrorf("audit: load(%d) = %d exceeds bound %d", int64(u), int64(want), int64(maxLoad))
 	}
-	if !nw.viewKept {
+	if derived {
 		return nil
 	}
 	row, loops, same := nw.wantRow(u, su)

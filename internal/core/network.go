@@ -163,9 +163,11 @@ type Network struct {
 
 	// edgeLog records the step's overlay changes, one entry per change,
 	// while an edge observer is registered; flushEdgeDeltas nets it into
-	// the step's diff at the end of each step.
+	// the step's diff at the end of each step, unless edgeDemand says
+	// nobody takes it.
 	edgeLog      []graph.EdgeDelta
 	edgeObserver func(step int, deltas []graph.EdgeDelta)
+	edgeDemand   func() bool
 
 	// auditRng drives sampled audits; it is separate from rng so auditing
 	// never perturbs the recovery algorithm's random choices. auditRow is
@@ -382,14 +384,16 @@ func (nw *Network) P() int64 { return nw.z.P() }
 // Cycle returns the current virtual graph (read-only).
 func (nw *Network) Cycle() *pcycle.Cycle { return nw.z }
 
-// Graph returns the overlay graph. Treat as read-only. The first call
-// materializes it from the mapping when no view is kept yet, in O(p);
-// from then on it is kept, stays the same pointer, and changes with
-// every edge change, so it is current between steps and inside mid-step
-// callbacks alike. A call after an edge change first compacts the view
-// (graph.Compact, a copy of its cells as long as a Clone), so its
-// layout, and its Stats, do not depend on when it was first observed; a
-// call with no edge change since the last one costs O(1).
+// Graph returns the live overlay graph. Treat as read-only. The first
+// call materializes it from the mapping when no view is kept yet, in
+// O(p); from then on it is kept, stays the same pointer, and changes
+// with every edge change, so it is current between steps and inside
+// mid-step callbacks alike. A call after an edge change first compacts
+// the view (graph.Compact, a copy of its cells as long as a Clone), so
+// its layout, and its Stats, do not depend on when it was first
+// observed; a call with no edge change since the last one costs O(1).
+// A caller that wants a copy, not the live graph, takes a Snapshot,
+// which keeps no view.
 func (nw *Network) Graph() *graph.Graph {
 	g := nw.view()
 	if nw.viewEdited {
@@ -471,16 +475,26 @@ func (nw *Network) SampleNode(r *rand.Rand) NodeID { return nw.st.sample(r).id }
 
 // SetEdgeObserver registers a callback receiving, once per step, the
 // step's net real-edge changes as a batched, deterministically sorted
-// diff (nil to clear). Only net changes are reported: an edge added and
-// removed within one step cancels out. An observer also keeps the
-// overlay view (see Graph).
+// diff (nil to clear), which the callback may keep. Only net changes
+// are reported: an edge added and removed within one step cancels out.
+// An observer keeps no overlay view: every change appends to the edge
+// log while one is registered, and the diff is that log netted.
 //
 //dexvet:mutator
 func (nw *Network) SetEdgeObserver(f func(step int, deltas []graph.EdgeDelta)) {
 	nw.edgeObserver = f
-	if f != nil {
-		nw.view()
-	}
+}
+
+// SetEdgeDemand registers wanted, which each step's end calls to ask
+// whether the edge observer takes that step's diff (nil to clear: it
+// always does). While wanted reports false, the step's log is dropped
+// without netting or copying it, and the observer is not called. The
+// log is written during the step either way, so an observer that
+// starts taking diffs mid-step gets that step's whole diff.
+//
+//dexvet:mutator
+func (nw *Network) SetEdgeDemand(wanted func() bool) {
+	nw.edgeDemand = wanted
 }
 
 // MaxLoad returns the maximum total load over all nodes.

@@ -25,20 +25,24 @@ import (
 //
 // nw.real keeps the overlay's slot table always (the store addresses
 // its rows by its slots, and checkpoints write it). Its adjacency is a
-// view, kept while something observes it — Graph() (and through it a
-// façade Snapshot), an edge observer, a Simplified size-count flood or
-// broadcast, a one-step rebuild's diff, DeleteBatch's connectivity
-// check; each materializes it, and it stays from then on — or while
-// derived rows are long. A derived row costs a few scattered loads per
-// vertex the node simulates, so past a mean load of viewOnLoad a walk
-// hop reads far more than the view's run and the engine keeps the view
-// for its own walks until the mean load falls below viewOffLoad. A kept
-// view is edited with each change as it happens, one per-edge graph
-// call per change, and every read comes from it: a view brought current
-// once per step from the netted log measured slower, because walks
-// start at the nodes a step changed, whose rows then have to be rebuilt.
-// Nothing observes the overlay on a bare network's steady churn, so
-// there the engine touches no adjacency at all.
+// view, kept while something observes it — Graph(), a Simplified
+// size-count flood or broadcast, a one-step rebuild's diff,
+// DeleteBatch's connectivity check; each materializes it, and it stays
+// from then on — or while derived rows are long. Two readers observe
+// the overlay without keeping a view: an edge observer, fed from the
+// edge log, which edgeChanged writes either way, and Snapshot, which
+// copies a kept view or else derives its copy from the mapping the way
+// materialize derives the view. A derived row costs a few scattered
+// loads per vertex the node simulates, so past a mean load of
+// viewOnLoad a walk hop reads far more than the view's run and the
+// engine keeps the view for its own walks until the mean load falls
+// below viewOffLoad. A kept view is edited with each change as it
+// happens, one per-edge graph call per change, and every read comes
+// from it: a view brought current once per step from the netted log
+// measured slower, because walks start at the nodes a step changed,
+// whose rows then have to be rebuilt. Nothing keeps a view on a bare
+// network's steady churn, nor on a durable, evented façade's, so there
+// the engine touches no adjacency at all.
 
 // tempEdge is the insert's temporary attach edge {a, b} (the newborn a
 // and its attach point b, at slots sa and sb), which Algorithm 4.2 wires
@@ -146,11 +150,16 @@ func (nw *Network) resetEdgeLog() {
 	nw.edgeLog = nw.edgeLog[:0]
 }
 
-// shortEdgeLog is the longest edge log netLog insertion-sorts. A
-// steady-state step logs about 16 entries; slices.SortFunc's comparator
-// calls cost more than the few shifts such a log needs, and the rare
-// long logs (rebuild steps, O(n) entries) keep the O(n log n) sort.
-const shortEdgeLog = 32
+// shortEdgeLog is the longest edge log netLog Shell-sorts (shellGaps);
+// longer ones go to slices.SortFunc. A steady-state insert logs 8
+// entries and a delete 6 at the median, with a tail of a few hundred,
+// where SortFunc's comparator calls cost about twice the Shell sort's
+// moves. Shell sort's largest gap is fixed, so it loses from about
+// 2*10^5 entries on, which a one-step rebuild's O(p) entries
+// (overlayDeltas) reach; the bound is the largest size it measured
+// clearly faster at, on random ids and on a contraction's enumeration
+// alike (CHANGES.md).
+const shortEdgeLog = 1 << 17
 
 // netLog sorts log by (U, V) in place, sums each pair's changes, drops
 // zero sums and returns the netted prefix. Entries of one pair are
@@ -158,12 +167,14 @@ const shortEdgeLog = 32
 // depend on which sort ran.
 func netLog(log []graph.EdgeDelta) []graph.EdgeDelta {
 	if len(log) <= shortEdgeLog {
-		for i := 1; i < len(log); i++ {
-			d, j := log[i], i
-			for ; j > 0 && (log[j-1].U > d.U || log[j-1].U == d.U && log[j-1].V > d.V); j-- {
-				log[j] = log[j-1]
+		for _, gap := range shellGaps {
+			for i := gap; i < len(log); i++ {
+				d, j := log[i], i
+				for ; j >= gap && (log[j-gap].U > d.U || log[j-gap].U == d.U && log[j-gap].V > d.V); j -= gap {
+					log[j] = log[j-gap]
+				}
+				log[j] = d
 			}
-			log[j] = d
 		}
 	} else {
 		slices.SortFunc(log, func(a, b graph.EdgeDelta) int {
@@ -185,9 +196,11 @@ func netLog(log []graph.EdgeDelta) []graph.EdgeDelta {
 }
 
 // flushEdgeDeltas delivers the step's edge diff to the edge observer:
-// the edge log netted (netLog).
+// the edge log netted (netLog), in a copy the observer may keep. A step
+// whose diff nobody takes (edgeDemand) skips both: beginStep empties
+// the log unnetted.
 func (nw *Network) flushEdgeDeltas() {
-	if nw.edgeObserver == nil || len(nw.edgeLog) == 0 {
+	if nw.edgeObserver == nil || len(nw.edgeLog) == 0 || nw.edgeDemand != nil && !nw.edgeDemand() {
 		return
 	}
 	d := netLog(nw.edgeLog)
@@ -244,17 +257,41 @@ func (nw *Network) steerView() {
 }
 
 // materialize derives the overlay into nw.real, which holds no edge yet,
-// and keeps it from now on: each node's run is its derived row as cells
-// (rowCells, the temporary attach edge included while it exists),
-// written once by graph.BuildRunAt. The epoch stays put: it already
+// and keeps it from now on (deriveRuns). The epoch stays put: it already
 // counts every change the funnels recorded.
 func (nw *Network) materialize() {
-	for _, e := range nw.st.nodeList {
-		nw.real.BuildRunAt(e.slot, nw.rowCells(e.id, e.slot).cells)
-	}
+	nw.deriveRuns(nw.real)
 	nw.dropCached(-1) // a kept view is read instead, and not mirrored here
 	nw.viewKept = true
 	nw.simSlot = nil // moves take far slots from the view's cells
+}
+
+// deriveRuns writes the overlay's adjacency into g, a graph holding
+// nw.real's slot table and no edge: each node's run is its derived row
+// as cells (rowCells, the temporary attach edge included while it
+// exists), written once by graph.BuildRunAt. rowCells leaves an exact
+// row in the cache it derives into, so the row caches stay exact.
+func (nw *Network) deriveRuns(g *graph.Graph) {
+	for _, e := range nw.st.nodeList {
+		g.BuildRunAt(e.slot, nw.rowCells(e.id, e.slot).cells)
+	}
+}
+
+// Snapshot returns a deep copy of the overlay and the epoch it was
+// taken at, without keeping a view: a kept view is cloned as it is
+// (not compacted first, so its pool keeps the view's slack), and
+// otherwise the copy is derived from the mapping into a clone of the
+// slot table (deriveRuns), O(p) either way. At 10^5 nodes a derived
+// copy measured about 90 ms and a clone of a kept view about 12 ms
+// (CHANGES.md), so a caller that snapshots repeatedly keeps a view
+// through Graph() and pays one clone per snapshot.
+func (nw *Network) Snapshot() (*graph.Graph, uint64) {
+	if nw.viewKept {
+		return nw.real.Snapshot()
+	}
+	g := nw.real.Clone()
+	nw.deriveRuns(g)
+	return g, g.Epoch()
 }
 
 // overlayDeltas returns the contraction of the virtual structure as a
@@ -489,12 +526,16 @@ func (nw *Network) rowCells(u NodeID, su int32) *rowCache {
 	return c
 }
 
-// sortCells sorts cells by id: Shell sort over Ciura's gaps, whose last
-// pass is the insertion sort that alone finishes a short row.
+// shellGaps are Ciura's Shell sort gaps, which sortCells and netLog
+// share; the last pass, gap 1, is the insertion sort that alone
+// finishes a short input.
+var shellGaps = [...]int{1750, 701, 301, 132, 57, 23, 10, 4, 1}
+
+// sortCells sorts cells by id: Shell sort over shellGaps.
 //
 //dexvet:noalloc
 func sortCells(cells []graph.RunCell) {
-	for _, gap := range [...]int{1750, 701, 301, 132, 57, 23, 10, 4, 1} {
+	for _, gap := range shellGaps {
 		for i := gap; i < len(cells); i++ {
 			e, j := cells[i], i
 			for ; j >= gap && cells[j-gap].V > e.V; j -= gap {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -84,6 +85,117 @@ func checkDerivedReads(nw *Network, g *graph.Graph, words int) error {
 		}
 	}
 	return nil
+}
+
+// edgeMirror replays an edge observer's batches onto a graph of its
+// own, as a subscriber mirroring the overlay does. err keeps the first
+// batch entry the mirror could not apply.
+type edgeMirror struct {
+	g   *graph.Graph
+	err error
+}
+
+// mirrorEdges registers an edge observer on nw that feeds a new mirror,
+// seeded with nw's overlay as the full rebuild derives it. It keeps no
+// view, so nothing else observes the overlay.
+func mirrorEdges(nw *Network) *edgeMirror {
+	m := &edgeMirror{g: nw.RecomputeGraph()}
+	nw.SetEdgeObserver(func(step int, deltas []graph.EdgeDelta) {
+		for _, d := range deltas {
+			if d.Delta > 0 {
+				m.g.AddEdgeMult(d.U, d.V, d.Delta)
+			} else if got := m.g.RemoveEdgeMult(d.U, d.V, -d.Delta); got != -d.Delta && m.err == nil {
+				m.err = fmt.Errorf("step %d removes %d of edge {%d,%d}, the mirror holds %d", step, -d.Delta, d.U, d.V, got)
+			}
+		}
+	})
+	return m
+}
+
+// matches compares the mirror's edge multiset with want's. Departed
+// nodes linger in the mirror without edges, so node sets are not
+// compared.
+func (m *edgeMirror) matches(want *graph.Graph) error {
+	if m.err != nil {
+		return m.err
+	}
+	got, exp := m.g.Edges(), want.Edges()
+	for i := 0; i < max(len(got), len(exp)); i++ {
+		switch {
+		case i == len(got):
+			return fmt.Errorf("mirror lacks edge %+v", exp[i])
+		case i == len(exp):
+			return fmt.Errorf("mirror holds extra edge %+v", got[i])
+		case got[i] != exp[i]:
+			return fmt.Errorf("mirror holds edge %+v where the rebuild has %+v", got[i], exp[i])
+		}
+	}
+	return nil
+}
+
+// TestSnapshotDerivesWithoutView takes Snapshots of networks that keep
+// no view: a churned Staggered joinedEngine and a network paused
+// mid-rebuild (NewSim holdings and pending intermediate edges in its
+// rows). Each must be a valid graph holding the full rebuild's edges on
+// the live slot table, at the live epoch, and leave no view kept and
+// the overlay unobserved; the derived reads it passes through must
+// still match the rebuild, and so must a second Snapshot after more
+// churn, while the first stays as it was. Once a view is kept, the
+// Snapshot is a copy of it, not the view itself.
+func TestSnapshotDerivesWithoutView(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		nw   func(t *testing.T) *Network
+	}{
+		{"staggered-joined", func(t *testing.T) *Network { return joinedEngine(t, 2048, 2000) }},
+		{"mid-rebuild", midRebuildEngine},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := tc.nw(t)
+			check := func(g *graph.Graph, epoch uint64) {
+				t.Helper()
+				if nw.viewKept || nw.observed {
+					t.Fatalf("Snapshot left viewKept %v, observed %v", nw.viewKept, nw.observed)
+				}
+				if err := g.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				if err := graphsEqual(g, nw.RecomputeGraph()); err != nil {
+					t.Fatalf("derived snapshot differs from the rebuild: %v", err)
+				}
+				if live := nw.real.Epoch(); epoch != live || g.Epoch() != live {
+					t.Fatalf("snapshot epoch %d (graph %d), live %d", epoch, g.Epoch(), live)
+				}
+				for _, e := range nw.st.nodeList {
+					if s, ok := g.SlotOf(e.id); !ok || s != e.slot {
+						t.Fatalf("node %d at slot %d in the snapshot, %d live", e.id, s, e.slot)
+					}
+				}
+				if err := checkDerivedReads(nw, nw.RecomputeGraph(), 2); err != nil {
+					t.Fatalf("after Snapshot: %v", err)
+				}
+			}
+			if nw.viewKept {
+				t.Fatal("the network keeps a view: Snapshot would not derive")
+			}
+			first, epoch := nw.Snapshot()
+			check(first, epoch)
+			want := first.Clone()
+			churnQuiet(t, nw, 20)
+			check(nw.Snapshot())
+			if err := graphsEqual(first, want); err != nil {
+				t.Fatalf("churn changed an earlier snapshot: %v", err)
+			}
+			g := nw.Graph()
+			kept, epoch := nw.Snapshot()
+			if kept == g || epoch != g.Epoch() {
+				t.Fatalf("kept-view snapshot: same graph %v, epoch %d against %d", kept == g, epoch, g.Epoch())
+			}
+			if err := graphsEqual(kept, g); err != nil {
+				t.Fatalf("kept-view snapshot differs from the view: %v", err)
+			}
+		})
+	}
 }
 
 // TestDerivedReadsMatchView pins the engine's derived reads to the view
@@ -208,6 +320,39 @@ func TestCeilLog2MatchesFloat(t *testing.T) {
 	for n := 2; n <= 1<<22; n++ {
 		if got, want := ceilLog2(n), int(math.Ceil(math.Log2(float64(n)))); got != want {
 			t.Fatalf("ceilLog2(%d) = %d, math.Ceil(math.Log2) = %d", n, got, want)
+		}
+	}
+}
+
+// TestNetLogMatchesSummedPairs nets random logs of every length class
+// netLog treats apart — empty, one entry, the Shell sort's short and
+// long inputs up to shortEdgeLog, and one entry past it, which
+// slices.SortFunc sorts — and compares each with a map that sums every
+// pair's changes: the same pairs, ascending by (U, V), none zero.
+func TestNetLogMatchesSummedPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 7, 33, 1000, shortEdgeLog, shortEdgeLog + 1} {
+		ids := NodeID(1 + n/4) // few enough ids that pairs repeat and cancel
+		log := make([]graph.EdgeDelta, n)
+		sums := map[[2]NodeID]int{}
+		for i := range log {
+			u, v := NodeID(rng.Int63n(int64(ids))), NodeID(rng.Int63n(int64(ids)))
+			u, v = min(u, v), max(u, v)
+			d := 1 - 2*rng.Intn(2)
+			log[i] = graph.EdgeDelta{U: u, V: v, Delta: d}
+			sums[[2]NodeID{u, v}] += d
+		}
+		var want []graph.EdgeDelta
+		for k, d := range sums {
+			if d != 0 {
+				want = append(want, graph.EdgeDelta{U: k[0], V: k[1], Delta: d})
+			}
+		}
+		slices.SortFunc(want, func(a, b graph.EdgeDelta) int {
+			return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+		})
+		if got := netLog(log); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: netLog returned %d pairs, the summed map %d, or they differ", n, len(got), len(want))
 		}
 	}
 }
