@@ -58,9 +58,10 @@ bench:
 
 # Substrate micro-benchmarks: walk-hop and edge-churn cost on the flat
 # adjacency arena vs the map-of-maps Ref baseline (BenchmarkWalkHop must
-# report 0 allocs/op).
+# report 0 allocs/op), and one run probe (findNbr) at degrees 4, 32 and
+# 256.
 bench-graph:
-	$(GO) test ./internal/graph -run '^$$' -bench 'WalkHop|GraphChurn' -benchtime 100000x
+	$(GO) test ./internal/graph -run '^$$' -bench 'WalkHop|GraphChurn|FindNbr' -benchtime 100000x
 
 # Engine-state benchmarks + alloc gates: one steady-state recovery op
 # (delete+insert) at 10^5 nodes on the slot-indexed store, the same

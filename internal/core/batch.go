@@ -69,10 +69,10 @@ func (nw *Network) InsertBatch(specs []InsertSpec) error {
 // insertOneOfBatch bootstraps one batch member (node + temporary attach
 // edge) and runs its recovery ladder, with the attach point at slot
 // attachSlot. The newborn's slot comes straight off its bootstrap, so
-// the temporary edge, the load entry, and the steady-state fast-path
-// commit all run by slot. Slots are stable across everything between
-// the two temp-edge mutations: the ladder moves vertices and may
-// rebuild the virtual graph, but never deletes a node.
+// the temporary edge, the load entry, and the donor's commit all run by
+// slot. Slots are stable across everything between the two temp-edge
+// mutations: the ladder moves vertices and may rebuild the virtual
+// graph, but never deletes a node.
 func (nw *Network) insertOneOfBatch(s InsertSpec, attachSlot int32) {
 	if s.ID >= nw.nextID {
 		nw.nextID = s.ID + 1
@@ -112,7 +112,8 @@ func (nw *Network) DeleteBatch(ids []NodeID) error {
 	}
 	// The adversary may only delete node sets whose removal leaves the
 	// graph connected with a surviving neighbor per victim. Both checks
-	// read the overlay view.
+	// read the overlay view, which steerView drops again at the step's
+	// end unless the mean load keeps it.
 	g := nw.view()
 	if !nw.remainderConnected(g, ids, victim) {
 		return fmt.Errorf("core: batch deletion would disconnect the network")
@@ -142,25 +143,7 @@ func (nw *Network) DeleteBatch(ids []NodeID) error {
 			v = nw.anySurvivor(victim)
 			sv = nw.st.slot(v)
 		}
-		coordLost := nw.simOf[0] == id
-		orphans := nw.vertexHoldings(sid)
-		nw.warmAdoption(sid)
-		for _, h := range orphans {
-			nw.moveHolding(h, id, sid, v, sv)
-		}
-		nw.dropLoadEntry(sid)
-		nw.dropCached(sid)
-		nw.st.removeNode(id, sid)
-		if coordLost {
-			nw.step.Messages += 2
-			nw.step.Rounds++
-		}
-		nw.redistributeFrom(v, sv, orphans)
-		if nw.rebuiltReal {
-			// A type-2 rebuild re-homed everything; later victims still
-			// need their own adoption, so continue the loop.
-			nw.rebuiltReal = false
-		}
+		nw.adoptAndRedistribute(id, sid, v, sv)
 	}
 	nw.afterRecovery(nw.st.slot(nw.anySurvivor(nil)))
 	nw.endStep()

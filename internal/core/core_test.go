@@ -123,6 +123,50 @@ func TestInsertBasic(t *testing.T) {
 	}
 }
 
+// TestFastInsertsCountsStartDonors checks what FastInserts counts:
+// outside a stagger, an insert at a Spare attach point finds its donor
+// at the attach point itself, its first walk taking no step, and
+// counts; an insert at a load-1 attach point (the first insert's
+// newborn) has to walk, and does not.
+func TestFastInsertsCountsStartDonors(t *testing.T) {
+	for _, mode := range []RecoveryMode{Staggered, Simplified} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Mode = mode
+			nw := mustNew(t, 32, cfg)
+			// insertAt inserts a node at attach and checks how much
+			// FastInserts rose and how many vertices attach gave away.
+			insertAt := func(attach NodeID, wantFast, wantGiven int) NodeID {
+				t.Helper()
+				if active, _ := nw.Rebuilding(); active {
+					t.Fatal("a rebuild is in flight")
+				}
+				fast, load := nw.FastInserts(), nw.Load(attach)
+				id := nw.FreshID()
+				if err := nw.Insert(id, attach); err != nil {
+					t.Fatal(err)
+				}
+				if got := nw.FastInserts() - fast; got != wantFast {
+					t.Fatalf("insert at node %d of load %d: FastInserts rose by %d, want %d", attach, load, got, wantFast)
+				}
+				if got := load - nw.Load(attach); got != wantGiven {
+					t.Fatalf("insert at node %d of load %d: it gave %d vertices, want %d", attach, load, got, wantGiven)
+				}
+				return id
+			}
+			spare := nw.Nodes()[0]
+			if nw.Load(spare) < 2 {
+				t.Fatalf("node %d has load %d, not Spare", spare, nw.Load(spare))
+			}
+			newborn := insertAt(spare, 1, 1)
+			if nw.Load(newborn) != 1 {
+				t.Fatalf("newborn %d has load %d, want 1", newborn, nw.Load(newborn))
+			}
+			insertAt(newborn, 0, 0)
+		})
+	}
+}
+
 func TestInsertErrors(t *testing.T) {
 	nw := mustNew(t, 16, DefaultConfig())
 	if err := nw.Insert(3, 0); err == nil {

@@ -223,19 +223,6 @@ func traceStep(nw *Network, rng *rand.Rand) error {
 	}
 }
 
-// singleStep is traceStep without batches: one insert or one delete.
-// DeleteBatch's checks read the overlay view, and a batch may rebuild
-// in one step, which reads it too; a Staggered network that only takes
-// single operations is observed by nothing (a Simplified one floods,
-// and so materializes its view, when a walk fails).
-func singleStep(nw *Network, rng *rand.Rand) error {
-	nodes := nw.Nodes()
-	if rng.Float64() < 0.55 || nw.Size() <= 6 {
-		return nw.Insert(nw.FreshID(), nodes[rng.Intn(len(nodes))])
-	}
-	return nw.Delete(nodes[rng.Intn(len(nodes))])
-}
-
 // TestDifferentialChurnTraces replays randomized churn traces -
 // single ops, batches, staggered and simplified rebuilds - asserting
 // after every operation that the incremental real graph is identical to
@@ -250,11 +237,10 @@ func TestDifferentialChurnTraces(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%v/seed=%d", mode, seed), func(t *testing.T) {
 				// Observed: the view is kept from construction. Halfway:
-				// the first half runs single operations only (singleStep),
-				// which observe nothing in Staggered mode (the test asserts
-				// so), so derived reads, simSlot and the edge events are
-				// checked there across rebuild commits; then the view is
-				// materialized.
+				// nothing observes the first half in Staggered mode (the
+				// test asserts so), batches included, so derived reads,
+				// simSlot and the edge events are checked there across
+				// rebuild commits; then the view is materialized.
 				for _, observeAt := range []int{0, 150} {
 					differentialTrace(t, mode, seed, observeAt)
 				}
@@ -264,8 +250,11 @@ func TestDifferentialChurnTraces(t *testing.T) {
 }
 
 // differentialTrace runs TestDifferentialChurnTraces' 300-op trace
-// under the differential oracle, materializing the view before op
-// observeAt; the ops before it are singleStep's.
+// (traceStep) under the differential oracle, materializing the view
+// before op observeAt. In Staggered mode nothing before that observes
+// the overlay: DeleteBatch's checks and a rebuild's diff read a view
+// but do not keep it, so each step below the mean load viewOffLoad
+// ends with none.
 func differentialTrace(t *testing.T, mode RecoveryMode, seed int64, observeAt int) {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -275,18 +264,21 @@ func differentialTrace(t *testing.T, mode RecoveryMode, seed int64, observeAt in
 	mirror := mirrorEdges(nw)
 	rng := rand.New(rand.NewSource(seed * 101))
 	for i := 0; i < 300; i++ {
-		step := traceStep
-		if i < observeAt {
-			step = singleStep
-		}
 		if i == observeAt {
 			nw.Graph()
 		}
-		if err := step(nw, rng); err != nil {
+		steps := nw.totals.Steps
+		if err := traceStep(nw, rng); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
-		if i < observeAt && mode == Staggered && nw.observed {
-			t.Fatalf("op %d: a single operation observed the overlay", i)
+		if i < observeAt && mode == Staggered {
+			if nw.observed {
+				t.Fatalf("op %d: an operation observed the overlay", i)
+			}
+			// A rejected batch ends no step, so no steerView has run yet.
+			if nw.totals.Steps > steps && nw.viewKept && nw.P() < viewOffLoad*int64(nw.Size()) {
+				t.Fatalf("op %d: a view is kept at p=%d, n=%d", i, nw.P(), nw.Size())
+			}
 		}
 		if err := checkDifferentialState(nw); err != nil {
 			t.Fatalf("op %d (%s): %v", i, nw.RebuildDebug(), err)

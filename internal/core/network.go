@@ -190,10 +190,9 @@ type Network struct {
 	// operation; exercised by failure-injection tests).
 	orphanRescues  int
 	walkExhaustion int
-	// fastInserts counts steady-state inserts committed through
-	// recoverInsert's degree-capped short-circuit (diagnostics only —
-	// the fast path is byte-identical to the ladder, so this is never
-	// part of History or the checkpoint image).
+	// fastInserts counts inserts whose first walk stopped at its start
+	// outside a stagger, the attach point being Spare (diagnostics only,
+	// never part of History or the checkpoint image).
 	fastInserts int
 
 	// transferObserver, when set, is invoked after a current-cycle vertex
@@ -395,7 +394,7 @@ func (nw *Network) Cycle() *pcycle.Cycle { return nw.z }
 // A caller that wants a copy, not the live graph, takes a Snapshot,
 // which keeps no view.
 func (nw *Network) Graph() *graph.Graph {
-	g := nw.view()
+	g := nw.observe()
 	if nw.viewEdited {
 		g.Compact()
 		nw.viewEdited = false
@@ -448,8 +447,9 @@ func (nw *Network) History() []StepMetrics { return nw.history }
 // (see stagger.go); zero in all normal operation.
 func (nw *Network) OrphanRescues() int { return nw.orphanRescues }
 
-// FastInserts reports how many inserts committed through recoverInsert's
-// degree-capped steady-state short-circuit instead of the walk ladder.
+// FastInserts reports how many inserts found their donor without a walk
+// step: outside a stagger, at an attach point that was Spare, whose
+// first walk stopped at its start.
 func (nw *Network) FastInserts() int { return nw.fastInserts }
 
 // Close releases nothing: the engine owns no goroutines, files, or

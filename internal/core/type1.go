@@ -37,33 +37,13 @@ func (nw *Network) Insert(id, attach NodeID) error {
 // bootstrap, attach's resolved once for the whole ladder — insertion
 // never deletes nodes, so both survive every retry).
 func (nw *Network) recoverInsert(id, attach NodeID, idSlot, attachSlot int32) {
-	// Degree-capped steady-state fast path. In the dense regime the first
-	// walk stops at its own start: steadyInsertStop(attach) reduces to
-	// load(attach) >= 2, tested before a single seed bit is consumed or a
-	// step is taken. When that outcome is already decided — no rebuild
-	// staggered, attach Spare, and its degree under the cap that keeps
-	// the commit O(zeta) — short-circuit: consume the serial walk seed
-	// (stream + WAL identity), then
-	// donate attach's largest vertex through the fully slot-native move,
-	// skipping predicate setup, walk-length computation, the walk call,
-	// and the exhaustion ladder. History and mapping are byte-identical
-	// to the generic path by construction; engine_equiv_test and
-	// FuzzChurnTrace enforce it. The degree counts the temporary edge to
-	// id. Outside a stagger every vertex of Sim(attach) contributes at
-	// most three far ends, so a load of l bounds the degree by 3l+1 and
-	// decides the cap without deriving the row whenever 3l+1 <= 8*zeta.
-	if l := nw.st.loadAt(attachSlot); nw.stag == nil && l >= 2 &&
-		(3*l+1 <= 8*nw.cfg.Zeta || nw.distinctDegreeAt(attach, attachSlot) <= 8*nw.cfg.Zeta) {
-		nw.stopExclude = id // keep the predicate state exactly as insertStop leaves it
-		_ = nw.walkSeed()   // 0-step walks draw nothing from the seed
-		nw.fastInserts++
-		nw.moveVertexAt(nw.st.setMaxAt(attachSlot, false), attach, attachSlot, id, idSlot)
-		return
-	}
 	stop := nw.insertStop(id)
 	for attempt := 0; attempt < nw.cfg.WalkRetryLimit; attempt++ {
 		res := nw.runWalkAt(attach, attachSlot, id, stop)
 		if res.Hit {
+			if attempt == 0 && res.Steps == 0 && nw.stag == nil {
+				nw.fastInserts++
+			}
 			nw.donateVertexTo(res.End, res.EndSlot, id, idSlot)
 			return
 		}
@@ -84,7 +64,7 @@ func (nw *Network) recoverInsert(id, attach NodeID, idSlot, attachSlot int32) {
 		// Simplified mode: flood computeSpare (Alg 4.4), then decide.
 		// Its count, u != id && load(u) >= 2, is steadyInsertStop with
 		// stopExclude = id, as insertStop armed it for this ladder.
-		agg := nw.flood.AggregateAt(nw.view(), attach, attachSlot, nw.steadyInsertStop)
+		agg := nw.flood.AggregateAt(nw.observe(), attach, attachSlot, nw.steadyInsertStop)
 		nw.step.Rounds += agg.Rounds
 		nw.step.Messages += agg.Messages
 		nw.step.Floods++
@@ -146,10 +126,19 @@ func (nw *Network) Delete(id NodeID) error {
 	// The survivor's slot holds to the end of the step: recovery moves
 	// vertices and may rebuild the cycle, but deletes no other node.
 	v, sv := nw.survivingNeighbor(id, sid)
-	coordLost := nw.simOf[0] == id
+	nw.adoptAndRedistribute(id, sid, v, sv)
+	nw.afterRecovery(sv)
+	nw.endStep()
+	return nil
+}
 
-	// v attaches all of u's edges to itself: move every vertex u simulated
-	// to v (Alg 4.3 line 1).
+// adoptAndRedistribute removes node id, at slot sid, once v, at slot sv,
+// has adopted every vertex id simulated (Alg 4.3 line 1: v attaches all
+// of id's edges to itself), and then walks each adopted vertex on to a
+// node in Low (redistributeFrom). Delete and each victim of DeleteBatch
+// run it.
+func (nw *Network) adoptAndRedistribute(id NodeID, sid int32, v NodeID, sv int32) {
+	coordLost := nw.simOf[0] == id
 	orphans := nw.vertexHoldings(sid)
 	nw.warmAdoption(sid)
 	for _, h := range orphans {
@@ -167,11 +156,7 @@ func (nw *Network) Delete(id NodeID) error {
 		nw.step.Messages += 2
 		nw.step.Rounds++
 	}
-
 	nw.redistributeFrom(v, sv, orphans)
-	nw.afterRecovery(sv)
-	nw.endStep()
-	return nil
 }
 
 // warmAdoption touches, ahead of an adoption, the view cells its edge
@@ -294,7 +279,7 @@ func (nw *Network) redistributeOne(v NodeID, sv int32, h holding) bool {
 		}
 		// Simplified mode: flood computeLow (Alg 4.4), whose count,
 		// load(u) <= 2*zeta, is steadyLowStop.
-		agg := nw.flood.AggregateAt(nw.view(), v, sv, nw.steadyLowStop)
+		agg := nw.flood.AggregateAt(nw.observe(), v, sv, nw.steadyLowStop)
 		nw.step.Rounds += agg.Rounds
 		nw.step.Messages += agg.Messages
 		nw.step.Floods++

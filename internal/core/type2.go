@@ -319,6 +319,7 @@ func (nw *Network) fallbackAssign(pv *provisional, u NodeID, reserved map[NodeID
 // real overlay and charges the construction costs.
 func (nw *Network) commitRebuild(pv *provisional) {
 	oldEdges := nw.edges
+	g := nw.view() // the old mapping's overlay, which rewire diffs against
 
 	nw.z = pv.zNew
 	p := pv.zNew.P()
@@ -346,7 +347,7 @@ func (nw *Network) commitRebuild(pv *provisional) {
 	// paper's (tear down + rebuild), independent of how small the diff
 	// happens to be.
 	nw.stag = nil
-	nw.rewire()
+	nw.rewire(g)
 	nw.refreshDist0()
 	nw.rebuiltReal = true
 

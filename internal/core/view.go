@@ -18,24 +18,25 @@ import (
 // updates Phi, the store, the topology and epoch counts and, while an
 // edge observer is registered, the step's edge log (edgeChanged); and
 // while no view is kept, every adjacency read — a walk hop, the
-// adoption's smallest neighbor, the insert fast path's and the
-// coordinator's distinct degree, Delete's emptiness check — comes from
-// the node's contraction row (rowAt), plus the insert's temporary
-// attach edge while that edge exists.
+// adoption's smallest neighbor, the coordinator's distinct degree, the
+// adoption's emptiness check — comes from the node's contraction row
+// (rowAt), plus the insert's temporary attach edge while that edge
+// exists.
 //
 // nw.real keeps the overlay's slot table always (the store addresses
 // its rows by its slots, and checkpoints write it). Its adjacency is a
-// view, kept while something observes it — Graph(), a Simplified
-// size-count flood or broadcast, a one-step rebuild's diff,
-// DeleteBatch's connectivity check; each materializes it, and it stays
-// from then on — or while derived rows are long. Two readers observe
-// the overlay without keeping a view: an edge observer, fed from the
-// edge log, which edgeChanged writes either way, and Snapshot, which
-// copies a kept view or else derives its copy from the mapping the way
-// materialize derives the view. A derived row costs a few scattered
-// loads per vertex the node simulates, so past a mean load of
-// viewOnLoad a walk hop reads far more than the view's run and the
-// engine keeps the view for its own walks until the mean load falls
+// view, kept from then on once something observes it — Graph(), or a
+// Simplified size-count flood (observe) — or while derived rows are
+// long. A broadcast's cost, a one-step rebuild's diff and DeleteBatch's
+// checks read a view too, materializing it if none is kept, but keep it
+// only to the step's end, where steerView decides by the mean load.
+// Two readers observe the overlay without any view: an edge observer,
+// fed from the edge log, which edgeChanged writes either way, and
+// Snapshot, which copies a kept view or else derives its copy from the
+// mapping the way materialize derives the view. A derived row costs a
+// few scattered loads per vertex the node simulates, so past a mean
+// load of viewOnLoad a walk hop reads far more than the view's run and
+// the engine keeps the view for its own walks until the mean load falls
 // below viewOffLoad. A kept view is edited with each change as it
 // happens, one per-edge graph call per change, and every read comes
 // from it: a view brought current once per step from the netted log
@@ -228,15 +229,22 @@ const (
 	viewOffLoad = 4
 )
 
-// view returns the overlay, materializing it and marking it observed;
-// the engine's own observers (floods, broadcasts, a rebuild's diff,
-// DeleteBatch's checks) read it through here.
+// view returns the overlay, materializing it when no view is kept, and
+// leaves keeping it to steerView at the step's end: a broadcast's cost,
+// a rebuild's diff and DeleteBatch's checks read it through here.
 func (nw *Network) view() *graph.Graph {
-	nw.observed = true
 	if !nw.viewKept {
 		nw.materialize()
 	}
 	return nw.real
+}
+
+// observe is view for the readers that keep the view from then on:
+// Graph(), whose caller holds the live graph, and the Simplified
+// size-count floods, which run at every failed walk.
+func (nw *Network) observe() *graph.Graph {
+	nw.observed = true
+	return nw.view()
 }
 
 // steerView keeps or drops an unobserved view by the mean load (see
@@ -640,16 +648,16 @@ func (nw *Network) coordDegree() int {
 
 // --- one-step rebuilds ----------------------------------------------------------
 
-// rewire replaces the overlay's edges with the contraction of the
-// mapping a one-step rebuild has just installed, as a diff: only pairs
-// whose multiplicity changes are touched, each through edgeChanged (so
-// it marks its ends dirty, advances the epoch by one and reaches the
-// edge observer), so subscribers receive one batched diff and the graph
-// pointer stays stable. The temporary attach edge, if any, is not part
-// of the new overlay. Pairs are visited by ascending first end and, for
-// each, the new overlay's pairs before the dropped ones.
-func (nw *Network) rewire() {
-	g := nw.view()
+// rewire replaces the edges of g, the overlay of the old mapping, with
+// the contraction of the mapping a one-step rebuild has just installed,
+// as a diff: only pairs whose multiplicity changes are touched, each
+// through edgeChanged (so it marks its ends dirty, advances the epoch by
+// one and reaches the edge observer), so subscribers receive one batched
+// diff and the graph pointer stays stable. The temporary attach edge, if
+// any, is not part of the new overlay. Pairs are visited by ascending
+// first end and, for each, the new overlay's pairs before the dropped
+// ones.
+func (nw *Network) rewire(g *graph.Graph) {
 	old := g.Edges()
 	nw.tmp.on = false
 	want := nw.overlayDeltas()

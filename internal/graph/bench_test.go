@@ -88,9 +88,9 @@ func BenchmarkGraphChurn(b *testing.B) {
 }
 
 // BenchmarkFindNbr measures one membership probe through findNbr at the
-// degrees that exercise each of its regimes: 4 (short-scan only), 32
-// (fence narrowing to one segment), 256 (fence prefix + binary-narrowed
-// tail). Probe targets cycle through every run position plus misses, so
+// degrees that exercise each of its regimes: 4 (short scan only), 32
+// (one binary halving to a 16-cell segment, then the 4-wide drain), 256
+// (four halvings, then the drain). Probe targets cycle through every run position plus misses, so
 // the number reflects the average cell, not a lucky hot one.
 func BenchmarkFindNbr(b *testing.B) {
 	for _, deg := range []int{4, 32, 256} {

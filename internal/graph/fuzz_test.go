@@ -102,22 +102,6 @@ func diffGraphs(g *Graph, r *Ref) error {
 		if slotErr != nil {
 			return slotErr
 		}
-		// Fence coherence, independently of Validate's own pass: recompute
-		// every live fence entry from the run and compare cell-by-cell
-		// (the same pattern as the slot-field check above — findNbr's
-		// segment narrowing leans on this exactly like walks lean on the
-		// cells' slot field).
-		rec := g.recs[s]
-		for k := 0; k < numFences; k++ {
-			i := int32((k + 1) * fenceStride)
-			if i >= rec.n {
-				break
-			}
-			if rec.fence[k] != fenceKeyFor(g.pool[rec.off+i].v) {
-				return fmt.Errorf("node %d: fence[%d] = %d, run cell %d holds %d",
-					u, k, rec.fence[k], i, g.pool[rec.off+i].v)
-			}
-		}
 	}
 	ge, re := g.Edges(), r.Edges()
 	if len(ge) != len(re) {
@@ -176,26 +160,27 @@ func FuzzGraphOps(f *testing.F) {
 	}
 	f.Add(star)
 
-	// Fence churn: grow one run across the 16-cell narrowing threshold,
-	// shrink it back below (leaving stale fence tails that must never be
-	// read), regrow it, then delete the hub node so compaction pressure
-	// repacks runs with live fences. Every membership probe along the way
-	// exercises the fence against freshly shifted cells.
-	fence := []byte{}
+	// Narrowing threshold: grow one run across findNbr's 16-cell
+	// binary-narrowing bound, shrink it back below, regrow it, then delete
+	// the hub node so compaction pressure repacks long runs. Every
+	// membership probe along the way narrows over freshly shifted cells.
+	threshold := []byte{}
 	for i := 2; i < idSpace; i++ { // grow hub 1 past the threshold
-		fence = append(fence, 0, 1, byte(i))
+		threshold = append(threshold, 0, 1, byte(i))
 	}
 	for i := 2; i < 24; i++ { // shrink below it, probing as it shifts
-		fence = append(fence, 2, 1, byte(i))
+		threshold = append(threshold, 2, 1, byte(i))
 	}
 	for i := 2; i < 24; i++ { // regrow across it
-		fence = append(fence, 0, 1, byte(i))
+		threshold = append(threshold, 0, 1, byte(i))
 	}
-	fence = append(fence, 4, 1, 0) // drop the hub: big run to the free lists
-	for i := 2; i < idSpace; i++ { // rebuild on a second hub over recycled runs
-		fence = append(fence, 0, 0, byte(i))
+	// Drop the hub (its big run goes to the free lists), then rebuild on a
+	// second hub over recycled runs.
+	threshold = append(threshold, 4, 1, 0)
+	for i := 2; i < idSpace; i++ {
+		threshold = append(threshold, 0, 0, byte(i))
 	}
-	f.Add(fence)
+	f.Add(threshold)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := New()

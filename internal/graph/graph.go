@@ -56,55 +56,16 @@ import (
 // NodeID identifies a node. The zero value is a valid ID.
 type NodeID int64
 
-// fenceStride and numFences shape the per-record fence: fence[k] caches
-// the run key at index fenceStride*(k+1), so a membership probe narrows
-// to a fenceStride-cell segment by comparing keys that sit inline in the
-// record — one cache line — instead of striding the pool. Three fences
-// cover runs up to (numFences+1)*fenceStride cells (64, the engine's
-// 8ζ distinct-degree cap at the default ζ); longer runs binary-narrow
-// the tail.
-const (
-	fenceStride = 16
-	numFences   = 3
-
-	// Fence cells are int32: with three of them the record is exactly 32
-	// padding-free bytes, so a []nodeRec never straddles more than one
-	// 64-byte line per record and two records share each line. Keys
-	// outside the int32 domain saturate to these bounds, which double
-	// as sentinels: a saturated cell no longer orders exactly, so findNbr
-	// falls back to reading the underlying run cell when it meets one.
-	fenceMax = 1<<31 - 1
-	fenceMin = -1 << 31
-)
-
-// fenceKeyFor compresses a run key into a fence cell (see fenceMax).
-func fenceKeyFor(v NodeID) int32 {
-	if v >= fenceMax {
-		return fenceMax
-	}
-	if v <= fenceMin {
-		return fenceMin
-	}
-	return int32(v)
-}
-
-// nodeRec is the per-node slot record: the node's neighbor run in the pool,
-// its cached degrees, and the run's fence keys.
+// nodeRec is the per-node slot record: the node's neighbor run in the pool
+// and its cached degrees. The padding makes it 32 bytes, so a []nodeRec
+// puts two records on each 64-byte line and never splits one across two.
 type nodeRec struct {
 	off  int32 // run start in the pool
 	n    int32 // entries in use
 	cap  int32 // run capacity (multiple of 4; 0 = no run allocated)
 	deg  int32 // multigraph degree: sum of mult (a self-loop counts once)
 	dist int32 // distinct neighbors excluding the node itself
-
-	// fence[k] mirrors fenceKeyFor(pool[off+fenceStride*(k+1)].v) whenever
-	// that index is < n; entries at or beyond n are stale and must never
-	// be read. The mirror depends only on run *content*, not placement, so
-	// shrinkRun, compaction, Clone, and the codec need no refresh — only
-	// insertEntry and removeEntry (the two content mutators) maintain it,
-	// and only once n exceeds fenceStride. Validate asserts the live
-	// prefix cell-by-cell.
-	fence [numFences]int32
+	_    [3]int32
 }
 
 // cell is one adjacency-run entry: the neighbor's id, the multiplicity of
@@ -354,15 +315,12 @@ func (g *Graph) bind(u NodeID) int32 {
 // otherwise). Runs are tiny in the regimes this graph serves (a
 // contraction's distinct degree is O(zeta)), where a branch-predictable
 // linear scan over the sorted cells beats binary search's mispredicted
-// halving. Longer runs narrow first against the record's inline fence —
-// the every-fenceStride-th key cached next to off/n, so the narrowing
-// compares keys already on the record's cache line instead of striding
-// the pool — and runs past the fenced prefix binary-narrow the tail.
-// The drain then skips 4 cells at a time off the segment's sorted tail
-// before the final short scan.
+// halving. Runs longer than 16 cells binary-narrow to a 16-cell segment
+// first; the drain then skips 4 cells at a time off the segment's sorted
+// tail before the final short scan.
 //
 // Narrowing invariant (PR 7's boundary-cell bug class): every narrowing
-// step — fence, binary, and 4-wide skip — keeps run[hi] >= v whenever
+// step — binary and 4-wide skip — keeps run[hi] >= v whenever
 // hi < len(run), so the drained scan's fallthrough must still examine
 // the boundary cell run[lo].
 //
@@ -371,31 +329,7 @@ func (g *Graph) findNbr(s int32, v NodeID) (int32, bool) {
 	r := &g.recs[s]
 	run := g.pool[r.off : r.off+r.n]
 	lo, hi := 0, len(run)
-	if hi > fenceStride {
-		// Fence narrowing: skip whole segments while the fence key — the
-		// first cell of the next segment — is still below v. No pool cells
-		// are touched until the segment is chosen (the sentinel fallback
-		// reads one, and only for keys outside the int32 domain).
-		k := 0
-		for k < numFences && (k+1)*fenceStride < hi {
-			fk := NodeID(r.fence[k])
-			if fk >= fenceMax || fk <= fenceMin {
-				fk = run[(k+1)*fenceStride].v // saturated cell: order on the run itself
-			}
-			if fk >= v {
-				// run[(k+1)*fenceStride] >= v bounds the segment: the
-				// insertion point is at most (k+1)*fenceStride, which the
-				// drained scan's boundary probe covers.
-				hi = (k + 1) * fenceStride
-				break
-			}
-			k++
-		}
-		lo = k * fenceStride
-	}
-	// Tail beyond the fenced prefix (runs > (numFences+1)*fenceStride
-	// cells): classic binary narrowing down to one segment.
-	for hi-lo > fenceStride {
+	for hi-lo > 16 {
 		mid := (lo + hi) / 2
 		if run[mid].v < v {
 			lo = mid + 1
@@ -416,23 +350,6 @@ func (g *Graph) findNbr(s int32, v NodeID) (int32, bool) {
 	// Narrowing keeps run[hi] >= v whenever hi < len(run), so a scan that
 	// drains [lo, hi) must still examine the boundary cell.
 	return int32(lo), lo < len(run) && run[lo].v == v
-}
-
-// refreshFence recomputes the live prefix of r's fence from its run
-// content. Called by the two content mutators after the run changes;
-// callers skip it while n <= fenceStride (no fence entry is live, and
-// findNbr never reads one).
-//
-//dexvet:noalloc
-func (g *Graph) refreshFence(r *nodeRec) {
-	run := g.pool[r.off : r.off+r.n]
-	for k := 0; k < numFences; k++ {
-		i := (k + 1) * fenceStride
-		if i >= len(run) {
-			break
-		}
-		r.fence[k] = fenceKeyFor(run[i].v)
-	}
 }
 
 // growCap returns the next run capacity after capn: multiples of 4, ~1.5x
@@ -565,9 +482,6 @@ func (g *Graph) insertEntry(s int32, pos int32, v NodeID, vs int32, k int32) {
 	if vs != s { // a self cell holds its owner's slot (Validate)
 		r.dist++
 	}
-	if r.n > fenceStride {
-		g.refreshFence(r)
-	}
 }
 
 // removeEntry deletes the entry at position pos of slot s's run, shrinking
@@ -587,9 +501,6 @@ func (g *Graph) removeEntry(s int32, pos int32) {
 		copy(g.pool[lo+pos:hi-1], g.pool[lo+pos+1:hi])
 	}
 	r.n--
-	if r.n > fenceStride {
-		g.refreshFence(r)
-	}
 	if r.cap > 4 && r.n*2 <= r.cap {
 		g.shrinkRun(s)
 	}
@@ -831,9 +742,6 @@ func (g *Graph) BuildRunAt(s int32, cells []RunCell) {
 		if c.V >= u {
 			g.edges += int(c.M)
 		}
-	}
-	if n > fenceStride {
-		g.refreshFence(r)
 	}
 }
 
@@ -1354,19 +1262,6 @@ func (g *Graph) Validate() error {
 		}
 		if dist != r.dist {
 			return fmt.Errorf("graph: node %d cached distinct degree %d, actual %d", u, r.dist, dist)
-		}
-		// Fence coherence, cell by cell: every live fence entry must mirror
-		// its run cell, or findNbr's segment narrowing would skip past (or
-		// stall before) the neighbor and desynchronize the two half-edges.
-		for k := 0; k < numFences; k++ {
-			i := int32((k + 1) * fenceStride)
-			if i >= r.n {
-				break
-			}
-			if r.fence[k] != fenceKeyFor(g.pool[r.off+i].v) {
-				return fmt.Errorf("graph: node %d fence[%d] = %d, run cell %d holds %d",
-					u, k, r.fence[k], i, g.pool[r.off+i].v)
-			}
 		}
 	}
 	if total != 2*g.edges {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func path(n int) *Graph {
@@ -557,11 +558,12 @@ func TestSelfCellEveryPosition(t *testing.T) {
 	}
 }
 
-// TestFindNbrSaturatedFence drives runs whose keys straddle the int32
-// fence domain: fence cells saturate to sentinels and findNbr must fall
-// back to ordering on the run itself. Same every-position probing as
-// TestFindNbrEveryPosition, at ids around ±2^31 and ±2^62.
-func TestFindNbrSaturatedFence(t *testing.T) {
+// TestFindNbrExtremeIDs drives runs whose keys sit around ±2^31 and
+// ±2^62, so a probe that ordered on anything narrower than the full
+// 64-bit id would misplace them. Runs of 17, 40 and 100 cells cross
+// findNbr's 16-cell binary-narrowing bound; the probing is
+// TestFindNbrEveryPosition's, hits and misses at every position.
+func TestFindNbrExtremeIDs(t *testing.T) {
 	bases := []NodeID{-1 << 62, -1 << 31, 1<<31 - 40, 1 << 62}
 	for _, base := range bases {
 		for _, deg := range []int{17, 40, 100} {
@@ -590,5 +592,14 @@ func TestFindNbrSaturatedFence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestNodeRecSize pins the slot record at 32 bytes: two records per
+// 64-byte line, none split across two, and the per-node footprint the
+// memory gates budget for.
+func TestNodeRecSize(t *testing.T) {
+	if got := unsafe.Sizeof(nodeRec{}); got != 32 {
+		t.Fatalf("nodeRec is %d bytes, want 32", got)
 	}
 }
