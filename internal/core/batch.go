@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/graph"
-)
+import "fmt"
 
 // This file implements Section 5: handling multiple insertions/deletions
 // per adversarial step (Corollary 2). The adversary may insert or delete
@@ -112,21 +108,13 @@ func (nw *Network) DeleteBatch(ids []NodeID) error {
 	}
 	// The adversary may only delete node sets whose removal leaves the
 	// graph connected with a surviving neighbor per victim. Both checks
-	// read the overlay view, which steerView drops again at the step's
-	// end unless the mean load keeps it.
-	g := nw.view()
-	if !nw.remainderConnected(g, ids, victim) {
+	// read the view while one is kept and derived rows otherwise, so
+	// neither materializes a view.
+	if !nw.remainderConnected(ids, victim) {
 		return fmt.Errorf("core: batch deletion would disconnect the network")
 	}
 	for _, id := range ids {
-		hasSurvivor := false
-		for _, v := range g.Neighbors(id) {
-			if v != id && !victim[v] {
-				hasSurvivor = true
-				break
-			}
-		}
-		if !hasSurvivor {
+		if v, _ := nw.smallestNeighbor(id, nw.st.slot(id), victim); v < 0 {
 			return fmt.Errorf("core: victim %d has no surviving neighbor", id)
 		}
 	}
@@ -150,13 +138,14 @@ func (nw *Network) DeleteBatch(ids []NodeID) error {
 	return nil
 }
 
-// remainderConnected reports whether the overlay g stays connected once
+// remainderConnected reports whether the overlay stays connected once
 // the distinct live nodes ids (the set victim) are removed. It runs a
-// BFS in place over g from a surviving node, never entering a victim,
-// on slot-indexed scratch the network keeps; the remainder is connected
+// BFS from a surviving node, never entering a victim, on slot-indexed
+// scratch the network keeps, over the view's runs while one is kept and
+// else over each node's derived row (rowAt); the remainder is connected
 // iff the BFS reaches every survivor.
-func (nw *Network) remainderConnected(g *graph.Graph, ids []NodeID, victim map[NodeID]bool) bool {
-	n := g.Slots()
+func (nw *Network) remainderConnected(ids []NodeID, victim map[NodeID]bool) bool {
+	n := nw.real.Slots()
 	if len(nw.bfsSeen) < n {
 		nw.bfsSeen = make([]bool, n)
 	}
@@ -174,13 +163,28 @@ func (nw *Network) remainderConnected(g *graph.Graph, ids []NodeID, victim map[N
 		}
 	}
 	for i := 0; i < len(queue); i++ {
-		g.ForEachNeighborAt(queue[i], func(_ NodeID, vs int32, _ int) bool {
+		s := queue[i]
+		if nw.viewKept {
+			nw.real.ForEachNeighborAt(s, func(_ NodeID, vs int32, _ int) bool {
+				if !seen[vs] {
+					seen[vs] = true
+					queue = append(queue, vs)
+				}
+				return true
+			})
+			continue
+		}
+		u, _ := nw.real.NodeAt(s)
+		row := nw.rowAt(u, s)
+		for j, vs := range nw.rowSlots {
+			if vs < 0 {
+				vs = nw.st.slot(row[j])
+			}
 			if !seen[vs] {
 				seen[vs] = true
 				queue = append(queue, vs)
 			}
-			return true
-		})
+		}
 	}
 	nw.bfsQueue = queue
 	return len(queue) == nw.Size()-len(ids)

@@ -94,14 +94,28 @@ func TestDeleteBatchValidation(t *testing.T) {
 // TestDeleteBatchRejections covers Section 5's two preconditions on a
 // deletion batch: the remainder must stay connected, and every victim
 // must keep a surviving neighbor. A refused batch must leave the
-// network exactly as it was.
+// network exactly as it was. Both checks run on a kept view and, in
+// the -derived cases on a network nothing has observed, on derived
+// rows, which must leave no view kept.
 func TestDeleteBatchRejections(t *testing.T) {
+	deleteBatchRejections(t, false)
+	deleteBatchRejections(t, true)
+}
+
+func deleteBatchRejections(t *testing.T, derived bool) {
 	nw := mustNew(t, 64, DefaultConfig())
 	snapChurn(t, nw, 3, 200)
+	suffix := ""
+	if !derived {
+		nw.Graph()
+	} else if suffix = "-derived"; nw.viewKept {
+		t.Fatal("the churned network keeps a view: the checks would not read derived rows")
+	}
+	g, _ := nw.Snapshot()
 	// nbrs lists u's neighbors other than u itself.
 	nbrs := func(u NodeID) []NodeID {
 		var out []NodeID
-		for _, v := range nw.Graph().Neighbors(u) {
+		for _, v := range g.Neighbors(u) {
 			if v != u {
 				out = append(out, v)
 			}
@@ -122,7 +136,7 @@ func TestDeleteBatchRejections(t *testing.T) {
 	// one whose deletion with them keeps the rest connected.
 	isolate := NodeID(-1)
 	for _, u := range nodes {
-		rest := nw.Graph().Clone()
+		rest := g.Clone()
 		rest.RemoveNode(u)
 		for _, v := range nbrs(u) {
 			rest.RemoveNode(v)
@@ -145,18 +159,22 @@ func TestDeleteBatchRejections(t *testing.T) {
 		{"no-surviving-neighbor", append([]NodeID{isolate}, nbrs(isolate)...),
 			fmt.Sprintf("core: victim %d has no surviving neighbor", isolate)},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(tc.name+suffix, func(t *testing.T) {
 			totals, history := nw.Totals(), nw.History()
-			overlay, epoch := nw.Graph().Clone(), nw.Graph().Epoch()
+			overlay, epoch := nw.Snapshot()
 			err := nw.DeleteBatch(tc.ids)
 			if err == nil || err.Error() != tc.wantErr {
 				t.Fatalf("DeleteBatch(%v) error %v, want %q", tc.ids, err, tc.wantErr)
 			}
+			if nw.viewKept == derived {
+				t.Fatalf("a refused batch left viewKept %v", nw.viewKept)
+			}
 			if nw.Totals() != totals || !reflect.DeepEqual(nw.History(), history) {
 				t.Fatal("a refused batch changed the metrics")
 			}
-			if err := graphsEqual(nw.Graph(), overlay); err != nil || nw.Graph().Epoch() != epoch {
-				t.Fatalf("a refused batch changed the overlay: %v (epoch %d, was %d)", err, nw.Graph().Epoch(), epoch)
+			after, afterEpoch := nw.Snapshot()
+			if err := graphsEqual(after, overlay); err != nil || afterEpoch != epoch {
+				t.Fatalf("a refused batch changed the overlay: %v (epoch %d, was %d)", err, afterEpoch, epoch)
 			}
 			if err := nw.CheckInvariants(); err != nil {
 				t.Fatal(err)

@@ -238,8 +238,9 @@ func TestDifferentialChurnTraces(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/seed=%d", mode, seed), func(t *testing.T) {
 				// Observed: the view is kept from construction. Halfway:
 				// nothing observes the first half in Staggered mode (the
-				// test asserts so), batches included, so derived reads,
-				// simSlot and the edge events are checked there across
+				// test asserts so), batches included, and a view is kept
+				// there only as the mean load steers one, so derived
+				// reads, simSlot and the edge events are checked across
 				// rebuild commits; then the view is materialized.
 				for _, observeAt := range []int{0, 150} {
 					differentialTrace(t, mode, seed, observeAt)
@@ -252,9 +253,10 @@ func TestDifferentialChurnTraces(t *testing.T) {
 // differentialTrace runs TestDifferentialChurnTraces' 300-op trace
 // (traceStep) under the differential oracle, materializing the view
 // before op observeAt. In Staggered mode nothing before that observes
-// the overlay: DeleteBatch's checks and a rebuild's diff read a view
-// but do not keep it, so each step below the mean load viewOffLoad
-// ends with none.
+// the overlay: DeleteBatch's checks read derived rows, and a rebuild's
+// diff reads a view only to its step's end, so after every operation a
+// view is kept exactly when the mean load steers one for the walks: on
+// past viewOnLoad, off again below viewOffLoad.
 func differentialTrace(t *testing.T, mode RecoveryMode, seed int64, observeAt int) {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -263,6 +265,7 @@ func differentialTrace(t *testing.T, mode RecoveryMode, seed int64, observeAt in
 	nw := mustNew(t, 12, cfg)
 	mirror := mirrorEdges(nw)
 	rng := rand.New(rand.NewSource(seed * 101))
+	kept := nw.viewKept
 	for i := 0; i < 300; i++ {
 		if i == observeAt {
 			nw.Graph()
@@ -275,9 +278,13 @@ func differentialTrace(t *testing.T, mode RecoveryMode, seed int64, observeAt in
 			if nw.observed {
 				t.Fatalf("op %d: an operation observed the overlay", i)
 			}
-			// A rejected batch ends no step, so no steerView has run yet.
-			if nw.totals.Steps > steps && nw.viewKept && nw.P() < viewOffLoad*int64(nw.Size()) {
-				t.Fatalf("op %d: a view is kept at p=%d, n=%d", i, nw.P(), nw.Size())
+			// A rejected batch ends no step and must leave the view as
+			// it was.
+			if p, n := nw.P(), int64(nw.Size()); nw.totals.Steps > steps {
+				kept = p > viewOnLoad*n || kept && p >= viewOffLoad*n
+			}
+			if nw.viewKept != kept {
+				t.Fatalf("op %d: viewKept %v at p=%d, n=%d, want %v", i, nw.viewKept, nw.P(), nw.Size(), kept)
 			}
 		}
 		if err := checkDifferentialState(nw); err != nil {

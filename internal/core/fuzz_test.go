@@ -70,9 +70,9 @@ func (b *biasedSource) Seed(int64)   {}
 // of the first header byte chooses when the overlay view is observed:
 // set, from construction; clear, only halfway through the trace, so the
 // first half runs on derived reads (until a Simplified flood observes
-// it earlier; a DeleteBatch or a one-step rebuild reads a view but
-// leaves keeping it to steerView), which the oracle checks against the
-// rebuild instead. An edge observer, registered from construction,
+// it earlier; a DeleteBatch reads derived rows too, and a one-step
+// rebuild's view lasts only to its step's end unless the mean load
+// keeps one), which the oracle checks against the rebuild instead. An edge observer, registered from construction,
 // feeds a mirror that must equal the rebuild at every check. Run it
 // with `make fuzz` or
 //

@@ -126,16 +126,18 @@ type Network struct {
 	// real is the overlay G_t: its slot table always, its adjacency a
 	// view of the contraction kept while observed or while derived rows
 	// are long (see view.go). viewKept says the view is kept, observed
-	// that something has observed it. edges counts the overlay's edges
-	// (a self-loop once) whether or not a view is kept, and tmp is the
-	// insert's temporary attach edge while it exists.
-	real       *graph.Graph
-	viewKept   bool
-	viewEdited bool // edited since Graph last compacted it
-	observed   bool
-	edges      int
-	tmp        tempEdge
-	coord      coordCache // the coordinator's distinct degree (coordDegree)
+	// that something has observed it, and viewForStep that the current
+	// step materialized it for its own reads. edges counts the overlay's
+	// edges (a self-loop once) whether or not a view is kept, and tmp is
+	// the insert's temporary attach edge while it exists.
+	real        *graph.Graph
+	viewKept    bool
+	viewEdited  bool // edited since Graph last compacted it
+	viewForStep bool
+	observed    bool
+	edges       int
+	tmp         tempEdge
+	coord       coordCache // the coordinator's distinct degree (coordDegree)
 	// cached holds two nodes' rows as cells (rowCache): the adopter a
 	// delete's redistribution walks all leave from (pinned, -1 outside
 	// that loop) and one other node.

@@ -27,9 +27,10 @@ import (
 // its rows by its slots, and checkpoints write it). Its adjacency is a
 // view, kept from then on once something observes it — Graph(), or a
 // Simplified size-count flood (observe) — or while derived rows are
-// long. A broadcast's cost, a one-step rebuild's diff and DeleteBatch's
-// checks read a view too, materializing it if none is kept, but keep it
-// only to the step's end, where steerView decides by the mean load.
+// long. A broadcast's cost and a one-step rebuild's diff read a view
+// too, materializing it if none is kept, but keep it only to the step's
+// end unless the mean load would keep one; DeleteBatch's checks read
+// derived rows when no view is kept, as the walks do.
 // Two readers observe the overlay without any view: an edge observer,
 // fed from the edge log, which edgeChanged writes either way, and
 // Snapshot, which copies a kept view or else derives its copy from the
@@ -229,12 +230,14 @@ const (
 	viewOffLoad = 4
 )
 
-// view returns the overlay, materializing it when no view is kept, and
-// leaves keeping it to steerView at the step's end: a broadcast's cost,
-// a rebuild's diff and DeleteBatch's checks read it through here.
+// view returns the overlay, materializing it when no view is kept: a
+// broadcast's cost and a one-step rebuild's diff read it through here.
+// A view it materializes is the step's own (viewForStep), and steerView
+// drops it at the step's end unless the mean load would keep one.
 func (nw *Network) view() *graph.Graph {
 	if !nw.viewKept {
 		nw.materialize()
+		nw.viewForStep = true
 	}
 	return nw.real
 }
@@ -248,8 +251,11 @@ func (nw *Network) observe() *graph.Graph {
 }
 
 // steerView keeps or drops an unobserved view by the mean load (see
-// viewOnLoad), between steps.
+// viewOnLoad), between steps. A view the step materialized for its own
+// reads is kept only past viewOnLoad, as one the step began without.
 func (nw *Network) steerView() {
+	forStep := nw.viewForStep
+	nw.viewForStep = false
 	if nw.observed {
 		return
 	}
@@ -257,7 +263,7 @@ func (nw *Network) steerView() {
 	switch {
 	case !nw.viewKept && p > viewOnLoad*n:
 		nw.materialize()
-	case nw.viewKept && p < viewOffLoad*n:
+	case nw.viewKept && (p < viewOffLoad*n || forStep && p <= viewOnLoad*n):
 		nw.real.ClearEdges()
 		nw.viewKept = false
 		nw.resolveSimSlots()

@@ -595,9 +595,9 @@ func TestFindNbrExtremeIDs(t *testing.T) {
 	}
 }
 
-// TestNodeRecSize pins the slot record at 32 bytes: two records per
-// 64-byte line, none split across two, and the per-node footprint the
-// memory gates budget for.
+// TestNodeRecSize pins the slot record at the 32 bytes it had when it
+// held the inline fence: two records per 64-byte line, none split
+// across two.
 func TestNodeRecSize(t *testing.T) {
 	if got := unsafe.Sizeof(nodeRec{}); got != 32 {
 		t.Fatalf("nodeRec is %d bytes, want 32", got)
