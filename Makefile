@@ -93,8 +93,10 @@ bench-core:
 # (at ~200ns/op, 100000x is a 20ms sample and pure scheduler noise),
 # and every gated row is the fastest of several reruns — benchjson
 # keeps the minimum per name, the noise-robust statistic on a host with
-# steal (the recovery-op row takes 6: measured steal bursts run 2-3
-# samples long, so 3 reruns can miss the floor entirely).
+# steal (the recovery-op and serialized-churn rows take 6: measured steal
+# bursts run 2-3 samples long, so 3 reruns can miss the floor entirely,
+# and one 300-iteration serialized-churn sample, about 2 ms of work, read
+# 5x its floor).
 bench-json:
 	$(GO) test ./internal/core -run '^$$' \
 		-bench 'RecoveryOp/dense' -benchtime 200x -benchmem -count 6 -timeout 20m \
@@ -109,7 +111,7 @@ bench-json:
 		-bench 'WALAppend|Checkpoint' -benchtime 200x -benchmem -timeout 20m \
 		| $(GO) run ./cmd/benchjson -append BENCH_core.json
 	$(GO) test . -run '^$$' \
-		-bench 'ConcurrentChurn' -benchtime 300x -benchmem -timeout 20m \
+		-bench 'ConcurrentChurn' -benchtime 300x -benchmem -count 6 -timeout 20m \
 		| $(GO) run ./cmd/benchjson -append BENCH_core.json
 	$(GO) test ./internal/congest -run '^$$' \
 		-bench 'FloodAggregate/direct' -benchtime 2000x -benchmem -count 6 \
@@ -137,7 +139,7 @@ bench-diff:
 		-bench 'WALAppend|Checkpoint' -benchtime 200x -benchmem -timeout 20m \
 		| $(GO) run ./cmd/benchjson -append /tmp/bench_core_fresh.json
 	$(GO) test . -run '^$$' \
-		-bench 'ConcurrentChurn' -benchtime 300x -benchmem -timeout 20m \
+		-bench 'ConcurrentChurn' -benchtime 300x -benchmem -count 6 -timeout 20m \
 		| $(GO) run ./cmd/benchjson -append /tmp/bench_core_fresh.json
 	$(GO) test ./internal/congest -run '^$$' \
 		-bench 'FloodAggregate/direct' -benchtime 2000x -benchmem -count 6 \

@@ -75,14 +75,13 @@ func (nw *Network) insertOneOfBatch(s InsertSpec, attachSlot int32) {
 	}
 	idSlot := nw.st.addNode(s.ID)
 	nw.setLoadAt(s.ID, idSlot, 0, true)
-	nw.rebuiltReal = false
 	nw.addRealEdgeAt(s.ID, idSlot, s.Attach, attachSlot)
 	nw.tmp = tempEdge{a: s.ID, b: s.Attach, sa: idSlot, sb: attachSlot, on: true}
 	nw.recoverInsert(s.ID, s.Attach, idSlot, attachSlot)
-	if !nw.rebuiltReal {
+	if nw.tmp.on { // else a one-step rebuild's commit dropped it already
 		nw.removeRealEdgeAt(s.ID, idSlot, s.Attach, attachSlot)
+		nw.tmp.on = false
 	}
-	nw.tmp.on = false // a one-step rebuild's rewire dropped it already
 }
 
 // DeleteBatch performs one adversarial step deleting all ids at once,

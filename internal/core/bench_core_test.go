@@ -155,10 +155,14 @@ func joinedEngine(tb testing.TB, n, pairs int) *Network {
 // the same network, and the gap between off and sampled is the audit's
 // cost per pair. The sampled+edges row adds an edge observer that
 // drops its batch, registered after the aging: durable-full's engine
-// path without persistence. The off and sampled rows allocate nothing
-// per op (the ZeroAllocs gates below pin both paths); the sampled+edges
-// row allocates the two batches its observer is handed, copies a
-// subscriber may keep. Run via `make bench-core`;
+// path without persistence. The report-only sampled+view row reads
+// Graph() after the aging, so the window runs on a kept view, as a
+// Graph() caller, a Simplified network after its first flood or a load
+// past viewOnLoad does, and the audit checks each node's row against
+// its run. The off and sampled rows allocate nothing per op (the
+// ZeroAllocs gates below pin both paths); the sampled+edges row
+// allocates the two batches its observer is handed, copies a subscriber
+// may keep. Run via `make bench-core`;
 // `make profile-churn` profiles the off row's timed loop through
 // -churnprofile.
 func BenchmarkChurnAudit(b *testing.B) {
@@ -166,10 +170,12 @@ func BenchmarkChurnAudit(b *testing.B) {
 		name  string
 		mode  AuditMode
 		edges bool
+		view  bool
 	}{
-		{"off", AuditOff, false},
-		{"sampled", AuditSampled, false},
-		{"sampled+edges", AuditSampled, true},
+		{"off", AuditOff, false, false},
+		{"sampled", AuditSampled, false, false},
+		{"sampled+edges", AuditSampled, true, false},
+		{"sampled+view", AuditSampled, false, true},
 	} {
 		mode := row.mode
 		for _, size := range []int{100000} {
@@ -177,6 +183,9 @@ func BenchmarkChurnAudit(b *testing.B) {
 				nw := joinedEngine(b, size, size/5)
 				if row.edges {
 					nw.SetEdgeObserver(func(int, []graph.EdgeDelta) {})
+				}
+				if row.view {
+					nw.Graph()
 				}
 				rng := rand.New(rand.NewSource(23))
 				pair := func() {

@@ -253,10 +253,10 @@ func TestDifferentialChurnTraces(t *testing.T) {
 // differentialTrace runs TestDifferentialChurnTraces' 300-op trace
 // (traceStep) under the differential oracle, materializing the view
 // before op observeAt. In Staggered mode nothing before that observes
-// the overlay: DeleteBatch's checks read derived rows, and a rebuild's
-// diff reads a view only to its step's end, so after every operation a
-// view is kept exactly when the mean load steers one for the walks: on
-// past viewOnLoad, off again below viewOffLoad.
+// the overlay: DeleteBatch's checks read derived rows, and a one-step
+// rebuild reads no view, so after every operation a view is kept
+// exactly when the mean load steers one for the walks: on past
+// viewOnLoad, off again below viewOffLoad.
 func differentialTrace(t *testing.T, mode RecoveryMode, seed int64, observeAt int) {
 	t.Helper()
 	cfg := DefaultConfig()

@@ -70,11 +70,11 @@ func (b *biasedSource) Seed(int64)   {}
 // of the first header byte chooses when the overlay view is observed:
 // set, from construction; clear, only halfway through the trace, so the
 // first half runs on derived reads (until a Simplified flood observes
-// it earlier; a DeleteBatch reads derived rows too, and a one-step
-// rebuild's view lasts only to its step's end unless the mean load
-// keeps one), which the oracle checks against the rebuild instead. An edge observer, registered from construction,
-// feeds a mirror that must equal the rebuild at every check. Run it
-// with `make fuzz` or
+// it earlier; a DeleteBatch's checks and a one-step rebuild read no view
+// either, and only the mean load keeps one for the walks), which the
+// oracle checks against the rebuild instead. An edge observer,
+// registered from construction, feeds a mirror that must equal the
+// rebuild at every check. Run it with `make fuzz` or
 //
 //	go test ./internal/core -run '^$' -fuzz FuzzChurnTrace
 //

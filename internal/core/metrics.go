@@ -134,7 +134,6 @@ func (nw *Network) Totals() Totals { return nw.totals }
 
 func (nw *Network) beginStep(op OpKind, target NodeID) {
 	nw.step = StepMetrics{Step: nw.totals.Steps + 1, Op: op, Target: target}
-	nw.rebuiltReal = false
 	// Both per-step scratch sets reset in O(1): dirty tracking by a
 	// generation bump, the edge log by truncation. The coordinator's
 	// cached degree is stamped with a generation, so it goes when the

@@ -124,20 +124,20 @@ type Network struct {
 	simSlot []int32
 
 	// real is the overlay G_t: its slot table always, its adjacency a
-	// view of the contraction kept while observed or while derived rows
-	// are long (see view.go). viewKept says the view is kept, observed
-	// that something has observed it, and viewForStep that the current
-	// step materialized it for its own reads. edges counts the overlay's
-	// edges (a self-loop once) whether or not a view is kept, and tmp is
-	// the insert's temporary attach edge while it exists.
-	real        *graph.Graph
-	viewKept    bool
-	viewEdited  bool // edited since Graph last compacted it
-	viewForStep bool
-	observed    bool
-	edges       int
-	tmp         tempEdge
-	coord       coordCache // the coordinator's distinct degree (coordDegree)
+	// view of the contraction, materialized only by an observer (Graph()
+	// or a Simplified size-count flood) or by the mean-load rule (see
+	// view.go). viewKept says the view is kept, and observed that
+	// something has observed it, which keeps the view from then on. edges
+	// counts the overlay's edges (a self-loop once) whether or not a view
+	// is kept, and tmp is the insert's temporary attach edge while it
+	// exists.
+	real       *graph.Graph
+	viewKept   bool
+	viewEdited bool // edited since Graph last compacted it
+	observed   bool
+	edges      int
+	tmp        tempEdge
+	coord      coordCache // the coordinator's distinct degree (coordDegree)
 	// cached holds two nodes' rows as cells (rowCache): the adopter a
 	// delete's redistribution walks all leave from (pinned, -1 outside
 	// that loop) and one other node.
@@ -158,10 +158,9 @@ type Network struct {
 
 	nextID NodeID // smallest never-used node id (callers may pass their own)
 
-	step        StepMetrics
-	history     []StepMetrics
-	totals      Totals
-	rebuiltReal bool // set when a one-step type-2 rebuild rewired nw.real
+	step    StepMetrics
+	history []StepMetrics
+	totals  Totals
 
 	// edgeLog records the step's overlay changes, one entry per change,
 	// while an edge observer is registered; flushEdgeDeltas nets it into
@@ -329,7 +328,7 @@ func NewWithMapping(p int64, owner []NodeID, cfg Config) (*Network, error) {
 	if err := nw.countOverlay(); err != nil {
 		return nil, err
 	}
-	nw.real.SetEpoch(nw.real.Epoch() + uint64(len(nw.overlayDeltas())))
+	nw.real.SetEpoch(nw.real.Epoch() + uint64(len(netLog(nw.appendOverlay(nil, 1)))))
 	nw.refreshDist0()
 	return nw, nil
 }

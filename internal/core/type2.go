@@ -22,8 +22,9 @@ import (
 //  3. run the paper's Phase-2 token walks on the *new virtual graph* to
 //     fix the provisional assignment (rebalance loads > 4*zeta after
 //     inflation; re-home empty nodes after deflation);
-//  4. commit: swap the virtual graph and mapping, rebuild the real graph,
-//     and charge the construction costs (cycle edges O(1) rounds;
+//  4. commit: swap the virtual graph and mapping, apply the difference
+//     between the old and the new contraction to the real overlay, and
+//     charge the construction costs (cycle edges O(1) rounds;
 //     inverse edges one permutation-routing allowance; O(n) topology
 //     changes).
 //
@@ -94,10 +95,7 @@ func (nw *Network) simplifiedInflate(initiator, newborn NodeID) {
 	if nw.stag != nil {
 		nw.finishStaggerNow()
 	}
-	r, m := congest.BroadcastCost(nw.view(), initiator)
-	nw.step.Rounds += r + 1
-	nw.step.Messages += m
-	nw.step.Floods++
+	nw.chargeBroadcast(initiator)
 
 	inf, err := pcycle.NewInflation(nw.z.P())
 	if err != nil {
@@ -147,10 +145,7 @@ func (nw *Network) simplifiedDeflate(initiator NodeID) {
 	if nw.stag != nil {
 		nw.finishStaggerNow()
 	}
-	r, m := congest.BroadcastCost(nw.view(), initiator)
-	nw.step.Rounds += r + 1
-	nw.step.Messages += m
-	nw.step.Floods++
+	nw.chargeBroadcast(initiator)
 
 	def, ok := nw.deflationFor(false)
 	if !ok {
@@ -315,11 +310,32 @@ func (nw *Network) fallbackAssign(pv *provisional, u NodeID, reserved map[NodeID
 	panic("core: no donor for contender")
 }
 
-// commitRebuild swaps in the new virtual graph and mapping, rebuilds the
-// real overlay and charges the construction costs.
+// chargeBroadcast charges the flood of a one-step rebuild's request from
+// initiator, a plain broadcast (congest.BroadcastCost), to the step. It
+// runs on the kept view: Simplified mode keeps one by now, because its
+// size-count floods observe the overlay. Only Staggered's
+// walk-exhaustion fallback comes here without one, and its broadcast
+// runs on a copy derived from the mapping (Snapshot), which keeps no
+// view.
+func (nw *Network) chargeBroadcast(initiator NodeID) {
+	g := nw.real
+	if !nw.viewKept {
+		g, _ = nw.Snapshot()
+	}
+	r, m := congest.BroadcastCost(g, initiator)
+	nw.step.Rounds += r + 1
+	nw.step.Messages += m
+	nw.step.Floods++
+}
+
+// commitRebuild swaps in the new virtual graph and mapping, applies the
+// overlay's change and charges the construction costs.
 func (nw *Network) commitRebuild(pv *provisional) {
 	oldEdges := nw.edges
-	g := nw.view() // the old mapping's overlay, which rewire diffs against
+	// The old overlay goes into the diff with Delta -1 and, once the new
+	// mapping is in, the new one with +1 (appendOverlay): O(p) entries,
+	// allocated rather than kept as scratch.
+	diff := nw.appendOverlay(nil, -1)
 
 	nw.z = pv.zNew
 	p := pv.zNew.P()
@@ -340,16 +356,18 @@ func (nw *Network) commitRebuild(pv *provisional) {
 		nw.st.simReset(e.slot, vs)
 		nw.setLoadAt(e.id, e.slot, len(vs), false)
 	}
-	// Apply the new contraction as an in-place diff (rewire): only node
-	// pairs whose multiplicity actually changed are touched, the graph
-	// pointer stays stable, and subscribers receive the net edge changes
-	// as one batch. The counted topology-change cost below stays the
-	// paper's (tear down + rebuild), independent of how small the diff
-	// happens to be.
 	nw.stag = nil
-	nw.rewire(g)
+	nw.tmp.on = false // the temporary attach edge is not in the new overlay
+	// Netted, only pairs whose multiplicity changes remain, each applied
+	// once through edgeChanged: a kept view is edited in place (the graph
+	// pointer stays stable), the row caches stay exact, and subscribers
+	// receive the net change as one batch. The topology-change charge
+	// below stays the paper's (tear down + rebuild) however small the
+	// diff is.
+	for _, d := range netLog(nw.appendOverlay(diff, 1)) {
+		nw.edgeChanged(d.U, nw.st.slot(d.U), d.V, nw.st.slot(d.V), d.Delta)
+	}
 	nw.refreshDist0()
-	nw.rebuiltReal = true
 
 	// Construction cost charges (Lemma 4 / Lemma 6): cycle edges are O(1)
 	// rounds via the old cycle edges; inverse edges need one permutation

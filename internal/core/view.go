@@ -19,32 +19,31 @@ import (
 // edge observer is registered, the step's edge log (edgeChanged); and
 // while no view is kept, every adjacency read — a walk hop, the
 // adoption's smallest neighbor, the coordinator's distinct degree, the
-// adoption's emptiness check — comes from the node's contraction row
-// (rowAt), plus the insert's temporary attach edge while that edge
-// exists.
+// adoption's emptiness check, DeleteBatch's checks — comes from the
+// node's contraction row (rowAt), plus the insert's temporary attach
+// edge while that edge exists.
 //
 // nw.real keeps the overlay's slot table always (the store addresses
 // its rows by its slots, and checkpoints write it). Its adjacency is a
-// view, kept from then on once something observes it — Graph(), or a
-// Simplified size-count flood (observe) — or while derived rows are
-// long. A broadcast's cost and a one-step rebuild's diff read a view
-// too, materializing it if none is kept, but keep it only to the step's
-// end unless the mean load would keep one; DeleteBatch's checks read
-// derived rows when no view is kept, as the walks do.
-// Two readers observe the overlay without any view: an edge observer,
-// fed from the edge log, which edgeChanged writes either way, and
-// Snapshot, which copies a kept view or else derives its copy from the
-// mapping the way materialize derives the view. A derived row costs a
-// few scattered loads per vertex the node simulates, so past a mean
-// load of viewOnLoad a walk hop reads far more than the view's run and
-// the engine keeps the view for its own walks until the mean load falls
-// below viewOffLoad. A kept view is edited with each change as it
-// happens, one per-edge graph call per change, and every read comes
-// from it: a view brought current once per step from the netted log
-// measured slower, because walks start at the nodes a step changed,
-// whose rows then have to be rebuilt. Nothing keeps a view on a bare
-// network's steady churn, nor on a durable, evented façade's, so there
-// the engine touches no adjacency at all.
+// view, which only three things materialize: Graph() and a Simplified
+// size-count flood, which observe the overlay and keep the view from
+// then on (observe), and the mean-load rule (steerView): a derived row
+// costs a few scattered loads per vertex the node simulates, so past a
+// mean load of viewOnLoad a walk hop reads far more than the view's run
+// and the engine keeps the view for its own walks until the mean load
+// falls below viewOffLoad. A one-step rebuild applies the netted
+// difference between the old and the new contraction (appendOverlay)
+// through edgeChanged, to a kept view or else to the row caches. Two
+// readers observe the overlay without any view: an edge observer, fed
+// from the edge log, which edgeChanged writes either way, and Snapshot,
+// which copies a kept view or else derives its copy from the mapping
+// the way materialize derives the view. A kept view is edited with each
+// change as it happens, one per-edge graph call per change, and every
+// read comes from it: a view brought current once per step from the
+// netted log measured slower, because walks start at the nodes a step
+// changed, whose rows then have to be rebuilt. Nothing keeps a view on
+// a bare network's steady churn, nor on a durable, evented façade's, so
+// there the engine touches no adjacency at all.
 
 // tempEdge is the insert's temporary attach edge {a, b} (the newborn a
 // and its attach point b, at slots sa and sb), which Algorithm 4.2 wires
@@ -119,8 +118,8 @@ func (nw *Network) edgeChanged(a NodeID, sa int32, b NodeID, sb int32, k int) in
 
 // addRealEdgeAt / removeRealEdgeAt change one multiplicity of {a,b}
 // through edgeChanged, count the topology change for the current step
-// and return b's slot. They and the one-step rebuild's rewire are the
-// only places the overlay changes.
+// and return b's slot. They and a one-step rebuild's commit
+// (commitRebuild) are the only places the overlay changes.
 //
 //dexvet:noalloc
 func (nw *Network) addRealEdgeAt(a NodeID, sa int32, b NodeID, sb int32) {
@@ -157,10 +156,10 @@ func (nw *Network) resetEdgeLog() {
 // entries and a delete 6 at the median, with a tail of a few hundred,
 // where SortFunc's comparator calls cost about twice the Shell sort's
 // moves. Shell sort's largest gap is fixed, so it loses from about
-// 2*10^5 entries on, which a one-step rebuild's O(p) entries
-// (overlayDeltas) reach; the bound is the largest size it measured
-// clearly faster at, on random ids and on a contraction's enumeration
-// alike (CHANGES.md).
+// 2*10^5 entries on, which a one-step rebuild's O(p) entries (two
+// overlays, appendOverlay) reach; the bound is the largest size it
+// measured clearly faster at, on random ids and on a contraction's
+// enumeration alike (CHANGES.md).
 const shortEdgeLog = 1 << 17
 
 // netLog sorts log by (U, V) in place, sums each pair's changes, drops
@@ -230,32 +229,21 @@ const (
 	viewOffLoad = 4
 )
 
-// view returns the overlay, materializing it when no view is kept: a
-// broadcast's cost and a one-step rebuild's diff read it through here.
-// A view it materializes is the step's own (viewForStep), and steerView
-// drops it at the step's end unless the mean load would keep one.
-func (nw *Network) view() *graph.Graph {
+// observe returns the overlay for the readers that keep the view from
+// then on, materializing it if none is kept: Graph(), whose caller holds
+// the live graph, and the Simplified size-count floods, which run at
+// every failed walk.
+func (nw *Network) observe() *graph.Graph {
+	nw.observed = true
 	if !nw.viewKept {
 		nw.materialize()
-		nw.viewForStep = true
 	}
 	return nw.real
 }
 
-// observe is view for the readers that keep the view from then on:
-// Graph(), whose caller holds the live graph, and the Simplified
-// size-count floods, which run at every failed walk.
-func (nw *Network) observe() *graph.Graph {
-	nw.observed = true
-	return nw.view()
-}
-
 // steerView keeps or drops an unobserved view by the mean load (see
-// viewOnLoad), between steps. A view the step materialized for its own
-// reads is kept only past viewOnLoad, as one the step began without.
+// viewOnLoad), between steps.
 func (nw *Network) steerView() {
-	forStep := nw.viewForStep
-	nw.viewForStep = false
 	if nw.observed {
 		return
 	}
@@ -263,7 +251,7 @@ func (nw *Network) steerView() {
 	switch {
 	case !nw.viewKept && p > viewOnLoad*n:
 		nw.materialize()
-	case nw.viewKept && (p < viewOffLoad*n || forStep && p <= viewOnLoad*n):
+	case nw.viewKept && p < viewOffLoad*n:
 		nw.real.ClearEdges()
 		nw.viewKept = false
 		nw.resolveSimSlots()
@@ -308,20 +296,22 @@ func (nw *Network) Snapshot() (*graph.Graph, uint64) {
 	return g, g.Epoch()
 }
 
-// overlayDeltas returns the contraction of the virtual structure as a
-// netted batch, each distinct pair once with its multiplicity.
-// Construction and one-step rebuilds call it, O(p) entries each time,
-// so it allocates instead of pinning scratch of that size.
-func (nw *Network) overlayDeltas() []graph.EdgeDelta {
-	var log []graph.EdgeDelta
+// appendOverlay appends the overlay to log, one entry of Delta d (with U
+// <= V) per edge of the contraction (contractionEdges) and one for the
+// temporary attach edge while it is up, and returns the log. Netted
+// (netLog), it is the overlay as a batch, each distinct pair once with
+// its multiplicity times d. Construction counts the epoch from it, and a
+// one-step rebuild diffs the overlay before and after its commit with
+// it.
+func (nw *Network) appendOverlay(log []graph.EdgeDelta, d int) []graph.EdgeDelta {
 	nw.contractionEdges(func(a, b NodeID) bool {
-		if a > b {
-			a, b = b, a
-		}
-		log = append(log, graph.EdgeDelta{U: a, V: b, Delta: 1})
+		log = append(log, graph.EdgeDelta{U: min(a, b), V: max(a, b), Delta: d})
 		return true
 	})
-	return netLog(log)
+	if t := nw.tmp; t.on {
+		log = append(log, graph.EdgeDelta{U: min(t.a, t.b), V: max(t.a, t.b), Delta: d})
+	}
+	return log
 }
 
 // --- derived reads -------------------------------------------------------------
@@ -445,11 +435,12 @@ func selectRank(ids []NodeID, slots []int32, k int) int {
 // rowCache holds one node's overlay row as cells sorted by id — the
 // form of its arena run — for the node at slot (-1: empty). It is
 // derived once (rowCells) and kept exact from then on: edgeChanged
-// applies every change of an edge at the node, and a one-step rebuild
-// or the node's removal empties it. The network keeps two: one for the
-// adopter a delete's redistribution pins and one for any other node, so
-// the walks that redistribution starts, one per orphan, at the same
-// adopter derive the adopter's row once, not once per walk.
+// applies every change of an edge at the node, a one-step rebuild's
+// included, and materializing a view or removing the node empties it.
+// The network keeps two: one for the adopter a delete's redistribution
+// pins and one for any other node, so the walks that redistribution
+// starts, one per orphan, at the same adopter derive the adopter's row
+// once, not once per walk.
 type rowCache struct {
 	slot  int32
 	cells []graph.RunCell
@@ -650,67 +641,6 @@ func (nw *Network) coordDegree() int {
 	d := nw.distinctDegreeAt(c, s)
 	*cc = coordCache{id: c, slot: s, gen: nw.st.dirtyGen, deg: d}
 	return d
-}
-
-// --- one-step rebuilds ----------------------------------------------------------
-
-// rewire replaces the edges of g, the overlay of the old mapping, with
-// the contraction of the mapping a one-step rebuild has just installed,
-// as a diff: only pairs whose multiplicity changes are touched, each
-// through edgeChanged (so it marks its ends dirty, advances the epoch by
-// one and reaches the edge observer), so subscribers receive one batched
-// diff and the graph pointer stays stable. The temporary attach edge, if
-// any, is not part of the new overlay. Pairs are visited by ascending
-// first end and, for each, the new overlay's pairs before the dropped
-// ones.
-func (nw *Network) rewire(g *graph.Graph) {
-	old := g.Edges()
-	nw.tmp.on = false
-	want := nw.overlayDeltas()
-	change := func(u, v NodeID, d int) {
-		nw.edgeChanged(u, nw.st.slot(u), v, nw.st.slot(v), d)
-	}
-	i, j := 0, 0
-	for i < len(old) || j < len(want) {
-		var u NodeID
-		switch {
-		case i == len(old):
-			u = want[j].U
-		case j == len(want):
-			u = old[i].U
-		default:
-			u = min(old[i].U, want[j].U)
-		}
-		oi := i
-		for ; i < len(old) && old[i].U == u; i++ {
-		}
-		wj := j
-		for ; j < len(want) && want[j].U == u; j++ {
-		}
-		ogrp, wgrp := old[oi:i], want[wj:j]
-		k := 0
-		for _, w := range wgrp {
-			for k < len(ogrp) && ogrp[k].V < w.V {
-				k++
-			}
-			m := 0
-			if k < len(ogrp) && ogrp[k].V == w.V {
-				m = ogrp[k].Mult
-			}
-			if d := w.Delta - m; d != 0 {
-				change(u, w.V, d)
-			}
-		}
-		k = 0
-		for _, o := range ogrp {
-			for k < len(wgrp) && wgrp[k].V < o.V {
-				k++
-			}
-			if k == len(wgrp) || wgrp[k].V != o.V {
-				change(u, o.V, -o.Mult)
-			}
-		}
-	}
 }
 
 // --- construction and restore -------------------------------------------------

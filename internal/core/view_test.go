@@ -283,6 +283,64 @@ func TestMidStepReadsMatchRebuild(t *testing.T) {
 	}
 }
 
+// TestOneStepRebuildWithoutView runs a one-step inflation inside a step
+// of a Staggered network that keeps no view (joinedEngine, p/n about
+// 2), as Staggered's walk-exhaustion fallback does, with an edge
+// observer feeding a mirror. The commit must find no view kept: the
+// broadcast runs on a derived copy, and the netted diff goes to the row
+// caches and the edge log. After the step the mirror must equal the full
+// rebuild, the derived reads and the invariants must hold, nothing may
+// have observed the overlay, and a view is kept exactly when the mean
+// load steers one. A twin driven the same way after one Graph() call,
+// whose broadcast and diff run on the kept view, must record the same
+// StepMetrics for the step.
+func TestOneStepRebuildWithoutView(t *testing.T) {
+	drive := func(observe bool) (*Network, StepMetrics) {
+		t.Helper()
+		nw := joinedEngine(t, 512, 200)
+		if nw.stag != nil || nw.viewKept {
+			t.Fatalf("set-up: stagger in flight %v, view kept %v", nw.stag != nil, nw.viewKept)
+		}
+		mirror := mirrorEdges(nw)
+		if observe {
+			nw.Graph()
+		}
+		commits := 0
+		nw.SetRebuildObserver(func(int64) {
+			commits++
+			if nw.viewKept != observe {
+				t.Errorf("observed %v: view kept %v at the commit", observe, nw.viewKept)
+			}
+		})
+		u := nw.Coordinator()
+		nw.beginStep(OpInsert, u)
+		nw.simplifiedInflate(u, -1)
+		nw.step.Recovery = RecoveryInflate
+		st := nw.endStep()
+		if commits != 1 {
+			t.Fatalf("observed %v: %d rebuild commits, want 1", observe, commits)
+		}
+		want := nw.RecomputeGraph()
+		if err := mirror.matches(want); err != nil {
+			t.Fatalf("observed %v: edge events: %v", observe, err)
+		}
+		if err := checkDerivedReads(nw, want, 2); err != nil {
+			t.Fatalf("observed %v: %v", observe, err)
+		}
+		if err := nw.CheckInvariants(); err != nil {
+			t.Fatalf("observed %v: %v", observe, err)
+		}
+		return nw, st
+	}
+	nw, got := drive(false)
+	if kept := nw.P() > viewOnLoad*int64(nw.Size()); nw.observed || nw.viewKept != kept {
+		t.Fatalf("after the step at p=%d, n=%d: observed %v, view kept %v, want false, %v", nw.P(), nw.Size(), nw.observed, nw.viewKept, kept)
+	}
+	if _, want := drive(true); got != want {
+		t.Fatalf("the rebuild step recorded %+v without a view, %+v on a kept view", got, want)
+	}
+}
+
 // TestCoordinatorDegreeAfterDroppedVertexZero drives a Staggered
 // rebuild into its second phase past vertex 0, whose dropped entry in
 // simOf keeps naming its old simulator, deletes that node, and runs more

@@ -57,16 +57,15 @@ import (
 type NodeID int64
 
 // nodeRec is the per-node slot record: the node's neighbor run in the pool
-// and its cached degrees. The padding makes it 32 bytes, so a []nodeRec
-// puts two records on each 64-byte line and never splits one across two;
-// a 20-byte record measured faster on BenchmarkWalkHop (ROADMAP item 4).
+// and its cached degrees, 20 bytes with no padding. Padded to 32 bytes,
+// two records to a 64-byte line and none split across two, it measured
+// slower on BenchmarkWalkHop (ROADMAP item 4).
 type nodeRec struct {
 	off  int32 // run start in the pool
 	n    int32 // entries in use
 	cap  int32 // run capacity (multiple of 4; 0 = no run allocated)
 	deg  int32 // multigraph degree: sum of mult (a self-loop counts once)
 	dist int32 // distinct neighbors excluding the node itself
-	_    [3]int32
 }
 
 // cell is one adjacency-run entry: the neighbor's id, the multiplicity of

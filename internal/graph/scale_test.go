@@ -40,10 +40,10 @@ func TestScaleGraphMemoryFootprint(t *testing.T) {
 	const (
 		n = 100_000
 		// Bytes/node budget for the arena after the spike trace (~6 live
-		// distinct neighbors). Measured 299.97 B/node, the same in every
-		// run: the cell pool is 222 of it (1.39M 16-byte cells of
-		// capacity for 0.58M live ones, the rest run rounding, free runs
-		// and append slack), the 32-byte slot records 34, the id index
+		// distinct neighbors). Measured 289 B/node (299.97 with 32-byte
+		// slot records): the cell pool is 222 of it (1.39M 16-byte cells
+		// of capacity for 0.58M live ones, the rest run rounding, free
+		// runs and append slack), the 20-byte slot records 21, the id index
 		// map ~27, ids 9 and the dense id->slot array 8. The 10% headroom
 		// absorbs the few KB of run-to-run heap noise around that
 		// figure; a lost shrinkRun (624 B/node) or any 2x blow-up still
