@@ -167,7 +167,7 @@ PROFILE_FLAGS ?=
 
 profile-churn:
 	@mkdir -p profiles
-	$(GO) test ./internal/core -run '^$$' -bench 'ChurnAudit/off/n=100000' \
+	$(GO) test ./internal/core -run '^$$' -bench 'ChurnAudit/^off$$/n=100000' \
 		-benchtime $(PROFILE_BENCHTIME) -timeout 20m $(PROFILE_FLAGS) \
 		-churnprofile $(CURDIR)/profiles/churn_cpu.pprof
 

@@ -55,21 +55,6 @@ type Ctx struct {
 // order (local knowledge only).
 func (c *Ctx) Neighbors() []NodeID { return c.engine.topo.Neighbors(c.ID) }
 
-// Degree returns the node's multigraph degree.
-func (c *Ctx) Degree() int { return c.engine.topo.Degree(c.ID) }
-
-// WeightedNeighbors exposes neighbor multiplicities for multigraph walks.
-func (c *Ctx) WeightedNeighbors() ([]NodeID, []int) {
-	return c.engine.topo.WeightedNeighbors(c.ID)
-}
-
-// ForEachNeighbor visits the node's distinct neighbors in ascending order
-// with edge multiplicities, without allocating (the arena-backed analogue
-// of Neighbors; fn returns false to stop early).
-func (c *Ctx) ForEachNeighbor(fn func(v NodeID, mult int) bool) {
-	c.engine.topo.ForEachNeighbor(c.ID, fn)
-}
-
 // RandomNeighborStep picks a multiplicity-weighted neighbor using the
 // random word r, excluding exclude (-1 to disable): the zero-allocation
 // walk-hop primitive.

@@ -1,30 +1,22 @@
 package congest
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
 )
 
-// splitmix64 advances a deterministic PRNG state; walk tokens carry the
-// state so the engine-executed and direct walks make identical choices.
-func splitmix64(state uint64) (uint64, uint64) {
+// SplitMix64 advances a deterministic PRNG state and returns the new
+// state and the word it mixes from it. Walk tokens carry the state so the
+// engine-executed and direct walks make identical choices, and the DEX
+// engine's virtual walks draw from the same stream.
+func SplitMix64(state uint64) (uint64, uint64) {
 	state += 0x9e3779b97f4a7c15
 	z := state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return state, z ^ (z >> 31)
-}
-
-// pickWeighted selects a neighbor of cur proportionally to edge
-// multiplicity, excluding the node `exclude` (pass -1 to disable) and
-// self-loops' own-node entry only when cur != loop target (self-loops are
-// legitimate walk steps that stay put). It returns the chosen node and ok.
-// This is the walk-hop hot path: it delegates to the graph arena's
-// allocation-free RandomNeighborStep instead of materializing the
-// neighbor slices, while making the identical choice for a given r.
-func pickWeighted(g *graph.Graph, cur graph.NodeID, exclude graph.NodeID, r uint64) (graph.NodeID, bool) {
-	return g.RandomNeighborStep(cur, exclude, r)
 }
 
 // WalkResult reports the outcome of a token random walk.
@@ -42,11 +34,11 @@ type WalkResult struct {
 // onto - the paper excludes the freshly inserted node from insertion walks.
 //
 // The walk is slot-native: the start's id→slot lookup happens once, and
-// every subsequent hop reads the neighbor's slot straight out of the
-// arena's run cell (RandomNeighborStepAt), so the stop predicate can probe
-// slot-indexed columnar state without ever touching the id→slot map. A
-// start node absent from the graph yields a zero-step miss without calling
-// stop.
+// every subsequent hop picks on the current node's run (graph.Pick, by
+// way of RandomNeighborStepAt) and reads the neighbor's slot from the
+// chosen cell, so the stop predicate can probe slot-indexed columnar
+// state without ever touching the id→slot map. A start node absent from
+// the graph yields a zero-step miss without calling stop.
 func RandomWalkDirect(g *graph.Graph, start graph.NodeID, exclude graph.NodeID, maxLen int, seed uint64, stop func(graph.NodeID, int32) bool) WalkResult {
 	cs, ok := g.SlotOf(start)
 	if !ok {
@@ -57,11 +49,10 @@ func RandomWalkDirect(g *graph.Graph, start graph.NodeID, exclude graph.NodeID, 
 
 // Rows is the adjacency a token walk hops over. Step makes one hop from
 // node u at slot s with the random word r, and must choose exactly as
-// (*graph.Graph).RandomNeighborStepAt chooses on u's arena run: the
-// distinct neighbors in ascending id, each weighted by its multiplicity
-// (u's own cell by its self-loops), exclude skipped, and the pick
-// r % total. It returns the chosen node, its slot, and false when u has
-// no neighbor but exclude.
+// graph.Pick chooses on u's run: the distinct neighbors in ascending id,
+// each weighted by its multiplicity (u's own cell by its self-loops),
+// exclude skipped, and the pick r % total. It returns the chosen node,
+// its slot, and false when u has no neighbor but exclude.
 type Rows interface {
 	Step(u graph.NodeID, s int32, exclude graph.NodeID, r uint64) (graph.NodeID, int32, bool)
 }
@@ -88,7 +79,7 @@ func RandomWalkDirectAt(g Rows, start graph.NodeID, startSlot int32, exclude gra
 	state := seed
 	for s := 1; s <= maxLen; s++ {
 		var r uint64
-		state, r = splitmix64(state)
+		state, r = SplitMix64(state)
 		next, ns, ok := g.Step(cur, cs, exclude, r)
 		if !ok {
 			return WalkResult{End: cur, EndSlot: cs, Hit: false, Steps: s - 1}
@@ -138,8 +129,8 @@ func RandomWalkEngine(e *Engine, start graph.NodeID, exclude graph.NodeID, maxLe
 			if int(steps) >= maxLen {
 				return
 			}
-			ns, r := splitmix64(state)
-			next, ok := pickWeighted(e.topo, ctx.ID, exclude, r)
+			ns, r := SplitMix64(state)
+			next, ok := ctx.RandomNeighborStep(exclude, r)
 			if !ok {
 				return
 			}
@@ -162,8 +153,8 @@ func RandomWalkEngine(e *Engine, start graph.NodeID, exclude graph.NodeID, maxLe
 	// step count 0; emulate by a self-delivered round-0 activation.
 	e.SetProgram(start, func(ctx *Ctx, inbox []Message) {
 		if ctx.Round == 0 && len(inbox) == 0 {
-			ns, r := splitmix64(seed)
-			next, ok := pickWeighted(e.topo, ctx.ID, exclude, r)
+			ns, r := SplitMix64(seed)
+			next, ok := ctx.RandomNeighborStep(exclude, r)
 			if !ok {
 				return
 			}
@@ -244,7 +235,7 @@ func (f *Flood) reserve(n int) {
 // nodes, so DEX's prebuilt walk stop predicates serve as counts
 // unchanged; FloodAggregate folds general values through the same
 // callback. Neighbor slots and ids come straight from the arena cells
-// (ForEachNeighborAt), so no node is ever resolved by id.
+// (RunAt), so no node is ever resolved by id.
 //
 // The engine's schedule has a closed form. Let dist(v) be v's hop
 // distance from the initiator over distinct neighbors other than v
@@ -288,17 +279,16 @@ func (f *Flood) AggregateAt(g *graph.Graph, initiator graph.NodeID, slot int32, 
 		s := q[head]
 		lv := lvl[s]
 		// A self-loop's cell sees lvl == lv and is skipped.
-		g.ForEachNeighborAt(s, func(v graph.NodeID, vs int32, _ int) bool {
-			if lvl[vs] == 0 {
-				lvl[vs] = lv + 1
-				q[tail] = vs
+		for _, c := range g.RunAt(s) {
+			if lvl[c.S] == 0 {
+				lvl[c.S] = lv + 1
+				q[tail] = c.S
 				tail++
-				if count(v, vs) {
+				if count(c.V, c.S) {
 					res.Sum++
 				}
 			}
-			return true
-		})
+		}
 		reqs := g.DistinctDegreeAt(s)
 		if s != slot {
 			reqs-- // the parent gets no request
@@ -351,14 +341,9 @@ func FloodAggregateEngine(e *Engine, initiator graph.NodeID, value func(graph.No
 		echo = "echo"
 	)
 	othersOf := func(ctx *Ctx, except graph.NodeID) []graph.NodeID {
-		var out []graph.NodeID
-		ctx.ForEachNeighbor(func(v graph.NodeID, _ int) bool {
-			if v != ctx.ID && v != except {
-				out = append(out, v)
-			}
-			return true
+		return slices.DeleteFunc(ctx.Neighbors(), func(v graph.NodeID) bool {
+			return v == ctx.ID || v == except
 		})
-		return out
 	}
 	finish := func(ctx *Ctx, st *floodState) {
 		if ctx.ID == initiator {

@@ -164,13 +164,12 @@ func (nw *Network) remainderConnected(ids []NodeID, victim map[NodeID]bool) bool
 	for i := 0; i < len(queue); i++ {
 		s := queue[i]
 		if nw.viewKept {
-			nw.real.ForEachNeighborAt(s, func(_ NodeID, vs int32, _ int) bool {
-				if !seen[vs] {
-					seen[vs] = true
-					queue = append(queue, vs)
+			for _, c := range nw.real.RunAt(s) {
+				if !seen[c.S] {
+					seen[c.S] = true
+					queue = append(queue, c.S)
 				}
-				return true
-			})
+			}
 			continue
 		}
 		u, _ := nw.real.NodeAt(s)

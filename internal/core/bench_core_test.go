@@ -155,16 +155,16 @@ func joinedEngine(tb testing.TB, n, pairs int) *Network {
 // the same network, and the gap between off and sampled is the audit's
 // cost per pair. The sampled+edges row adds an edge observer that
 // drops its batch, registered after the aging: durable-full's engine
-// path without persistence. The report-only sampled+view row reads
-// Graph() after the aging, so the window runs on a kept view, as a
-// Graph() caller, a Simplified network after its first flood or a load
-// past viewOnLoad does, and the audit checks each node's row against
-// its run. The off and sampled rows allocate nothing per op (the
-// ZeroAllocs gates below pin both paths); the sampled+edges row
-// allocates the two batches its observer is handed, copies a subscriber
-// may keep. Run via `make bench-core`;
-// `make profile-churn` profiles the off row's timed loop through
-// -churnprofile.
+// path without persistence. The report-only off+view and sampled+view
+// rows read Graph() after the aging, so the window runs on a kept view,
+// as a Graph() caller, a Simplified network after its first flood or a
+// load past viewOnLoad does, and the sampled audit checks each node's
+// row against its run; the gap between the two prices that audit. The
+// off and sampled rows allocate nothing per op (the ZeroAllocs gates
+// below pin both paths); the sampled+edges row allocates the two
+// batches its observer is handed, copies a subscriber may keep. Run via
+// `make bench-core`; `make profile-churn` profiles the off row's timed
+// loop through -churnprofile.
 func BenchmarkChurnAudit(b *testing.B) {
 	for _, row := range []struct {
 		name  string
@@ -175,6 +175,7 @@ func BenchmarkChurnAudit(b *testing.B) {
 		{"off", AuditOff, false, false},
 		{"sampled", AuditSampled, false, false},
 		{"sampled+edges", AuditSampled, true, false},
+		{"off+view", AuditOff, false, true},
 		{"sampled+view", AuditSampled, false, true},
 	} {
 		mode := row.mode

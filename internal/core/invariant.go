@@ -328,10 +328,9 @@ func (nw *Network) warmAudit(list []mirrorEntry) {
 		for _, x := range st.setAt(e.slot, false) {
 			sink += int(nw.simOf[x]) + int(nw.z.Inv(x))
 		}
-		nw.real.ForEachNeighborAt(e.slot, func(v NodeID, _ int32, _ int) bool {
-			sink += int(v)
-			return false
-		})
+		if run := nw.real.RunAt(e.slot); len(run) > 0 {
+			sink += int(run[0].V)
+		}
 	}
 	if !rows {
 		nw.warmSink = sink
@@ -447,23 +446,24 @@ func (nw *Network) checkNodeAt(u NodeID, su int32) error {
 //
 //dexvet:noalloc
 func (nw *Network) rowMatches(u NodeID, su int32, row []NodeID, loops int) bool {
-	ok, sum, self := true, 0, 0
-	nw.real.ForEachNeighborAt(su, func(v NodeID, _ int32, m int) bool {
-		if v == u {
-			self = m
-			return true
+	sum, self := 0, 0
+	for _, c := range nw.real.RunAt(su) {
+		if c.V == u {
+			self = int(c.M)
+			continue
 		}
-		c := 0
+		k := 0
 		for _, w := range row {
-			if w == v {
-				c++
+			if w == c.V {
+				k++
 			}
 		}
-		sum += m
-		ok = c == m
-		return ok
-	})
-	return ok && sum == len(row) && self == loops
+		if k != int(c.M) {
+			return false
+		}
+		sum += k
+	}
+	return sum == len(row) && self == loops
 }
 
 // rowMismatch explains a failed rowMatches the way a sorted comparison
@@ -474,7 +474,7 @@ func (nw *Network) rowMatches(u NodeID, su int32, row []NodeID, loops int) bool 
 // nothing.
 func (nw *Network) rowMismatch(u NodeID, su int32, row []NodeID, loops int) error {
 	slices.Sort(row)
-	cells, distinct := 0, 0
+	distinct := 0
 	if loops > 0 {
 		distinct = 1
 	}
@@ -484,24 +484,23 @@ func (nw *Network) rowMismatch(u NodeID, su int32, row []NodeID, loops int) erro
 		}
 	}
 	bad, badGot, badWant := NodeID(0), 0, -1
-	nw.real.ForEachNeighborAt(su, func(v NodeID, _ int32, m int) bool {
-		cells++
+	run := nw.real.RunAt(su)
+	for _, c := range run {
 		exp := loops
-		if v != u {
-			lo, _ := slices.BinarySearch(row, v)
+		if c.V != u {
+			lo, _ := slices.BinarySearch(row, c.V)
 			hi := lo
-			for hi < len(row) && row[hi] == v {
+			for hi < len(row) && row[hi] == c.V {
 				hi++
 			}
 			exp = hi - lo
 		}
-		if m != exp && badWant < 0 {
-			bad, badGot, badWant = v, m, exp
+		if int(c.M) != exp && badWant < 0 {
+			bad, badGot, badWant = c.V, int(c.M), exp
 		}
-		return true
-	})
-	if cells != distinct {
-		return auditErrorf("audit: node %d has %d distinct real neighbors, contraction wants %d", int64(u), int64(cells), int64(distinct))
+	}
+	if len(run) != distinct {
+		return auditErrorf("audit: node %d has %d distinct real neighbors, contraction wants %d", int64(u), int64(len(run)), int64(distinct))
 	}
 	return auditErrorf("audit: edge {%d,%d} multiplicity %d, contraction wants %d", int64(u), int64(bad), int64(badGot), int64(badWant))
 }

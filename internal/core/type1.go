@@ -175,18 +175,15 @@ func (nw *Network) warmAdoption(s int32) {
 	if !nw.viewKept {
 		return
 	}
-	sink := 0
-	nw.real.ForEachNeighborAt(s, func(_ NodeID, vs int32, _ int) bool {
-		sink += nw.real.DistinctDegreeAt(vs)
-		return true
-	})
-	nw.real.ForEachNeighborAt(s, func(_ NodeID, vs int32, _ int) bool {
-		nw.real.ForEachNeighborAt(vs, func(w NodeID, _ int32, _ int) bool {
-			sink += int(w)
-			return false
-		})
-		return true
-	})
+	sink, run := 0, nw.real.RunAt(s)
+	for _, c := range run {
+		sink += nw.real.DistinctDegreeAt(c.S)
+	}
+	for _, c := range run {
+		if far := nw.real.RunAt(c.S); len(far) > 0 {
+			sink += int(far[0].V)
+		}
+	}
 	nw.warmSink = sink
 }
 

@@ -72,18 +72,14 @@ func (pv *provisional) transferVertex(y Vertex, to NodeID) {
 
 // virtualWalk runs a token walk of exactly T steps on the new virtual
 // graph (the paper simulates it on the real network with constant
-// overhead); costs are charged by the caller per epoch.
+// overhead), drawing each step from congest.SplitMix64 as the real
+// walks do; costs are charged by the caller per epoch.
 func (nw *Network) virtualWalk(z *pcycle.Cycle, start Vertex, T int) Vertex {
-	cur := start
-	state := nw.walkSeed()
+	cur, state := start, nw.walkSeed()
 	for s := 0; s < T; s++ {
-		slots := z.NeighborSlots(cur)
-		state += 0x9e3779b97f4a7c15
-		h := state
-		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-		h ^= h >> 31
-		cur = slots[h%3]
+		var h uint64
+		state, h = congest.SplitMix64(state)
+		cur = z.NeighborSlots(cur)[h%3]
 	}
 	return cur
 }

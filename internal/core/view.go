@@ -349,9 +349,9 @@ func (nw *Network) rowAt(u NodeID, su int32) []NodeID {
 // hopRows is the row source the engine's walks hop over (congest.Rows).
 type hopRows struct{ nw *Network }
 
-// Step makes the walk hop graph.RandomNeighborStepAt would make on u's
-// current arena run: from the view while one is kept, else on u's row
-// as cells (rowCells), which are that run — cached, or built for the
+// Step makes the walk hop graph.Pick makes on u's current arena run:
+// on the view's run (RunAt) while a view is kept, else on u's row as
+// cells (rowCells), which are that run — cached, or built for the
 // pinned adopter every walk of a delete's redistribution leaves from.
 // Any other node is usually left once, so its hop is picked on rowAt's
 // unsorted derived row instead: the run's cells in ascending id, each
@@ -364,10 +364,10 @@ type hopRows struct{ nw *Network }
 func (h hopRows) Step(u NodeID, s int32, exclude NodeID, r uint64) (NodeID, int32, bool) {
 	nw := h.nw
 	if nw.viewKept {
-		return nw.real.RandomNeighborStepAt(s, exclude, r)
+		return graph.Pick(nw.real.RunAt(s), exclude, r)
 	}
 	if s == nw.pinned || nw.cached[0].slot == s || nw.cached[1].slot == s {
-		return nw.rowCells(u, s).pick(exclude, r)
+		return graph.Pick(nw.rowCells(u, s).cells, exclude, r)
 	}
 	row, rs, n := nw.rowAt(u, s), nw.rowSlots, 0
 	for i, v := range row {
@@ -432,44 +432,19 @@ func selectRank(ids []NodeID, slots []int32, k int) int {
 	return k
 }
 
-// rowCache holds one node's overlay row as cells sorted by id — the
-// form of its arena run — for the node at slot (-1: empty). It is
-// derived once (rowCells) and kept exact from then on: edgeChanged
-// applies every change of an edge at the node, a one-step rebuild's
-// included, and materializing a view or removing the node empties it.
-// The network keeps two: one for the adopter a delete's redistribution
-// pins and one for any other node, so the walks that redistribution
-// starts, one per orphan, at the same adopter derive the adopter's row
-// once, not once per walk.
+// rowCache holds the overlay row of the node at slot (-1: empty) as the
+// cells the view's arena run for it would hold, sorted by id, so
+// graph.Pick hops on either the same way. It is derived once
+// (rowCells) and kept exact from then on: edgeChanged applies every
+// change of an edge at the node, a one-step rebuild's included, and
+// materializing a view or removing the node empties it. The network
+// keeps two: one for the adopter a delete's redistribution pins and one
+// for any other node, so the walks that redistribution starts, one per
+// orphan, at the same adopter derive the adopter's row once, not once
+// per walk.
 type rowCache struct {
 	slot  int32
 	cells []graph.RunCell
-}
-
-// pick makes RandomNeighborStepAt's choice on the cells: ascending id,
-// weighted by multiplicity, exclude skipped, the pick r % total.
-//
-//dexvet:noalloc
-func (c *rowCache) pick(exclude NodeID, r uint64) (NodeID, int32, bool) {
-	total := int32(0)
-	for _, e := range c.cells {
-		if e.V != exclude {
-			total += e.M
-		}
-	}
-	if total == 0 {
-		return 0, -1, false
-	}
-	k := int32(r % uint64(total))
-	for _, e := range c.cells {
-		if e.V == exclude {
-			continue
-		}
-		if k -= e.M; k < 0 {
-			return e.V, e.S, true
-		}
-	}
-	return 0, -1, false // unreachable: k < total
 }
 
 // change applies a change of k in the multiplicity of the edge to v (at
@@ -490,7 +465,7 @@ func (c *rowCache) change(v NodeID, vs int32, k int) {
 	if k < 0 {
 		panic(fmt.Sprintf("core: removing an edge to %d the row does not hold", v))
 	}
-	c.cells = slices.Insert(c.cells, i, graph.RunCell{V: v, S: vs, M: int32(k)})
+	c.cells = slices.Insert(c.cells, i, graph.RunCell{V: v, M: int32(k), S: vs})
 }
 
 // rowCells returns node u's row as cells (see rowCache): a cached one
@@ -511,7 +486,7 @@ func (nw *Network) rowCells(u NodeID, su int32) *rowCache {
 	cells := c.cells[:0]
 	row, rs := nw.rowAt(u, su), nw.rowSlots
 	for i, v := range row {
-		cells = append(cells, graph.RunCell{V: v, S: rs[i], M: 1})
+		cells = append(cells, graph.RunCell{V: v, M: 1, S: rs[i]})
 	}
 	sortCells(cells)
 	n := 0
@@ -594,15 +569,12 @@ func (nw *Network) degreeAt(u NodeID, su int32) int {
 // view is kept, else the least such entry of rowAt's derived row.
 func (nw *Network) smallestNeighbor(u NodeID, su int32, skip map[NodeID]bool) (NodeID, int32) {
 	if nw.viewKept {
-		found, fs := NodeID(-1), int32(-1)
-		nw.real.ForEachNeighborAt(su, func(v NodeID, vs int32, _ int) bool {
-			if vs != su && (skip == nil || !skip[v]) {
-				found, fs = v, vs
-				return false
+		for _, c := range nw.real.RunAt(su) {
+			if c.S != su && (skip == nil || !skip[c.V]) {
+				return c.V, c.S
 			}
-			return true
-		})
-		return found, fs
+		}
+		return -1, -1
 	}
 	at, row := -1, nw.rowAt(u, su)
 	for i, v := range row {

@@ -48,13 +48,13 @@ func checkDerivedReads(nw *Network, g *graph.Graph, words int) error {
 				cells = append(cells, graph.Edge{U: v, Mult: 1})
 			}
 		}
-		nbrs, mult := g.WeightedNeighbors(u)
-		if len(nbrs) != len(cells) {
-			return fmt.Errorf("node %d: derived row has %d cells %v, the overlay's run %d %v %v", u, len(cells), cells, len(nbrs), nbrs, mult)
+		run := g.RunAt(gs)
+		if len(run) != len(cells) {
+			return fmt.Errorf("node %d: derived row has %d cells %v, the overlay's run %d %+v", u, len(cells), cells, len(run), run)
 		}
 		for i, c := range cells {
-			if c.U != nbrs[i] || c.Mult != mult[i] {
-				return fmt.Errorf("node %d: derived cell %d is %d x%d, the overlay's %d x%d", u, i, c.U, c.Mult, nbrs[i], mult[i])
+			if c.U != run[i].V || c.Mult != int(run[i].M) {
+				return fmt.Errorf("node %d: derived cell %d is %d x%d, the overlay's %d x%d", u, i, c.U, c.Mult, run[i].V, run[i].M)
 			}
 		}
 		if got, want := nw.distinctDegreeAt(u, su), g.DistinctDegreeAt(gs); got != want {
@@ -63,17 +63,17 @@ func checkDerivedReads(nw *Network, g *graph.Graph, words int) error {
 		if got, want := nw.degreeAt(u, su), g.Degree(u); got != want {
 			return fmt.Errorf("node %d: derived degree %d, overlay %d", u, got, want)
 		}
-		first := NodeID(-1)
-		for _, v := range nbrs {
-			if v != u {
-				first = v
-				break
+		first, excludes := NodeID(-1), []NodeID{-1}
+		for _, c := range run {
+			if c.V != u && first < 0 {
+				first = c.V
 			}
+			excludes = append(excludes, c.V)
 		}
 		if v, vs := nw.smallestNeighbor(u, su, nil); v != first || v >= 0 && vs != nw.st.slot(v) {
 			return fmt.Errorf("node %d: derived smallest neighbor (%d, slot %d), overlay %d", u, v, vs, first)
 		}
-		for _, exclude := range append([]NodeID{-1}, nbrs...) {
+		for _, exclude := range excludes {
 			for k := 0; k < words; k++ {
 				r := rng.Uint64()
 				want, _, wok := g.RandomNeighborStepAt(gs, exclude, r)
@@ -250,22 +250,22 @@ func TestMidStepReadsMatchRebuild(t *testing.T) {
 				if !ok {
 					continue
 				}
-				nbrs, mult := want.WeightedNeighbors(u)
+				var rebuilt []graph.RunCell
+				if ws, ok := want.SlotOf(u); ok {
+					rebuilt = want.RunAt(ws)
+				}
 				var cells []graph.RunCell
 				if observe {
-					nw.real.ForEachNeighborAt(s, func(v NodeID, vs int32, m int) bool {
-						cells = append(cells, graph.RunCell{V: v, S: vs, M: int32(m)})
-						return true
-					})
+					cells = nw.real.RunAt(s)
 				} else {
 					cells = nw.rowCells(u, s).cells
 				}
-				if len(cells) != len(nbrs) {
-					t.Fatalf("view %v, node %d mid-step: cells %v, rebuild %v x %v", observe, u, cells, nbrs, mult)
+				if len(cells) != len(rebuilt) {
+					t.Fatalf("view %v, node %d mid-step: cells %+v, rebuild %+v", observe, u, cells, rebuilt)
 				}
 				for i, c := range cells {
-					if ws, _ := nw.real.SlotOf(c.V); c.V != nbrs[i] || int(c.M) != mult[i] || c.S != ws {
-						t.Fatalf("view %v, node %d mid-step: cell %d is %+v, rebuild %d x%d", observe, u, i, c, nbrs[i], mult[i])
+					if ws, _ := nw.real.SlotOf(c.V); c.V != rebuilt[i].V || c.M != rebuilt[i].M || c.S != ws {
+						t.Fatalf("view %v, node %d mid-step: cell %d is %+v, rebuild %d x%d", observe, u, i, c, rebuilt[i].V, rebuilt[i].M)
 					}
 				}
 				if got, w := nw.distinctDegreeAt(u, s), want.DistinctDegree(u); got != w {

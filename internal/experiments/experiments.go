@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"repro/dex"
+	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/dht"
 	"repro/internal/flipgraph"
@@ -591,19 +592,15 @@ func NaiveCosts(w io.Writer, sizes []int, steps int, seed int64) map[string]floa
 // walkOnce is a tiny wrapper over the congest walk for FIG-W. It steps
 // through the graph arena's zero-allocation RandomNeighborStep accessor,
 // which draws the identical multiplicity-weighted choice the historical
-// slice-building loop made for the same splitmix64 stream.
+// slice-building loop made for the same congest.SplitMix64 stream.
 func walkOnce(g interface {
 	RandomNeighborStep(u, exclude core.NodeID, r uint64) (core.NodeID, bool)
 }, start core.NodeID, maxLen int, seed uint64, stop func(core.NodeID) bool) bool {
-	cur := start
-	state := seed
+	cur, state := start, seed
 	for s := 0; s < maxLen; s++ {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		next, ok := g.RandomNeighborStep(cur, -1, z)
+		var r uint64
+		state, r = congest.SplitMix64(state)
+		next, ok := g.RandomNeighborStep(cur, -1, r)
 		if !ok {
 			return false
 		}

@@ -36,15 +36,17 @@ func TestWalkHopZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestForEachNeighborZeroAllocs(t *testing.T) {
+func TestRunAtZeroAllocs(t *testing.T) {
 	g := steadyGraph(256)
+	s, _ := g.SlotOf(7)
 	sum := 0
-	visit := func(v NodeID, m int) bool { sum += int(v) * m; return true }
 	allocs := testing.AllocsPerRun(1000, func() {
-		g.ForEachNeighbor(7, visit)
+		for _, c := range g.RunAt(s) {
+			sum += int(c.V) * int(c.M)
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("ForEachNeighbor allocates %.1f per call, want 0", allocs)
+		t.Fatalf("a scan of RunAt allocates %.1f per call, want 0", allocs)
 	}
 	_ = sum
 }

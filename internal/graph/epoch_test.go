@@ -36,7 +36,8 @@ func TestEpochTracksEffectiveMutations(t *testing.T) {
 	bump("reads", false, func() {
 		g.Degree(1)
 		g.Multiplicity(1, 2)
-		g.ForEachNeighbor(1, func(NodeID, int) bool { return true })
+		s, _ := g.SlotOf(1)
+		g.RunAt(s)
 		g.RandomNeighborStep(1, -1, 7)
 		g.Nodes()
 	})

@@ -85,22 +85,15 @@ func diffGraphs(g *Graph, r *Ref) error {
 		if got, live := g.NodeAt(s); !live || got != u {
 			return fmt.Errorf("slot %d of node %d resolves to (%d,%v)", s, u, got, live)
 		}
-		var slotErr error
-		g.ForEachNeighborAt(s, func(v NodeID, vs int32, mult int) bool {
-			if want, live := g.SlotOf(v); !live || vs != want {
-				slotErr = fmt.Errorf("node %d: neighbor %d carries slot %d, table says (%d,%v)",
-					u, v, vs, want, live)
-				return false
+		for _, c := range g.RunAt(s) {
+			if want, live := g.SlotOf(c.V); !live || c.S != want {
+				return fmt.Errorf("node %d: neighbor %d carries slot %d, table says (%d,%v)",
+					u, c.V, c.S, want, live)
 			}
-			if got, live := g.NodeAt(vs); !live || got != v {
-				slotErr = fmt.Errorf("node %d: neighbor slot %d resolves to (%d,%v), want %d",
-					u, vs, got, live, v)
-				return false
+			if got, live := g.NodeAt(c.S); !live || got != c.V {
+				return fmt.Errorf("node %d: neighbor slot %d resolves to (%d,%v), want %d",
+					u, c.S, got, live, c.V)
 			}
-			return true
-		})
-		if slotErr != nil {
-			return slotErr
 		}
 	}
 	ge, re := g.Edges(), r.Edges()

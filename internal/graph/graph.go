@@ -16,36 +16,38 @@
 // # Concurrency
 //
 // A Graph is not self-synchronizing, but its read paths are pure: no
-// accessor (RandomNeighborStep, ForEachNeighbor, Degree, Multiplicity,
-// BFS, ...) writes any field, so any number of goroutines may read one
-// graph concurrently as long as no mutator runs. Mutators (AddEdge*,
+// accessor (RandomNeighborStep, RunAt, Degree, Multiplicity, BFS, ...)
+// writes any field, so any number of goroutines may read one graph
+// concurrently as long as no mutator runs. Mutators (AddEdge*,
 // RemoveEdge*, AddNode, RemoveNode) require exclusive access — they may
-// grow, shrink, or compact the shared pool. Readers that cannot exclude writers must
-// work from a Snapshot taken while a lock excluded mutators (e.g. the
-// dex.Concurrent façade's Snapshot method); Epoch then tells such a
-// reader how stale its copy has become.
+// grow, shrink, or compact the shared pool, so a run RunAt handed out is
+// valid only until the next mutation. Readers that cannot exclude
+// writers must work from a Snapshot taken while a lock excluded mutators
+// (e.g. the dex.Concurrent façade's Snapshot method); Epoch then tells
+// such a reader how stale its copy has become.
 //
 // # Representation
 //
-// Graph stores adjacency in a flat arena: one shared []cell pool holds a
-// contiguous, NodeID-sorted neighbor run per node, and a dense slot table
-// (NodeID <-> int32 slot) carries each run's offset plus cached multigraph
-// and distinct degrees. A cell interleaves the neighbor's id, the edge
-// multiplicity, and the neighbor's own slot in 16 bytes, so a probe or a
-// walk hop that reads all three touches the lines of one contiguous run —
-// not three parallel columns resident on three different lines. Runs grow
-// through multiple-of-4 size classes and freed runs recycle through
-// per-size free lists, so steady-state churn (AddEdge/RemoveEdge at
-// bounded degree) allocates nothing and a node's whole neighborhood sits
-// on one or two cache lines. Because every cell carries the neighbor's
-// slot, walk hops and neighbor iteration hand the caller (id, slot) pairs
-// and slot-indexed side tables are reachable without an id->slot map
-// probe. Walk stepping uses RandomNeighborStepAt / ForEachNeighborAt (or
-// their id-keyed wrappers), which read the run in place and never
-// materialize slices. The previous map-of-maps implementation lives
-// on in the tests as Ref (ref_test.go), the oracle that FuzzGraphOps,
-// TestArenaMatchesRef and TestScaleGraphMemoryFootprint check this arena
-// against.
+// Graph stores adjacency in a flat arena: one shared []RunCell pool holds
+// a contiguous, NodeID-sorted neighbor run per node, and a dense slot
+// table (NodeID <-> int32 slot) carries each run's offset plus cached
+// multigraph and distinct degrees. A cell interleaves the neighbor's id,
+// the edge multiplicity, and the neighbor's own slot in 16 bytes, so a
+// probe or a walk hop that reads all three touches the lines of one
+// contiguous run — not three parallel columns resident on three different
+// lines. Runs grow through multiple-of-4 size classes and freed runs
+// recycle through per-size free lists, so steady-state churn
+// (AddEdge/RemoveEdge at bounded degree) allocates nothing and a node's
+// whole neighborhood sits on one or two cache lines. Because every cell
+// carries the neighbor's slot, walk hops and neighbor scans hand the
+// caller (id, slot) pairs and slot-indexed side tables are reachable
+// without an id->slot map probe. RunAt hands out a node's run as a
+// read-only alias of the pool, which a range loop scans in place, and
+// Pick makes the walk hop on a run (RandomNeighborStepAt and its
+// id-keyed wrapper pick on the arena's); neither materializes a slice.
+// The previous map-of-maps implementation lives on in the tests as Ref
+// (ref_test.go), the oracle that FuzzGraphOps, TestArenaMatchesRef and
+// TestScaleGraphMemoryFootprint check this arena against.
 package graph
 
 import (
@@ -68,27 +70,29 @@ type nodeRec struct {
 	dist int32 // distinct neighbors excluding the node itself
 }
 
-// cell is one adjacency-run entry: the neighbor's id, the multiplicity of
-// the connecting edge, and the neighbor's own slot, interleaved in 16
-// padding-free bytes. Interleaving is the cache contract of the arena: a
-// membership probe, a walk hop, or a run shift reads and moves whole
-// cells, so a degree-d neighborhood costs ceil(d/4) line touches — the
-// historical parallel-column layout (poolV/poolM/poolS) spread the same
-// 16 bytes per neighbor across three lines, and steady-state churn paid
-// all three per half-edge.
-type cell struct {
-	v NodeID // neighbor id; runs sort strictly ascending on this
-	m int32  // edge multiplicity (> 0 for live cells)
-	s int32  // neighbor's slot: pool[i].s == index[pool[i].v]
+// RunCell is one adjacency-run entry: the neighbor's id (the node itself
+// for its self cell), the multiplicity of the connecting edge, and the
+// neighbor's own slot, interleaved in 16 padding-free bytes. The arena
+// stores runs of these, RunAt hands one out and BuildRunAt writes one.
+// Interleaving is the cache contract of the arena: a membership probe, a
+// walk hop, or a run shift reads and moves whole cells, so a degree-d
+// neighborhood costs ceil(d/4) line touches — the historical
+// parallel-column layout (poolV/poolM/poolS) spread the same 16 bytes per
+// neighbor across three lines, and steady-state churn paid all three per
+// half-edge.
+type RunCell struct {
+	V NodeID // neighbor id; runs sort strictly ascending on this
+	M int32  // edge multiplicity (> 0 for live cells)
+	S int32  // neighbor's slot: pool[i].S == index[pool[i].V]
 }
 
 // Graph is a mutable undirected multigraph backed by a flat adjacency
 // arena. Neighbor ids, multiplicities, and neighbor slots interleave in
-// one []cell pool (16 bytes per distinct neighbor, no struct padding);
+// one []RunCell pool (16 bytes per distinct neighbor, no struct padding);
 // capacities are multiples of 4 so run rounding wastes at most 3 cells
 // per node.
 //
-// The slot field is coherent by construction: pool[i].s == index[pool[i].v]
+// The slot field is coherent by construction: pool[i].S == index[pool[i].V]
 // for every live run cell. A node's edges are all removed before its slot
 // is recycled (RemoveNode strips incident edges first), so no run entry
 // can ever reference a freed slot and recycling needs no rewrite pass —
@@ -110,7 +114,7 @@ type Graph struct {
 	ids       []NodeID  // slot -> NodeID (stale for free slots)
 	recs      []nodeRec // slot -> record
 	freeSlots []int32   // recycled slots
-	pool      []cell    // neighbor cells, all runs concatenated
+	pool      []RunCell // neighbor cells, all runs concatenated
 	freeRuns  [][]int32 // freed run offsets, indexed by capacity/4
 	freeCells int       // total cells parked on the free lists
 	edges     int       // number of edges (loops count once)
@@ -138,7 +142,7 @@ func (g *Graph) Clone() *Graph {
 		ids:       append([]NodeID(nil), g.ids...),
 		recs:      append([]nodeRec(nil), g.recs...),
 		freeSlots: append([]int32(nil), g.freeSlots...),
-		pool:      append([]cell(nil), g.pool...),
+		pool:      append([]RunCell(nil), g.pool...),
 		freeCells: g.freeCells,
 		edges:     g.edges,
 		epoch:     g.epoch,
@@ -331,7 +335,7 @@ func (g *Graph) findNbr(s int32, v NodeID) (int32, bool) {
 	lo, hi := 0, len(run)
 	for hi-lo > 16 {
 		mid := (lo + hi) / 2
-		if run[mid].v < v {
+		if run[mid].V < v {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -339,17 +343,17 @@ func (g *Graph) findNbr(s int32, v NodeID) (int32, bool) {
 	}
 	// 4-wide drain: the segment is sorted, so if its 4th cell is still
 	// below v the first 4 all are — one comparison retires 4 cells.
-	for hi-lo >= 4 && run[lo+3].v < v {
+	for hi-lo >= 4 && run[lo+3].V < v {
 		lo += 4
 	}
 	for ; lo < hi; lo++ {
-		if w := run[lo].v; w >= v {
+		if w := run[lo].V; w >= v {
 			return int32(lo), w == v
 		}
 	}
 	// Narrowing keeps run[hi] >= v whenever hi < len(run), so a scan that
 	// drains [lo, hi) must still examine the boundary cell.
-	return int32(lo), lo < len(run) && run[lo].v == v
+	return int32(lo), lo < len(run) && run[lo].V == v
 }
 
 // growCap returns the next run capacity after capn: multiples of 4, ~1.5x
@@ -385,7 +389,7 @@ func (g *Graph) allocRun(capn int32) int32 {
 	if cap(g.pool) >= want {
 		g.pool = g.pool[:want]
 	} else {
-		g.pool = append(g.pool, make([]cell, capn)...)
+		g.pool = append(g.pool, make([]RunCell, capn)...)
 	}
 	return int32(off)
 }
@@ -429,7 +433,7 @@ func (g *Graph) compact() {
 	// An eighth of slack keeps the first few post-compact growths carving
 	// from spare capacity instead of reallocating the array.
 	spare := int(total)/8 + 64
-	newPool := make([]cell, total, int(total)+spare)
+	newPool := make([]RunCell, total, int(total)+spare)
 	off := int32(0)
 	for s := range g.recs {
 		r := &g.recs[s]
@@ -476,7 +480,7 @@ func (g *Graph) insertEntry(s int32, pos int32, v NodeID, vs int32, k int32) {
 	} else {
 		copy(g.pool[lo+pos+1:hi+1], g.pool[lo+pos:hi])
 	}
-	g.pool[lo+pos] = cell{v: v, m: k, s: vs}
+	g.pool[lo+pos] = RunCell{V: v, M: k, S: vs}
 	r.n++
 	r.deg += k
 	if vs != s { // a self cell holds its owner's slot (Validate)
@@ -489,7 +493,7 @@ func (g *Graph) insertEntry(s int32, pos int32, v NodeID, vs int32, k int32) {
 func (g *Graph) removeEntry(s int32, pos int32) {
 	r := &g.recs[s]
 	lo, hi := r.off, r.off+r.n
-	if g.pool[lo+pos].s != s { // the self cell holds s (Validate)
+	if g.pool[lo+pos].S != s { // the self cell holds s (Validate)
 		r.dist--
 	}
 	if hi-(lo+pos) <= 16 {
@@ -538,9 +542,9 @@ func (g *Graph) removeHalf(s int32, v NodeID, k int32) {
 		panic(fmt.Sprintf("graph: removeHalf of absent neighbor %d", v))
 	}
 	r := &g.recs[s]
-	g.pool[r.off+pos].m -= k
+	g.pool[r.off+pos].M -= k
 	r.deg -= k
-	if g.pool[r.off+pos].m == 0 {
+	if g.pool[r.off+pos].M == 0 {
 		g.removeEntry(s, pos)
 	}
 }
@@ -562,14 +566,14 @@ func (g *Graph) AddEdgeMult(u, v NodeID, k int) {
 }
 
 // AddEdgeMultAt is the slot-native form of AddEdgeMult: su must be u's
-// live slot (as handed out by SlotOf, ForEachNeighborAt, or a
-// slot-assign hook), so the caller's id->slot probe for u is its only
-// one. sv is v's live slot when the caller holds it — say, from the
-// removal that just detached the same far endpoint elsewhere — or -1,
-// in which case a new pair resolves v, creating it if absent. It
-// returns v's slot, read from u's run cell when the pair exists, so a
-// caller that keeps slot-indexed state for v needs no probe either (-1
-// when k <= 0, a no-op).
+// live slot (as handed out by SlotOf, a RunAt cell, or a slot-assign
+// hook), so the caller's id->slot probe for u is its only one. sv is
+// v's live slot when the caller holds it — say, from the removal that
+// just detached the same far endpoint elsewhere — or -1, in which case
+// a new pair resolves v, creating it if absent. It returns v's slot,
+// read from u's run cell when the pair exists, so a caller that keeps
+// slot-indexed state for v needs no probe either (-1 when k <= 0, a
+// no-op).
 func (g *Graph) AddEdgeMultAt(su int32, u, v NodeID, sv int32, k int) int32 {
 	if k <= 0 {
 		return -1
@@ -585,23 +589,23 @@ func (g *Graph) AddEdgeMultAt(su int32, u, v NodeID, sv int32, k int) int32 {
 		// Existing pair: the run cell already stores v's slot, so both
 		// halves bump in place with no second map probe (churn hot path).
 		r := &g.recs[su]
-		if g.pool[r.off+pos].m > 1<<30-k32 {
+		if g.pool[r.off+pos].M > 1<<30-k32 {
 			panic(fmt.Sprintf("graph: multiplicity of {%d,%d} exceeds the int32 arena domain", u, v))
 		}
-		g.pool[r.off+pos].m += k32
+		g.pool[r.off+pos].M += k32
 		r.deg += k32
 		if u != v {
-			sv := g.pool[r.off+pos].s
+			sv := g.pool[r.off+pos].S
 			back, ok := g.findNbr(sv, u)
 			if !ok {
 				panic(fmt.Sprintf("graph: asymmetric edge {%d,%d}", u, v))
 			}
 			rv := &g.recs[sv]
-			g.pool[rv.off+back].m += k32
+			g.pool[rv.off+back].M += k32
 			rv.deg += k32
 		}
 		g.edges += k
-		return g.pool[r.off+pos].s
+		return g.pool[r.off+pos].S
 	}
 	// New pair: unless the caller passed it, v's slot may not exist yet.
 	// slotOf only touches the slot table, so pos (u's insertion point)
@@ -648,17 +652,17 @@ func (g *Graph) RemoveEdgeMultAt(su int32, u, v NodeID, k int) (int, int32) {
 		return 0, -1
 	}
 	r := &g.recs[su]
-	if have := int(g.pool[r.off+pos].m); have < k {
+	if have := int(g.pool[r.off+pos].M); have < k {
 		k = have
 	}
 	g.epoch++
 	// u's entry position is already known, and its cell carries v's slot:
 	// decrement in place and resolve the back half without touching the
 	// id->slot map again (this is the churn hot path).
-	sv := g.pool[r.off+pos].s
-	g.pool[r.off+pos].m -= int32(k)
+	sv := g.pool[r.off+pos].S
+	g.pool[r.off+pos].M -= int32(k)
 	r.deg -= int32(k)
-	if g.pool[r.off+pos].m == 0 {
+	if g.pool[r.off+pos].M == 0 {
 		g.removeEntry(su, pos)
 	}
 	if u != v {
@@ -679,9 +683,9 @@ func (g *Graph) RemoveNode(u NodeID) {
 	rr := g.recs[su]
 	for i := rr.off; i < rr.off+rr.n; i++ {
 		c := g.pool[i]
-		g.edges -= int(c.m)
-		if c.v != u {
-			g.removeHalf(c.s, u, c.m)
+		g.edges -= int(c.M)
+		if c.V != u {
+			g.removeHalf(c.S, u, c.M)
 		}
 	}
 	r := &g.recs[su]
@@ -695,15 +699,6 @@ func (g *Graph) RemoveNode(u NodeID) {
 	if g.onSlotRelease != nil {
 		g.onSlotRelease(u, su)
 	}
-}
-
-// RunCell is one cell of a node's run as BuildRunAt takes it: the
-// neighbor (the node itself for its self cell), the neighbor's slot and
-// the edge's multiplicity.
-type RunCell struct {
-	V NodeID
-	S int32
-	M int32
 }
 
 // BuildRunAt writes the whole run of the node at slot s, which must hold
@@ -729,12 +724,12 @@ func (g *Graph) BuildRunAt(s int32, cells []RunCell) {
 	g.freeRun(r.off, r.cap)
 	r = &g.recs[s]
 	r.off, r.cap, r.n = off, newCap, n
+	copy(g.pool[off:off+n], cells)
 	u := g.ids[s]
 	for i, c := range cells {
 		if c.M <= 0 || i > 0 && cells[i-1].V >= c.V {
 			panic(fmt.Sprintf("graph: BuildRunAt cell %d (%+v) of node %d out of order or empty", i, c, u))
 		}
-		g.pool[off+int32(i)] = cell{v: c.V, m: c.M, s: c.S}
 		r.deg += c.M
 		if c.S != s {
 			r.dist++
@@ -778,7 +773,7 @@ func (g *Graph) Multiplicity(u, v NodeID) int {
 	if !ok {
 		return 0
 	}
-	return int(g.pool[g.recs[s].off+pos].m)
+	return int(g.pool[g.recs[s].off+pos].M)
 }
 
 // HasEdge reports whether at least one {u,v} edge exists.
@@ -810,39 +805,18 @@ func (g *Graph) DistinctDegree(u NodeID) int {
 //dexvet:noalloc
 func (g *Graph) DistinctDegreeAt(s int32) int { return int(g.recs[s].dist) }
 
-// ForEachNeighbor calls fn for each distinct neighbor of u in ascending
-// NodeID order (including u itself when u has a self-loop) with the
-// multiplicity of the connecting edge, stopping early if fn returns false.
-// It reads the arena in place and never allocates; fn must not mutate g.
+// RunAt returns the run of the node occupying slot s (which must be
+// live): one cell per distinct neighbor in ascending id, the node's own
+// cell included when it has a self-loop. The run aliases the pool: it is
+// read-only, and valid until the next mutation of g. A range loop over
+// it is the allocation-free neighbor scan, and every cell hands over the
+// neighbor's slot, so slot-indexed side tables are reachable with no map
+// probe.
 //
 //dexvet:noalloc
-func (g *Graph) ForEachNeighbor(u NodeID, fn func(v NodeID, mult int) bool) {
-	s, ok := g.lookup(u)
-	if !ok {
-		return
-	}
+func (g *Graph) RunAt(s int32) []RunCell {
 	r := g.recs[s]
-	for i := r.off; i < r.off+r.n; i++ {
-		if !fn(g.pool[i].v, int(g.pool[i].m)) {
-			return
-		}
-	}
-}
-
-// ForEachNeighborAt is the slot-native form of ForEachNeighbor: it
-// iterates the run of the node occupying slot s (which must be live) and
-// hands fn each neighbor's slot alongside its id, so slot-indexed side
-// tables are reachable with no map probe. Same order, same zero-alloc
-// contract.
-//
-//dexvet:noalloc
-func (g *Graph) ForEachNeighborAt(s int32, fn func(v NodeID, vs int32, mult int) bool) {
-	r := g.recs[s]
-	for i := r.off; i < r.off+r.n; i++ {
-		if !fn(g.pool[i].v, g.pool[i].s, int(g.pool[i].m)) {
-			return
-		}
-	}
+	return g.pool[r.off : r.off+r.n]
 }
 
 // RandomNeighborStep picks a neighbor of u proportionally to edge
@@ -873,29 +847,39 @@ func (g *Graph) RandomNeighborStep(u, exclude NodeID, r uint64) (NodeID, bool) {
 //
 //dexvet:noalloc
 func (g *Graph) RandomNeighborStepAt(s int32, exclude NodeID, r uint64) (NodeID, int32, bool) {
-	rec := g.recs[s]
-	run := g.pool[rec.off : rec.off+rec.n]
+	return Pick(g.RunAt(s), exclude, r)
+}
+
+// Pick is the walk hop on a run, cells sorted by id as RunAt returns
+// them: the neighbors in ascending id, each weighted by its multiplicity
+// (the node's own cell by its self-loops, which are legitimate steps
+// that stay put), exclude skipped (-1 skips none), and the pick
+// r % total. It returns the chosen cell's id and slot, and false when
+// the run holds no neighbor but exclude. Weighting by multiplicity
+// matches the stationary distribution pi(x) = d_x / 2|E| in the proof of
+// Lemma 2. One pass sums the weights and a second selects.
+//
+//dexvet:noalloc
+func Pick(run []RunCell, exclude NodeID, r uint64) (NodeID, int32, bool) {
 	total := int32(0)
 	for i := range run {
-		if run[i].v == exclude {
-			continue
+		if run[i].V != exclude {
+			total += run[i].M
 		}
-		total += run[i].m
 	}
 	if total == 0 {
 		return 0, -1, false
 	}
 	pick := int32(r % uint64(total))
 	for i := range run {
-		if run[i].v == exclude {
+		if run[i].V == exclude {
 			continue
 		}
-		pick -= run[i].m
-		if pick < 0 {
-			return run[i].v, run[i].s, true
+		if pick -= run[i].M; pick < 0 {
+			return run[i].V, run[i].S, true
 		}
 	}
-	return 0, -1, false
+	return 0, -1, false // unreachable: pick < total
 }
 
 // Nodes returns all node IDs in ascending order.
@@ -910,7 +894,7 @@ func (g *Graph) Nodes() []NodeID {
 
 // Neighbors returns the distinct neighbors of u in ascending order,
 // including u itself when u has a self-loop. Hot paths should prefer
-// ForEachNeighbor / RandomNeighborStep, which do not allocate.
+// RunAt / RandomNeighborStep, which do not allocate.
 func (g *Graph) Neighbors(u NodeID) []NodeID {
 	s, ok := g.lookup(u)
 	if !ok {
@@ -919,30 +903,9 @@ func (g *Graph) Neighbors(u NodeID) []NodeID {
 	r := g.recs[s]
 	out := make([]NodeID, r.n)
 	for i := int32(0); i < r.n; i++ {
-		out[i] = g.pool[r.off+i].v
+		out[i] = g.pool[r.off+i].V
 	}
 	return out
-}
-
-// WeightedNeighbors returns the distinct neighbors of u in ascending order
-// together with the multiplicity of each connecting edge. Random walks
-// step proportionally to multiplicity, matching the stationary
-// distribution pi(x) = d_x / 2|E| in the proof of Lemma 2; walk hot paths
-// use RandomNeighborStep, which makes the same choice without building
-// these slices.
-func (g *Graph) WeightedNeighbors(u NodeID) (nbrs []NodeID, mult []int) {
-	s, ok := g.lookup(u)
-	if !ok {
-		return nil, nil
-	}
-	r := g.recs[s]
-	nbrs = make([]NodeID, r.n)
-	mult = make([]int, r.n)
-	for i := int32(0); i < r.n; i++ {
-		nbrs[i] = g.pool[r.off+i].v
-		mult[i] = int(g.pool[r.off+i].m)
-	}
-	return nbrs, mult
 }
 
 // Edge is an undirected edge with multiplicity.
@@ -966,24 +929,13 @@ func (g *Graph) Edges() []Edge {
 	for _, u := range g.Nodes() {
 		r := g.recs[g.index[u]]
 		for i := r.off; i < r.off+r.n; i++ {
-			if g.pool[i].v < u {
+			if g.pool[i].V < u {
 				continue
 			}
-			out = append(out, Edge{U: u, V: g.pool[i].v, Mult: int(g.pool[i].m)})
+			out = append(out, Edge{U: u, V: g.pool[i].V, Mult: int(g.pool[i].M)})
 		}
 	}
 	return out
-}
-
-// MaxDegree returns the maximum multigraph degree, or 0 for empty graphs.
-func (g *Graph) MaxDegree() int {
-	m := int32(0)
-	for _, s := range g.index {
-		if d := g.recs[s].deg; d > m {
-			m = d
-		}
-	}
-	return int(m)
 }
 
 // MaxDistinctDegree returns the maximum distinct-neighbor degree.
@@ -1011,7 +963,7 @@ func (g *Graph) BFSDistances(src NodeID) map[NodeID]int {
 			du := dist[u]
 			r := g.recs[g.index[u]]
 			for i := r.off; i < r.off+r.n; i++ {
-				v := g.pool[i].v
+				v := g.pool[i].V
 				if _, seen := dist[v]; !seen {
 					dist[v] = du + 1
 					next = append(next, v)
@@ -1039,7 +991,7 @@ func (g *Graph) ShortestPath(src, dst NodeID) []NodeID {
 		for _, u := range frontier {
 			r := g.recs[g.index[u]]
 			for i := r.off; i < r.off+r.n; i++ {
-				v := g.pool[i].v
+				v := g.pool[i].V
 				if _, seen := parent[v]; seen {
 					continue
 				}
@@ -1169,8 +1121,8 @@ func (g *Graph) ToCSR() *CSR {
 	for i, u := range ids {
 		r := g.recs[g.index[u]]
 		for j := r.off; j < r.off+r.n; j++ {
-			c.Adj = append(c.Adj, int32(idx[g.pool[j].v]))
-			m := float64(g.pool[j].m)
+			c.Adj = append(c.Adj, int32(idx[g.pool[j].V]))
+			m := float64(g.pool[j].M)
 			c.Wt = append(c.Wt, m)
 			c.Deg[i] += m
 		}
@@ -1224,7 +1176,7 @@ func (g *Graph) Validate() error {
 		deg, dist := int32(0), int32(0)
 		var prev NodeID
 		for i := int32(0); i < r.n; i++ {
-			v, m := g.pool[r.off+i].v, g.pool[r.off+i].m
+			v, m := g.pool[r.off+i].V, g.pool[r.off+i].M
 			if i > 0 && v <= prev {
 				return fmt.Errorf("graph: node %d run not strictly sorted at %d", u, v)
 			}
@@ -1234,7 +1186,7 @@ func (g *Graph) Validate() error {
 			}
 			deg += m
 			if v == u {
-				if vs := g.pool[r.off+i].s; vs != s {
+				if vs := g.pool[r.off+i].S; vs != s {
 					return fmt.Errorf("graph: self-loop slot cell of %d holds %d, want %d", u, vs, s)
 				}
 				total += 2 * int(m) // count loops once overall
@@ -1245,14 +1197,14 @@ func (g *Graph) Validate() error {
 			if !ok {
 				return fmt.Errorf("graph: dangling neighbor %d of %d", v, u)
 			}
-			if vs := g.pool[r.off+i].s; vs != sv {
+			if vs := g.pool[r.off+i].S; vs != sv {
 				return fmt.Errorf("graph: slot cell for neighbor %d of %d holds %d, want %d", v, u, vs, sv)
 			}
 			pos, ok := g.findNbr(sv, u)
 			if !ok {
 				return fmt.Errorf("graph: asymmetric edge {%d,%d}: no back entry", u, v)
 			}
-			if back := g.pool[g.recs[sv].off+pos].m; back != m {
+			if back := g.pool[g.recs[sv].off+pos].M; back != m {
 				return fmt.Errorf("graph: asymmetric multiplicity {%d,%d}: %d vs %d", u, v, m, back)
 			}
 			total += int(m)

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -192,25 +193,6 @@ func TestToCSR(t *testing.T) {
 	_ = i30
 }
 
-func TestWeightedNeighbors(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2)
-	g.AddEdge(1, 2)
-	g.AddEdge(1, 3)
-	g.AddEdge(1, 1)
-	nbrs, mult := g.WeightedNeighbors(1)
-	if len(nbrs) != 3 {
-		t.Fatalf("nbrs = %v", nbrs)
-	}
-	total := 0
-	for _, m := range mult {
-		total += m
-	}
-	if total != g.Degree(1) {
-		t.Fatalf("weighted neighbor sum %d != degree %d", total, g.Degree(1))
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	g := cycle(4)
 	c := g.Clone()
@@ -366,65 +348,66 @@ func TestArenaMatchesRef(t *testing.T) {
 	}
 }
 
-// TestForEachNeighborOrderAndStop pins the deterministic contract walk
-// reproducibility rests on: ascending NodeID order, multiplicities
-// included, early stop honored.
-func TestForEachNeighborOrderAndStop(t *testing.T) {
+// TestRunAtOrder pins the deterministic contract walk reproducibility
+// rests on: a run lists its cells in ascending NodeID order, the node's
+// own cell included, each with its multiplicity and its neighbor's slot.
+func TestRunAtOrder(t *testing.T) {
 	g := New()
 	g.AddEdge(5, 9)
 	g.AddEdge(5, 2)
 	g.AddEdge(5, 2)
 	g.AddEdge(5, 5)
-	var got []NodeID
-	var mults []int
-	g.ForEachNeighbor(5, func(v NodeID, m int) bool {
-		got = append(got, v)
-		mults = append(mults, m)
-		return true
-	})
-	want := []NodeID{2, 5, 9}
-	wantM := []int{2, 1, 1}
-	for i := range want {
-		if got[i] != want[i] || mults[i] != wantM[i] {
-			t.Fatalf("ForEachNeighbor order = %v/%v, want %v/%v", got, mults, want, wantM)
+	slot := func(u NodeID) int32 {
+		s, ok := g.SlotOf(u)
+		if !ok {
+			t.Fatalf("node %d has no slot", u)
 		}
+		return s
 	}
-	calls := 0
-	g.ForEachNeighbor(5, func(NodeID, int) bool { calls++; return false })
-	if calls != 1 {
-		t.Fatalf("early stop ignored: %d calls", calls)
+	want := []RunCell{
+		{V: 2, M: 2, S: slot(2)},
+		{V: 5, M: 1, S: slot(5)},
+		{V: 9, M: 1, S: slot(9)},
 	}
-	g.ForEachNeighbor(404, func(NodeID, int) bool { t.Fatal("absent node visited"); return false })
+	if got := g.RunAt(slot(5)); !slices.Equal(got, want) {
+		t.Fatalf("RunAt = %+v, want %+v", got, want)
+	}
+	iso := g.AddNode(404)
+	if got := g.RunAt(iso); len(got) != 0 {
+		t.Fatalf("isolated node's run = %+v, want none", got)
+	}
 }
 
 // TestRandomNeighborStepMatchesWeighted confirms RandomNeighborStep makes
-// the same choice the slice-based WeightedNeighbors selection would, for
-// every residue and with exclusion — the property that keeps seeded
-// experiment traces identical across the representation swap.
+// the same choice a selection over the run's (neighbor, multiplicity)
+// cells would, for every residue and with exclusion — the property that
+// keeps seeded experiment traces identical across the representation
+// swap.
 func TestRandomNeighborStepMatchesWeighted(t *testing.T) {
 	g := cycle(9)
 	g.AddEdge(0, 3)
 	g.AddEdge(0, 3)
 	g.AddEdge(0, 0)
+	s0, _ := g.SlotOf(0)
 	for _, exclude := range []NodeID{-1, 3} {
-		nbrs, mult := g.WeightedNeighbors(0)
+		run := g.RunAt(s0)
 		total := 0
-		for i, v := range nbrs {
-			if v == exclude {
+		for _, c := range run {
+			if c.V == exclude {
 				continue
 			}
-			total += mult[i]
+			total += int(c.M)
 		}
 		for r := uint64(0); r < uint64(3*total); r++ {
 			pick := int(r % uint64(total))
 			var want NodeID
-			for i, v := range nbrs {
-				if v == exclude {
+			for _, c := range run {
+				if c.V == exclude {
 					continue
 				}
-				pick -= mult[i]
+				pick -= int(c.M)
 				if pick < 0 {
-					want = v
+					want = c.V
 					break
 				}
 			}

@@ -103,10 +103,11 @@ func TestConcurrentReadersAreReadOnly(t *testing.T) {
 				_ = g.HasEdge(u, v)
 				_ = g.Neighbors(u)
 				if s, ok := g.SlotOf(u); ok {
-					g.ForEachNeighborAt(s, func(NodeID, int32, int) bool { return true })
+					for _, c := range g.RunAt(s) {
+						_ = g.Degree(c.V)
+					}
 					_, _, _ = g.RandomNeighborStepAt(s, -1, r.Uint64())
 				}
-				g.ForEachNeighbor(u, func(NodeID, int) bool { return true })
 				_, _ = g.RandomNeighborStep(u, -1, r.Uint64())
 			}
 		}(int64(100 + w))

@@ -18,6 +18,7 @@ package naive
 import (
 	"fmt"
 
+	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/pcycle"
 	"repro/internal/primes"
@@ -161,7 +162,7 @@ func (nw *Network) charge(topoChanges int, leaderDied bool) {
 	n := len(nw.ids)
 	diam := 2 // expander diameter ~ O(log n); flood rounds measured exactly
 	if nw.kind == Flooding {
-		r, m := floodCost(nw.g)
+		r, m := congest.BroadcastCost(nw.g, nw.g.Nodes()[0])
 		nw.last = Cost{Rounds: r + diam, Messages: m, TopologyChanges: topoChanges}
 		return
 	}
@@ -173,26 +174,4 @@ func (nw *Network) charge(topoChanges int, leaderDied bool) {
 		nw.last.Rounds += n / 8   // pipelined over a constant-degree link
 		nw.last.TopologyChanges = topoChanges
 	}
-}
-
-// floodCost measures a full flood on g: every node forwards once.
-func floodCost(g *graph.Graph) (rounds, messages int) {
-	nodes := g.Nodes()
-	if len(nodes) == 0 {
-		return 0, 0
-	}
-	src := nodes[0]
-	dist := g.BFSDistances(src)
-	for id, d := range dist {
-		if d > rounds {
-			rounds = d
-		}
-		fan := g.DistinctDegree(id)
-		if id == src {
-			messages += fan
-		} else if fan > 0 {
-			messages += fan - 1
-		}
-	}
-	return rounds, messages
 }
