@@ -8,7 +8,7 @@ FUZZTIME ?= 30s
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test test-race vet fmt lint check bench bench-graph bench-core bench-json bench-diff profile-churn fuzz fuzz-churn fuzz-derived fuzz-graph fuzz-store fuzz-crash fuzz-flood sim sim-scale dht experiments
+.PHONY: all build test test-race test-race-dex vet fmt lint check bench bench-graph bench-core bench-json bench-diff profile-churn fuzz fuzz-churn fuzz-derived fuzz-graph fuzz-store fuzz-crash fuzz-flood sim sim-scale dht experiments
 
 all: check
 
@@ -24,6 +24,13 @@ test:
 # on top and has no blind spots.
 test-race:
 	$(GO) test -race ./...
+
+# Race stress on the façade's shared state: each operation's event
+# batch, handed to the async queue under the façade lock, and the raw
+# edge logs the dispatcher goroutine nets. Ten runs of the concurrency
+# tests, since one run sees one interleaving.
+test-race-dex:
+	$(GO) test -race -count=10 -run 'Async|Close|Reentr|Subscribe|Concurrent' ./dex
 
 vet:
 	$(GO) vet ./...

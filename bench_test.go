@@ -342,19 +342,31 @@ func BenchmarkChurnSampledAudit(b *testing.B) {
 // (TestConcurrentChurnAllocsWithoutSubscribers), so a pair allocates
 // nothing: the B/op left is the occasional growth of the network's
 // tables and scratch (History among them), amortized over the run.
+//
+// The report-only async+edges/c=1 row prices the event path of the
+// façade the durable-full benchmark runs: async events, edge events and
+// one subscriber that drains every diff, so it counts the raw edge
+// logs, the events queued for the dispatcher and the dispatcher's
+// netting. Close drains the queue inside the timed window.
 
 const concBenchN0 = 4096
 
-func benchConcurrentChurn(b *testing.B, submitters int) {
-	c, err := dex.NewConcurrent(
+// benchConcurrentChurn runs the rows on a façade built with opts on top
+// of the common ones; subscribe, when non-nil, subscribes to it before
+// the timer starts.
+func benchConcurrentChurn(b *testing.B, submitters int, subscribe func(*dex.Concurrent), opts ...dex.Option) {
+	c, err := dex.NewConcurrent(append([]dex.Option{
 		dex.WithInitialSize(concBenchN0),
 		dex.WithSeed(29),
 		dex.WithAuditMode(dex.AuditSampled),
-	)
+	}, opts...)...)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer c.Close()
+	if subscribe != nil {
+		subscribe(c)
+	}
 	per := (b.N + submitters - 1) / submitters
 	b.ResetTimer()
 	var wg sync.WaitGroup
@@ -377,15 +389,31 @@ func benchConcurrentChurn(b *testing.B, submitters int) {
 		}(g)
 	}
 	wg.Wait()
+	if err := c.Close(); err != nil { // drains an async queue
+		b.Fatal(err)
+	}
 	b.StopTimer()
 }
 
 func BenchmarkConcurrentChurn(b *testing.B) {
 	for _, subs := range []int{1, 4, 8, 16} {
 		b.Run(fmt.Sprintf("serialized/c=%d", subs), func(b *testing.B) {
-			benchConcurrentChurn(b, subs)
+			benchConcurrentChurn(b, subs, nil)
 		})
 	}
+	b.Run("async+edges/c=1", func(b *testing.B) {
+		deltas := 0 // written by the dispatcher, read after Close drained it
+		benchConcurrentChurn(b, 1, func(c *dex.Concurrent) {
+			c.Subscribe(func(ev dex.Event) {
+				if e, ok := ev.(dex.EdgesChanged); ok {
+					deltas += len(e.Deltas)
+				}
+			})
+		}, dex.WithAsyncEvents(1024), dex.WithEdgeEvents(true))
+		if deltas == 0 {
+			b.Fatal("the subscriber drained no edge diff")
+		}
+	})
 }
 
 // --- FIG-W: walk concentration --------------------------------------------------------

@@ -23,7 +23,8 @@ import (
 //     they get the same contract as plain Network subscribers.
 //   - asynchronous (WithAsyncEvents): callbacks run on a dedicated
 //     dispatcher goroutine fed by an ordered queue, strictly in publish
-//     order. Mutating operations never wait for callbacks — the queue
+//     order; an operation's events enter the queue together when it
+//     returns. Mutating operations never wait for callbacks — the queue
 //     grows past its initial capacity instead of blocking, so a
 //     subscriber that falls behind costs memory, never deadlock or
 //     loss — and callbacks may freely call any façade method, including
@@ -42,6 +43,9 @@ type Concurrent struct {
 	evq           *eventQueue   // non-nil in async mode
 	done          chan struct{} // dispatcher exit signal
 	dispatcherGid atomic.Uint64 // goroutine id of the dispatcher (async mode)
+	// opEvents collects the running operation's events in async mode,
+	// under mu; op hands them to the queue in one push (handOff).
+	opEvents []Event
 
 	subMu    sync.Mutex
 	subs     []subscriber
@@ -93,17 +97,31 @@ func NewConcurrent(opts ...Option) (*Concurrent, error) {
 	return c, nil
 }
 
-// forward routes one engine event to the façade's subscribers: through
-// the queue in async mode, inline otherwise. It runs with c.mu held
-// (events only fire inside mutating operations), which is why the
-// enqueue must never block: the dispatcher may itself be parked inside
-// a callback that is waiting for c.mu.
+// forward routes one engine event to the façade's subscribers: into the
+// running operation's batch in async mode, inline otherwise. It runs
+// with c.mu held (events only fire inside mutating operations).
 func (c *Concurrent) forward(ev Event) {
 	if c.evq != nil {
-		c.evq.push(ev)
+		c.opEvents = append(c.opEvents, ev)
 		return
 	}
 	c.deliver(ev)
+}
+
+// handOff passes the operation's events to the dispatcher in one push,
+// which must never block: the dispatcher may itself be parked inside a
+// callback that is waiting for c.mu.
+func (c *Concurrent) handOff() {
+	if len(c.opEvents) == 0 {
+		return
+	}
+	c.evq.push(c.opEvents)
+	if cap(c.opEvents) > evQueueResetCap {
+		c.opEvents = nil
+		return
+	}
+	clear(c.opEvents) // the queue holds its own copies
+	c.opEvents = c.opEvents[:0]
 }
 
 // dispatch is the async delivery loop: it drains the queue in publish
@@ -157,7 +175,9 @@ type eventQueue struct {
 // (so a steady flow settles without re-growth), never above this cap —
 // one slow-subscriber burst must not ratchet every later (typically
 // tiny) batch allocation up to burst size forever, and a huge initial
-// capacity must not be re-paid on every dispatcher wakeup.
+// capacity must not be re-paid on every dispatcher wakeup. It also
+// bounds the capacity an operation's batch (opEvents) keeps for the
+// next one, so a rebuild's burst of transfers is not pinned.
 const evQueueResetCap = 4096
 
 func newEventQueue(capacity int) *eventQueue {
@@ -166,9 +186,9 @@ func newEventQueue(capacity int) *eventQueue {
 	return q
 }
 
-func (q *eventQueue) push(ev Event) {
+func (q *eventQueue) push(evs []Event) {
 	q.mu.Lock()
-	q.buf = append(q.buf, ev)
+	q.buf = append(q.buf, evs...)
 	q.mu.Unlock()
 	q.ready.Signal()
 }
@@ -204,6 +224,8 @@ func (q *eventQueue) close() {
 // deliver invokes the façade's subscribers in registration order,
 // iterating a pinned snapshot exactly like Network.publish so
 // subscribe/cancel during delivery cannot disturb the in-flight round.
+// A raw edge log is netted into its EdgesChanged here, on the
+// delivering goroutine: the dispatcher in async mode.
 func (c *Concurrent) deliver(ev Event) {
 	c.subMu.Lock()
 	if len(c.subs) == 0 {
@@ -215,6 +237,13 @@ func (c *Concurrent) deliver(ev Event) {
 	}
 	snap := c.subsSnap
 	c.subMu.Unlock()
+	if l, raw := ev.(edgeLog); raw {
+		e, diff := netEdges(l.step, l.log)
+		if !diff {
+			return
+		}
+		ev = e
+	}
 	for _, s := range snap {
 		s.fn(ev)
 	}
@@ -254,12 +283,18 @@ func (c *Concurrent) Subscribers() int {
 	return len(c.subs)
 }
 
-// op runs one mutating call under the façade lock.
+// op runs one mutating call under the façade lock. In async mode the
+// call's events reach the queue together when it returns, panics
+// included, and before the lock is released, so they queue in the
+// order the operations ran.
 func (c *Concurrent) op(f func(*Network) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return ErrClosed
+	}
+	if c.evq != nil {
+		defer c.handOff()
 	}
 	return f(c.nw)
 }

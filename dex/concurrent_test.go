@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/dex"
 )
@@ -155,14 +156,137 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 }
 
+// churnStream drives steps of seeded churn (seed 41) through a
+// Concurrent façade built from 16 nodes with opts, plus
+// WithAsyncEvents(512) when async is set, and returns the event stream
+// one subscriber received, complete once Close has flushed the queue.
+func churnStream(t *testing.T, async bool, steps int, opts ...dex.Option) []dex.Event {
+	t.Helper()
+	opts = append([]dex.Option{dex.WithInitialSize(16), dex.WithSeed(41)}, opts...)
+	if async {
+		opts = append(opts, dex.WithAsyncEvents(512))
+	}
+	c, err := dex.NewConcurrent(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var got []dex.Event
+	c.Subscribe(func(ev dex.Event) { mu.Lock(); got = append(got, ev); mu.Unlock() })
+	driveSeededChurn(t, 41, steps, c.Size, c.Nodes, c.FreshID, c.Insert, c.Delete)
+	if err := c.Close(); err != nil { // flushes the queue in async mode
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	return got
+}
+
 // TestAsyncEventsOrderAndFlush: the async dispatcher delivers exactly
 // the synchronous event stream, in order, and Close flushes everything
 // still buffered.
 func TestAsyncEventsOrderAndFlush(t *testing.T) {
+	sync1 := churnStream(t, false, 200)
+	async1 := churnStream(t, true, 200)
+	if len(sync1) == 0 {
+		t.Fatal("no events in 200 churn steps")
+	}
+	if !reflect.DeepEqual(sync1, async1) {
+		t.Fatalf("async stream diverged from sync stream: %d vs %d events", len(async1), len(sync1))
+	}
+}
+
+// TestAsyncEdgeEventsMatchSync builds the façade the durable-full
+// benchmark runs, with persistence, the sampled audit and edge events,
+// and requires the async stream, whose edge diffs the dispatcher nets
+// from raw edge logs, to equal the sync stream, netted on the mutating
+// goroutine, event for event, through churn that rebuilds the cycle;
+// every diff must keep the EdgesChanged contract (checkNetted).
+func TestAsyncEdgeEventsMatchSync(t *testing.T) {
+	const steps = 1500
+	opts := func() []dex.Option {
+		return []dex.Option{
+			dex.WithPersistence(t.TempDir(), dex.WithNoSync(true), dex.WithGroupCommit(1), dex.WithCheckpointEvery(256)),
+			dex.WithAuditMode(dex.AuditSampled),
+			dex.WithEdgeEvents(true),
+		}
+	}
+	sync1 := churnStream(t, false, steps, opts()...)
+	async1 := churnStream(t, true, steps, opts()...)
+	diffs, rebuilds := 0, 0
+	for _, ev := range sync1 {
+		switch e := ev.(type) {
+		case dex.EdgesChanged:
+			checkNetted(t, e.Deltas)
+			diffs++
+		case dex.GraphRebuilt:
+			rebuilds++
+		}
+	}
+	if diffs != steps || rebuilds == 0 {
+		t.Fatalf("the sync stream holds %d edge diffs in %d steps and %d rebuilds, want one diff per step and a rebuild", diffs, steps, rebuilds)
+	}
+	if !reflect.DeepEqual(sync1, async1) {
+		t.Fatalf("async stream diverged from sync stream: %d vs %d events", len(async1), len(sync1))
+	}
+}
+
+// TestAsyncInnerSubscriberGetsNettedDiffs: a subscriber on an async
+// façade's wrapped Network, registered through Do, receives its events
+// on the mutating goroutine, so the edge diffs it gets are netted there
+// and obey the EdgesChanged contract, and they equal the diffs the
+// façade's own subscriber receives from the dispatcher.
+func TestAsyncInnerSubscriberGetsNettedDiffs(t *testing.T) {
+	c, err := dex.NewConcurrent(dex.WithInitialSize(16), dex.WithSeed(53), dex.WithAsyncEvents(64), dex.WithEdgeEvents(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var outer []dex.EdgesChanged
+	c.Subscribe(func(ev dex.Event) {
+		if e, ok := ev.(dex.EdgesChanged); ok {
+			mu.Lock()
+			outer = append(outer, e)
+			mu.Unlock()
+		}
+	})
+	var inner []dex.EdgesChanged
+	mirror := newMirror(c.Graph())
+	_ = c.Do(func(nw *dex.Network) error { // Do only fails once closed
+		nw.Subscribe(func(ev dex.Event) {
+			switch e := ev.(type) {
+			case dex.EdgesChanged:
+				mirror.apply(t, e.Deltas)
+				inner = append(inner, e)
+			case dex.VertexTransferred, dex.GraphRebuilt, dex.StaggerStarted, dex.StaggerFinished:
+			default:
+				t.Fatalf("inner subscriber received a %T", ev)
+			}
+		})
+		return nil
+	})
+	driveSeededChurn(t, 53, 300, c.Size, c.Nodes, c.FreshID, c.Insert, c.Delete)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(inner) != 300 || !reflect.DeepEqual(inner, outer) {
+		t.Fatalf("the inner subscriber got %d edge diffs in 300 steps, the façade's %d, or they differ", len(inner), len(outer))
+	}
+}
+
+// TestAsyncDoDeliversOnErrorAndPanic: the events a Do body publishes
+// reach async subscribers when the body fails after mutating, by
+// returning an error or by panicking, as when it succeeds. Each call's
+// edge diff must arrive before the next call starts, and the whole
+// stream must equal a sync façade's through the same calls.
+func TestAsyncDoDeliversOnErrorAndPanic(t *testing.T) {
+	errBody := errors.New("body failed after its insert")
 	run := func(async bool) []dex.Event {
-		opts := []dex.Option{dex.WithInitialSize(16), dex.WithSeed(41)}
+		opts := []dex.Option{dex.WithInitialSize(16), dex.WithSeed(47), dex.WithEdgeEvents(true)}
 		if async {
-			opts = append(opts, dex.WithAsyncEvents(512))
+			opts = append(opts, dex.WithAsyncEvents(8))
 		}
 		c, err := dex.NewConcurrent(opts...)
 		if err != nil {
@@ -170,20 +294,59 @@ func TestAsyncEventsOrderAndFlush(t *testing.T) {
 		}
 		var mu sync.Mutex
 		var got []dex.Event
-		c.Subscribe(func(ev dex.Event) { mu.Lock(); got = append(got, ev); mu.Unlock() })
-		driveSeededChurn(t, 41, 200, c.Size, c.Nodes, c.FreshID, c.Insert, c.Delete)
-		if err := c.Close(); err != nil { // flushes the queue in async mode
+		steps := make(chan int, 3) // one edge diff per call, three calls
+		c.Subscribe(func(ev dex.Event) {
+			mu.Lock()
+			got = append(got, ev)
+			mu.Unlock()
+			if e, ok := ev.(dex.EdgesChanged); ok {
+				steps <- e.Step
+			}
+		})
+		delivered := func(step int) {
+			t.Helper()
+			select {
+			case s := <-steps:
+				if s != step {
+					t.Fatalf("edge diff of step %d arrived, want step %d", s, step)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("step %d's edge diff never arrived", step)
+			}
+		}
+		insertThen := func(after func() error) error {
+			return c.Do(func(nw *dex.Network) error {
+				if err := nw.Insert(nw.FreshID(), 0); err != nil {
+					return err
+				}
+				return after()
+			})
+		}
+		if err := insertThen(func() error { return errBody }); !errors.Is(err, errBody) {
+			t.Fatalf("Do returned %v, want the body's error", err)
+		}
+		delivered(1)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("the body's panic did not reach Do's caller")
+				}
+			}()
+			_ = insertThen(func() error { panic("body panics after its insert") })
+		}()
+		delivered(2)
+		if err := c.Insert(c.FreshID(), 0); err != nil {
+			t.Fatal(err)
+		}
+		delivered(3)
+		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
 		mu.Lock()
 		defer mu.Unlock()
 		return got
 	}
-	sync1 := run(false)
-	async1 := run(true)
-	if len(sync1) == 0 {
-		t.Fatal("no events in 200 churn steps")
-	}
+	sync1, async1 := run(false), run(true)
 	if !reflect.DeepEqual(sync1, async1) {
 		t.Fatalf("async stream diverged from sync stream: %d vs %d events", len(async1), len(sync1))
 	}

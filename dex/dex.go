@@ -228,11 +228,9 @@ func wrapEngine(eng *core.Network, o options) *Network {
 		nw.lastP = pNew
 	})
 	if o.edgeEvents {
-		// The engine nets and copies a step's diff only when listened
+		// The engine copies a step's raw edge log only when listened
 		// says an EdgesChanged event would reach a subscriber.
-		eng.SetEdgeObserver(func(step int, deltas []graph.EdgeDelta) {
-			nw.publish(EdgesChanged{Step: step, Deltas: deltas})
-		})
+		eng.SetEdgeLogObserver(nw.publishEdges)
 		eng.SetEdgeDemand(nw.listened)
 	}
 	return nw

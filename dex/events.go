@@ -1,6 +1,9 @@
 package dex
 
-import "repro/internal/graph"
+import (
+	"repro/internal/core"
+	"repro/internal/graph"
+)
 
 // Event is a typed notification about a structural change of the
 // network. Concrete types: VertexTransferred, GraphRebuilt,
@@ -55,12 +58,17 @@ type StaggerFinished struct {
 // step as a batched diff, published once per mutating operation and
 // only when the network was built WithEdgeEvents(true). Deltas is
 // sorted by (U, V) and contains no zero entries; edges added and
-// removed within the same step cancel out. Replaying every EdgesChanged
-// event onto a copy of the overlay keeps the copy's edge multiset
-// identical to the live graph — including across type-2 rebuilds, which
-// arrive as exactly the edges that changed. Within one step it is
-// delivered after every VertexTransferred/GraphRebuilt event and before
-// StaggerStarted/StaggerFinished.
+// removed within the same step cancel out, and a step whose changes all
+// cancel publishes none. Replaying every EdgesChanged event onto a copy
+// of the overlay keeps the copy's edge multiset identical to the live
+// graph — including across type-2 rebuilds, which arrive as exactly the
+// edges that changed. Within one step it is delivered after every
+// VertexTransferred/GraphRebuilt event and before
+// StaggerStarted/StaggerFinished. The engine hands over the step's raw
+// edge log, and the goroutine that delivers the event nets it: the
+// mutating goroutine for synchronous subscribers, the dispatcher under
+// WithAsyncEvents, which receives an operation's events together when
+// the operation returns.
 type EdgesChanged struct {
 	Step   int // 1-based step index, matching StepMetrics.Step
 	Deltas []EdgeDelta
@@ -70,11 +78,45 @@ type EdgesChanged struct {
 // the undirected overlay edge {U,V} changed by Delta (U <= V).
 type EdgeDelta = graph.EdgeDelta
 
+// edgeLog is a step's raw edge log on its way to a Concurrent's
+// subscribers, which the façade nets into the step's EdgesChanged where
+// it delivers it (Concurrent.deliver), so no subscriber ever receives
+// one.
+type edgeLog struct {
+	step int
+	log  []EdgeDelta
+}
+
+// netEdges nets a step's raw edge log in place into its EdgesChanged
+// event; ok is false when the step's changes all cancel, and then
+// nothing is published.
+func netEdges(step int, log []EdgeDelta) (ev EdgesChanged, ok bool) {
+	d := core.NetLog(log)
+	return EdgesChanged{Step: step, Deltas: d}, len(d) > 0
+}
+
+// publishEdges publishes a step's edge diff from the raw log the engine
+// hands over, netted on the goroutine that delivers it. When the only
+// subscriber is a Concurrent's forwarder (forwardIdle is set), the log
+// goes to it raw: under WithAsyncEvents the dispatcher nets it. Any
+// other subscriber is called on this goroutine, so the log is netted
+// here.
+func (nw *Network) publishEdges(step int, log []EdgeDelta) {
+	if nw.forwardIdle != nil && len(nw.subs) == 1 {
+		nw.publish(edgeLog{step: step, log: log})
+		return
+	}
+	if ev, ok := netEdges(step, log); ok {
+		nw.publish(ev)
+	}
+}
+
 func (VertexTransferred) event() {}
 func (GraphRebuilt) event()      {}
 func (StaggerStarted) event()    {}
 func (StaggerFinished) event()   {}
 func (EdgesChanged) event()      {}
+func (edgeLog) event()           {}
 
 // subscriber pairs a callback with a registration id so cancellation
 // survives slice reshuffling.

@@ -16,10 +16,10 @@ type mirrorGraph struct {
 
 func newMirror(src *dex.Graph) *mirrorGraph { return &mirrorGraph{g: src.Clone()} }
 
-// apply replays one EdgesChanged batch onto the mirror, checking the
-// batch contract EdgesChanged documents on the way: no zero deltas,
-// U <= V, and pairs strictly ascending by (U, V), so no pair repeats.
-func (m *mirrorGraph) apply(t *testing.T, deltas []dex.EdgeDelta) {
+// checkNetted fails t unless deltas keeps the batch contract
+// EdgesChanged documents: no zero deltas, U <= V, and pairs strictly
+// ascending by (U, V), so no pair repeats.
+func checkNetted(t *testing.T, deltas []dex.EdgeDelta) {
 	t.Helper()
 	for i, d := range deltas {
 		if d.Delta == 0 {
@@ -33,6 +33,15 @@ func (m *mirrorGraph) apply(t *testing.T, deltas []dex.EdgeDelta) {
 				t.Fatalf("batch not strictly ascending: {%d,%d} then {%d,%d}", p.U, p.V, d.U, d.V)
 			}
 		}
+	}
+}
+
+// apply replays one EdgesChanged batch onto the mirror, checking the
+// batch contract on the way (checkNetted).
+func (m *mirrorGraph) apply(t *testing.T, deltas []dex.EdgeDelta) {
+	t.Helper()
+	checkNetted(t, deltas)
+	for _, d := range deltas {
 		for k := d.Delta; k > 0; k-- {
 			m.g.AddEdge(d.U, d.V)
 		}

@@ -150,17 +150,20 @@ func WithAuditMode(m AuditMode) Option {
 }
 
 // WithAsyncEvents moves event delivery onto a dedicated dispatcher
-// goroutine with the given initial queue capacity (>= 0): mutating
-// operations enqueue events in publish order and return without
-// running subscriber callbacks, the dispatcher drains the queue in
-// order, and Close flushes whatever is still buffered before
-// returning. Callbacks may therefore freely call back into the façade
-// — the deadlock and re-entrancy hazards of synchronous delivery do
-// not apply. The queue grows past its initial capacity rather than
-// blocking publishers (a bounded queue would deadlock the moment it
-// filled while a dispatcher callback held the façade lock), so a
-// subscriber that cannot keep up costs memory, never loss or
-// deadlock. Only meaningful for NewConcurrent; New rejects it.
+// goroutine with the given initial queue capacity (>= 0): a mutating
+// operation collects its events in publish order and enqueues them
+// together, in one hand-off, when it returns (also when it fails or
+// panics), without running subscriber callbacks; the dispatcher drains
+// the queue in order, netting each step's edge log into its
+// EdgesChanged there (WithEdgeEvents), and Close flushes whatever is
+// still buffered before returning. Callbacks may therefore freely call
+// back into the façade — the deadlock and re-entrancy hazards of
+// synchronous delivery do not apply. The queue grows past its initial
+// capacity rather than blocking publishers (a bounded queue would
+// deadlock the moment it filled while a dispatcher callback held the
+// façade lock), so a subscriber that cannot keep up costs memory,
+// never loss or deadlock. Only meaningful for NewConcurrent; New
+// rejects it.
 func WithAsyncEvents(buffer int) Option {
 	return func(o *options) {
 		if buffer < 0 {
@@ -175,12 +178,14 @@ func WithAsyncEvents(buffer int) Option {
 // mutating operation the net overlay edge changes are published as one
 // batched, deterministically ordered diff. Subscribers can mirror the
 // overlay without rescanning it — a type-2 rebuild shows up as exactly
-// the edges that changed, not a wholesale graph swap. Off by default
-// (the diff costs one log entry per raw edge mutation, sorted and netted
-// per node pair when the step ends, and the sort, the netting and the
-// batch's copy are skipped for a step no subscriber receives). Edge
-// events keep no overlay view: the engine goes on reading the overlay
-// from its virtual mapping (see Network.Graph).
+// the edges that changed, not a wholesale graph swap. Off by default.
+// The diff costs one log entry per raw edge mutation and a copy of the
+// log when the step ends, which the goroutine that delivers the event
+// sorts and nets per node pair: the mutating goroutine, or the
+// dispatcher under WithAsyncEvents. The copy and the netting are
+// skipped for a step no subscriber receives. Edge events keep no
+// overlay view: the engine goes on reading the overlay from its virtual
+// mapping (see Network.Graph).
 func WithEdgeEvents(on bool) Option {
 	return func(o *options) { o.edgeEvents = on }
 }

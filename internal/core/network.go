@@ -163,11 +163,11 @@ type Network struct {
 	totals  Totals
 
 	// edgeLog records the step's overlay changes, one entry per change,
-	// while an edge observer is registered; flushEdgeDeltas nets it into
-	// the step's diff at the end of each step, unless edgeDemand says
+	// while an edge observer is registered; flushEdgeDeltas hands the
+	// observer a copy at the end of each step, unless edgeDemand says
 	// nobody takes it.
 	edgeLog      []graph.EdgeDelta
-	edgeObserver func(step int, deltas []graph.EdgeDelta)
+	edgeObserver func(step int, log []graph.EdgeDelta)
 	edgeDemand   func() bool
 
 	// auditRng drives sampled audits; it is separate from rng so auditing
@@ -328,7 +328,7 @@ func NewWithMapping(p int64, owner []NodeID, cfg Config) (*Network, error) {
 	if err := nw.countOverlay(); err != nil {
 		return nil, err
 	}
-	nw.real.SetEpoch(nw.real.Epoch() + uint64(len(netLog(nw.appendOverlay(nil, 1)))))
+	nw.real.SetEpoch(nw.real.Epoch() + uint64(len(NetLog(nw.appendOverlay(nil, 1)))))
 	nw.refreshDist0()
 	return nw, nil
 }
@@ -477,12 +477,34 @@ func (nw *Network) SampleNode(r *rand.Rand) NodeID { return nw.st.sample(r).id }
 // SetEdgeObserver registers a callback receiving, once per step, the
 // step's net real-edge changes as a batched, deterministically sorted
 // diff (nil to clear), which the callback may keep. Only net changes
-// are reported: an edge added and removed within one step cancels out.
-// An observer keeps no overlay view: every change appends to the edge
-// log while one is registered, and the diff is that log netted.
+// are reported: an edge added and removed within one step cancels out,
+// and a step whose changes all cancel calls nothing. It is the raw
+// hand-off (SetEdgeLogObserver) netted on the stepping goroutine, and
+// replaces any observer registered either way.
 //
 //dexvet:mutator
 func (nw *Network) SetEdgeObserver(f func(step int, deltas []graph.EdgeDelta)) {
+	if f == nil {
+		nw.SetEdgeLogObserver(nil)
+		return
+	}
+	nw.SetEdgeLogObserver(func(step int, log []graph.EdgeDelta) {
+		if d := NetLog(log); len(d) > 0 {
+			f(step, d)
+		}
+	})
+}
+
+// SetEdgeLogObserver registers a callback receiving, at the end of
+// every step that changed an edge, the step's raw edge log: one entry
+// per change of an edge's multiplicity, in the order made, with U <= V,
+// in a copy the callback owns (nil to clear). NetLog turns it into the step's diff in
+// place, on whichever goroutine the callback hands it to. An observer
+// keeps no overlay view: every change appends to the edge log while one
+// is registered.
+//
+//dexvet:mutator
+func (nw *Network) SetEdgeLogObserver(f func(step int, log []graph.EdgeDelta)) {
 	nw.edgeObserver = f
 }
 

@@ -360,7 +360,7 @@ func (nw *Network) commitRebuild(pv *provisional) {
 	// receive the net change as one batch. The topology-change charge
 	// below stays the paper's (tear down + rebuild) however small the
 	// diff is.
-	for _, d := range netLog(nw.appendOverlay(diff, 1)) {
+	for _, d := range NetLog(nw.appendOverlay(diff, 1)) {
 		nw.edgeChanged(d.U, nw.st.slot(d.U), d.V, nw.st.slot(d.V), d.Delta)
 	}
 	nw.refreshDist0()

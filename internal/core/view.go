@@ -151,7 +151,7 @@ func (nw *Network) resetEdgeLog() {
 	nw.edgeLog = nw.edgeLog[:0]
 }
 
-// shortEdgeLog is the longest edge log netLog Shell-sorts (shellGaps);
+// shortEdgeLog is the longest edge log NetLog Shell-sorts (shellGaps);
 // longer ones go to slices.SortFunc. A steady-state insert logs 8
 // entries and a delete 6 at the median, with a tail of a few hundred,
 // where SortFunc's comparator calls cost about twice the Shell sort's
@@ -162,11 +162,12 @@ func (nw *Network) resetEdgeLog() {
 // enumeration alike (CHANGES.md).
 const shortEdgeLog = 1 << 17
 
-// netLog sorts log by (U, V) in place, sums each pair's changes, drops
-// zero sums and returns the netted prefix. Entries of one pair are
+// NetLog sorts log by (U, V) in place, sums each pair's changes, drops
+// zero sums and returns the netted prefix: a step's raw edge log
+// (SetEdgeLogObserver) netted is its edge diff. Entries of one pair are
 // summed, so the order among them is immaterial and the result does not
 // depend on which sort ran.
-func netLog(log []graph.EdgeDelta) []graph.EdgeDelta {
+func NetLog(log []graph.EdgeDelta) []graph.EdgeDelta {
 	if len(log) <= shortEdgeLog {
 		for _, gap := range shellGaps {
 			for i := gap; i < len(log); i++ {
@@ -196,21 +197,18 @@ func netLog(log []graph.EdgeDelta) []graph.EdgeDelta {
 	return log[:n]
 }
 
-// flushEdgeDeltas delivers the step's edge diff to the edge observer:
-// the edge log netted (netLog), in a copy the observer may keep. A step
-// whose diff nobody takes (edgeDemand) skips both: beginStep empties
-// the log unnetted.
+// flushEdgeDeltas hands the step's raw edge log to the edge observer,
+// in a copy the observer owns: netting it (NetLog) is the receiver's
+// work, so an observer that delivers on another goroutine takes the
+// sort off the step. A step whose log nobody takes (edgeDemand) skips
+// the copy: beginStep empties the log.
 func (nw *Network) flushEdgeDeltas() {
 	if nw.edgeObserver == nil || len(nw.edgeLog) == 0 || nw.edgeDemand != nil && !nw.edgeDemand() {
 		return
 	}
-	d := netLog(nw.edgeLog)
+	log := slices.Clone(nw.edgeLog)
 	nw.resetEdgeLog()
-	if len(d) == 0 {
-		return
-	}
-	// Subscribers may keep the batch, so it must not alias the log.
-	nw.edgeObserver(nw.step.Step, slices.Clone(d))
+	nw.edgeObserver(nw.step.Step, log)
 }
 
 // --- the view ----------------------------------------------------------------
@@ -299,7 +297,7 @@ func (nw *Network) Snapshot() (*graph.Graph, uint64) {
 // appendOverlay appends the overlay to log, one entry of Delta d (with U
 // <= V) per edge of the contraction (contractionEdges) and one for the
 // temporary attach edge while it is up, and returns the log. Netted
-// (netLog), it is the overlay as a batch, each distinct pair once with
+// (NetLog), it is the overlay as a batch, each distinct pair once with
 // its multiplicity times d. Construction counts the epoch from it, and a
 // one-step rebuild diffs the overlay before and after its commit with
 // it.
@@ -506,7 +504,7 @@ func (nw *Network) rowCells(u NodeID, su int32) *rowCache {
 	return c
 }
 
-// shellGaps are Ciura's Shell sort gaps, which sortCells and netLog
+// shellGaps are Ciura's Shell sort gaps, which sortCells and NetLog
 // share; the last pass, gap 1, is the insertion sort that alone
 // finishes a short input.
 var shellGaps = [...]int{1750, 701, 301, 132, 57, 23, 10, 4, 1}

@@ -383,7 +383,7 @@ func TestCeilLog2MatchesFloat(t *testing.T) {
 }
 
 // TestNetLogMatchesSummedPairs nets random logs of every length class
-// netLog treats apart — empty, one entry, the Shell sort's short and
+// NetLog treats apart — empty, one entry, the Shell sort's short and
 // long inputs up to shortEdgeLog, and one entry past it, which
 // slices.SortFunc sorts — and compares each with a map that sums every
 // pair's changes: the same pairs, ascending by (U, V), none zero.
@@ -392,25 +392,107 @@ func TestNetLogMatchesSummedPairs(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 33, 1000, shortEdgeLog, shortEdgeLog + 1} {
 		ids := NodeID(1 + n/4) // few enough ids that pairs repeat and cancel
 		log := make([]graph.EdgeDelta, n)
-		sums := map[[2]NodeID]int{}
 		for i := range log {
 			u, v := NodeID(rng.Int63n(int64(ids))), NodeID(rng.Int63n(int64(ids)))
-			u, v = min(u, v), max(u, v)
-			d := 1 - 2*rng.Intn(2)
-			log[i] = graph.EdgeDelta{U: u, V: v, Delta: d}
-			sums[[2]NodeID{u, v}] += d
+			log[i] = graph.EdgeDelta{U: min(u, v), V: max(u, v), Delta: 1 - 2*rng.Intn(2)}
 		}
-		var want []graph.EdgeDelta
-		for k, d := range sums {
-			if d != 0 {
-				want = append(want, graph.EdgeDelta{U: k[0], V: k[1], Delta: d})
+		want := sumPairs(log)
+		if got := NetLog(log); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: NetLog returned %d pairs, the summed map %d, or they differ", n, len(got), len(want))
+		}
+	}
+}
+
+// sumPairs nets log the slow way, leaving it untouched: a map sums each
+// pair's changes, and the non-zero sums come back ascending by (U, V).
+func sumPairs(log []graph.EdgeDelta) []graph.EdgeDelta {
+	sums := map[[2]NodeID]int{}
+	for _, d := range log {
+		sums[[2]NodeID{d.U, d.V}] += d.Delta
+	}
+	var net []graph.EdgeDelta
+	for k, d := range sums {
+		if d != 0 {
+			net = append(net, graph.EdgeDelta{U: k[0], V: k[1], Delta: d})
+		}
+	}
+	slices.SortFunc(net, func(a, b graph.EdgeDelta) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+	})
+	return net
+}
+
+// TestEdgeLogNetsToObserverDiff drives two identical networks in
+// lockstep, one handing over raw edge logs (SetEdgeLogObserver) and one
+// netted diffs (SetEdgeObserver): a Staggered pair through inserts
+// until a stagger has started and finished, then deletes until a
+// deflation starts, and a Simplified pair through a one-step inflation
+// and a one-step deflation the same way. After every step the raw log,
+// netted by sumPairs, must be the netted observer's diff for the same
+// step, and a step whose log nets to nothing must not call it. Every raw
+// entry must be a non-zero change with U <= V, and some log must hold
+// more entries than its diff, or netting was never exercised.
+func TestEdgeLogNetsToObserverDiff(t *testing.T) {
+	for _, mode := range []RecoveryMode{Staggered, Simplified} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Mode = mode
+			raw, netted := mustNew(t, 16, cfg), mustNew(t, 16, cfg)
+			var log, diff []graph.EdgeDelta
+			var logStep, diffStep int
+			raw.SetEdgeLogObserver(func(step int, l []graph.EdgeDelta) { logStep, log = step, l })
+			netted.SetEdgeObserver(func(step int, d []graph.EdgeDelta) { diffStep, diff = step, d })
+			rng := rand.New(rand.NewSource(5))
+			cancels := false
+			step := func(i int, insert bool) {
+				log, diff, logStep, diffStep = nil, nil, 0, 0
+				var errRaw, errNetted error
+				if insert {
+					id, at := raw.FreshID(), raw.SampleNode(rng)
+					errRaw, errNetted = raw.Insert(id, at), netted.Insert(id, at)
+				} else {
+					v := raw.SampleNode(rng)
+					errRaw, errNetted = raw.Delete(v), netted.Delete(v)
+				}
+				if errRaw != nil || errNetted != nil {
+					t.Fatalf("op %d: %v, %v", i, errRaw, errNetted)
+				}
+				for _, d := range log {
+					if d.Delta == 0 || d.U > d.V {
+						t.Fatalf("op %d: raw entry %+v", i, d)
+					}
+				}
+				want := sumPairs(log)
+				switch {
+				case len(want) == 0 && diffStep != 0:
+					t.Fatalf("op %d: the raw log nets to nothing, the netted observer got %d pairs", i, len(diff))
+				case len(want) > 0 && (logStep != raw.LastStep().Step || diffStep != logStep):
+					t.Fatalf("op %d: raw log of step %d, diff of step %d, last step %d", i, logStep, diffStep, raw.LastStep().Step)
+				case !slices.Equal(diff, want):
+					t.Fatalf("op %d (step %d): the diff holds %d pairs, the raw log %d entries netting to %d pairs, or they differ", i, logStep, len(diff), len(log), len(want))
+				}
+				cancels = cancels || len(log) > len(want)
 			}
-		}
-		slices.SortFunc(want, func(a, b graph.EdgeDelta) int {
-			return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+			grown, shrunk := func(tt Totals) bool { return tt.StaggerFinishes > 0 }, func(tt Totals) bool { return tt.DeflateEvents > 0 }
+			if mode == Simplified {
+				grown = func(tt Totals) bool { return tt.InflateEvents > 0 }
+			}
+			i := 0
+			for ; !grown(raw.Totals()); i++ {
+				if i == 4000 {
+					t.Fatal("no rebuild committed in 4000 inserts")
+				}
+				step(i, true)
+			}
+			for ; !shrunk(raw.Totals()); i++ {
+				if raw.Size() <= 8 {
+					t.Fatal("shrank to 8 nodes without a deflation")
+				}
+				step(i, false)
+			}
+			if !cancels {
+				t.Fatal("no step's raw log held more entries than its diff")
+			}
 		})
-		if got := netLog(log); !slices.Equal(got, want) {
-			t.Fatalf("n=%d: netLog returned %d pairs, the summed map %d, or they differ", n, len(got), len(want))
-		}
 	}
 }

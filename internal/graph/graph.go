@@ -815,7 +815,7 @@ func (g *Graph) DistinctDegreeAt(s int32) int { return int(g.recs[s].dist) }
 //
 //dexvet:noalloc
 func (g *Graph) RunAt(s int32) []RunCell {
-	r := g.recs[s]
+	r := &g.recs[s] // a copy of the record would spill to the frame
 	return g.pool[r.off : r.off+r.n]
 }
 
