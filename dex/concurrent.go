@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Concurrent is a thread-safe façade over a Network: every method is
@@ -28,7 +29,12 @@ import (
 //     grows past its initial capacity instead of blocking, so a
 //     subscriber that falls behind costs memory, never deadlock or
 //     loss — and callbacks may freely call any façade method, including
-//     mutations. Close flushes the queue before returning.
+//     mutations. An operation never wakes a dispatcher that is
+//     delivering or lingering (waiting one short linger for more
+//     events), so while operations keep coming subscribers receive
+//     events in batches, up to about one linger after the operation
+//     returned. An idle dispatcher parks, and the first operation after
+//     that wakes it. Close flushes the queue before returning.
 //
 // Determinism under concurrent *callers* is necessarily
 // scheduling-dependent (the interleaving of operations is whatever the
@@ -109,7 +115,7 @@ func (c *Concurrent) forward(ev Event) {
 }
 
 // handOff passes the operation's events to the dispatcher in one push,
-// which must never block: the dispatcher may itself be parked inside a
+// which must never block: the dispatcher may itself be blocked inside a
 // callback that is waiting for c.mu.
 func (c *Concurrent) handOff() {
 	if len(c.opEvents) == 0 {
@@ -125,12 +131,15 @@ func (c *Concurrent) handOff() {
 }
 
 // dispatch is the async delivery loop: it drains the queue in publish
-// order and exits once Close marks the queue done and everything
+// order, hands each delivered batch back to the queue as its next
+// buffer, and exits once Close marks the queue done and everything
 // buffered has been delivered.
 func (c *Concurrent) dispatch() {
 	c.dispatcherGid.Store(goid())
+	var batch []Event
 	for {
-		batch, ok := c.evq.wait()
+		var ok bool
+		batch, ok = c.evq.wait(batch)
 		for _, ev := range batch {
 			c.deliver(ev)
 		}
@@ -146,7 +155,7 @@ func (c *Concurrent) dispatch() {
 // Close path to recognize a Close issued from inside a subscriber
 // callback (i.e. on the dispatcher goroutine itself) — such a Close
 // must not wait for the dispatcher to finish draining, because the
-// dispatcher is parked inside that very callback.
+// dispatcher is blocked inside that very callback.
 func goid() uint64 {
 	var buf [40]byte
 	n := runtime.Stack(buf[:], false)
@@ -163,62 +172,104 @@ func goid() uint64 {
 // convenience: publishers hold the façade lock, and a bounded queue
 // would deadlock the moment it filled while a dispatcher callback was
 // calling back into the façade.
+//
+// A push never wakes a dispatcher that is delivering or lingering. A
+// dispatcher that finds the queue empty sleeps one evQueueLinger on its
+// own timer, then looks again, and parks on ready only if the queue is
+// still empty. While operations keep coming, subscribers thus receive
+// events in batches, up to about one linger after the operation
+// returned, and no operation pays for a wake-up. An idle dispatcher
+// parks, and the first push after that wakes it.
 type eventQueue struct {
 	mu     sync.Mutex
 	ready  sync.Cond
 	buf    []Event
+	parked bool // the dispatcher waits on ready: the next push signals it
 	closed bool
+	stop   chan struct{} // closed by close: cuts a linger short
+	linger *time.Timer   // the dispatcher's; armed by each linger
 }
 
-// evQueueResetCap bounds the buffer capacity allocated across batch
-// swaps: replacement buffers size to twice the batch just handed over
-// (so a steady flow settles without re-growth), never above this cap —
-// one slow-subscriber burst must not ratchet every later (typically
-// tiny) batch allocation up to burst size forever, and a huge initial
-// capacity must not be re-paid on every dispatcher wakeup. It also
-// bounds the capacity an operation's batch (opEvents) keeps for the
-// next one, so a rebuild's burst of transfers is not pinned.
+// evQueueLinger is how long a dispatcher that found the queue empty
+// waits before it looks again and, the queue still empty, parks. 1 ms is
+// the shortest timed wait the runtime honours once its network poller
+// is initialized (opening a WAL does that): it rounds shorter waits up.
+const evQueueLinger = time.Millisecond
+
+// evQueueResetCap bounds the capacity of the buffers the queue keeps
+// across batch swaps. The dispatcher hands each delivered batch back as
+// the next buffer, so two buffers alternate, unless its capacity passed
+// this cap: one slow-subscriber burst must not stay pinned, and a huge
+// initial capacity is dropped after its first round. A replacement
+// buffer sizes to twice the batch just handed over, never above the
+// cap. It also bounds the capacity an operation's batch (opEvents)
+// keeps for the next one, so a rebuild's burst of transfers is not
+// pinned.
 const evQueueResetCap = 4096
 
 func newEventQueue(capacity int) *eventQueue {
-	q := &eventQueue{buf: make([]Event, 0, capacity)}
+	q := &eventQueue{
+		buf:    make([]Event, 0, capacity),
+		stop:   make(chan struct{}),
+		linger: time.NewTimer(evQueueLinger),
+	}
+	q.linger.Stop()
 	q.ready.L = &q.mu
 	return q
 }
 
+// push appends an operation's events and wakes the dispatcher only if
+// it is parked, once per park.
 func (q *eventQueue) push(evs []Event) {
 	q.mu.Lock()
 	q.buf = append(q.buf, evs...)
+	wake := q.parked
+	q.parked = false
 	q.mu.Unlock()
-	q.ready.Signal()
+	if wake {
+		q.ready.Signal()
+	}
 }
 
-// wait blocks until events are queued (returning them in order) or the
-// queue is closed and empty (returning ok=false). The swapped-out
-// batch lets the dispatcher deliver without holding the queue lock.
-func (q *eventQueue) wait() (batch []Event, ok bool) {
+// wait returns the queued events in order, lingering and then parking
+// while there are none, or ok=false once the queue is closed and empty.
+// done is the batch the dispatcher has just delivered: wait clears it,
+// so it pins no delivered event, and keeps it as the next buffer unless
+// its capacity passed evQueueResetCap. The handed-out batch lets the
+// dispatcher deliver without the queue lock.
+func (q *eventQueue) wait(done []Event) (batch []Event, ok bool) {
+	clear(done)
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if len(q.buf) == 0 && !q.closed {
+		q.mu.Unlock()
+		q.linger.Reset(evQueueLinger)
+		select {
+		case <-q.linger.C:
+		case <-q.stop:
+		}
+		q.mu.Lock()
+	}
 	for len(q.buf) == 0 && !q.closed {
+		q.parked = true
 		q.ready.Wait()
 	}
 	batch = q.buf
-	nc := 2 * len(batch)
-	if nc < 64 {
-		nc = 64
+	if cap(done) == 0 || cap(done) > evQueueResetCap {
+		done = make([]Event, 0, min(max(2*len(batch), 64), evQueueResetCap))
 	}
-	if nc > evQueueResetCap {
-		nc = evQueueResetCap
-	}
-	q.buf = make([]Event, 0, nc)
+	q.buf = done[:0]
 	return batch, !q.closed || len(batch) > 0
 }
 
+// close marks the queue done and wakes the dispatcher, parked or
+// lingering, so Close never waits out a linger.
 func (q *eventQueue) close() {
 	q.mu.Lock()
 	q.closed = true
 	q.mu.Unlock()
 	q.ready.Signal()
+	close(q.stop)
 }
 
 // deliver invokes the façade's subscribers in registration order,

@@ -352,6 +352,202 @@ func TestAsyncDoDeliversOnErrorAndPanic(t *testing.T) {
 	}
 }
 
+// recordSteps subscribes to c. It returns the stream of events the
+// subscriber received so far and a channel that carries each
+// EdgesChanged's step. The channel holds 2n steps, so that even a
+// stream that repeats each of n steps never blocks the dispatcher.
+func recordSteps(c *dex.Concurrent, n int) (stream func() []dex.Event, steps chan int) {
+	var mu sync.Mutex
+	var got []dex.Event
+	steps = make(chan int, 2*n)
+	c.Subscribe(func(ev dex.Event) {
+		mu.Lock()
+		got = append(got, ev)
+		mu.Unlock()
+		if e, ok := ev.(dex.EdgesChanged); ok {
+			steps <- e.Step
+		}
+	})
+	return func() []dex.Event {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]dex.Event(nil), got...)
+	}, steps
+}
+
+// awaitStep fails t unless the next edge diff on steps arrives within
+// 10 s and is step want's.
+func awaitStep(t *testing.T, steps <-chan int, want int) {
+	t.Helper()
+	select {
+	case s := <-steps:
+		if s != want {
+			t.Fatalf("edge diff of step %d arrived, want step %d", s, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("step %d's edge diff never arrived", want)
+	}
+}
+
+// TestAsyncLingerDeliversLoneOperation: an operation with none after
+// it has its events delivered without a Close, whether it finds the
+// dispatcher lingering (it runs right after the previous delivery) or
+// parked (it runs after a pause of many lingers).
+func TestAsyncLingerDeliversLoneOperation(t *testing.T) {
+	c, err := dex.NewConcurrent(dex.WithInitialSize(16), dex.WithSeed(67), dex.WithAsyncEvents(8), dex.WithEdgeEvents(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, steps := recordSteps(c, 24)
+	pauses := []time.Duration{0, 0, 100 * time.Microsecond, 5 * time.Millisecond, 0, 30 * time.Millisecond}
+	id := dex.NodeID(1000)
+	for i := 0; i < 4*len(pauses); i++ {
+		time.Sleep(pauses[i%len(pauses)])
+		if i%2 == 0 {
+			err = c.Insert(id, 0)
+		} else {
+			err = c.Delete(id)
+			id++
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitStep(t, steps, i+1)
+	}
+}
+
+// TestAsyncLingerBurstsMatchSync: goroutines send bursts of inserts
+// and deletes separated by pauses shorter and longer than the
+// dispatcher's linger, so operations find it delivering, lingering and
+// parked. Every step's edge diff must arrive exactly once and in step
+// order, the last one before Close, and the stream must equal a sync
+// façade's through the operations in the order they ran, read back
+// from History.
+func TestAsyncLingerBurstsMatchSync(t *testing.T) {
+	const workers, bursts, pairs = 3, 8, 2
+	opts := func() []dex.Option {
+		return []dex.Option{dex.WithInitialSize(16), dex.WithSeed(71), dex.WithEdgeEvents(true)}
+	}
+	c, err := dex.NewConcurrent(append(opts(), dex.WithAsyncEvents(8))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const ops = workers * bursts * 2 * pairs
+	stream, steps := recordSteps(c, ops)
+	// Worker w attaches its nodes at node w and owns the ids from
+	// 1000*(w+1), so an operation's target names its anchor.
+	anchor := func(id dex.NodeID) dex.NodeID { return id/1000 - 1 }
+	pauses := []time.Duration{0, 200 * time.Microsecond, 3 * time.Millisecond, 20 * time.Millisecond}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			id := dex.NodeID(1000 * (w + 1))
+			for b := 0; b < bursts; b++ {
+				time.Sleep(pauses[(b+w)%len(pauses)])
+				for k := dex.NodeID(0); k < pairs; k++ {
+					if err := c.Insert(id+k, anchor(id)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				for k := dex.NodeID(0); k < pairs; k++ {
+					if err := c.Delete(id + k); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				id += pairs
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for s := 1; s <= ops; s++ {
+		awaitStep(t, steps, s)
+	}
+	hist := c.History()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case s := <-steps:
+		t.Fatalf("step %d's edge diff arrived twice", s)
+	default:
+	}
+
+	sc, err := dex.NewConcurrent(opts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncStream, _ := recordSteps(sc, ops)
+	for _, m := range hist {
+		if m.Op == dex.OpInsert {
+			err = sc.Insert(m.Target, anchor(m.Target))
+		} else {
+			err = sc.Delete(m.Target)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	async1, sync1 := stream(), syncStream()
+	for _, ev := range async1 {
+		if e, ok := ev.(dex.EdgesChanged); ok {
+			checkNetted(t, e.Deltas)
+		}
+	}
+	if !reflect.DeepEqual(sync1, async1) {
+		t.Fatalf("async stream diverged from sync stream: %d vs %d events", len(async1), len(sync1))
+	}
+}
+
+// TestAsyncLingerCloseDelivers: a Close issued while the dispatcher
+// lingers, right after it delivered one operation's events and with the
+// next operation's events queued, returns with everything delivered.
+func TestAsyncLingerCloseDelivers(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		c, err := dex.NewConcurrent(dex.WithInitialSize(16), dex.WithSeed(int64(73+round)), dex.WithAsyncEvents(8), dex.WithEdgeEvents(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, steps := recordSteps(c, 2)
+		if err := c.Insert(1000, 0); err != nil {
+			t.Fatal(err)
+		}
+		awaitStep(t, steps, 1)
+		if err := c.Insert(1001, 0); err != nil {
+			t.Fatal(err)
+		}
+		closed := make(chan error, 1)
+		go func() { closed <- c.Close() }()
+		select {
+		case err := <-closed:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: Close never returned", round)
+		}
+		select {
+		case s := <-steps:
+			if s != 2 {
+				t.Fatalf("round %d: edge diff of step %d arrived, want step 2", round, s)
+			}
+		default:
+			t.Fatalf("round %d: Close returned before step 2's edge diff was delivered", round)
+		}
+	}
+}
+
 // TestAsyncCallbackMayMutate: with async events a subscriber callback
 // can call back into the façade — the very thing that is a deadlock in
 // sync mode and ErrReentrantOp on the plain network.

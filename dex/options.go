@@ -162,8 +162,14 @@ func WithAuditMode(m AuditMode) Option {
 // capacity rather than blocking publishers (a bounded queue would
 // deadlock the moment it filled while a dispatcher callback held the
 // façade lock), so a subscriber that cannot keep up costs memory,
-// never loss or deadlock. Only meaningful for NewConcurrent; New
-// rejects it.
+// never loss or deadlock. An operation never wakes a dispatcher that
+// is delivering or lingering: one that finds the queue empty waits
+// about a millisecond on its own timer before it looks again. While
+// operations keep coming, subscribers therefore receive events in
+// batches, up to about one linger after the operation returned. An
+// idle dispatcher parks after one empty linger, and the first
+// operation after that wakes it. Only meaningful for NewConcurrent;
+// New rejects it.
 func WithAsyncEvents(buffer int) Option {
 	return func(o *options) {
 		if buffer < 0 {
