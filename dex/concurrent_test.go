@@ -550,7 +550,9 @@ func TestAsyncLingerCloseDelivers(t *testing.T) {
 
 // TestAsyncCallbackMayMutate: with async events a subscriber callback
 // can call back into the façade — the very thing that is a deadlock in
-// sync mode and ErrReentrantOp on the plain network.
+// sync mode and ErrReentrantOp on the plain network. The callback picks
+// its attach point and inserts inside one Do, so the test's own churn
+// cannot delete that node in between.
 func TestAsyncCallbackMayMutate(t *testing.T) {
 	c, err := dex.NewConcurrent(dex.WithInitialSize(16), dex.WithSeed(51), dex.WithAsyncEvents(64))
 	if err != nil {
@@ -558,8 +560,11 @@ func TestAsyncCallbackMayMutate(t *testing.T) {
 	}
 	var once sync.Once
 	reentry := make(chan error, 1)
+	rng := rand.New(rand.NewSource(51)) // drawn once, by the one callback that runs
 	c.Subscribe(func(dex.Event) {
-		once.Do(func() { reentry <- c.Insert(c.FreshID(), c.Sample()) })
+		once.Do(func() {
+			reentry <- c.Do(func(nw *dex.Network) error { return nw.Insert(nw.FreshID(), nw.SampleNode(rng)) })
+		})
 	})
 	driveSeededChurn(t, 51, 100, c.Size, c.Nodes, c.FreshID, c.Insert, c.Delete)
 	if err := c.Close(); err != nil {

@@ -248,7 +248,7 @@ func TestCheckNodeCorruptionTable(t *testing.T) {
 			s := nw.stag
 			for _, u := range nw.Nodes() {
 				for _, x := range nw.st.setAt(nw.st.slot(u), false) {
-					for _, pe := range s.pending[x] {
+					for _, pe := range s.pending[Vertex(x)] {
 						if w := s.newSimOf[pe.src]; w != u {
 							if !nw.Graph().RemoveEdge(u, w) {
 								t.Fatalf("pending edge {%d,%d} is not a real edge", u, w)

@@ -545,18 +545,27 @@ func TestEdgeLogDropsSpikeCapacity(t *testing.T) {
 // TestOneStepRebuildCommitDeterministic runs one Simplified network
 // (seed 3) to just past its first one-step inflation several times. The
 // commit must leave the same dirty list, whose order picks the dirty
-// nodes the next sampled audit checks, and the same vertex arena every
-// time: neither may follow Go's randomized map order.
+// nodes the next sampled audit checks, and the same Sim set headers and
+// vertex arena every time (an inline set's vertices sit in its header, a
+// spilled set's run offset does): none may follow Go's randomized map
+// order.
 func TestOneStepRebuildCommitDeterministic(t *testing.T) {
-	run := func() ([]NodeID, []Vertex) {
+	run := func() ([]NodeID, []vset, []int32) {
 		nw := pastOneStepRebuild(t)
-		return slices.Clone(nw.st.dirtyList), slices.Clone(nw.st.arena.buf)
+		sims := make([]vset, len(nw.st.rows))
+		for s := range nw.st.rows {
+			sims[s] = nw.st.rows[s].sim
+		}
+		return slices.Clone(nw.st.dirtyList), sims, slices.Clone(nw.st.arena.buf)
 	}
-	dirty, arena := run()
+	dirty, sims, arena := run()
 	for i := 1; i < 4; i++ {
-		d, a := run()
+		d, h, a := run()
 		if !slices.Equal(d, dirty) {
 			t.Fatalf("run %d: dirty list after the rebuild differs from run 0's", i)
+		}
+		if !slices.Equal(h, sims) {
+			t.Fatalf("run %d: Sim set headers after the rebuild differ from run 0's", i)
 		}
 		if !slices.Equal(a, arena) {
 			t.Fatalf("run %d: vertex arena after the rebuild differs from run 0's", i)

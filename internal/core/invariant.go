@@ -70,7 +70,7 @@ func (nw *Network) checkInvariants(enforceLoadBounds bool) error {
 		if !nw.viewKept && nw.simSlot[x] != s {
 			return fmt.Errorf("I2: simSlot[%d] = %d, but its simulator %d is at slot %d", x, nw.simSlot[x], u, s)
 		}
-		if _, ok := slices.BinarySearch(nw.st.setAt(s, false), x); !ok {
+		if _, ok := slices.BinarySearch(nw.st.setAt(s, false), int32(x)); !ok {
 			return fmt.Errorf("I2: vertex %d not in Sim(%d)", x, u)
 		}
 	}
@@ -170,7 +170,7 @@ func (nw *Network) checkInvariants(enforceLoadBounds bool) error {
 			if u < 0 {
 				continue
 			}
-			if su, ok := nw.real.SlotOf(u); !ok || !slices.Contains(nw.st.setAt(su, true), Vertex(y)) {
+			if su, ok := nw.real.SlotOf(u); !ok || !slices.Contains(nw.st.setAt(su, true), int32(y)) {
 				return fmt.Errorf("I8: new vertex %d not in NewSim(%d)", y, u)
 			}
 		}
@@ -326,7 +326,7 @@ func (nw *Network) warmAudit(list []mirrorEntry) {
 			continue
 		}
 		for _, x := range st.setAt(e.slot, false) {
-			sink += int(nw.simOf[x]) + int(nw.z.Inv(x))
+			sink += int(nw.simOf[x]) + int(nw.z.Inv(Vertex(x)))
 		}
 		if run := nw.real.RunAt(e.slot); len(run) > 0 {
 			sink += int(run[0].V)
@@ -342,7 +342,7 @@ func (nw *Network) warmAudit(list []mirrorEntry) {
 			continue
 		}
 		for _, x := range st.setAt(e.slot, false) {
-			if t := nw.z.Inv(x); t != x && (stag == nil || !stag.droppedFlag[t]) {
+			if t := nw.z.Inv(Vertex(x)); t != Vertex(x) && (stag == nil || !stag.droppedFlag[t]) {
 				sink += int(nw.simOf[t])
 			}
 		}
@@ -386,10 +386,10 @@ func (nw *Network) checkNodeAt(u NodeID, su int32) error {
 	derived := !nw.viewKept
 	for _, x := range sim {
 		if nw.simOf[x] != u {
-			return auditErrorf("audit: Sim(%d) contains %d owned by %d", int64(u), x, int64(nw.simOf[x]))
+			return auditErrorf("audit: Sim(%d) contains %d owned by %d", int64(u), int64(x), int64(nw.simOf[x]))
 		}
 		if derived && nw.simSlot[x] != su {
-			return auditErrorf("audit: simSlot[%d] = %d, but its simulator %d is at slot %d", x, int64(nw.simSlot[x]), int64(u), int64(su))
+			return auditErrorf("audit: simSlot[%d] = %d, but its simulator %d is at slot %d", int64(x), int64(nw.simSlot[x]), int64(u), int64(su))
 		}
 	}
 	want := len(sim)
@@ -398,7 +398,7 @@ func (nw *Network) checkNodeAt(u NodeID, su int32) error {
 		newSim := nw.st.setAt(su, true)
 		for _, y := range newSim {
 			if s.newSimOf[y] != u {
-				return auditErrorf("audit: NewSim(%d) contains %d owned by %d", int64(u), y, int64(s.newSimOf[y]))
+				return auditErrorf("audit: NewSim(%d) contains %d owned by %d", int64(u), int64(y), int64(s.newSimOf[y]))
 			}
 		}
 		want += len(newSim)
@@ -556,7 +556,8 @@ func (nw *Network) wantRow(u NodeID, su int32) (row []NodeID, loops, same int) {
 func (nw *Network) gatherRow(u NodeID, su int32, slots bool) (row []NodeID, loops, same int) {
 	s := nw.stag
 	row, rs := nw.auditRow[:0], nw.rowSlots[:0]
-	for _, x := range nw.st.setAt(su, false) {
+	for _, xc := range nw.st.setAt(su, false) {
+		x := Vertex(xc)
 		for _, t := range nw.z.NeighborSlots(x) {
 			if t == x {
 				loops++ // chord self-loop of the old cycle
@@ -583,7 +584,8 @@ func (nw *Network) gatherRow(u NodeID, su int32, slots bool) (row []NodeID, loop
 				row = append(row, v)
 			}
 		}
-		for _, y := range nw.st.setAt(su, true) {
+		for _, yc := range nw.st.setAt(su, true) {
+			y := Vertex(yc)
 			far(nw.newEdgeEnd(s.zNew.Succ(y))) // successor edge, owned by y
 			if yp := s.zNew.Pred(y); s.newSimOf[yp] >= 0 {
 				far(s.newSimOf[yp]) // predecessor's successor edge
@@ -602,7 +604,7 @@ func (nw *Network) gatherRow(u NodeID, su int32, slots bool) (row []NodeID, loop
 			if s.processedFlag[x] {
 				continue // pending edges are keyed by unprocessed vertices (I8)
 			}
-			for _, pe := range s.pending[x] {
+			for _, pe := range s.pending[Vertex(x)] {
 				far(s.newSimOf[pe.src]) // intermediate edges anchored at u
 			}
 		}

@@ -740,11 +740,11 @@ func (nw *Network) Dist0(x Vertex) int { return int(nw.dist0[x]) }
 // (smallest for determinism).
 func (nw *Network) anyVertexOf(s int32) (Vertex, bool) {
 	if r := nw.st.setAt(s, false); len(r) > 0 {
-		return r[0], true
+		return Vertex(r[0]), true
 	}
 	if nw.stag != nil {
 		if r := nw.st.setAt(s, true); len(r) > 0 {
-			return r[0], true
+			return Vertex(r[0]), true
 		}
 	}
 	return 0, false

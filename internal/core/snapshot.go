@@ -498,8 +498,8 @@ func RestoreNetwork(dec *wire.Decoder) (*Network, error) {
 
 // restoreSets rebuilds the selected vertex sets from a mapping: owner[x]
 // simulates x unless skip(x). Each owner is resolved once, and every
-// run is sized before the ascending adds fill it (see sizeRuns). It
-// returns each vertex's owner slot (-1 where skipped).
+// set is sized and filled at once (see fillSets). It returns each
+// vertex's owner slot (-1 where skipped).
 func (nw *Network) restoreSets(owner []NodeID, nxt bool, skip func(x int) bool) ([]int32, error) {
 	slots := make([]int32, len(owner))
 	count := make([]int32, nw.real.Slots())
@@ -519,11 +519,6 @@ func (nw *Network) restoreSets(owner []NodeID, nxt bool, skip func(x int) bool) 
 		slots[x] = s
 		count[s]++
 	}
-	nw.st.sizeRuns(count, nxt)
-	for x, s := range slots {
-		if s >= 0 {
-			nw.st.setAddAt(s, Vertex(x), nxt)
-		}
-	}
+	nw.st.fillSets(slots, count, nxt)
 	return slots, nil
 }

@@ -102,11 +102,11 @@ func (s *stagger) projection(x Vertex) int {
 // unprocessed counts the old vertices of sim the frontier has not
 // processed yet, and the new vertices processing them will generate:
 // what unprocOld and effNew - |NewSim| must hold for sim's node.
-func (s *stagger) unprocessed(sim []Vertex) (unproc, proj int) {
+func (s *stagger) unprocessed(sim []int32) (unproc, proj int) {
 	for _, x := range sim {
 		if !s.processedFlag[x] {
 			unproc++
-			proj += s.projection(x)
+			proj += s.projection(Vertex(x))
 		}
 	}
 	return unproc, proj
@@ -585,7 +585,7 @@ func (s *stagger) donate(nw *Network, donor NodeID, ds int32, id NodeID, idSlot 
 	var best Vertex = -1
 	for _, x := range nw.st.setAt(ds, false) {
 		if !s.processedFlag[x] {
-			best = x // ascending: the last unprocessed vertex is the largest
+			best = Vertex(x) // ascending: the last unprocessed vertex is the largest
 		}
 	}
 	if best < 0 {

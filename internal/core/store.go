@@ -20,12 +20,18 @@ import (
 // walk stop predicate reads one row per hop, a vertex move or a node
 // check reads one line where separate columns cost one per field, and
 // nothing touches an engine-level map.
-// Vertex sets are small sorted runs inside one vertex arena that
-// recycles through multiple-of-4 size-class free lists — the same
+// A vertex set of at most two vertices keeps them in its row's own
+// cells; a larger set is a small sorted run inside one vertex arena
+// that recycles through multiple-of-4 size-class free lists — the same
 // discipline as the graph arena — so steady-state churn allocates
 // nothing and a rebuild's transient 8*zeta-sized sets return their
-// cells to the arena when it commits. The dirty set is a generation
-// stamp plus an append list: resetting it is a counter bump.
+// cells to the arena when it commits. Both forms store a vertex in a
+// 4-byte cell, which is why the modulus stays within int32 (pcycle.New
+// refuses a larger p). The per-op byte figures in the comments below
+// were measured when every non-empty set had a run of 8-byte cells:
+// they give the reason for each policy, not its cost in this layout.
+// The dirty set is a generation stamp plus an append list: resetting it
+// is a counter bump.
 //
 // Every store operation takes the node's slot: the engine resolves a
 // node id once, where it enters (see network.go), and hands the slot
@@ -34,35 +40,59 @@ import (
 // TestStoreMatchesModel compare every observable against after every
 // operation.
 
-// vset references one node's vertex run inside the vertex arena:
-// arena.buf[off:off+n] is the set, sorted ascending, with cap cells
-// reserved (a multiple of 4).
-type vset struct{ off, n, cap int32 }
+// vset is one node's vertex set, sorted ascending, in 12 bytes. While
+// n <= inlineMax its cells hold the vertices themselves. A larger set
+// has spilled, and its cells hold {off, cap} of its run in the vertex
+// arena: arena.buf[off:off+n] is the set, with cap cells reserved (a
+// multiple of 4). On the single-join networks the benchmark grows (p/n
+// about 2.6) two thirds of the nodes simulate one vertex and another
+// eighth two, so most sets never touch the arena, and a walk stop, a
+// vertex move or a node check on such a node reads its set from the row
+// it has already paid the miss for.
+type vset struct {
+	cells [inlineMax]int32
+	n     int32
+}
+
+// inlineMax is the largest set a vset keeps in its own cells. A set
+// spills into a run of the smallest class on the add that makes it
+// inlineMax+1, and folds back on the removal that leaves it inlineMax.
+const inlineMax = 2
+
+// runCells returns the arena cells v's run reserves, 0 while v is
+// inline.
+func (v *vset) runCells() int32 {
+	if v.n <= inlineMax {
+		return 0
+	}
+	return v.cells[1]
+}
 
 // vertexArena is the pool for every node's vertex runs, with
 // multiple-of-4 size classes recycled through per-class free lists —
 // the same scheme the graph arena uses for adjacency runs, scaled down
 // to sets bounded by 8*zeta entries.
 type vertexArena struct {
-	buf       []Vertex
+	buf       []int32
 	free      [][]int32 // freed run offsets, indexed by capacity/4
 	freeCells int
 	bigRun    int32 // heavy-node capacity class, ~4*zeta (see runCap)
 }
 
-// runCap maps a set size to its run capacity class. The ladder is
-// deliberately flat — 8 cells for the steady regime (expected loads
-// are O(p/n) <= 8), one 4*zeta-sized class for heavy nodes, +8 steps
-// for transient adoption spikes beyond the Lemma 3 bound — so births,
-// grows, and deaths trade runs in the *same* few classes and the free
-// lists satisfy essentially every request. A fine-grained +4 ladder
+// runCap maps a set size to its run capacity class, 0 for a set that
+// stays inline. The ladder is deliberately flat — 8 cells for the
+// steady regime (expected loads are O(p/n) <= 8), one 4*zeta-sized
+// class for heavy nodes, +8 steps for transient adoption spikes beyond
+// the Lemma 3 bound — so spills, grows, and deaths trade runs in the
+// *same* few classes and the free lists satisfy essentially every
+// request. A fine-grained +4 ladder
 // measured badly here: each node's capacity frontier kept moving into
 // a class nothing had released yet, so the arena carved fresh tail
 // cells forever (~6KB/op of append-doubling at 10^5 nodes) while the
 // abandoned classes sat parked.
 func (a *vertexArena) runCap(n int32) int32 {
 	switch {
-	case n == 0:
+	case n <= inlineMax:
 		return 0
 	case n <= 8:
 		return 8
@@ -113,7 +143,7 @@ func (a *vertexArena) extend(want int) {
 	if cap(a.buf) >= want {
 		a.buf = a.buf[:want]
 	} else {
-		a.buf = append(a.buf, make([]Vertex, want-len(a.buf))...)
+		a.buf = append(a.buf, make([]int32, want-len(a.buf))...)
 	}
 }
 
@@ -129,29 +159,54 @@ func (a *vertexArena) release(off, capn int32) {
 	a.freeCells += int(capn)
 }
 
-// resize moves v's run into a fresh run of capn cells (capn >= v.n) and
-// releases the old one. A run that grows while it ends the buffer
-// extends in place instead: above bigRun the classes step by 8 cells,
-// so a set that keeps growing would otherwise copy itself, and carve a
-// fresh tail run, every 8 adds, quadratic in its size (FuzzStoreOps'
-// bulk-grow-4k input grows one set to 87k vertices).
+// resize moves spilled set v's run into a fresh run of capn cells
+// (capn >= v.n) and releases the old one. A run that grows while it
+// ends the buffer extends in place instead: above bigRun the classes
+// step by 8 cells, so a set that keeps growing would otherwise copy
+// itself, and carve a fresh tail run, every 8 adds, quadratic in its
+// size (FuzzStoreOps' bulk-grow-4k input grows one set to 87k
+// vertices).
 func (a *vertexArena) resize(v *vset, capn int32) {
-	if capn > v.cap && int(v.off+v.cap) == len(a.buf) {
-		a.extend(int(v.off + capn))
-		v.cap = capn
+	off, c := v.cells[0], v.cells[1]
+	if capn > c && int(off+c) == len(a.buf) {
+		a.extend(int(off + capn))
+		v.cells[1] = capn
 		return
 	}
 	newOff, got := a.alloc(capn)
-	copy(a.buf[newOff:newOff+v.n], a.buf[v.off:v.off+v.n])
-	a.release(v.off, v.cap)
-	v.off, v.cap = newOff, got
+	copy(a.buf[newOff:newOff+v.n], a.buf[off:off+v.n])
+	a.release(off, c)
+	v.cells = [inlineMax]int32{newOff, got}
+}
+
+// spill moves inline set v, which holds inlineMax vertices, into a
+// fresh run of the smallest class; v.n is left to the caller.
+func (a *vertexArena) spill(v *vset) {
+	off, got := a.alloc(a.runCap(inlineMax + 1))
+	copy(a.buf[off:off+inlineMax], v.cells[:])
+	v.cells = [inlineMax]int32{off, got}
+}
+
+// fold moves spilled set v, just left with inlineMax vertices, back
+// into its cells and releases its run.
+func (a *vertexArena) fold(v *vset) {
+	off, c := v.cells[0], v.cells[1]
+	copy(v.cells[:], a.buf[off:off+inlineMax])
+	a.release(off, c)
+}
+
+// drop releases v's run if it has one, leaving v to the caller.
+func (a *vertexArena) drop(v *vset) {
+	if c := v.runCells(); c > 0 {
+		a.release(v.cells[0], c)
+	}
 }
 
 // slotRow is one slot's hot state. Its 32 bytes never straddle a
 // 64-byte cache line once misses matter: past 1,024 slots (32 KB) the
 // rows slice is a page-aligned allocation, so two rows share each line,
 // and a stop predicate, a vertex move or a node check reads all of a
-// row with one miss. NewSim run
+// row with one miss, a set of up to two vertices included. NewSim set
 // headers are not in the row: they are live only while a staggered
 // rebuild is in flight, so they keep their own column (newRuns).
 type slotRow struct {
@@ -175,15 +230,15 @@ type mirrorEntry struct {
 type state struct {
 	g *graph.Graph
 
-	// Slot-indexed rows and the NewSim run column. slotAssigned grows
+	// Slot-indexed rows and the NewSim set column. slotAssigned grows
 	// both to cover each slot the graph binds and zeroes that slot's
-	// row. A slot without a live node holds empty runs (growth adds zero
+	// row. A slot without a live node holds empty sets (growth adds zero
 	// rows and slotReleased clears them), so compaction skips it;
 	// nothing reads its other fields.
 	rows    []slotRow
 	newRuns []vset // NewSim(u): next-cycle vertices while staggering
 
-	arena vertexArena // the runs behind every row's sim and newRuns
+	arena vertexArena // the runs behind every spilled sim and newRuns set
 
 	// nodeList mirrors the live node set in insertion order for O(1)
 	// uniform sampling; a row's pos is its node's position in it.
@@ -230,8 +285,8 @@ func (st *state) slotAssigned(_ NodeID, s int32) {
 // its row the moment the graph frees the slot, so compaction skips the
 // released runs.
 func (st *state) slotReleased(_ NodeID, s int32) {
-	st.arena.release(st.rows[s].sim.off, st.rows[s].sim.cap)
-	st.arena.release(st.newRuns[s].off, st.newRuns[s].cap)
+	st.arena.drop(&st.rows[s].sim)
+	st.arena.drop(&st.newRuns[s])
 	st.zero(s)
 }
 
@@ -244,7 +299,8 @@ func (st *state) zero(s int32) {
 // maybeCompact repacks the vertex arena when over half its cells sit on
 // free lists, mirroring the graph arena's policy: a type-2 rebuild
 // transiently doubles every set's size, and after it commits the big
-// runs must not pin the pool's high-water mark. The repack walks every
+// runs must not pin the pool's high-water mark, nor must the runs that
+// sets release when they fold back inline. The repack walks every
 // slot, but it leaves no cell free, so the next one waits until
 // releases park half the pool again. Called only at the top of set
 // mutations, where no run offset is held across it.
@@ -255,17 +311,18 @@ func (st *state) maybeCompact() {
 	}
 	total := int32(0)
 	for s := range st.rows {
-		total += st.rows[s].sim.cap + st.newRuns[s].cap
+		total += st.rows[s].sim.runCells() + st.newRuns[s].runCells()
 	}
-	newBuf := make([]Vertex, total, int(total)+int(total)/8+16)
+	newBuf := make([]int32, total, int(total)+int(total)/8+16)
 	off := int32(0)
 	repack := func(v *vset) {
-		if v.cap == 0 {
+		c := v.runCells()
+		if c == 0 {
 			return
 		}
-		copy(newBuf[off:off+v.n], a.buf[v.off:v.off+v.n])
-		v.off = off
-		off += v.cap
+		copy(newBuf[off:off+v.n], a.buf[v.cells[0]:v.cells[0]+v.n])
+		v.cells[0] = off
+		off += c
 	}
 	for s := range st.rows {
 		repack(&st.rows[s].sim)
@@ -427,12 +484,12 @@ func (st *state) resetDirty() {
 
 // --- vertex sets: Sim(u) current-cycle, NewSim(u) next-cycle ----------------
 //
-// One implementation serves both families: nxt selects the run header
+// One implementation serves both families: nxt selects the set header
 // (the row's sim vs the newRuns column), so a fix in one family cannot
 // silently miss its twin.
 
-// run returns the selected run header of slot s.
-func (st *state) run(s int32, nxt bool) *vset {
+// hdr returns the selected set header of slot s.
+func (st *state) hdr(s int32, nxt bool) *vset {
 	if nxt {
 		return &st.newRuns[s]
 	}
@@ -440,72 +497,87 @@ func (st *state) run(s int32, nxt bool) *vset {
 }
 
 // setAt returns the selected set of the node at live slot s: a sorted,
-// read-only view of its arena run. Any node's set mutation may compact
-// or grow the one shared arena, so the view is valid only until the
-// next set mutation of any node; callers that mutate sets while
-// iterating copy the view first (vertexHoldings) or finish reading it
-// before the first mutation.
+// read-only view of its cells (an inline set aliases its slot's row or
+// newRuns cell) or of its arena run (a spilled one). Any node's set
+// mutation may compact or grow the one shared arena, and addNode may
+// grow the slot table the inline cells live in, so the view is valid
+// only until the next set mutation of any node or until the slot table
+// grows; callers that mutate sets or add nodes while iterating copy the
+// view first (vertexHoldings) or finish reading it before the first
+// mutation. The cells are int32 (see the file comment): callers convert
+// a cell to Vertex where they pass it on.
 //
 //dexvet:noalloc
-func (st *state) setAt(s int32, nxt bool) []Vertex {
-	v := st.run(s, nxt)
-	return st.arena.buf[v.off : v.off+v.n]
+func (st *state) setAt(s int32, nxt bool) []int32 {
+	v := st.hdr(s, nxt)
+	if v.n <= inlineMax {
+		return v.cells[:v.n]
+	}
+	return st.arena.buf[v.cells[0] : v.cells[0]+v.n]
 }
 
-// setLenAt is len(setAt(s, nxt)), read from the run header alone.
-func (st *state) setLenAt(s int32, nxt bool) int { return int(st.run(s, nxt).n) }
+// setLenAt is len(setAt(s, nxt)), read from the set header alone.
+func (st *state) setLenAt(s int32, nxt bool) int { return int(st.hdr(s, nxt).n) }
 
-// setAddAt inserts x into the selected sorted run, growing through the
-// free lists when full. Duplicate insertion is an engine bug and
-// panics.
+// setAddAt inserts x into the selected sorted set: in its cells while it
+// stays inline, spilling into a run on the add that takes it past
+// inlineMax, and growing its run through the free lists when full.
+// Duplicate insertion is an engine bug and panics.
 //
 //dexvet:noalloc
 func (st *state) setAddAt(s int32, x Vertex, nxt bool) {
 	st.maybeCompact()
 	a := &st.arena
-	v := st.run(s, nxt)
-	if v.n == v.cap {
+	v := st.hdr(s, nxt)
+	switch {
+	case v.n == inlineMax:
+		a.spill(v)
+	case v.n > inlineMax && v.n == v.cells[1]:
 		a.resize(v, a.runCap(v.n+1))
 	}
-	run := a.buf[v.off : v.off+v.n+1]
-	j := v.n
-	for j > 0 && run[j-1] > x {
-		run[j] = run[j-1]
+	v.n++
+	set, xc := st.setAt(s, nxt), int32(x)
+	j := len(set) - 1
+	for j > 0 && set[j-1] > xc {
+		set[j] = set[j-1]
 		j--
 	}
-	if j > 0 && run[j-1] == x {
+	if j > 0 && set[j-1] == xc {
 		panic(fmt.Sprintf("core: duplicate vertex %d in slot set", x))
 	}
-	run[j] = x
-	v.n++
+	set[j] = xc
 }
 
-// setRemoveAt deletes x from the selected run, panicking if absent.
-// Runs at or below the bigRun class are deliberately not shrunk: a
-// set's steady capacity is bounded by 4*zeta plus growth slack, churn
-// then moves vertices with zero arena traffic, and the cases where
-// capacity really collapses — rebuild commits and node deaths —
-// release the whole run anyway (promoteNew, slotReleased).
-// Unconditional shrink-on-remove measured as pure thrash: the
-// release/alloc class churn kept pushing the pool over the compaction
-// threshold, costing ~8KB/op of amortized copying on steady 10^5-node
-// churn. Runs *above* bigRun are the exception — see the snap-back
-// below.
+// setRemoveAt deletes x from the selected set, panicking if absent. A
+// spilled set folds back inline on the removal that leaves it
+// inlineMax vertices; runs at or below the bigRun class are otherwise
+// deliberately not shrunk: a set's steady capacity is bounded by
+// 4*zeta plus growth slack, churn then moves vertices with zero arena
+// traffic, and the cases where capacity really collapses — rebuild
+// commits and node deaths — release the whole run anyway (promoteNew,
+// slotReleased). Unconditional shrink-on-remove measured as pure
+// thrash: the release/alloc class churn kept pushing the pool over the
+// compaction threshold, costing ~8KB/op of amortized copying on steady
+// 10^5-node churn. Folding back does not thrash that way: only a set
+// crossing between inlineMax and inlineMax+1 vertices trades a run, and
+// a spill takes the smallest class, which folds keep stocked. Runs
+// *above* bigRun are the exception — see the snap-back below.
 //
 //dexvet:noalloc
 func (st *state) setRemoveAt(s int32, x Vertex, nxt bool) {
 	a := &st.arena
-	v := st.run(s, nxt)
-	run := a.buf[v.off : v.off+v.n]
-	j := int32(0)
-	for j < v.n && run[j] != x {
-		j++
-	}
-	if j == v.n {
+	v := st.hdr(s, nxt)
+	set := st.setAt(s, nxt)
+	j := slices.Index(set, int32(x))
+	if j < 0 {
 		panic(fmt.Sprintf("core: removing absent vertex %d from slot set", x))
 	}
-	copy(run[j:], run[j+1:])
+	copy(set[j:], set[j+1:])
 	v.n--
+	if v.n == inlineMax {
+		a.fold(v)
+		return
+	}
 	// Snap back over-bigRun runs once the spike decays. Adoption spikes
 	// are transient (Lemma 3), but without this the spiked capacity is
 	// pinned until the node dies: every new spike then carves fresh tail
@@ -517,8 +589,8 @@ func (st *state) setRemoveAt(s int32, x Vertex, nxt bool) {
 	// 4 removes to re-shrink, so boundary traffic can't thrash the free
 	// lists (plain shrink-on-remove measured that way). Runs at or below
 	// bigRun are left alone, as before.
-	if v.cap > a.bigRun {
-		if newCap := a.runCap(v.n + 4); newCap < v.cap {
+	if v.runCells() > a.bigRun {
+		if newCap := a.runCap(v.n + 4); newCap < v.cells[1] {
 			a.resize(v, newCap)
 		}
 	}
@@ -533,15 +605,19 @@ func (st *state) setMaxAt(s int32, nxt bool) Vertex {
 	if len(r) == 0 {
 		panic("core: largest vertex of an empty set")
 	}
-	return r[len(r)-1]
+	return Vertex(r[len(r)-1])
 }
 
-// sizeRuns gives the empty selected run of every slot s with n[s] > 0
-// the capacity class of n[s] vertices, carving all of them from one
-// reservation of the arena. A restore sizes every run this way before
-// it adds the vertices in ascending order, so the adds never move a
-// run and the arena is not grown run by run.
-func (st *state) sizeRuns(n []int32, nxt bool) {
+// fillSets fills the empty selected set of every slot s with the
+// vertices x for which slots[x] == s, ascending; n[s] is how many there
+// are. A set of at most inlineMax vertices fills its cells, and every
+// larger one gets the run class of n[s], carved with all the others
+// from one reservation of the arena, so a restore neither grows the
+// arena run by run nor moves a run while it fills. Sizing and filling
+// are one step because a header's form follows from its n: a run cannot
+// be reserved for a set that is still empty. n is consumed: it reads
+// all zero on return.
+func (st *state) fillSets(slots, n []int32, nxt bool) {
 	a := &st.arena
 	total := 0
 	for _, c := range n {
@@ -549,9 +625,18 @@ func (st *state) sizeRuns(n []int32, nxt bool) {
 	}
 	a.buf = slices.Grow(a.buf, total)
 	for s, c := range n {
-		if c > 0 {
-			v := st.run(int32(s), nxt)
-			v.off, v.cap = a.alloc(a.runCap(c))
+		v := st.hdr(int32(s), nxt)
+		if c > inlineMax {
+			v.cells[0], v.cells[1] = a.alloc(a.runCap(c))
+		}
+		v.n = c
+	}
+	// Each set fills from its top cell down, so the descending pass
+	// leaves it ascending with n[s] as the cursor.
+	for x := len(slots) - 1; x >= 0; x-- {
+		if s := slots[x]; s >= 0 {
+			n[s]--
+			st.setAt(s, nxt)[n[s]] = int32(x)
 		}
 	}
 }
@@ -564,12 +649,18 @@ func (st *state) simReset(s int32, vs []Vertex) {
 	st.maybeCompact()
 	a := &st.arena
 	v := &st.rows[s].sim
-	if newCap := a.runCap(int32(len(vs))); v.cap < newCap {
-		a.release(v.off, v.cap)
-		v.off, v.cap = a.alloc(newCap)
+	n := int32(len(vs))
+	if newCap := a.runCap(n); v.runCells() < newCap || newCap == 0 {
+		a.drop(v)
+		if newCap > 0 {
+			v.cells[0], v.cells[1] = a.alloc(newCap)
+		}
 	}
-	v.n = int32(len(vs))
-	copy(a.buf[v.off:v.off+v.n], vs)
+	v.n = n
+	set := st.setAt(s, false)
+	for i, x := range vs {
+		set[i] = int32(x)
+	}
 }
 
 // promoteNew installs the new-cycle set of the node at slot s as its
@@ -577,7 +668,7 @@ func (st *state) simReset(s int32, vs []Vertex) {
 // counters.
 func (st *state) promoteNew(s int32) {
 	r := &st.rows[s]
-	st.arena.release(r.sim.off, r.sim.cap)
+	st.arena.drop(&r.sim)
 	r.sim, st.newRuns[s] = st.newRuns[s], vset{}
 	r.effNew, r.unprocOld = 0, 0
 }

@@ -121,7 +121,7 @@ func compareStore(st *state, m *storeModel, ids int) error {
 		}
 		for _, nxt := range []bool{false, true} {
 			want, got := *n.set(nxt), st.setAt(s, nxt)
-			if !slices.Equal(got, want) || st.setLenAt(s, nxt) != len(want) {
+			if !slices.EqualFunc(got, want, func(c int32, x Vertex) bool { return Vertex(c) == x }) || st.setLenAt(s, nxt) != len(want) {
 				return fmt.Errorf("node %d (next cycle %v): set %v (len %d), model %v", u, nxt, got, st.setLenAt(s, nxt), want)
 			}
 			if len(want) > 0 && st.setMaxAt(s, nxt) != want[len(want)-1] {
@@ -139,6 +139,50 @@ func compareStore(st *state, m *storeModel, ids int) error {
 		if m.nodes[u] == nil && (st.has(u) || st.loadOf(u) != 0) {
 			return fmt.Errorf("absent node %d reads as present (load %d)", u, st.loadOf(u))
 		}
+	}
+	return checkArena(st)
+}
+
+// checkArena checks the vertex arena's bookkeeping, which the set
+// comparisons cannot see: a set of at most inlineMax vertices holds no
+// run, a spilled set's run is a size class that fits it, and the live
+// runs and the free-list runs tile the buffer exactly, with freeCells
+// the free share. A fold, spill or drop that leaked a run, or released
+// one twice, breaks the tiling.
+func checkArena(st *state) error {
+	type span struct{ off, cells int32 }
+	var spans []span
+	for s := range st.rows {
+		for _, v := range []*vset{&st.rows[s].sim, &st.newRuns[s]} {
+			if v.n <= inlineMax {
+				continue
+			}
+			if c := v.cells[1]; c < v.n || c%4 != 0 {
+				return fmt.Errorf("slot %d: %d vertices in a run of %d cells", s, v.n, c)
+			}
+			spans = append(spans, span{v.cells[0], v.cells[1]})
+		}
+	}
+	free := 0
+	for class, fl := range st.arena.free {
+		for _, off := range fl {
+			spans = append(spans, span{off, int32(4 * class)})
+			free += 4 * class
+		}
+	}
+	if free != st.arena.freeCells {
+		return fmt.Errorf("free lists hold %d cells, freeCells %d", free, st.arena.freeCells)
+	}
+	slices.SortFunc(spans, func(a, b span) int { return int(a.off - b.off) })
+	end := int32(0)
+	for _, sp := range spans {
+		if sp.off != end {
+			return fmt.Errorf("arena run at %d, want one at %d: runs overlap or cells leaked", sp.off, end)
+		}
+		end += sp.cells
+	}
+	if int(end) != len(st.arena.buf) {
+		return fmt.Errorf("runs cover %d of %d arena cells", end, len(st.arena.buf))
 	}
 	return nil
 }
@@ -359,7 +403,7 @@ func TestStoreMatchesModel(t *testing.T) {
 // runsFrom reports whether any slot at or above from holds a vertex run.
 func runsFrom(st *state, from int) bool {
 	for s := from; s < len(st.rows); s++ {
-		if st.rows[s].sim.cap+st.newRuns[s].cap > 0 {
+		if st.rows[s].sim.runCells()+st.newRuns[s].runCells() > 0 {
 			return true
 		}
 	}

@@ -25,7 +25,11 @@ func (st *state) loadSnapshot() map[NodeID]int {
 func (st *state) simSnapshot() map[NodeID][]Vertex {
 	out := make(map[NodeID][]Vertex, st.size())
 	for _, e := range st.nodeList {
-		out[e.id] = append([]Vertex(nil), st.setAt(st.slot(e.id), false)...)
+		var vs []Vertex
+		for _, x := range st.setAt(st.slot(e.id), false) {
+			vs = append(vs, Vertex(x))
+		}
+		out[e.id] = vs
 	}
 	return out
 }
@@ -72,8 +76,9 @@ func TestStoreVertexArenaRecycles(t *testing.T) {
 	// The pool may round runs up and keep some free-list slack, but it
 	// must stay within a small constant of the live vertex count — the
 	// compaction and shrink policies cap parked capacity at half the
-	// pool plus per-run rounding.
-	if poolCells > 4*liveCells+8*1024 {
+	// pool plus per-run rounding, and below 2,048 cells the pool never
+	// compacts.
+	if poolCells > 4*liveCells+2048 {
 		t.Fatalf("vertex pool holds %d cells for %d live vertices (free %d)", poolCells, liveCells, freeCells)
 	}
 	if err := nw.CheckInvariants(); err != nil {
@@ -114,5 +119,56 @@ func TestStoreSlotReuseResetsTracking(t *testing.T) {
 	}
 	if err := nw.Audit(AuditSampled); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// storeBytes is the heap the store's own slices reserve: rows, the
+// NewSim header column, the vertex arena and its free lists, the
+// sampling mirror and the dirty list, counted from their capacities.
+func storeBytes(st *state) int {
+	b := cap(st.rows)*int(unsafe.Sizeof(slotRow{})) +
+		cap(st.newRuns)*int(unsafe.Sizeof(vset{})) +
+		cap(st.arena.buf)*int(unsafe.Sizeof(st.arena.buf[0])) +
+		cap(st.nodeList)*int(unsafe.Sizeof(mirrorEntry{})) +
+		cap(st.dirtyList)*int(unsafe.Sizeof(NodeID(0)))
+	for _, fl := range st.arena.free {
+		b += cap(fl) * 4
+	}
+	return b
+}
+
+// TestScaleEngineMemoryFootprint is the store's memory gate, on the
+// network the benchmark's bare workloads grow by single joins
+// (joinedEngine at 10^5 nodes, p/n about 2.6): the vertex arena's
+// capacity per live vertex and the store's bytes per node, counted from
+// the store's slice capacities, must stay within their budgets. Sets of
+// one or two vertices live in the row, so the arena holds only the
+// spilled sets' runs. The network is the same in every run, and it
+// measures 2.60 cells per vertex and 96.7 B/node; the budgets leave 10%.
+// The layout that gave every non-empty set a run of 8-byte cells read
+// 4.99 and 176.6, failing both.
+func TestScaleEngineMemoryFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("memory footprint gate skipped in -short mode")
+	}
+	const (
+		cellsPerVertexBudget = 2.86
+		bytesPerNodeBudget   = 106.0
+	)
+	nw := joinedEngine(t, 100_000, 20_000)
+	st := &nw.st
+	vertices := 0
+	for s := range st.rows {
+		vertices += int(st.rows[s].sim.n + st.newRuns[s].n)
+	}
+	cells := float64(cap(st.arena.buf)) / float64(vertices)
+	perNode := float64(storeBytes(st)) / float64(st.size())
+	t.Logf("%d nodes, %d vertices: arena %d cells (%d free, %.2f per vertex), store %.1f B/node",
+		st.size(), vertices, cap(st.arena.buf), st.arena.freeCells, cells, perNode)
+	if cells > cellsPerVertexBudget {
+		t.Errorf("vertex arena holds %.2f cells per live vertex, budget %.2f", cells, cellsPerVertexBudget)
+	}
+	if perNode > bytesPerNodeBudget {
+		t.Errorf("store holds %.1f B per node, budget %.1f", perNode, bytesPerNodeBudget)
 	}
 }

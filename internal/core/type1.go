@@ -212,11 +212,11 @@ type holding struct {
 func (nw *Network) vertexHoldings(s int32) []holding {
 	hs := nw.holdScratch[:0]
 	for _, x := range nw.st.setAt(s, false) {
-		hs = append(hs, holding{x: x})
+		hs = append(hs, holding{x: Vertex(x)})
 	}
 	if nw.stag != nil {
 		for _, y := range nw.st.setAt(s, true) {
-			hs = append(hs, holding{x: y, isNew: true})
+			hs = append(hs, holding{x: Vertex(y), isNew: true})
 		}
 	}
 	nw.holdScratch = hs

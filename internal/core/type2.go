@@ -215,7 +215,7 @@ func (nw *Network) simplifiedDeflate(initiator NodeID) {
 // vertices, the natural walk origin for a contending node.
 func (nw *Network) contenderStart(def pcycle.Deflation, u NodeID) Vertex {
 	if r := nw.st.setAt(nw.st.slot(u), false); len(r) > 0 {
-		return def.NewVertexOf(r[0])
+		return def.NewVertexOf(Vertex(r[0]))
 	}
 	return 0
 }

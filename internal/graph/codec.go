@@ -24,13 +24,27 @@ const codecVersion = 2
 // contraction of the virtual cycle under the mapping) re-adds them after
 // DecodeBinary and then puts the epoch back with SetEpoch. Arena layout
 // (run offsets, free lists) is not serialized either, since no
-// observable behavior depends on pool offsets.
+// observable behavior depends on pool offsets. It reuses a scratch
+// bitmap kept on g, so it needs the same exclusive access a mutation
+// does.
 func (g *Graph) AppendBinary(enc *wire.Encoder) {
 	enc.Uvarint(codecVersion)
 	enc.Uvarint(uint64(len(g.ids)))
+	// A slot is live exactly when it is not on the free-slot stack, so
+	// the flags come from a bitmap of that stack instead of an id lookup
+	// per slot.
+	words := (len(g.ids) + 63) / 64
+	if cap(g.freeMask) < words {
+		g.freeMask = make([]uint64, words)
+	}
+	free := g.freeMask[:words]
+	clear(free)
+	for _, s := range g.freeSlots {
+		free[s/64] |= 1 << (s % 64)
+	}
 	for s, id := range g.ids {
 		enc.Varint(int64(id))
-		enc.Bool(g.liveAt(s))
+		enc.Bool(free[s/64]&(1<<(s%64)) == 0)
 	}
 	enc.Uvarint(uint64(len(g.freeSlots)))
 	for _, s := range g.freeSlots {

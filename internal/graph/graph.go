@@ -120,6 +120,10 @@ type Graph struct {
 	edges     int       // number of edges (loops count once)
 	epoch     uint64    // logical version: bumped by every effective mutation
 
+	// freeMask is AppendBinary's scratch bitmap of the free slots, kept
+	// so that a checkpoint allocates nothing once it has been sized.
+	freeMask []uint64
+
 	// Slot lifecycle hooks (SetSlotHooks): onSlotAssign fires right after
 	// a slot is bound to a node, onSlotRelease right after a node's slot
 	// is freed. They let a caller layer slot-indexed columnar state on
@@ -1218,6 +1222,16 @@ func (g *Graph) Validate() error {
 	}
 	if total != 2*g.edges {
 		return fmt.Errorf("graph: edge count mismatch: handshake sum %d, 2*edges %d", total, 2*g.edges)
+	}
+	// Every slot is live or free, never both (AppendBinary writes the
+	// live flags from the free-slot stack).
+	if len(g.index)+len(g.freeSlots) != len(g.ids) {
+		return fmt.Errorf("graph: %d live + %d free slots != %d total", len(g.index), len(g.freeSlots), len(g.ids))
+	}
+	for _, s := range g.freeSlots {
+		if g.liveAt(int(s)) {
+			return fmt.Errorf("graph: slot %d both live and free", s)
+		}
 	}
 	// Dense fast-path coherence: every in-range cell must agree with the
 	// authoritative map in both directions, or lookup would resolve an id

@@ -16,6 +16,7 @@ package pcycle
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/graph"
@@ -28,25 +29,32 @@ type Vertex = int64
 // Cycle is the p-cycle expander Z(p) for a fixed prime p.
 type Cycle struct {
 	p    int64
-	inv  []Vertex // cached inverses; inv[0] = 0 by the self-loop convention
-	ecc0 int      // eccentricity of vertex 0, lazily computed (-1 = unset)
+	inv  []int32 // cached inverses; inv[0] = 0 by the self-loop convention
+	ecc0 int     // eccentricity of vertex 0, lazily computed (-1 = unset)
 }
 
+// maxP is the largest modulus New accepts. Every vertex then fits in an
+// int32, which the inverse table relies on, and so does the DEX
+// engine's store, whose vertex cells are 4 bytes.
+const maxP = math.MaxInt32
+
 // New returns Z(p). p must be a prime >= 5 (below that the cycle and
-// chord edges collapse in ways Definition 1 does not intend).
+// chord edges collapse in ways Definition 1 does not intend) and at
+// most maxP.
 func New(p int64) (*Cycle, error) {
+	if p > maxP {
+		return nil, fmt.Errorf("pcycle: p = %d exceeds the largest modulus %d", p, maxP)
+	}
 	if p < 5 || !primes.IsPrime(p) {
 		return nil, fmt.Errorf("pcycle: p = %d is not a prime >= 5", p)
 	}
 	c := &Cycle{p: p, ecc0: -1}
-	c.inv = make([]Vertex, p)
+	c.inv = make([]int32, p)
 	// Batch-compute inverses in O(p): inv[x] via inv[x] = -(p/x)*inv[p%x].
 	c.inv[0] = 0
-	if p > 1 {
-		c.inv[1] = 1
-	}
+	c.inv[1] = 1
 	for x := int64(2); x < p; x++ {
-		c.inv[x] = ((p - (p/x)*c.inv[p%x]%p) % p)
+		c.inv[x] = int32((p - (p/x)*int64(c.inv[p%x])%p) % p)
 	}
 	return c, nil
 }
@@ -59,7 +67,7 @@ func (c *Cycle) Contains(x Vertex) bool { return x >= 0 && x < c.p }
 
 // Inv returns the chord partner of x: x^{-1} mod p for x > 0, and 0 for
 // x = 0 (the self-loop of Definition 1).
-func (c *Cycle) Inv(x Vertex) Vertex { return c.inv[x] }
+func (c *Cycle) Inv(x Vertex) Vertex { return Vertex(c.inv[x]) }
 
 // Succ returns x+1 mod p.
 func (c *Cycle) Succ(x Vertex) Vertex {
@@ -82,7 +90,7 @@ func (c *Cycle) Pred(x Vertex) Vertex {
 // at 0, 1, p-1) but for p >= 5 the three slots are the complete incident
 // edge list of the 3-regular multigraph.
 func (c *Cycle) NeighborSlots(x Vertex) [3]Vertex {
-	return [3]Vertex{c.Pred(x), c.Succ(x), c.inv[x]}
+	return [3]Vertex{c.Pred(x), c.Succ(x), Vertex(c.inv[x])}
 }
 
 // Graph materializes Z(p) as a multigraph. Each undirected edge appears
@@ -91,7 +99,7 @@ func (c *Cycle) Graph() *graph.Graph {
 	g := graph.New()
 	for x := int64(0); x < c.p; x++ {
 		g.AddEdge(graph.NodeID(x), graph.NodeID(c.Succ(x)))
-		if y := c.inv[x]; y >= x { // add each chord once (y == x => loop)
+		if y := Vertex(c.inv[x]); y >= x { // add each chord once (y == x => loop)
 			g.AddEdge(graph.NodeID(x), graph.NodeID(y))
 		}
 	}
@@ -411,7 +419,7 @@ func (c *Cycle) RoutePermutation(perm func(Vertex) Vertex) (rounds, maxQueue int
 // InversePermutation returns the chord permutation x -> x^{-1} (0 -> 0),
 // the permutation type-2 recovery routes to discover inverse edges.
 func (c *Cycle) InversePermutation() func(Vertex) Vertex {
-	return func(x Vertex) Vertex { return c.inv[x] }
+	return func(x Vertex) Vertex { return Vertex(c.inv[x]) }
 }
 
 // VertexSet returns all vertices in increasing order (for tests).

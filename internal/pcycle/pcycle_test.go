@@ -2,6 +2,7 @@ package pcycle
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -23,6 +24,20 @@ func TestNewRejectsBadModulus(t *testing.T) {
 		if _, err := New(p); err == nil {
 			t.Errorf("New(%d) accepted", p)
 		}
+	}
+}
+
+// TestNewRejectsModulusAboveInt32 checks the bound that lets the
+// inverse table, and the engine's vertex cells, hold a vertex in an
+// int32: the smallest prime above it is refused before New sizes a
+// table for it.
+func TestNewRejectsModulusAboveInt32(t *testing.T) {
+	const p = math.MaxInt32 + 12 // 2147483659, the smallest prime above 2^31-1
+	if !primes.IsPrime(p) {
+		t.Fatalf("%d is not prime", int64(p))
+	}
+	if _, err := New(p); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("New(%d) = %v, want the modulus refused as too large", int64(p), err)
 	}
 }
 
